@@ -72,12 +72,12 @@ def detection_stats(seed: int) -> None:
         (AttackKind.MEASURE_RESEND, dict(commitments_enabled=False), 400),
         (AttackKind.CNOT, dict(commitments_enabled=False, permutation_enabled=False), 400),
     ]
-    for kind, overrides, trials in jobs:
+    for job, (kind, overrides, trials) in enumerate(jobs):
         for m in (1, 2, 4):
             aborts = 0
             for i in range(trials):
                 cfg = SqkaConfig(
-                    n=8, m=m, seed=derive_seed(seed, hash(kind.value) & 0xFFFF, m, i),
+                    n=8, m=m, seed=derive_seed(seed, job, m, i),
                     attack=AttackStrategy(kind), **overrides,
                 )
                 aborts += run_sqka(cfg).aborted

@@ -80,7 +80,11 @@ def parse_args(argv: list[str]) -> CliConfig:
     ns = _build_parser().parse_args(argv)
     seed = ns.seed
     if seed is None:
-        seed = int(os.environ.get("SEMIQ_SEED", "0"))
+        raw = os.environ.get("SEMIQ_SEED", "0")
+        try:
+            seed = int(raw)
+        except ValueError:
+            raise ValidationError(f"SEMIQ_SEED must be an integer, got {raw!r}") from None
     if ns.n < 1:
         raise ValidationError("--n must be >= 1")
     if ns.m is not None and ns.m < 1:

@@ -43,3 +43,7 @@ class EmptyInput(SemiQuantumError, ValueError):
 
 class UnknownAttack(SemiQuantumError, ValueError):
     """No closed-form detection probability is defined for this attack."""
+
+
+class ZeroProbabilityOutcome(SemiQuantumError, ValueError):
+    """A measurement would collapse onto an outcome of zero probability."""

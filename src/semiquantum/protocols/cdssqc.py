@@ -191,8 +191,10 @@ def _run(config: CdssqcConfig) -> SessionOutcome:
         attack.finalize([])
         return finish(True, AbortReason.CORRELATION_MISMATCH, {}, spot_rate)
 
-    remaining = [p for p in range(total) if p not in set(spot_positions)]
+    spot_set = set(spot_positions)
+    remaining = [p for p in range(total) if p not in spot_set]
     attack.reindex(remaining)
+    local_index = {p: i for i, p in enumerate(remaining)}
     decoys_left = m - s
 
     # Controller outcomes are sampled now (they commute with everything the
@@ -205,14 +207,14 @@ def _run(config: CdssqcConfig) -> SessionOutcome:
     encode_positions = sorted(
         remaining[i] for i in alice.rng.sample(len(remaining), n)
     )
-    encoded_set = set(encode_positions)
-    decoy_positions = [p for p in remaining if p not in encoded_set]
+    encode_index = {p: i for i, p in enumerate(encode_positions)}
+    decoy_positions = [p for p in remaining if p not in encode_index]
 
     r_a: list[int] = []
     out_seq: list[str] = []
     for p in remaining:
-        if p in encoded_set:
-            idx = encode_positions.index(p)
+        if p in encode_index:
+            idx = encode_index[p]
             outcome = alice.measure_z(alice_seq[p])
             r_a.append(outcome)
             out_seq.append(alice.prepare_z(outcome ^ message[idx], f"M{p}"))
@@ -237,7 +239,7 @@ def _run(config: CdssqcConfig) -> SessionOutcome:
     for j in range(size):
         qubit = attack.wire("return", j, wire[j])
         p = origin_of_wire[j]
-        if p in encoded_set:
+        if p in encode_index:
             wire_z[j] = bob.measure_z(qubit)
         else:
             partner = f"B{p}"
@@ -245,7 +247,7 @@ def _run(config: CdssqcConfig) -> SessionOutcome:
         attack.after_wire("return", j)
 
     transcript.log("bob", "ack_receipt")
-    decoy_wire = {p: pi.destination(remaining.index(p)) for p in decoy_positions}
+    decoy_wire = {p: pi.destination(local_index[p]) for p in decoy_positions}
     transcript.log(
         "alice", "reveal_split", decoys=sorted([p, w] for p, w in decoy_wire.items())
     )
@@ -272,7 +274,7 @@ def _run(config: CdssqcConfig) -> SessionOutcome:
     details["decoy_checked"] = decoys_left
     details["decoy_mismatches"] = decoy_mismatches
 
-    encoded_wires = [pi.destination(remaining.index(p)) for p in encode_positions]
+    encoded_wires = [pi.destination(local_index[p]) for p in encode_positions]
     attack.finalize(encoded_wires)
     details["encoded_origins"] = list(encode_positions)
     details["encoded_wires"] = list(encoded_wires)

@@ -137,8 +137,10 @@ def run_sqd(config: SqdConfig) -> SessionOutcome:
         attack.finalize([])
         return finish(True, AbortReason.CORRELATION_MISMATCH, {}, spot_rate)
 
-    remaining = [p for p in range(total) if p not in set(spot_positions)]
+    spot_set = set(spot_positions)
+    remaining = [p for p in range(total) if p not in spot_set]
     attack.reindex(remaining)
+    local_index = {p: i for i, p in enumerate(remaining)}
     decoys_left = m - s
     size = len(remaining)
 
@@ -150,14 +152,14 @@ def run_sqd(config: SqdConfig) -> SessionOutcome:
     else:  # spot check consumed the whole decoy budget
         measured_local = list(range(size))
     encode_positions = [remaining[i] for i in measured_local]
-    encoded_set = set(encode_positions)
-    decoy_positions = [p for p in remaining if p not in encoded_set]
+    encode_index = {p: i for i, p in enumerate(encode_positions)}
+    decoy_positions = [p for p in remaining if p not in encode_index]
 
     r_b: list[int] = []
     out_seq: list[str] = []
     for p in remaining:
-        if p in encoded_set:
-            idx = encode_positions.index(p)
+        if p in encode_index:
+            idx = encode_index[p]
             outcome = bob.measure_z(travel[p])
             r_b.append(outcome)
             out_seq.append(bob.prepare_z(outcome ^ m_b[idx], f"B{p}"))
@@ -181,8 +183,8 @@ def run_sqd(config: SqdConfig) -> SessionOutcome:
     for j in range(size):
         qubit = attack.wire("return", j, wire[j])
         p = origin_of_wire[j]
-        if p in encoded_set:
-            idx = encode_positions.index(p)
+        if p in encode_index:
+            idx = encode_index[p]
             if m_a[idx]:
                 alice.x(qubit)
             if config.final_measurement == "bell":
@@ -198,7 +200,7 @@ def run_sqd(config: SqdConfig) -> SessionOutcome:
         attack.after_wire("return", j)
 
     transcript.log("alice", "ack_receipt")
-    decoy_wire = {p: pi.destination(remaining.index(p)) for p in decoy_positions}
+    decoy_wire = {p: pi.destination(local_index[p]) for p in decoy_positions}
     transcript.log(
         "bob", "reveal_decoy_positions", mapping=sorted([p, w] for p, w in decoy_wire.items())
     )
@@ -211,7 +213,7 @@ def run_sqd(config: SqdConfig) -> SessionOutcome:
     details["decoy_checked"] = decoys_left
     details["decoy_mismatches"] = decoy_mismatches
 
-    encoded_wires = [pi.destination(remaining.index(p)) for p in encode_positions]
+    encoded_wires = [pi.destination(local_index[p]) for p in encode_positions]
     attack.finalize(encoded_wires)
     details["encoded_origins"] = list(encode_positions)
     details["encoded_wires"] = list(encoded_wires)

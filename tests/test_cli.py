@@ -66,6 +66,14 @@ def test_seed_env_fallback(monkeypatch):
     assert cfg.seed == 0
 
 
+def test_non_integer_seed_env_exits_2(monkeypatch, capsys):
+    monkeypatch.setenv("SEMIQ_SEED", "abc")
+    assert main(["--protocol", "sqka", "--n", "2"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "SEMIQ_SEED" in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -1,0 +1,42 @@
+"""The seeded scripts under scripts/ give the same results in every process."""
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# Loads reproduce_figures, swaps run_sqka for a recorder of the seeds it is
+# handed, and prints them as JSON.
+_RECORD_SEEDS = """
+import contextlib, importlib.util, io, json, sys, types
+spec = importlib.util.spec_from_file_location("reproduce_figures", sys.argv[1])
+mod = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(mod)
+seeds = []
+def record(cfg):
+    seeds.append(cfg.seed)
+    return types.SimpleNamespace(aborted=False)
+mod.run_sqka = record
+with contextlib.redirect_stdout(io.StringIO()):
+    mod.detection_stats(11)
+print(json.dumps(seeds))
+"""
+
+
+def _detection_seeds(hash_seed: str) -> list[int]:
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", _RECORD_SEEDS, str(ROOT / "scripts" / "reproduce_figures.py")],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    return json.loads(out.stdout)
+
+
+def test_detection_stats_seeds_ignore_string_hash_salt():
+    first, second = _detection_seeds("1"), _detection_seeds("2")
+    assert first == second
+    assert len(first) == 3 * 3 * 400  # attacks x decoy counts x trials
+    assert len(set(first)) == len(first)
