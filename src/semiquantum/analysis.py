@@ -276,18 +276,21 @@ def run_trials(template: SessionConfig, trials: int, master_seed: int) -> TrialS
     Identical (template, trials, master_seed) gives bit-identical stats;
     per-trial seeds make the sessions independent of execution order, and
     the record fold is commutative, so a parallel schedule would produce the
-    same result.  Session errors are counted, not raised.
+    same result.  Records are summed as they arrive, so memory does not grow
+    with ``trials``.  Session errors are counted, not raised.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    records = []
+    total: dict[str, float] = {}
     for t in range(trials):
         config = replace(template, seed=derive_seed(master_seed, t))
         try:
-            records.append(trial_record(run_session(config)))
+            rec = trial_record(run_session(config))
         except SemiQuantumError:
-            records.append(trial_record(None))
-    return aggregate_records(template, trials, records)
+            rec = trial_record(None)
+        for key, value in rec.items():
+            total[key] = total.get(key, 0) + value
+    return aggregate_records(template, trials, [total])
 
 
 # ---------------------------------------------------------------------------

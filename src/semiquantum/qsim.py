@@ -18,6 +18,19 @@ register; measuring the last qubit leaves ``post_state=None``.  Registers
 are hard-capped at ``MAX_QUBITS`` so an accidental global-state blowup
 fails loudly instead of silently going quadratic.
 
+Memo
+----
+A ``StateVector`` is its labels plus a ket: the qubit count and the exact
+amplitude entries in insertion order, range- and norm-checked once when
+built.  Kets of at most ``MAX_STORED_QUBITS`` qubits are interned, so a
+content that recurs is one object, and each primitive keeps its result on
+the input ket: a gate or merge its output ket, a measurement its branch
+probabilities and each branch's post-measurement ket, collapsed only when
+that branch is first sampled or projected.  A recurring content thus
+repeats no arithmetic.  Larger kets (the cross-slot registers of permuted
+attacks) go through the same code but are not stored.  Results are the
+values the computation gives the first time, so the memo changes no draw.
+
 Every sampled measurement takes exactly one ``rng.random()`` draw and
 returns the first outcome, in a fixed order (Z: 0, 1; Bell: ``BELL_ORDER``;
 basis: a, b), whose running probability sum exceeds the draw.
@@ -28,6 +41,7 @@ import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,6 +57,8 @@ from .rng import RandomSource
 
 NORM_TOL = 1e-12
 MAX_QUBITS = 6
+# kets of at most this many qubits are interned with their memo (see Memo)
+MAX_STORED_QUBITS = 4
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
@@ -80,9 +96,21 @@ _BELL_ENTRIES: dict[BellKind, dict[int, complex]] = {
     BellKind.PHI_MINUS: {0b01: complex(_INV_SQRT2), 0b10: complex(-_INV_SQRT2)},
 }
 
+
+class _Bras(tuple):
+    """A bra table for ``_Split``: ``table[pattern]`` lists ``(outcome,
+    <outcome|bits>)`` for every outcome overlapping the measured bits
+    ``pattern``.  It hashes by identity, so it is a cheap memo key; two
+    equal tables built apart are two keys, which costs only a recomputation.
+    """
+
+    __slots__ = ()
+    __hash__ = object.__hash__
+
+
 # For each pair index 2*b0 + b1: (position in BELL_ORDER, <bell|b0 b1>) for
 # every Bell outcome the basis state overlaps.
-_BELL_BRAS: tuple[tuple[tuple[int, complex], ...], ...] = tuple(
+_BELL_BRAS = _Bras(
     tuple(
         (o, _BELL_ENTRIES[kind][r].conjugate())
         for o, kind in enumerate(BELL_ORDER)
@@ -94,14 +122,18 @@ _BELL_BRAS: tuple[tuple[tuple[int, complex], ...], ...] = tuple(
 
 @dataclass(frozen=True)
 class OrthonormalPair:
-    """An orthonormal single-qubit basis {|a>, |b>} for controller measurements."""
+    """An orthonormal single-qubit basis {|a>, |b>} for controller measurements.
 
-    a: np.ndarray
-    b: np.ndarray
+    Two bases are equal, and hash alike, when their components are exactly
+    equal.
+    """
+
+    a: np.ndarray = field(compare=False)
+    b: np.ndarray = field(compare=False)
     # (a, b) components as Python complex numbers, and for each bit value v the
-    # nonzero bras as (outcome, conj(component v)); both derived, not compared.
-    _kets: tuple = field(init=False, repr=False, compare=False)
-    _bras: tuple = field(init=False, repr=False, compare=False)
+    # nonzero bras as (outcome, conj(component v)).
+    _kets: tuple = field(init=False, repr=False)
+    _bras: _Bras = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         a = np.asarray(self.a, dtype=complex).reshape(-1)
@@ -115,7 +147,7 @@ class OrthonormalPair:
         ):
             raise NonOrthonormalBasis("basis vectors must be orthonormal within 1e-12")
         kets = (tuple(a.tolist()), tuple(b.tolist()))
-        bras = tuple(
+        bras = _Bras(
             tuple((o, ket[v].conjugate()) for o, ket in enumerate(kets) if ket[v])
             for v in (0, 1)
         )
@@ -131,16 +163,68 @@ HADAMARD = OrthonormalPair(
 )
 
 
+# ---------------------------------------------------------------------------
+# kets: validated register contents with memoized transitions
+
+
+class _Ket:
+    """A register's content without labels: qubit count and nonzero entries.
+
+    ``memo`` maps a primitive's arguments to its result on this ket:
+    ``("cnot", c, t)`` and ``("x", t)`` to the output ket, the right-hand
+    ket of a merge to the merged ket, and ``(bras, positions)`` to the
+    measurement's ``_Split``.
+    """
+
+    __slots__ = ("k", "entries", "memo")
+
+    def __init__(self, k: int, entries: dict[int, complex]):
+        self.k = k
+        self.entries = entries
+        self.memo: dict = {}
+
+
+# Interned kets of at most MAX_STORED_QUBITS qubits, keyed by content.
+_KETS: dict[tuple, _Ket] = {}
+
+
+def _intern(k: int, amplitudes) -> _Ket:
+    """The ket of ``amplitudes``, pairs of basis index and amplitude.
+
+    Exact zeros are dropped.  A content seen before returns its interned
+    ket; a new one is norm-checked and, if small enough, interned.
+    """
+    size = 1 << k
+    entries = {}
+    for i, amp in amplitudes:
+        if not 0 <= i < size:
+            raise ValueError(f"basis index {i!r} outside [0, {size}) for {k} qubits")
+        if amp:
+            entries[i] = amp
+    key = (k, tuple(entries.items()))
+    ket = _KETS.get(key)
+    if ket is None:
+        norm2 = 0.0
+        for amp in entries.values():
+            norm2 += amp.real * amp.real + amp.imag * amp.imag
+        if abs(norm2 - 1.0) > NORM_TOL:
+            raise ValueError(f"state not normalized: sum |amp|^2 = {norm2!r}")
+        ket = _Ket(k, entries)
+        if k <= MAX_STORED_QUBITS:
+            _KETS[key] = ket
+    return ket
+
+
 class StateVector:
     """Complex amplitudes over an ordered, labeled register of 1..6 qubits.
 
-    ``amplitudes`` is a dense vector of ``2**k`` values or a dict from basis
-    index to amplitude; either way only the nonzero entries are kept.
-    Treated as immutable after construction; every operation returns a new
-    value and re-checks the norm invariant.
+    ``amplitudes`` is a dense vector of ``2**k`` values, a dict from basis
+    index to amplitude, or the ``_ket`` of another StateVector; only the
+    nonzero entries are kept.  Treated as immutable after construction;
+    every operation returns a new value over a checked ket.
     """
 
-    __slots__ = ("_entries", "labels")
+    __slots__ = ("_ket", "labels")
 
     def __init__(self, amplitudes, labels):
         labels = tuple(labels)
@@ -149,25 +233,19 @@ class StateVector:
             raise RegisterTooLarge(f"register size {k} outside [1, {MAX_QUBITS}]")
         if len(set(labels)) != k:
             raise DuplicateLabel(f"labels not unique: {labels}")
-        size = 1 << k
-        if isinstance(amplitudes, dict):
-            items = amplitudes.items()
+        if type(amplitudes) is _Ket:
+            if amplitudes.k != k:
+                raise ValueError(f"a {amplitudes.k}-qubit ket cannot carry {k} labels")
+            self._ket = amplitudes
         else:
-            dense = np.asarray(amplitudes, dtype=complex).reshape(-1)
-            if dense.size != size:
-                raise ValueError(f"need {size} amplitudes for {k} qubits, got {dense.size}")
-            items = enumerate(dense.tolist())
-        entries = {}
-        norm2 = 0.0
-        for i, amp in items:
-            if not 0 <= i < size:
-                raise ValueError(f"basis index {i!r} outside [0, {size}) for {k} qubits")
-            if amp:
-                entries[i] = amp
-                norm2 += amp.real * amp.real + amp.imag * amp.imag
-        if abs(norm2 - 1.0) > NORM_TOL:
-            raise ValueError(f"state not normalized: sum |amp|^2 = {norm2!r}")
-        self._entries = entries
+            if isinstance(amplitudes, dict):
+                items = amplitudes.items()
+            else:
+                dense = np.asarray(amplitudes, dtype=complex).reshape(-1)
+                if dense.size != 1 << k:
+                    raise ValueError(f"need {1 << k} amplitudes for {k} qubits, got {dense.size}")
+                items = enumerate(dense.tolist())
+            self._ket = _intern(k, items)
         self.labels = labels
 
     def __repr__(self):
@@ -177,7 +255,7 @@ class StateVector:
     def amplitudes(self) -> np.ndarray:
         """Dense read-only copy of the amplitudes, built on each access."""
         dense = np.zeros(1 << len(self.labels), dtype=complex)
-        for i, amp in self._entries.items():
+        for i, amp in self._ket.entries.items():
             dense[i] = amp
         dense.setflags(write=False)
         return dense
@@ -193,11 +271,10 @@ class StateVector:
             raise UnknownLabel(label) from None
 
     def norm(self) -> float:
-        return math.sqrt(_weight(self._entries))
+        return math.sqrt(_weight(self._ket.entries))
 
 
-@dataclass(frozen=True)
-class MeasurementRecord:
+class MeasurementRecord(NamedTuple):
     """Outcome of a destructive measurement with its Born probability."""
 
     outcome: object  # int bit, BellKind, or basis index 0/1
@@ -208,17 +285,31 @@ class MeasurementRecord:
 # ---------------------------------------------------------------------------
 # preparation
 
+_Z_KETS = tuple(_intern(1, [(bit, 1.0 + 0j)]) for bit in (0, 1))
+_BELL_KETS = {kind: _intern(2, entries.items()) for kind, entries in _BELL_ENTRIES.items()}
+
 
 def prepare_z(bit: int, label: str = "q0") -> StateVector:
     """Single qubit |0> or |1>."""
     if bit not in (0, 1):
         raise ValueError(f"bit must be 0 or 1, got {bit!r}")
-    return StateVector({bit: 1.0 + 0j}, (label,))
+    return StateVector(_Z_KETS[bit], (label,))
 
 
 def prepare_bell(kind: BellKind, labels: tuple[str, str] = ("q0", "q1")) -> StateVector:
     """Two-qubit Bell state of the requested kind."""
-    return StateVector(_BELL_ENTRIES[kind], labels)
+    return StateVector(_BELL_KETS[kind], labels)
+
+
+@functools.lru_cache(maxsize=None)
+def _ghz_like_ket(psi1: BellKind, psi2: BellKind, basis: OrthonormalPair) -> _Ket:
+    entries: dict[int, complex] = {}
+    for kind, ket in ((psi1, basis._kets[0]), (psi2, basis._kets[1])):
+        for r, amp in _BELL_ENTRIES[kind].items():
+            for j in (0, 1):
+                i = (r << 1) | j
+                entries[i] = entries.get(i, 0j) + amp * ket[j]
+    return _intern(3, [(i, amp * _INV_SQRT2) for i, amp in entries.items()])
 
 
 def prepare_ghz_like(
@@ -234,13 +325,7 @@ def prepare_ghz_like(
     """
     if psi1 is psi2:
         raise EqualBellKinds("psi1 and psi2 must be distinct Bell states")
-    entries: dict[int, complex] = {}
-    for kind, ket in ((psi1, basis._kets[0]), (psi2, basis._kets[1])):
-        for r, amp in _BELL_ENTRIES[kind].items():
-            for j in (0, 1):
-                i = (r << 1) | j
-                entries[i] = entries.get(i, 0j) + amp * ket[j]
-    return StateVector({i: amp * _INV_SQRT2 for i, amp in entries.items()}, labels)
+    return StateVector(_ghz_like_ket(psi1, psi2, basis), labels)
 
 
 def merge_registers(s1: StateVector, s2: StateVector) -> StateVector:
@@ -248,40 +333,56 @@ def merge_registers(s1: StateVector, s2: StateVector) -> StateVector:
     if not set(s1.labels).isdisjoint(s2.labels):
         common = sorted(set(s1.labels) & set(s2.labels))
         raise DuplicateLabel(f"labels shared between registers: {common}")
-    k = s1.num_qubits + s2.num_qubits
+    left, right = s1._ket, s2._ket
+    k = left.k + right.k
     if k > MAX_QUBITS:
         raise RegisterTooLarge(f"merged register would hold {k} > {MAX_QUBITS} qubits")
-    shift = s2.num_qubits
-    right = s2._entries.items()
-    return StateVector(
-        {(i << shift) | j: a * b for i, a in s1._entries.items() for j, b in right},
-        s1.labels + s2.labels,
-    )
+    ket = left.memo.get(right)
+    if ket is None:
+        shift = right.k
+        pairs = right.entries.items()
+        ket = _intern(k, [((i << shift) | j, a * b) for i, a in left.entries.items() for j, b in pairs])
+        # a stored ket keeps only stored kets, so the table stays bounded
+        if k <= MAX_STORED_QUBITS:
+            left.memo[right] = ket
+    return StateVector(ket, s1.labels + s2.labels)
 
 
 # ---------------------------------------------------------------------------
 # gates
 
 
-def _mask(state: StateVector, label: str) -> int:
-    return 1 << (len(state.labels) - 1 - state.position(label))
+def _mask(k: int, position: int) -> int:
+    return 1 << (k - 1 - position)
 
 
 def apply_cnot(state: StateVector, control: str, target: str) -> StateVector:
     """Standard CNOT; a pure index permutation, so exactly norm-preserving."""
-    cm = _mask(state, control)
-    tm = _mask(state, target)
-    if cm == tm:
+    c = state.position(control)
+    t = state.position(target)
+    if c == t:
         raise ValueError("control and target must differ")
-    return StateVector(
-        {(i ^ tm if i & cm else i): a for i, a in state._entries.items()}, state.labels
-    )
+    ket = state._ket
+    key = ("cnot", c, t)
+    out = ket.memo.get(key)
+    if out is None:
+        cm, tm = _mask(ket.k, c), _mask(ket.k, t)
+        out = ket.memo[key] = _intern(
+            ket.k, [(i ^ tm if i & cm else i, a) for i, a in ket.entries.items()]
+        )
+    return StateVector(out, state.labels)
 
 
 def apply_x(state: StateVector, label: str) -> StateVector:
     """Pauli X on one qubit."""
-    tm = _mask(state, label)
-    return StateVector({i ^ tm: a for i, a in state._entries.items()}, state.labels)
+    t = state.position(label)
+    ket = state._ket
+    key = ("x", t)
+    out = ket.memo.get(key)
+    if out is None:
+        tm = _mask(ket.k, t)
+        out = ket.memo[key] = _intern(ket.k, [(i ^ tm, a) for i, a in ket.entries.items()])
+    return StateVector(out, state.labels)
 
 
 def reordered(state: StateVector, new_labels: tuple[str, ...]) -> StateVector:
@@ -289,19 +390,15 @@ def reordered(state: StateVector, new_labels: tuple[str, ...]) -> StateVector:
     if set(new_labels) != set(state.labels) or len(new_labels) != state.num_qubits:
         raise UnknownLabel(f"{new_labels} is not a reordering of {state.labels}")
     k = state.num_qubits
-    moves = [(_mask(state, l), 1 << (k - 1 - j)) for j, l in enumerate(new_labels)]
+    moves = [(_mask(k, state.position(l)), _mask(k, j)) for j, l in enumerate(new_labels)]
     return StateVector(
-        {sum(new for old, new in moves if i & old): a for i, a in state._entries.items()},
+        _intern(k, [(sum(new for old, new in moves if i & old), a) for i, a in state._ket.entries.items()]),
         tuple(new_labels),
     )
 
 
 # ---------------------------------------------------------------------------
 # projections (deterministic branches) and sampled measurements
-#
-# A measurement splits the live entries into one branch per outcome, keyed by
-# the index of the unmeasured qubits, and returns the branches with the labels
-# that remain; a branch's Born weight is the sum of its squared magnitudes.
 
 
 @functools.lru_cache(maxsize=None)
@@ -323,25 +420,6 @@ def _split_plan(k: int, positions: tuple[int, ...]) -> tuple[tuple[tuple[int, in
     return tuple((pack(i, positions), pack(i, keep)) for i in range(1 << k)), keep
 
 
-def _split(
-    state: StateVector, measured: tuple[str, ...], bras: tuple
-) -> tuple[tuple[dict, ...], tuple[str, ...]]:
-    """Branches of a measurement of the ``measured`` qubits.
-
-    ``bras[pattern]`` lists ``(outcome, <outcome|bits>)`` for every outcome
-    overlapping the measured bits ``pattern`` (packed in ``measured`` order).
-    """
-    labels = state.labels
-    table, keep = _split_plan(len(labels), tuple([state.position(l) for l in measured]))
-    branches = tuple([{} for _ in bras])
-    for i, a in state._entries.items():
-        pattern, j = table[i]
-        for o, bra in bras[pattern]:
-            branch = branches[o]
-            branch[j] = branch.get(j, 0j) + bra * a
-    return branches, tuple([labels[p] for p in keep])
-
-
 def _weight(entries: dict) -> float:
     total = 0.0
     for a in entries.values():
@@ -349,73 +427,120 @@ def _weight(entries: dict) -> float:
     return total
 
 
-def _collapse(branch: dict, prob: float, remaining: tuple[str, ...]) -> StateVector | None:
-    """The renormalized branch, or None once no qubit remains."""
-    if prob <= 0.0:
-        raise ZeroProbabilityOutcome("cannot collapse onto a zero-probability branch")
-    if not remaining:
-        return None
-    scale = 1.0 / math.sqrt(prob)
-    return StateVector({j: a * scale for j, a in branch.items()}, remaining)
+class _Split:
+    """A measurement of the qubits at ``positions`` of one ket.
+
+    The live entries split into one branch per outcome, keyed by the index
+    of the unmeasured qubits (``keep``); a branch's Born weight is the sum
+    of its squared magnitudes.  ``posts[o]`` holds branch ``o`` until it is
+    first used, then its renormalized ket; it is None once no qubit remains
+    or the branch is impossible.
+    """
+
+    __slots__ = ("probs", "keep", "posts")
+
+    def __init__(self, ket: _Ket, positions: tuple[int, ...], bras: _Bras):
+        table, keep = _split_plan(ket.k, positions)
+        branches = [{} for _ in bras]
+        for i, a in ket.entries.items():
+            pattern, j = table[i]
+            for o, bra in bras[pattern]:
+                branch = branches[o]
+                branch[j] = branch.get(j, 0j) + bra * a
+        self.probs = tuple(map(_weight, branches))
+        self.keep = keep
+        self.posts = [b if keep and p > 0.0 else None for b, p in zip(branches, self.probs)]
+
+    def post_state(self, state: StateVector, outcome: int) -> StateVector | None:
+        """The renormalized branch over ``state``'s remaining labels, or None."""
+        prob = self.probs[outcome]
+        if prob <= 0.0:
+            raise ZeroProbabilityOutcome("cannot collapse onto a zero-probability branch")
+        keep = self.keep
+        if not keep:
+            return None
+        post = self.posts[outcome]
+        if type(post) is dict:
+            scale = 1.0 / math.sqrt(prob)
+            post = self.posts[outcome] = _intern(len(keep), [(j, a * scale) for j, a in post.items()])
+        labels = state.labels
+        return StateVector(post, tuple([labels[p] for p in keep]))
 
 
-def _project(split, outcome: int) -> tuple[float, StateVector | None]:
-    branches, remaining = split
-    prob = _weight(branches[outcome])
-    return prob, _collapse(branches[outcome], prob, remaining)
+def _split(state: StateVector, positions: tuple[int, ...], bras: _Bras) -> _Split:
+    ket = state._ket
+    key = (bras, positions)
+    split = ket.memo.get(key)
+    if split is None:
+        split = ket.memo[key] = _Split(ket, positions, bras)
+    return split
 
 
-def _measure(split, rng: RandomSource) -> tuple[int, float, StateVector | None]:
-    branches, remaining = split
-    probs = list(map(_weight, branches))
-    i = _sample(probs, rng)
-    return i, probs[i], _collapse(branches[i], probs[i], remaining)
+def _project(state: StateVector, split: _Split, outcome: int) -> tuple[float, StateVector | None]:
+    return split.probs[outcome], split.post_state(state, outcome)
+
+
+def _measure(state: StateVector, split: _Split, rng: RandomSource) -> tuple[int, float, StateVector | None]:
+    i = _sample(split.probs, rng)
+    return i, split.probs[i], split.post_state(state, i)
+
+
+def _z_split(state: StateVector, label: str) -> _Split:
+    return _split(state, (state.position(label),), COMPUTATIONAL._bras)
+
+
+def _bell_split(state: StateVector, q1: str, q2: str) -> _Split:
+    return _split(state, (state.position(q1), state.position(q2)), _BELL_BRAS)
+
+
+def _ab_split(state: StateVector, label: str, basis: OrthonormalPair) -> _Split:
+    return _split(state, (state.position(label),), basis._bras)
 
 
 def z_probabilities(state: StateVector, label: str) -> np.ndarray:
-    return np.array([_weight(b) for b in _split(state, (label,), COMPUTATIONAL._bras)[0]])
+    return np.array(_z_split(state, label).probs)
 
 
 def project_z(state: StateVector, label: str, outcome: int) -> tuple[float, StateVector | None]:
     """Born probability of a Z outcome and the collapsed remainder."""
-    return _project(_split(state, (label,), COMPUTATIONAL._bras), outcome)
+    return _project(state, _z_split(state, label), outcome)
 
 
 def measure_z(state: StateVector, label: str, rng: RandomSource) -> MeasurementRecord:
     """Sample a computational-basis measurement of one qubit."""
-    return MeasurementRecord(*_measure(_split(state, (label,), COMPUTATIONAL._bras), rng))
+    return MeasurementRecord(*_measure(state, _z_split(state, label), rng))
 
 
 def bell_probabilities(state: StateVector, q1: str, q2: str) -> np.ndarray:
     """Born probabilities of the four Bell outcomes on (q1, q2), in BELL_ORDER."""
-    return np.array([_weight(b) for b in _split(state, (q1, q2), _BELL_BRAS)[0]])
+    return np.array(_bell_split(state, q1, q2).probs)
 
 
 def project_bell(state: StateVector, q1: str, q2: str, kind: BellKind) -> tuple[float, StateVector | None]:
-    return _project(_split(state, (q1, q2), _BELL_BRAS), BELL_ORDER.index(kind))
+    return _project(state, _bell_split(state, q1, q2), BELL_ORDER.index(kind))
 
 
 def measure_bell(state: StateVector, q1: str, q2: str, rng: RandomSource) -> MeasurementRecord:
     """Sample a Bell-basis measurement of two qubits; both leave the register."""
-    i, prob, post = _measure(_split(state, (q1, q2), _BELL_BRAS), rng)
+    i, prob, post = _measure(state, _bell_split(state, q1, q2), rng)
     return MeasurementRecord(BELL_ORDER[i], prob, post)
 
 
 def ab_probabilities(state: StateVector, label: str, basis: OrthonormalPair) -> np.ndarray:
-    return np.array([_weight(b) for b in _split(state, (label,), basis._bras)[0]])
+    return np.array(_ab_split(state, label, basis).probs)
 
 
 def project_ab(
     state: StateVector, label: str, basis: OrthonormalPair, outcome: int
 ) -> tuple[float, StateVector | None]:
-    return _project(_split(state, (label,), basis._bras), outcome)
+    return _project(state, _ab_split(state, label, basis), outcome)
 
 
 def measure_ab(
     state: StateVector, label: str, basis: OrthonormalPair, rng: RandomSource
 ) -> MeasurementRecord:
     """Sample a measurement in an arbitrary orthonormal basis; outcome 0=|a>, 1=|b>."""
-    return MeasurementRecord(*_measure(_split(state, (label,), basis._bras), rng))
+    return MeasurementRecord(*_measure(state, _ab_split(state, label, basis), rng))
 
 
 def _sample(probs, rng: RandomSource) -> int:
@@ -478,12 +603,11 @@ class RegisterBank:
         return labels
 
     def _merged(self, *labels: str) -> StateVector:
-        first = merged = self.state_of(labels[0])
+        """One register holding ``labels``; the caller stores what it becomes."""
+        merged = self.state_of(labels[0])
         for l in labels[1:]:
             if l not in merged.labels:
                 merged = merge_registers(merged, self.state_of(l))
-        if merged is not first:
-            self._replace(merged)
         return merged
 
     def _replace(self, state: StateVector | None, removed: tuple[str, ...] = ()) -> None:

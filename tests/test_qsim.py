@@ -243,6 +243,18 @@ def test_measure_ab_rejects_bad_basis():
         OrthonormalPair(np.array([1.0, 1.0]), np.array([1.0, -1.0]))  # unnormalized
 
 
+def test_bases_compare_and_hash_on_their_components():
+    from semiquantum.protocols import CdssqcConfig
+
+    same = OrthonormalPair(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+    assert same == COMPUTATIONAL and hash(same) == hash(COMPUTATIONAL)
+    assert HADAMARD != COMPUTATIONAL
+    assert len({COMPUTATIONAL, same, HADAMARD}) == 2
+    assert CdssqcConfig(n=2, controller_basis=same) == CdssqcConfig(n=2)
+    assert hash(CdssqcConfig(n=2, controller_basis=same)) == hash(CdssqcConfig(n=2))
+    assert CdssqcConfig(n=2, controller_basis=HADAMARD) != CdssqcConfig(n=2)
+
+
 def test_measure_ab_collapses_ghz_branch():
     rng = RandomSource(21)
     seen = set()

@@ -1,4 +1,5 @@
 """The seeded scripts under scripts/ give the same results in every process."""
+import hashlib
 import json
 import os
 import subprocess
@@ -40,3 +41,18 @@ def test_detection_stats_seeds_ignore_string_hash_salt():
     assert first == second
     assert len(first) == 3 * 3 * 400  # attacks x decoy counts x trials
     assert len(set(first)) == len(first)
+
+
+# SHA-256 of the script's stdout with its default seed, the same under every
+# PYTHONHASHSEED.
+REPRODUCE_FIGURES_SHA256 = "d3de41a208e06372a8de347e20e367f12aaa6c0d7ecc687c099e59015cc80481"
+
+
+def test_reproduce_figures_output_is_pinned():
+    env = dict(os.environ, PYTHONHASHSEED="2")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "reproduce_figures.py")],
+        env=env, capture_output=True, check=True,
+    )
+    assert hashlib.sha256(out.stdout).hexdigest() == REPRODUCE_FIGURES_SHA256
