@@ -485,30 +485,26 @@ def _measure(state: StateVector, split: _Split, rng: RandomSource) -> tuple[int,
     return i, split.probs[i], split.post_state(state, i)
 
 
-def _z_split(state: StateVector, label: str) -> _Split:
-    return _split(state, (state.position(label),), COMPUTATIONAL._bras)
+def _qubit_split(state: StateVector, label: str, basis: OrthonormalPair) -> _Split:
+    return _split(state, (state.position(label),), basis._bras)
 
 
 def _bell_split(state: StateVector, q1: str, q2: str) -> _Split:
     return _split(state, (state.position(q1), state.position(q2)), _BELL_BRAS)
 
 
-def _ab_split(state: StateVector, label: str, basis: OrthonormalPair) -> _Split:
-    return _split(state, (state.position(label),), basis._bras)
-
-
 def z_probabilities(state: StateVector, label: str) -> np.ndarray:
-    return np.array(_z_split(state, label).probs)
+    return np.array(_qubit_split(state, label, COMPUTATIONAL).probs)
 
 
 def project_z(state: StateVector, label: str, outcome: int) -> tuple[float, StateVector | None]:
     """Born probability of a Z outcome and the collapsed remainder."""
-    return _project(state, _z_split(state, label), outcome)
+    return _project(state, _qubit_split(state, label, COMPUTATIONAL), outcome)
 
 
 def measure_z(state: StateVector, label: str, rng: RandomSource) -> MeasurementRecord:
     """Sample a computational-basis measurement of one qubit."""
-    return MeasurementRecord(*_measure(state, _z_split(state, label), rng))
+    return MeasurementRecord(*_measure(state, _qubit_split(state, label, COMPUTATIONAL), rng))
 
 
 def bell_probabilities(state: StateVector, q1: str, q2: str) -> np.ndarray:
@@ -527,20 +523,20 @@ def measure_bell(state: StateVector, q1: str, q2: str, rng: RandomSource) -> Mea
 
 
 def ab_probabilities(state: StateVector, label: str, basis: OrthonormalPair) -> np.ndarray:
-    return np.array(_ab_split(state, label, basis).probs)
+    return np.array(_qubit_split(state, label, basis).probs)
 
 
 def project_ab(
     state: StateVector, label: str, basis: OrthonormalPair, outcome: int
 ) -> tuple[float, StateVector | None]:
-    return _project(state, _ab_split(state, label, basis), outcome)
+    return _project(state, _qubit_split(state, label, basis), outcome)
 
 
 def measure_ab(
     state: StateVector, label: str, basis: OrthonormalPair, rng: RandomSource
 ) -> MeasurementRecord:
     """Sample a measurement in an arbitrary orthonormal basis; outcome 0=|a>, 1=|b>."""
-    return MeasurementRecord(*_measure(state, _ab_split(state, label, basis), rng))
+    return MeasurementRecord(*_measure(state, _qubit_split(state, label, basis), rng))
 
 
 def _sample(probs, rng: RandomSource) -> int:

@@ -5,6 +5,9 @@ Seeded outputs through the memo are pinned byte for byte by
 memo's own rules: it stops growing, stores only small kets, never skips a
 check and never caches a failure into a success.
 """
+import math
+
+import numpy as np
 import pytest
 
 from semiquantum import qsim
@@ -13,16 +16,23 @@ from semiquantum.analysis import emit_transcript
 from semiquantum.errors import ZeroProbabilityOutcome
 from semiquantum.protocols import SqkaConfig, run_sqka
 from semiquantum.qsim import (
+    HADAMARD,
     BellKind,
+    OrthonormalPair,
     StateVector,
     apply_cnot,
+    apply_x,
+    measure_ab,
     merge_registers,
     prepare_bell,
     prepare_ghz_like,
     prepare_z,
+    project_ab,
     project_bell,
     project_z,
+    z_probabilities,
 )
+from semiquantum.rng import RandomSource
 
 
 def _entangle_probe_session() -> bytes:
@@ -69,3 +79,37 @@ def test_zero_probability_projection_raises_on_every_call():
         with pytest.raises(ZeroProbabilityOutcome):
             project_bell(bell, "a", "b", BellKind.PHI_PLUS)
     assert project_z(pair, "a", 0)[1].labels == ("b",)
+
+
+def test_memo_keys_tell_every_argument_apart():
+    def ket(state):
+        return {i: a for i, a in enumerate(state.amplitudes) if a}
+
+    # |100>: the same content under the same target, but another control
+    state = merge_registers(merge_registers(prepare_z(1, "a"), prepare_z(0, "b")), prepare_z(0, "c"))
+    assert ket(apply_cnot(state, "a", "c")) == {0b101: 1}
+    assert ket(apply_cnot(state, "b", "c")) == {0b100: 1}
+    assert ket(apply_x(state, "b")) == {0b110: 1}
+    assert ket(apply_x(state, "c")) == {0b101: 1}
+    # the same left register merged with two right registers of one size
+    left = prepare_z(0, "a")
+    assert ket(merge_registers(left, prepare_z(0, "b"))) == {0b00: 1}
+    assert ket(merge_registers(left, prepare_z(1, "b"))) == {0b01: 1}
+    # the same qubit measured in two bases
+    assert list(z_probabilities(left, "a")) == [1.0, 0.0]
+    assert project_ab(left, "a", HADAMARD, 1)[0] == pytest.approx(0.5)
+
+
+def test_improbable_branch_is_collapsed_only_when_used():
+    # the second branch weighs 1e-320, a subnormal, so renormalizing it
+    # misses the norm check; a measurement that never takes it must work
+    tilt = 1e-160
+    basis = OrthonormalPair(
+        np.array([math.sqrt(1 - tilt * tilt), tilt]), np.array([-tilt, math.sqrt(1 - tilt * tilt)])
+    )
+    state = merge_registers(prepare_z(0, "a"), prepare_z(0, "b"))
+    for seed in range(3):
+        rec = measure_ab(state, "a", basis, RandomSource(seed))
+        assert rec.outcome == 0 and rec.post_state.labels == ("b",)
+    with pytest.raises(ValueError, match="not normalized"):
+        project_ab(state, "a", basis, 1)
