@@ -1,6 +1,7 @@
 """Shared session machinery: transcripts, outcomes, bit helpers."""
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -94,6 +95,9 @@ def bits_to_hex(bits: Bits) -> str:
 
 
 def hex_to_bits(text: str, n: int) -> Bits:
+    """The n-bit big-endian bits of a hex string of digits 0-9, a-f, A-F."""
+    if not re.fullmatch(r"[0-9a-fA-F]+", text):
+        raise ValueError(f"{text!r} is not a string of hex digits")
     value = int(text, 16)
     if value >= (1 << n):
         raise ValueError(f"hex value {text!r} does not fit in {n} bits")

@@ -16,7 +16,9 @@ b_{k-1}>`` where ``b0`` is the qubit at ``labels[0]`` and
 ``i = sum(b_j << (k-1-j))``.  Measured qubits are removed from the
 register; measuring the last qubit leaves ``post_state=None``.  Registers
 are hard-capped at ``MAX_QUBITS`` so an accidental global-state blowup
-fails loudly instead of silently going quadratic.
+fails loudly instead of silently going quadratic.  numpy is imported only
+by the dense helpers (dense input, ``.amplitudes``, ``*_probabilities``,
+array input to ``OrthonormalPair``), so a session never loads it.
 
 Memo
 ----
@@ -41,9 +43,7 @@ import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import (
     DuplicateLabel,
@@ -54,6 +54,9 @@ from .errors import (
     ZeroProbabilityOutcome,
 )
 from .rng import RandomSource
+
+if TYPE_CHECKING:
+    import numpy as np
 
 NORM_TOL = 1e-12
 MAX_QUBITS = 6
@@ -120,47 +123,64 @@ _BELL_BRAS = _Bras(
 )
 
 
+def _components(vector) -> tuple[tuple[complex, ...], object]:
+    """A vector's components as Python complex numbers, and the vector kept.
+
+    A tuple or list is kept as the tuple of components; anything else is
+    read, and kept, as a flat complex numpy array, which loads numpy.
+    """
+    if isinstance(vector, (tuple, list)):
+        components = tuple(map(complex, vector))
+        return components, components
+    import numpy as np
+
+    dense = np.asarray(vector, dtype=complex).reshape(-1)
+    return tuple(dense.tolist()), dense
+
+
+def _vdot(u: tuple[complex, ...], v: tuple[complex, ...]) -> complex:
+    return sum((x.conjugate() * y for x, y in zip(u, v)), 0j)
+
+
 @dataclass(frozen=True)
 class OrthonormalPair:
     """An orthonormal single-qubit basis {|a>, |b>} for controller measurements.
 
-    Two bases are equal, and hash alike, when their components are exactly
-    equal.
+    ``a`` and ``b`` are kept as tuples of complex numbers when given as
+    sequences and as complex numpy arrays when given as arrays.  Two bases
+    are equal, and hash alike, when their components are exactly equal.
     """
 
-    a: np.ndarray = field(compare=False)
-    b: np.ndarray = field(compare=False)
+    a: tuple[complex, complex] | np.ndarray = field(compare=False)
+    b: tuple[complex, complex] | np.ndarray = field(compare=False)
     # (a, b) components as Python complex numbers, and for each bit value v the
     # nonzero bras as (outcome, conj(component v)).
     _kets: tuple = field(init=False, repr=False)
     _bras: _Bras = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        a = np.asarray(self.a, dtype=complex).reshape(-1)
-        b = np.asarray(self.b, dtype=complex).reshape(-1)
-        if a.shape != (2,) or b.shape != (2,):
+        (a, kept_a), (b, kept_b) = _components(self.a), _components(self.b)
+        if len(a) != 2 or len(b) != 2:
             raise NonOrthonormalBasis("basis vectors must be single-qubit (length 2)")
         if (
-            abs(np.vdot(a, a) - 1.0) > NORM_TOL
-            or abs(np.vdot(b, b) - 1.0) > NORM_TOL
-            or abs(np.vdot(a, b)) > NORM_TOL
+            abs(_vdot(a, a) - 1.0) > NORM_TOL
+            or abs(_vdot(b, b) - 1.0) > NORM_TOL
+            or abs(_vdot(a, b)) > NORM_TOL
         ):
             raise NonOrthonormalBasis("basis vectors must be orthonormal within 1e-12")
-        kets = (tuple(a.tolist()), tuple(b.tolist()))
+        kets = (a, b)
         bras = _Bras(
             tuple((o, ket[v].conjugate()) for o, ket in enumerate(kets) if ket[v])
             for v in (0, 1)
         )
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "a", kept_a)
+        object.__setattr__(self, "b", kept_b)
         object.__setattr__(self, "_kets", kets)
         object.__setattr__(self, "_bras", bras)
 
 
-COMPUTATIONAL = OrthonormalPair(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
-HADAMARD = OrthonormalPair(
-    np.array([_INV_SQRT2, _INV_SQRT2]), np.array([_INV_SQRT2, -_INV_SQRT2])
-)
+COMPUTATIONAL = OrthonormalPair((1.0, 0.0), (0.0, 1.0))
+HADAMARD = OrthonormalPair((_INV_SQRT2, _INV_SQRT2), (_INV_SQRT2, -_INV_SQRT2))
 
 
 # ---------------------------------------------------------------------------
@@ -241,10 +261,10 @@ class StateVector:
             if isinstance(amplitudes, dict):
                 items = amplitudes.items()
             else:
-                dense = np.asarray(amplitudes, dtype=complex).reshape(-1)
-                if dense.size != 1 << k:
-                    raise ValueError(f"need {1 << k} amplitudes for {k} qubits, got {dense.size}")
-                items = enumerate(dense.tolist())
+                dense = _components(amplitudes)[0]
+                if len(dense) != 1 << k:
+                    raise ValueError(f"need {1 << k} amplitudes for {k} qubits, got {len(dense)}")
+                items = enumerate(dense)
             self._ket = _intern(k, items)
         self.labels = labels
 
@@ -254,6 +274,8 @@ class StateVector:
     @property
     def amplitudes(self) -> np.ndarray:
         """Dense read-only copy of the amplitudes, built on each access."""
+        import numpy as np
+
         dense = np.zeros(1 << len(self.labels), dtype=complex)
         for i, amp in self._ket.entries.items():
             dense[i] = amp
@@ -493,8 +515,14 @@ def _bell_split(state: StateVector, q1: str, q2: str) -> _Split:
     return _split(state, (state.position(q1), state.position(q2)), _BELL_BRAS)
 
 
+def _array(probs: tuple[float, ...]) -> np.ndarray:
+    import numpy as np
+
+    return np.array(probs)
+
+
 def z_probabilities(state: StateVector, label: str) -> np.ndarray:
-    return np.array(_qubit_split(state, label, COMPUTATIONAL).probs)
+    return _array(_qubit_split(state, label, COMPUTATIONAL).probs)
 
 
 def project_z(state: StateVector, label: str, outcome: int) -> tuple[float, StateVector | None]:
@@ -509,7 +537,7 @@ def measure_z(state: StateVector, label: str, rng: RandomSource) -> MeasurementR
 
 def bell_probabilities(state: StateVector, q1: str, q2: str) -> np.ndarray:
     """Born probabilities of the four Bell outcomes on (q1, q2), in BELL_ORDER."""
-    return np.array(_bell_split(state, q1, q2).probs)
+    return _array(_bell_split(state, q1, q2).probs)
 
 
 def project_bell(state: StateVector, q1: str, q2: str, kind: BellKind) -> tuple[float, StateVector | None]:
@@ -523,7 +551,7 @@ def measure_bell(state: StateVector, q1: str, q2: str, rng: RandomSource) -> Mea
 
 
 def ab_probabilities(state: StateVector, label: str, basis: OrthonormalPair) -> np.ndarray:
-    return np.array(_qubit_split(state, label, basis).probs)
+    return _array(_qubit_split(state, label, basis).probs)
 
 
 def project_ab(

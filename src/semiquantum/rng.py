@@ -4,12 +4,20 @@ Every random draw in a session flows through a :class:`RandomSource`, so a
 64-bit master seed pins the whole run.  Substreams (one per party, one per
 Monte Carlo trial) are derived with a splitmix64 chain rather than numpy's
 SeedSequence so the derivation is trivially portable and stable.
+
+A source draws from numpy's ``default_rng(seed)`` stream through one of two
+engines that give the same values: numpy's own generator when numpy is
+already loaded (Monte Carlo batches load it for their vectorized shuffles),
+and otherwise :class:`PCG64Generator`, a pure-Python copy that spares a
+single session the numpy import.
 """
 from __future__ import annotations
 
-import numpy as np
+import sys
 
+_MASK32 = (1 << 32) - 1
 _MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
 
@@ -34,12 +42,208 @@ def derive_seed(master: int, *path: int) -> int:
     return h
 
 
+# numpy.random.SeedSequence constants (numpy/random/bit_generator.pyx)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+# PCG_DEFAULT_MULTIPLIER_128 (numpy/random/src/pcg64/pcg64.h)
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _seed_words(seed: int) -> list[int]:
+    """``SeedSequence(seed).generate_state(8, np.uint32)`` for 0 <= seed < 2**64."""
+    entropy = [seed & _MASK32, seed >> 32] if seed >> 32 else [seed]
+    h = _INIT_A
+
+    def hashmix(value: int) -> int:
+        nonlocal h
+        value ^= h
+        h = (h * _MULT_A) & _MASK32
+        value = (value * h) & _MASK32
+        return value ^ (value >> 16)
+
+    # the entropy (at most two words) fits the pool, so no word is left over
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                mixed = (_MIX_MULT_L * pool[dst] - _MIX_MULT_R * hashmix(pool[src])) & _MASK32
+                pool[dst] = mixed ^ (mixed >> 16)
+    h = _INIT_B
+    words = []
+    for i in range(2 * _POOL_SIZE):
+        value = pool[i % _POOL_SIZE] ^ h
+        h = (h * _MULT_B) & _MASK32
+        value = (value * h) & _MASK32
+        words.append(value ^ (value >> 16))
+    return words
+
+
+class PCG64Generator:
+    """numpy's ``default_rng(seed)`` in pure Python, bit for bit.
+
+    PCG64 (XSL-RR output on a 128-bit LCG, O'Neill 2014) seeded through
+    SeedSequence, with the parts of ``numpy.random.Generator`` that
+    :class:`RandomSource` calls, drawing exactly as numpy 2.x does:
+    ``random`` takes the top 53 bits of one 64-bit output; 32-bit draws use
+    the two halves of a 64-bit output in turn (numpy's ``has_uint32``),
+    while 64-bit draws leave a saved half in place; bounded integers use
+    Lemire's multiply-and-reject, and ``shuffle``/``permutation`` numpy's
+    masked rejection (``random_interval``).
+    """
+
+    __slots__ = ("_state", "_inc", "_half")
+
+    def __init__(self, seed: int):
+        if not 0 <= seed <= _MASK64:
+            raise ValueError(f"seed must lie in [0, 2**64), got {seed!r}")
+        w = _seed_words(seed)
+        init = (w[1] << 96) | (w[0] << 64) | (w[3] << 32) | w[2]
+        seq = (w[5] << 96) | (w[4] << 64) | (w[7] << 32) | w[6]
+        self._inc = ((seq << 1) | 1) & _MASK128
+        self._state = (self._inc + init) & _MASK128
+        self._state = (self._state * _PCG_MULT + self._inc) & _MASK128
+        self._half = None  # the saved upper half of a 64-bit output, if any
+
+    def _next64(self) -> int:
+        self._state = s = (self._state * _PCG_MULT + self._inc) & _MASK128
+        x = ((s >> 64) ^ s) & _MASK64
+        rot = s >> 122
+        return ((x >> rot) | (x << (64 - rot))) & _MASK64
+
+    def _next32(self) -> int:
+        half = self._half
+        if half is not None:
+            self._half = None
+            return half
+        x = self._next64()
+        self._half = x >> 32
+        return x & _MASK32
+
+    def _bounded(self, top: int) -> int:
+        """A uniform integer in [0, top], 0 <= top < 2**64 (Lemire 2019)."""
+        if top == 0:
+            return 0
+        if top < _MASK32:
+            draw, bits, mask = self._next32, 32, _MASK32
+        elif top == _MASK32:
+            return self._next32()
+        elif top < _MASK64:
+            draw, bits, mask = self._next64, 64, _MASK64
+        else:
+            return self._next64()
+        span = top + 1
+        m = draw() * span
+        if m & mask < span:
+            threshold = (mask - top) % span
+            while m & mask < threshold:
+                m = draw() * span
+        return m >> bits
+
+    def _interval(self, top: int) -> int:
+        """A uniform integer in [0, top] by masked rejection (``random_interval``)."""
+        if top == 0:
+            return 0
+        mask = (1 << top.bit_length()) - 1
+        draw = self._next32 if top <= _MASK32 else self._next64
+        while True:
+            value = draw() & mask
+            if value <= top:
+                return value
+
+    def _lemire_shuffle(self, items: list, stop: int) -> None:
+        for i in range(len(items) - 1, stop - 1, -1):
+            j = self._bounded(i)
+            items[i], items[j] = items[j], items[i]
+
+    def random(self) -> float:
+        return (self._next64() >> 11) * (1.0 / 9007199254740992.0)
+
+    def integers(self, low: int, high: int, size: int | None = None):
+        """Uniform int64 values in [low, high): one, or a list of ``size``."""
+        if size == 0:
+            return []
+        top = high - 1 - low
+        if top < 0:
+            raise ValueError(f"low >= high: {low} >= {high}")
+        if low < -(1 << 63) or high - 1 > (1 << 63) - 1:
+            raise ValueError(f"[{low}, {high}) is out of bounds for int64")
+        if size is None:
+            return low + self._bounded(top)
+        if size < 0:
+            raise ValueError("negative dimensions are not allowed")
+        return [low + self._bounded(top) for _ in range(size)]
+
+    def shuffle(self, items: list) -> None:
+        for i in range(len(items) - 1, 0, -1):
+            j = self._interval(i)
+            items[i], items[j] = items[j], items[i]
+
+    def permutation(self, n: int) -> list[int]:
+        items = list(range(n))
+        self.shuffle(items)
+        return items
+
+    def choice(self, n: int, size: int, replace: bool = True) -> list[int]:
+        """``size`` distinct values of range(n); only ``replace=False`` is supported."""
+        if replace:
+            raise NotImplementedError("only sampling without replacement is implemented")
+        if size > n:
+            raise ValueError("Cannot take a larger sample than population when replace is False")
+        if size < 0:
+            raise ValueError("negative dimensions are not allowed")
+        if n > 10000 and size > n // 50:
+            # tail shuffle: the last ``size`` places of a partial Fisher-Yates
+            items = list(range(n))
+            self._lemire_shuffle(items, max(n - size, 1))
+            return items[n - size:]
+        # Floyd's algorithm, then a shuffle of the chosen values
+        chosen: set[int] = set()
+        items = []
+        for j in range(n - size, n):
+            value = self._bounded(j)
+            if value in chosen:
+                value = j
+            chosen.add(value)
+            items.append(value)
+        self._lemire_shuffle(items, 1)
+        return items
+
+    def bytes(self, length: int) -> bytes:
+        """``length`` bytes of little-endian 32-bit draws."""
+        # numpy computes (length - 1) / 4 + 1 in C, truncating toward zero,
+        # so even length 0 draws one word
+        words = (length - 1) // 4 + 1 if length > 0 else 1 - (1 - length) // 4
+        if words < 0:
+            raise ValueError("negative dimensions are not allowed")
+        return b"".join(self._next32().to_bytes(4, "little") for _ in range(words))[:length]
+
+
+def _numpy_generator(seed: int):
+    import numpy as np
+
+    return np.random.default_rng(seed)
+
+
 class RandomSource:
-    """Seeded random stream used for all protocol and simulator sampling."""
+    """Seeded random stream used for all protocol and simulator sampling.
+
+    The generator is built on the first draw (see ``__getattr__``), so a
+    source that only spawns others, or is never drawn from, costs no
+    seeding.
+    """
 
     def __init__(self, seed: int):
         self.seed = seed & _MASK64
-        self._gen = np.random.default_rng(self.seed)
+
+    def __getattr__(self, name: str):
+        # Called only for attributes not set yet: ``_gen`` before the first draw.
+        if name != "_gen":
+            raise AttributeError(name)
+        make = _numpy_generator if "numpy" in sys.modules else PCG64Generator
+        self._gen = gen = make(self.seed)
+        return gen
 
     def spawn(self, *path: int) -> "RandomSource":
         """A new independent source derived from this seed and ``path``."""

@@ -1,6 +1,9 @@
 """Command-line behavior: parsing, validation, output formats, determinism."""
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -84,6 +87,10 @@ def test_non_integer_seed_env_exits_2(monkeypatch, capsys):
         ["--protocol", "sqka", "--n", "0"],
         ["--protocol", "sqka", "--n", "4", "--format", "csv"],          # transcript is json
         ["--protocol", "sqka", "--n", "4", "--threshold", "2"],
+        ["--protocol", "sqd", "--n", "8", "--messages=-1,0"],          # int() sign
+        ["--protocol", "sqd", "--n", "8", "--messages", "+1,0"],
+        ["--protocol", "sqd", "--n", "8", "--messages", "1_0,0"],      # int() separator
+        ["--protocol", "sqd", "--n", "8", "--messages", "0x3,0"],      # int() prefix
     ],
 )
 def test_validation_errors_exit_2(argv, capsys):
@@ -168,3 +175,31 @@ def test_out_file_io_error(capsys):
     ]
     assert main(argv) == 1
     assert "error:" in capsys.readouterr().err
+
+
+# Imports the CLI, runs one transcript and then one batch through ``main``,
+# and reports after each step whether numpy has been loaded.
+_NUMPY_LOADS = """
+import contextlib, io, json, sys
+loaded = {}
+from semiquantum.cli import main
+loaded["import"] = "numpy" in sys.modules
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["--protocol", "cdssqc-ghz", "--n", "8", "--attack", "cnot"]) == 0
+    loaded["transcript"] = "numpy" in sys.modules
+    assert main(["--protocol", "sqka", "--n", "4", "--trials", "3"]) == 0
+    loaded["batch"] = "numpy" in sys.modules
+print(json.dumps(loaded))
+"""
+
+
+def test_single_session_never_loads_numpy():
+    # a batch loads numpy on purpose: its sessions draw through numpy's
+    # generator; a single session must not pay for that import
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _NUMPY_LOADS], env=env, capture_output=True, text=True, check=True
+    )
+    assert json.loads(proc.stdout) == {"import": False, "transcript": False, "batch": True}

@@ -8,6 +8,11 @@ these digests; a change to a draw, its order or a transcript field breaks
 them.
 """
 import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -53,6 +58,13 @@ BATCHES = {
 }
 
 
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _transcript_argv(protocol: str, attack: str) -> list[str]:
+    return ["--protocol", protocol, "--n", "8", "--attack", attack, "--seed", "2017"]
+
+
 def _stdout_digest(argv, capsys) -> str:
     assert main(argv) == 0
     return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
@@ -61,7 +73,7 @@ def _stdout_digest(argv, capsys) -> str:
 @pytest.mark.parametrize("protocol", PROTOCOLS)
 @pytest.mark.parametrize("attack", ATTACKS)
 def test_transcript_digest(protocol, attack, capsys):
-    argv = ["--protocol", protocol, "--n", "8", "--attack", attack, "--seed", "2017"]
+    argv = _transcript_argv(protocol, attack)
     assert _stdout_digest(argv, capsys) == TRANSCRIPT_DIGESTS[f"{protocol}/{attack}"]
 
 
@@ -69,3 +81,31 @@ def test_transcript_digest(protocol, attack, capsys):
 def test_stats_batch_digest(fmt, capsys):
     argv, digest = BATCHES[fmt]
     assert _stdout_digest(argv, capsys) == digest
+
+
+# Runs each transcript case through ``main`` in one fresh process that never
+# loads numpy, so every session draws through rng's pure-Python engine.
+_DIGESTS_WITHOUT_NUMPY = """
+import contextlib, hashlib, io, json, sys
+from semiquantum.cli import main
+digests = {}
+for key, argv in json.loads(sys.argv[1]).items():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    digests[key] = hashlib.sha256(out.getvalue().encode()).hexdigest()
+print(json.dumps({"digests": digests, "numpy_loaded": "numpy" in sys.modules}))
+"""
+
+
+def test_transcript_digests_without_numpy():
+    cases = {f"{p}/{a}": _transcript_argv(p, a) for p in PROTOCOLS for a in ATTACKS}
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _DIGESTS_WITHOUT_NUMPY, json.dumps(cases)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    report = json.loads(proc.stdout)
+    assert not report["numpy_loaded"]
+    assert report["digests"] == TRANSCRIPT_DIGESTS
