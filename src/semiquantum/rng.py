@@ -122,17 +122,15 @@ class PCG64Generator:
         return x & _MASK32
 
     def _bounded(self, top: int) -> int:
-        """A uniform integer in [0, top], 0 <= top < 2**64 (Lemire 2019)."""
+        """A uniform integer in [0, top], 0 <= top < 2**63 (Lemire 2019)."""
         if top == 0:
             return 0
         if top < _MASK32:
             draw, bits, mask = self._next32, 32, _MASK32
         elif top == _MASK32:
             return self._next32()
-        elif top < _MASK64:
-            draw, bits, mask = self._next64, 64, _MASK64
         else:
-            return self._next64()
+            draw, bits, mask = self._next64, 64, _MASK64
         span = top + 1
         m = draw() * span
         if m & mask < span:
@@ -161,14 +159,17 @@ class PCG64Generator:
         return (self._next64() >> 11) * (1.0 / 9007199254740992.0)
 
     def integers(self, low: int, high: int, size: int | None = None):
-        """Uniform int64 values in [low, high): one, or a list of ``size``."""
+        """Uniform values in [low, high): one, or a list of ``size``.
+
+        As for numpy's default int64 values, ``high`` may not exceed 2**63.
+        """
         if size == 0:
             return []
         top = high - 1 - low
         if top < 0:
             raise ValueError(f"low >= high: {low} >= {high}")
-        if low < -(1 << 63) or high - 1 > (1 << 63) - 1:
-            raise ValueError(f"[{low}, {high}) is out of bounds for int64")
+        if high > 1 << 63:
+            raise ValueError(f"high {high} is out of bounds for int64")
         if size is None:
             return low + self._bounded(top)
         if size < 0:

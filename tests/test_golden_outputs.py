@@ -18,6 +18,8 @@ import pytest
 
 from semiquantum.cli import main
 
+ROOT = Path(__file__).resolve().parents[1]
+
 PROTOCOLS = ("sqka", "sqkd", "cdssqc-ghz", "cdssqc-switch", "sqd")
 ATTACKS = ("none", "cnot", "intercept-resend", "measure-resend")
 
@@ -56,9 +58,6 @@ BATCHES = {
         "b83ba38551af01ee077d0acb11ec98b602a664f7d835181f5b2c9831c57ef693",
     ),
 }
-
-
-ROOT = Path(__file__).resolve().parents[1]
 
 
 def _transcript_argv(protocol: str, attack: str) -> list[str]:
