@@ -13,6 +13,7 @@ single session the numpy import.
 """
 from __future__ import annotations
 
+import functools
 import sys
 
 _MASK32 = (1 << 32) - 1
@@ -230,21 +231,20 @@ def _numpy_generator(seed: int):
 class RandomSource:
     """Seeded random stream used for all protocol and simulator sampling.
 
-    The generator is built on the first draw (see ``__getattr__``), so a
-    source that only spawns others, or is never drawn from, costs no
-    seeding.
+    The generator is built on the first draw, so a source that only spawns
+    others, or is never drawn from, costs no seeding.
     """
 
     def __init__(self, seed: int):
         self.seed = seed & _MASK64
 
-    def __getattr__(self, name: str):
-        # Called only for attributes not set yet: ``_gen`` before the first draw.
-        if name != "_gen":
-            raise AttributeError(name)
+    # A cached property, not a class-level __getattr__: once set, ``_gen`` is
+    # a plain instance attribute, and every other attribute lookup on a source
+    # keeps the interpreter's fast path (a __getattr__ hook slows them all).
+    @functools.cached_property
+    def _gen(self):
         make = _numpy_generator if "numpy" in sys.modules else PCG64Generator
-        self._gen = gen = make(self.seed)
-        return gen
+        return make(self.seed)
 
     def spawn(self, *path: int) -> "RandomSource":
         """A new independent source derived from this seed and ``path``."""

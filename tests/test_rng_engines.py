@@ -126,7 +126,6 @@ def test_source_picks_numpy_when_loaded():
     assert "_gen" not in vars(src)  # seeded on the first draw only
     src.random()
     assert isinstance(src._gen, np.random.Generator)
-    assert not hasattr(RandomSource(5), "missing")
 
 
 def test_generator_rejects_seeds_outside_64_bits():
