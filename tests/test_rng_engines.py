@@ -10,7 +10,6 @@ import random
 import numpy as np
 import pytest
 
-from semiquantum import rng
 from semiquantum.rng import PCG64Generator, RandomSource
 
 ENGINES = (PCG64Generator, np.random.default_rng)
@@ -132,4 +131,4 @@ def test_generator_rejects_seeds_outside_64_bits():
     for seed in (-1, 1 << 64):
         with pytest.raises(ValueError):
             PCG64Generator(seed)
-    assert rng.RandomSource(-1).seed == (1 << 64) - 1
+    assert RandomSource(-1).seed == (1 << 64) - 1
