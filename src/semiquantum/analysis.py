@@ -281,10 +281,6 @@ def run_trials(template: SessionConfig, trials: int, master_seed: int) -> TrialS
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    # Loaded numpy makes every session's RandomSource draw through numpy's
-    # generator (see rng): same values, and its permutations and shuffles of
-    # hundreds of slots run in C.
-    import numpy  # noqa: F401
     total: dict[str, float] = {}
     for t in range(trials):
         config = replace(template, seed=derive_seed(master_seed, t))

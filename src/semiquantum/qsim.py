@@ -43,7 +43,7 @@ import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .errors import (
     DuplicateLabel,
@@ -123,19 +123,17 @@ _BELL_BRAS = _Bras(
 )
 
 
-def _components(vector) -> tuple[tuple[complex, ...], object]:
-    """A vector's components as Python complex numbers, and the vector kept.
+def _components(vector) -> tuple[complex, ...]:
+    """A vector's components as Python complex numbers.
 
-    A tuple or list is kept as the tuple of components; anything else is
-    read, and kept, as a flat complex numpy array, which loads numpy.
+    A tuple or list is read as it is; anything else as a flat complex numpy
+    array, which loads numpy.
     """
     if isinstance(vector, (tuple, list)):
-        components = tuple(map(complex, vector))
-        return components, components
+        return tuple(map(complex, vector))
     import numpy as np
 
-    dense = np.asarray(vector, dtype=complex).reshape(-1)
-    return tuple(dense.tolist()), dense
+    return tuple(np.asarray(vector, dtype=complex).reshape(-1).tolist())
 
 
 def _vdot(u: tuple[complex, ...], v: tuple[complex, ...]) -> complex:
@@ -146,20 +144,19 @@ def _vdot(u: tuple[complex, ...], v: tuple[complex, ...]) -> complex:
 class OrthonormalPair:
     """An orthonormal single-qubit basis {|a>, |b>} for controller measurements.
 
-    ``a`` and ``b`` are kept as tuples of complex numbers when given as
-    sequences and as complex numpy arrays when given as arrays.  Two bases
+    ``a`` and ``b`` are kept as given, a sequence or an array.  Two bases
     are equal, and hash alike, when their components are exactly equal.
     """
 
-    a: tuple[complex, complex] | np.ndarray = field(compare=False)
-    b: tuple[complex, complex] | np.ndarray = field(compare=False)
+    a: Sequence[complex] | np.ndarray = field(compare=False)
+    b: Sequence[complex] | np.ndarray = field(compare=False)
     # (a, b) components as Python complex numbers, and for each bit value v the
     # nonzero bras as (outcome, conj(component v)).
     _kets: tuple = field(init=False, repr=False)
     _bras: _Bras = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        (a, kept_a), (b, kept_b) = _components(self.a), _components(self.b)
+        kets = a, b = _components(self.a), _components(self.b)
         if len(a) != 2 or len(b) != 2:
             raise NonOrthonormalBasis("basis vectors must be single-qubit (length 2)")
         if (
@@ -168,13 +165,10 @@ class OrthonormalPair:
             or abs(_vdot(a, b)) > NORM_TOL
         ):
             raise NonOrthonormalBasis("basis vectors must be orthonormal within 1e-12")
-        kets = (a, b)
         bras = _Bras(
             tuple((o, ket[v].conjugate()) for o, ket in enumerate(kets) if ket[v])
             for v in (0, 1)
         )
-        object.__setattr__(self, "a", kept_a)
-        object.__setattr__(self, "b", kept_b)
         object.__setattr__(self, "_kets", kets)
         object.__setattr__(self, "_bras", bras)
 
@@ -261,7 +255,7 @@ class StateVector:
             if isinstance(amplitudes, dict):
                 items = amplitudes.items()
             else:
-                dense = _components(amplitudes)[0]
+                dense = _components(amplitudes)
                 if len(dense) != 1 << k:
                     raise ValueError(f"need {1 << k} amplitudes for {k} qubits, got {len(dense)}")
                 items = enumerate(dense)

@@ -5,21 +5,16 @@ Every random draw in a session flows through a :class:`RandomSource`, so a
 Monte Carlo trial) are derived with a splitmix64 chain rather than numpy's
 SeedSequence so the derivation is trivially portable and stable.
 
-A source draws from numpy's ``default_rng(seed)`` stream through one of two
-engines that give the same values: numpy's own generator when numpy is
-already loaded (Monte Carlo batches load it for their vectorized shuffles),
-and otherwise :class:`PCG64Generator`, a pure-Python copy that spares a
-single session the numpy import.
+A source draws numpy's ``default_rng(seed)`` stream, bit for bit, in pure
+Python, so no session needs numpy; the tests hold it to numpy as reference.
 """
 from __future__ import annotations
-
-import functools
-import sys
 
 _MASK32 = (1 << 32) - 1
 _MASK64 = (1 << 64) - 1
 _MASK128 = (1 << 128) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+_TWO_M53 = 1.0 / (1 << 53)
 
 
 def splitmix64(x: int) -> int:
@@ -54,58 +49,62 @@ _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 def _seed_words(seed: int) -> list[int]:
     """``SeedSequence(seed).generate_state(8, np.uint32)`` for 0 <= seed < 2**64."""
+    # hashmix written out in each loop: seeding runs once per source
     entropy = [seed & _MASK32, seed >> 32] if seed >> 32 else [seed]
+    # the entropy (at most two words) fits the pool, so no word is left over
+    entropy += [0] * (_POOL_SIZE - len(entropy))
     h = _INIT_A
-
-    def hashmix(value: int) -> int:
-        nonlocal h
+    pool = []
+    for value in entropy:
         value ^= h
         h = (h * _MULT_A) & _MASK32
         value = (value * h) & _MASK32
-        return value ^ (value >> 16)
-
-    # the entropy (at most two words) fits the pool, so no word is left over
-    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(_POOL_SIZE)]
+        pool.append(value ^ (value >> 16))
     for src in range(_POOL_SIZE):
         for dst in range(_POOL_SIZE):
             if src != dst:
-                mixed = (_MIX_MULT_L * pool[dst] - _MIX_MULT_R * hashmix(pool[src])) & _MASK32
+                value = pool[src] ^ h
+                h = (h * _MULT_A) & _MASK32
+                value = (value * h) & _MASK32
+                mixed = (_MIX_MULT_L * pool[dst] - _MIX_MULT_R * (value ^ (value >> 16))) & _MASK32
                 pool[dst] = mixed ^ (mixed >> 16)
     h = _INIT_B
     words = []
-    for i in range(2 * _POOL_SIZE):
-        value = pool[i % _POOL_SIZE] ^ h
+    for value in pool + pool:
+        value ^= h
         h = (h * _MULT_B) & _MASK32
         value = (value * h) & _MASK32
         words.append(value ^ (value >> 16))
     return words
 
 
-class PCG64Generator:
-    """numpy's ``default_rng(seed)`` in pure Python, bit for bit.
+class RandomSource:
+    """Seeded random stream used for all protocol and simulator sampling.
 
-    PCG64 (XSL-RR output on a 128-bit LCG, O'Neill 2014) seeded through
-    SeedSequence, with the parts of ``numpy.random.Generator`` that
-    :class:`RandomSource` calls, drawing exactly as numpy 2.x does:
-    ``random`` takes the top 53 bits of one 64-bit output; 32-bit draws use
-    the two halves of a 64-bit output in turn (numpy's ``has_uint32``),
-    while 64-bit draws leave a saved half in place; bounded integers use
-    Lemire's multiply-and-reject, and ``shuffle``/``permutation`` numpy's
-    masked rejection (``random_interval``).
+    numpy's ``default_rng(seed)`` in pure Python, bit for bit: PCG64
+    (XSL-RR output on a 128-bit LCG, O'Neill 2014) seeded through
+    SeedSequence, drawing as numpy 2.x's ``Generator`` does.  ``random``
+    takes the top 53 bits of one 64-bit output; 32-bit draws use the two
+    halves of a 64-bit output in turn (numpy's ``has_uint32``), while 64-bit
+    draws leave a saved half in place; bounded integers use Lemire's
+    multiply-and-reject, and ``shuffle``/``permutation`` numpy's masked
+    rejection (``random_interval``).
     """
 
-    __slots__ = ("_state", "_inc", "_half")
+    __slots__ = ("seed", "_state", "_inc", "_half")
 
     def __init__(self, seed: int):
-        if not 0 <= seed <= _MASK64:
-            raise ValueError(f"seed must lie in [0, 2**64), got {seed!r}")
-        w = _seed_words(seed)
+        self.seed = seed & _MASK64
+        w = _seed_words(self.seed)
         init = (w[1] << 96) | (w[0] << 64) | (w[3] << 32) | w[2]
         seq = (w[5] << 96) | (w[4] << 64) | (w[7] << 32) | w[6]
         self._inc = ((seq << 1) | 1) & _MASK128
-        self._state = (self._inc + init) & _MASK128
-        self._state = (self._state * _PCG_MULT + self._inc) & _MASK128
+        self._state = ((self._inc + init) * _PCG_MULT + self._inc) & _MASK128
         self._half = None  # the saved upper half of a 64-bit output, if any
+
+    def spawn(self, *path: int) -> "RandomSource":
+        """A new independent source derived from this seed and ``path``."""
+        return RandomSource(derive_seed(self.seed, *path))
 
     def _next64(self) -> int:
         self._state = s = (self._state * _PCG_MULT + self._inc) & _MASK128
@@ -140,70 +139,73 @@ class PCG64Generator:
                 m = draw() * span
         return m >> bits
 
-    def _interval(self, top: int) -> int:
-        """A uniform integer in [0, top] by masked rejection (``random_interval``)."""
-        if top == 0:
-            return 0
-        mask = (1 << top.bit_length()) - 1
-        draw = self._next32 if top <= _MASK32 else self._next64
-        while True:
-            value = draw() & mask
-            if value <= top:
-                return value
-
     def _lemire_shuffle(self, items: list, stop: int) -> None:
         for i in range(len(items) - 1, stop - 1, -1):
             j = self._bounded(i)
             items[i], items[j] = items[j], items[i]
 
     def random(self) -> float:
-        return (self._next64() >> 11) * (1.0 / 9007199254740992.0)
+        # _next64 written out: this is the simulator's per-measurement draw
+        self._state = s = (self._state * _PCG_MULT + self._inc) & _MASK128
+        x = ((s >> 64) ^ s) & _MASK64
+        rot = s >> 122
+        return ((((x >> rot) | (x << (64 - rot))) & _MASK64) >> 11) * _TWO_M53
 
-    def integers(self, low: int, high: int, size: int | None = None):
-        """Uniform values in [low, high): one, or a list of ``size``.
+    def bit(self) -> int:
+        # Lemire on span 2 never rejects: the top bit of one 32-bit draw
+        return self._next32() >> 31
 
-        As for numpy's default int64 values, ``high`` may not exceed 2**63.
-        """
-        if size == 0:
-            return []
-        top = high - 1 - low
-        if top < 0:
-            raise ValueError(f"low >= high: {low} >= {high}")
-        if high > 1 << 63:
-            raise ValueError(f"high {high} is out of bounds for int64")
-        if size is None:
-            return low + self._bounded(top)
-        if size < 0:
+    def bits(self, k: int) -> tuple[int, ...]:
+        """k fair bits, each the top bit of a 32-bit draw, as ``bit`` takes them."""
+        if k < 0:
             raise ValueError("negative dimensions are not allowed")
-        return [low + self._bounded(top) for _ in range(size)]
+        out = []
+        if k and self._half is not None:
+            out.append(self._half >> 31)
+            self._half = None
+            k -= 1
+        s, inc = self._state, self._inc
+        x = 0
+        for _ in range((k + 1) // 2):
+            s = (s * _PCG_MULT + inc) & _MASK128
+            x = ((s >> 64) ^ s) & _MASK64
+            rot = s >> 122
+            x = ((x >> rot) | (x << (64 - rot))) & _MASK64
+            out += ((x >> 31) & 1, x >> 63)
+        self._state = s
+        if k & 1:
+            out.pop()
+            self._half = x >> 32
+        return tuple(out)
 
-    def shuffle(self, items: list) -> None:
-        for i in range(len(items) - 1, 0, -1):
-            j = self._interval(i)
-            items[i], items[j] = items[j], items[i]
+    def integer(self, n: int) -> int:
+        """Uniform integer in [0, n), 1 <= n <= 2**63 as numpy's int64 allows."""
+        if n < 1:
+            raise ValueError(f"low >= high: 0 >= {n}")
+        if n > 1 << 63:
+            raise ValueError(f"high {n} is out of bounds for int64")
+        return self._bounded(n - 1)
 
     def permutation(self, n: int) -> list[int]:
         items = list(range(n))
-        self.shuffle(items)
+        self._masked_shuffle(items)
         return items
 
-    def choice(self, n: int, size: int, replace: bool = True) -> list[int]:
-        """``size`` distinct values of range(n); only ``replace=False`` is supported."""
-        if replace:
-            raise NotImplementedError("only sampling without replacement is implemented")
-        if size > n:
+    def sample(self, n: int, k: int) -> list[int]:
+        """k distinct indices drawn uniformly from range(n)."""
+        if k > n:
             raise ValueError("Cannot take a larger sample than population when replace is False")
-        if size < 0:
+        if k < 0:
             raise ValueError("negative dimensions are not allowed")
-        if n > 10000 and size > n // 50:
-            # tail shuffle: the last ``size`` places of a partial Fisher-Yates
+        if n > 10000 and k > n // 50:
+            # tail shuffle: the last k places of a partial Fisher-Yates
             items = list(range(n))
-            self._lemire_shuffle(items, max(n - size, 1))
-            return items[n - size:]
+            self._lemire_shuffle(items, max(n - k, 1))
+            return items[n - k:]
         # Floyd's algorithm, then a shuffle of the chosen values
         chosen: set[int] = set()
         items = []
-        for j in range(n - size, n):
+        for j in range(n - k, n):
             value = self._bounded(j)
             if value in chosen:
                 value = j
@@ -212,66 +214,37 @@ class PCG64Generator:
         self._lemire_shuffle(items, 1)
         return items
 
-    def bytes(self, length: int) -> bytes:
-        """``length`` bytes of little-endian 32-bit draws."""
-        # numpy computes (length - 1) / 4 + 1 in C, truncating toward zero,
-        # so even length 0 draws one word
-        words = (length - 1) // 4 + 1 if length > 0 else 1 - (1 - length) // 4
-        if words < 0:
-            raise ValueError("negative dimensions are not allowed")
-        return b"".join(self._next32().to_bytes(4, "little") for _ in range(words))[:length]
-
-
-def _numpy_generator(seed: int):
-    import numpy as np
-
-    return np.random.default_rng(seed)
-
-
-class RandomSource:
-    """Seeded random stream used for all protocol and simulator sampling.
-
-    The generator is built on the first draw, so a source that only spawns
-    others, or is never drawn from, costs no seeding.
-    """
-
-    def __init__(self, seed: int):
-        self.seed = seed & _MASK64
-
-    # A cached property, not a class-level __getattr__: once set, ``_gen`` is
-    # a plain instance attribute, and every other attribute lookup on a source
-    # keeps the interpreter's fast path (a __getattr__ hook slows them all).
-    @functools.cached_property
-    def _gen(self):
-        make = _numpy_generator if "numpy" in sys.modules else PCG64Generator
-        return make(self.seed)
-
-    def spawn(self, *path: int) -> "RandomSource":
-        """A new independent source derived from this seed and ``path``."""
-        return RandomSource(derive_seed(self.seed, *path))
-
-    def random(self) -> float:
-        return float(self._gen.random())
-
-    def bit(self) -> int:
-        return int(self._gen.integers(0, 2))
-
-    def bits(self, k: int) -> tuple[int, ...]:
-        return tuple(int(b) for b in self._gen.integers(0, 2, size=k))
-
-    def integer(self, n: int) -> int:
-        """Uniform integer in [0, n)."""
-        return int(self._gen.integers(0, n))
-
-    def permutation(self, n: int) -> list[int]:
-        return [int(i) for i in self._gen.permutation(n)]
-
-    def sample(self, n: int, k: int) -> list[int]:
-        """k distinct indices drawn uniformly from range(n)."""
-        return [int(i) for i in self._gen.choice(n, size=k, replace=False)]
-
     def shuffle(self, items: list) -> None:
-        self._gen.shuffle(items)
+        self._masked_shuffle(items)
+
+    def _masked_shuffle(self, items: list) -> None:
+        """Fisher-Yates by masked rejection on 32-bit draws.
+
+        numpy switches to 64-bit draws past 2**32 items, a list no session
+        builds, so that branch is left out.
+        """
+        s, inc, half = self._state, self._inc, self._half
+        for i in range(len(items) - 1, 0, -1):
+            mask = (1 << i.bit_length()) - 1
+            while True:
+                if half is None:
+                    s = (s * _PCG_MULT + inc) & _MASK128
+                    x = ((s >> 64) ^ s) & _MASK64
+                    rot = s >> 122
+                    x = ((x >> rot) | (x << (64 - rot))) & _MASK64
+                    j, half = x & mask, x >> 32
+                else:
+                    j, half = half & mask, None
+                if j <= i:
+                    break
+            items[i], items[j] = items[j], items[i]
+        self._state, self._half = s, half
 
     def token(self, nbytes: int = 16) -> bytes:
-        return self._gen.bytes(nbytes)
+        """``nbytes`` bytes of little-endian 32-bit draws."""
+        # numpy computes (nbytes - 1) / 4 + 1 in C, truncating toward zero,
+        # so even nbytes 0 draws one word
+        words = (nbytes - 1) // 4 + 1 if nbytes > 0 else 1 - (1 - nbytes) // 4
+        if words < 0:
+            raise ValueError("negative dimensions are not allowed")
+        return b"".join(self._next32().to_bytes(4, "little") for _ in range(words))[:nbytes]

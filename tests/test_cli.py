@@ -193,13 +193,13 @@ print(json.dumps(loaded))
 """
 
 
-def test_single_session_never_loads_numpy():
-    # a batch loads numpy on purpose: its sessions draw through numpy's
-    # generator; a single session must not pay for that import
+def test_sessions_never_load_numpy():
+    # numpy serves only the dense qsim helpers; neither a session nor a
+    # batch may pay for its import
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c", _NUMPY_LOADS], env=env, capture_output=True, text=True, check=True
     )
-    assert json.loads(proc.stdout) == {"import": False, "transcript": False, "batch": True}
+    assert json.loads(proc.stdout) == {"import": False, "transcript": False, "batch": False}

@@ -82,8 +82,8 @@ def test_stats_batch_digest(fmt, capsys):
     assert _stdout_digest(argv, capsys) == digest
 
 
-# Runs each transcript case through ``main`` in one fresh process that never
-# loads numpy, so every session draws through rng's pure-Python engine.
+# Runs each transcript case through ``main`` in one fresh process, which must
+# not load numpy: the digests hold without it.
 _DIGESTS_WITHOUT_NUMPY = """
 import contextlib, hashlib, io, json, sys
 from semiquantum.cli import main

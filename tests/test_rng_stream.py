@@ -1,30 +1,54 @@
-"""The pure-Python engine of RandomSource draws exactly what numpy's does.
+"""RandomSource draws exactly what numpy's ``default_rng`` does.
 
-numpy's ``default_rng`` is the reference: every ``RandomSource`` method is
-driven on two sources of one seed, one per engine, and each output must be
-equal, including the generator state that carries from one call to the
-next (the saved 32-bit half, rejection loops).
+numpy is the reference: each ``RandomSource`` method is driven on a source
+and on :class:`NumpySource`, the same calls on ``default_rng`` of the same
+seed, and each output must be equal, including the generator state that
+carries from one call to the next (the saved 32-bit half, rejection loops).
 """
 import random
 
 import numpy as np
 import pytest
 
-from semiquantum.rng import PCG64Generator, RandomSource
-
-ENGINES = (PCG64Generator, np.random.default_rng)
+from semiquantum.rng import RandomSource
 
 
-def sources(seed: int) -> list[RandomSource]:
-    out = []
-    for engine in ENGINES:
-        src = RandomSource(seed)
-        src._gen = engine(src.seed)
-        out.append(src)
-    return out
+class NumpySource:
+    """RandomSource's methods as calls on numpy's ``default_rng(seed)``."""
+
+    def __init__(self, seed: int):
+        self._gen = np.random.default_rng(seed & ((1 << 64) - 1))
+
+    def random(self) -> float:
+        return float(self._gen.random())
+
+    def bit(self) -> int:
+        return int(self._gen.integers(0, 2))
+
+    def bits(self, k: int) -> tuple[int, ...]:
+        return tuple(int(b) for b in self._gen.integers(0, 2, size=k))
+
+    def integer(self, n: int) -> int:
+        return int(self._gen.integers(0, n))
+
+    def permutation(self, n: int) -> list[int]:
+        return [int(i) for i in self._gen.permutation(n)]
+
+    def sample(self, n: int, k: int) -> list[int]:
+        return [int(i) for i in self._gen.choice(n, size=k, replace=False)]
+
+    def shuffle(self, items: list) -> None:
+        self._gen.shuffle(items)
+
+    def token(self, nbytes: int = 16) -> bytes:
+        return self._gen.bytes(nbytes)
 
 
-def draw(src: RandomSource, op: str, arg):
+def sources(seed: int) -> tuple[RandomSource, NumpySource]:
+    return RandomSource(seed), NumpySource(seed)
+
+
+def draw(src, op: str, arg):
     """One call of ``op``; what it returns, or the class of what it raised."""
     try:
         if op == "shuffle":
@@ -113,22 +137,21 @@ def test_wide_integers_use_64_bit_draws():
         ("token", -7),
     ],
 )
-def test_both_engines_reject_the_same_arguments(op, arg):
+def test_source_rejects_what_numpy_rejects(op, arg):
     for src in sources(4):
         assert draw(src, op, arg) is ValueError
 
 
-def test_source_picks_numpy_when_loaded():
-    # numpy is loaded in this process; the no-numpy side is checked in a
-    # subprocess by tests/test_golden_outputs.py and tests/test_cli.py
-    src = RandomSource(5)
-    assert "_gen" not in vars(src)  # seeded on the first draw only
-    src.random()
-    assert isinstance(src._gen, np.random.Generator)
-
-
-def test_generator_rejects_seeds_outside_64_bits():
-    for seed in (-1, 1 << 64):
-        with pytest.raises(ValueError):
-            PCG64Generator(seed)
+def test_seed_is_taken_modulo_2_64():
     assert RandomSource(-1).seed == (1 << 64) - 1
+    assert draw(RandomSource(-1), "bits", 70) == draw(NumpySource((1 << 64) - 1), "bits", 70)
+    assert RandomSource(1 << 64).random() == RandomSource(0).random()
+
+
+def test_session_sized_draws_match():
+    # the sizes a session at n=100 draws: 100-bit messages, 400-slot
+    # permutations and shuffles, 100 of 400 spot-check positions
+    pure, ref = sources(2017)
+    for op, arg in [("bits", 101), ("permutation", 400), ("bit", None), ("shuffle", 400),
+                    ("bits", 100), ("sample", (400, 100)), ("shuffle", 399), ("random", None)]:
+        assert draw(pure, op, arg) == draw(ref, op, arg), (op, arg)
