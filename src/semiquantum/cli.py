@@ -31,6 +31,8 @@ EXIT_OK = 0
 EXIT_IO = 1
 EXIT_USAGE = 2
 
+SEED_LIMIT = 2**64  # seeds are 64-bit: [0, SEED_LIMIT)
+
 
 class ValidationError(ValueError):
     pass
@@ -78,13 +80,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def parse_args(argv: list[str]) -> CliConfig:
     ns = _build_parser().parse_args(argv)
-    seed = ns.seed
+    seed, source = ns.seed, "--seed"
     if seed is None:
-        raw = os.environ.get("SEMIQ_SEED", "0")
+        raw, source = os.environ.get("SEMIQ_SEED", "0"), "SEMIQ_SEED"
         try:
             seed = int(raw)
         except ValueError:
             raise ValidationError(f"SEMIQ_SEED must be an integer, got {raw!r}") from None
+    if not 0 <= seed < SEED_LIMIT:
+        raise ValidationError(f"{source} must lie in [0, 2**64), got {seed}")
     if ns.n < 1:
         raise ValidationError("--n must be >= 1")
     if ns.m is not None and ns.m < 1:
@@ -206,7 +210,15 @@ def main(argv: list[str] | None = None) -> int:
             print(f"error: cannot write {cfg.out!r}: {exc}", file=sys.stderr)
             return EXIT_IO
     else:
-        sys.stdout.write(payload.decode())
+        try:
+            sys.stdout.write(payload.decode())
+            sys.stdout.flush()
+        except BrokenPipeError as exc:
+            # the reader went away: send what is left in the buffer to
+            # devnull, so the flush at interpreter exit raises nothing more
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            print(f"error: cannot write to stdout: {exc}", file=sys.stderr)
+            return EXIT_IO
     return EXIT_OK
 
 

@@ -23,6 +23,12 @@ class Capability(Enum):
 _CLASSICAL_ALLOWED = frozenset(
     {"prepare_z", "measure_z", "reflect", "permute", "send_classical"}
 )
+# Each capability's allowed party ops: a quantum party adds the quantum surface.
+_ALLOWED = {
+    Capability.CLASSICAL: _CLASSICAL_ALLOWED,
+    Capability.QUANTUM: _CLASSICAL_ALLOWED
+    | {"prepare_bell", "prepare_ghz_like", "measure_bell", "measure_ab", "apply_cnot", "apply_x"},
+}
 
 
 def restrict(capability: Capability, op: str) -> None:
@@ -124,6 +130,8 @@ class PartyContext:
 
     Every quantum-surface call is logged by op name, so tests can assert that
     no execution path lets a classical party reach a forbidden operation.
+    Each op checks its name against the party's allowed set, one membership
+    test per call.
     """
 
     def __init__(self, name: str, capability: Capability, rng: RandomSource, bank: RegisterBank):
@@ -132,55 +140,72 @@ class PartyContext:
         self.rng = rng
         self.bank = bank
         self.ops_log: list[str] = []
-
-    def _allow(self, op: str) -> None:
-        restrict(self.capability, op)
-        self.ops_log.append(op)
+        self._allowed = _ALLOWED[capability]
 
     # classical surface -----------------------------------------------------
 
     def prepare_z(self, bit: int, label: str) -> str:
-        self._allow("prepare_z")
+        if "prepare_z" not in self._allowed:
+            raise CapabilityViolation("prepare_z")
+        self.ops_log.append("prepare_z")
         return self.bank.prepare_z(bit, label)
 
     def measure_z(self, label: str) -> int:
-        self._allow("measure_z")
+        if "measure_z" not in self._allowed:
+            raise CapabilityViolation("measure_z")
+        self.ops_log.append("measure_z")
         return self.bank.measure_z(label, self.rng)
 
     def reflect(self, label: str) -> str:
-        self._allow("reflect")
+        if "reflect" not in self._allowed:
+            raise CapabilityViolation("reflect")
+        self.ops_log.append("reflect")
         return label
 
     def permute(self, perm: Permutation, seq: list) -> list:
-        self._allow("permute")
+        if "permute" not in self._allowed:
+            raise CapabilityViolation("permute")
+        self.ops_log.append("permute")
         return perm.apply(seq)
 
     # quantum surface -------------------------------------------------------
 
     def prepare_bell(self, kind: BellKind, l1: str, l2: str) -> tuple[str, str]:
-        self._allow("prepare_bell")
+        if "prepare_bell" not in self._allowed:
+            raise CapabilityViolation("prepare_bell")
+        self.ops_log.append("prepare_bell")
         return self.bank.prepare_bell(kind, l1, l2)
 
     def prepare_ghz_like(
         self, psi1: BellKind, psi2: BellKind, basis: OrthonormalPair, labels: tuple[str, str, str]
     ) -> tuple[str, str, str]:
-        self._allow("prepare_ghz_like")
+        if "prepare_ghz_like" not in self._allowed:
+            raise CapabilityViolation("prepare_ghz_like")
+        self.ops_log.append("prepare_ghz_like")
         return self.bank.prepare_ghz_like(psi1, psi2, basis, labels)
 
     def measure_bell(self, q1: str, q2: str) -> BellKind:
-        self._allow("measure_bell")
+        if "measure_bell" not in self._allowed:
+            raise CapabilityViolation("measure_bell")
+        self.ops_log.append("measure_bell")
         return self.bank.measure_bell(q1, q2, self.rng)
 
     def measure_ab(self, label: str, basis: OrthonormalPair) -> int:
-        self._allow("measure_ab")
+        if "measure_ab" not in self._allowed:
+            raise CapabilityViolation("measure_ab")
+        self.ops_log.append("measure_ab")
         return self.bank.measure_ab(label, basis, self.rng)
 
     def cnot(self, control: str, target: str) -> None:
-        self._allow("apply_cnot")
+        if "apply_cnot" not in self._allowed:
+            raise CapabilityViolation("apply_cnot")
+        self.ops_log.append("apply_cnot")
         self.bank.cnot(control, target)
 
     def x(self, label: str) -> None:
-        self._allow("apply_x")
+        if "apply_x" not in self._allowed:
+            raise CapabilityViolation("apply_x")
+        self.ops_log.append("apply_x")
         self.bank.x(label)
 
 

@@ -345,7 +345,11 @@ def prepare_ghz_like(
 
 
 def merge_registers(s1: StateVector, s2: StateVector) -> StateVector:
-    """Tensor product of two disjoint registers; s1's labels become the high bits."""
+    """Tensor product of two disjoint registers; s1's labels become the high bits.
+
+    Only ``labels`` and ``_ket`` of each argument are read, so a bank's
+    register record serves as well as a ``StateVector``.
+    """
     if not set(s1.labels).isdisjoint(s2.labels):
         common = sorted(set(s1.labels) & set(s2.labels))
         raise DuplicateLabel(f"labels shared between registers: {common}")
@@ -372,13 +376,10 @@ def _mask(k: int, position: int) -> int:
     return 1 << (k - 1 - position)
 
 
-def apply_cnot(state: StateVector, control: str, target: str) -> StateVector:
-    """Standard CNOT; a pure index permutation, so exactly norm-preserving."""
-    c = state.position(control)
-    t = state.position(target)
+def _cnot(ket: _Ket, c: int, t: int) -> _Ket:
+    """``ket`` after a CNOT from position ``c`` onto position ``t``."""
     if c == t:
         raise ValueError("control and target must differ")
-    ket = state._ket
     key = ("cnot", c, t)
     out = ket.memo.get(key)
     if out is None:
@@ -386,19 +387,27 @@ def apply_cnot(state: StateVector, control: str, target: str) -> StateVector:
         out = ket.memo[key] = _intern(
             ket.k, [(i ^ tm if i & cm else i, a) for i, a in ket.entries.items()]
         )
-    return StateVector(out, state.labels)
+    return out
 
 
-def apply_x(state: StateVector, label: str) -> StateVector:
-    """Pauli X on one qubit."""
-    t = state.position(label)
-    ket = state._ket
+def _x(ket: _Ket, t: int) -> _Ket:
+    """``ket`` after an X on position ``t``."""
     key = ("x", t)
     out = ket.memo.get(key)
     if out is None:
         tm = _mask(ket.k, t)
         out = ket.memo[key] = _intern(ket.k, [(i ^ tm, a) for i, a in ket.entries.items()])
-    return StateVector(out, state.labels)
+    return out
+
+
+def apply_cnot(state: StateVector, control: str, target: str) -> StateVector:
+    """Standard CNOT; a pure index permutation, so exactly norm-preserving."""
+    return StateVector(_cnot(state._ket, state.position(control), state.position(target)), state.labels)
+
+
+def apply_x(state: StateVector, label: str) -> StateVector:
+    """Pauli X on one qubit."""
+    return StateVector(_x(state._ket, state.position(label)), state.labels)
 
 
 def reordered(state: StateVector, new_labels: tuple[str, ...]) -> StateVector:
@@ -467,24 +476,27 @@ class _Split:
         self.keep = keep
         self.posts = [b if keep and p > 0.0 else None for b, p in zip(branches, self.probs)]
 
-    def post_state(self, state: StateVector, outcome: int) -> StateVector | None:
-        """The renormalized branch over ``state``'s remaining labels, or None."""
+    def post(self, outcome: int) -> _Ket | None:
+        """The renormalized ket of branch ``outcome``, or None."""
         prob = self.probs[outcome]
         if prob <= 0.0:
             raise ZeroProbabilityOutcome("cannot collapse onto a zero-probability branch")
-        keep = self.keep
-        if not keep:
-            return None
         post = self.posts[outcome]
         if type(post) is dict:
             scale = 1.0 / math.sqrt(prob)
-            post = self.posts[outcome] = _intern(len(keep), [(j, a * scale) for j, a in post.items()])
+            post = self.posts[outcome] = _intern(len(self.keep), [(j, a * scale) for j, a in post.items()])
+        return post
+
+    def post_state(self, state: StateVector, outcome: int) -> StateVector | None:
+        """The renormalized branch over ``state``'s remaining labels, or None."""
+        post = self.post(outcome)
+        if post is None:
+            return None
         labels = state.labels
-        return StateVector(post, tuple([labels[p] for p in keep]))
+        return StateVector(post, tuple([labels[p] for p in self.keep]))
 
 
-def _split(state: StateVector, positions: tuple[int, ...], bras: _Bras) -> _Split:
-    ket = state._ket
+def _split(ket: _Ket, positions: tuple[int, ...], bras: _Bras) -> _Split:
     key = (bras, positions)
     split = ket.memo.get(key)
     if split is None:
@@ -502,11 +514,11 @@ def _measure(state: StateVector, split: _Split, rng: RandomSource) -> tuple[int,
 
 
 def _qubit_split(state: StateVector, label: str, basis: OrthonormalPair) -> _Split:
-    return _split(state, (state.position(label),), basis._bras)
+    return _split(state._ket, (state.position(label),), basis._bras)
 
 
 def _bell_split(state: StateVector, q1: str, q2: str) -> _Split:
-    return _split(state, (state.position(q1), state.position(q2)), _BELL_BRAS)
+    return _split(state._ket, (state.position(q1), state.position(q2)), _BELL_BRAS)
 
 
 def _array(probs: tuple[float, ...]) -> np.ndarray:
@@ -579,39 +591,78 @@ def _sample(probs, rng: RandomSource) -> int:
 # register bookkeeping
 
 
+class _Register:
+    """A bank-private register: its current ket and labels, updated in place.
+
+    It carries ``_ket`` and ``labels`` as a ``StateVector`` does, so
+    ``merge_registers`` reads it directly.  ``view`` caches the immutable
+    ``StateVector`` of the current content until the register next changes.
+    """
+
+    __slots__ = ("_ket", "labels", "view")
+
+    def __init__(self, ket: _Ket, labels: tuple[str, ...], view: StateVector | None = None):
+        self._ket = ket
+        self.labels = labels
+        self.view = view
+
+
 class RegisterBank:
     """Tracks disjoint registers addressed by qubit label.
 
-    Operations that span registers merge them first (subject to the qubit
-    cap); measurements drop consumed labels.  This is where travel qubits,
-    home qubits, ancillas and fresh preparations all live during a session.
+    Each label maps to a mutable register record that the bank alone owns;
+    an operation rewrites that record in place instead of building a new
+    ``StateVector``.  Operations that span registers merge them first
+    (subject to the qubit cap), re-binding the right-hand labels to the
+    left record; measurements drop consumed labels.  ``state_of`` hands out
+    an immutable snapshot, so nothing a caller holds changes afterwards.
+    This is where travel qubits, home qubits, ancillas and fresh
+    preparations all live during a session.
     """
 
     def __init__(self):
-        self._states: dict[str, StateVector] = {}
+        self._states: dict[str, _Register] = {}
 
     def labels(self) -> set[str]:
         return set(self._states)
 
-    def state_of(self, label: str) -> StateVector:
+    def _record(self, label: str) -> _Register:
         try:
             return self._states[label]
         except KeyError:
             raise UnknownLabel(label) from None
 
-    def add(self, state: StateVector) -> None:
-        for l in state.labels:
-            if l in self._states:
+    def state_of(self, label: str) -> StateVector:
+        """The current content of ``label``'s register, one object per content."""
+        reg = self._record(label)
+        view = reg.view
+        if view is None:
+            view = reg.view = StateVector(reg._ket, reg.labels)
+        return view
+
+    def _bind(self, ket: _Ket, labels: tuple[str, ...], view: StateVector | None = None) -> None:
+        states = self._states
+        for l in labels:
+            if l in states:
                 raise DuplicateLabel(l)
-        for l in state.labels:
-            self._states[l] = state
+        reg = _Register(ket, labels, view)
+        for l in labels:
+            states[l] = reg
+
+    def add(self, state: StateVector) -> None:
+        self._bind(state._ket, state.labels, state)
 
     def prepare_z(self, bit: int, label: str) -> str:
-        self.add(prepare_z(bit, label))
+        if bit not in (0, 1):
+            raise ValueError(f"bit must be 0 or 1, got {bit!r}")
+        self._bind(_Z_KETS[bit], (label,))
         return label
 
     def prepare_bell(self, kind: BellKind, l1: str, l2: str) -> tuple[str, str]:
-        self.add(prepare_bell(kind, (l1, l2)))
+        ket = _BELL_KETS[kind]
+        if l1 == l2:
+            raise DuplicateLabel(f"labels not unique: {(l1, l2)}")
+        self._bind(ket, (l1, l2))
         return l1, l2
 
     def prepare_ghz_like(
@@ -620,39 +671,73 @@ class RegisterBank:
         self.add(prepare_ghz_like(psi1, psi2, basis, labels))
         return labels
 
+    def _joined(self, l1: str, l2: str) -> _Register:
+        """The one register holding ``l1`` and ``l2``, merging l2's into l1's."""
+        reg, other = self._record(l1), self._record(l2)
+        if other is not reg:
+            merged = merge_registers(reg, other)
+            reg._ket, reg.labels, reg.view = merged._ket, merged.labels, merged
+            states = self._states
+            for l in other.labels:
+                states[l] = reg
+        return reg
+
     def _merged(self, *labels: str) -> StateVector:
-        """One register holding ``labels``; the caller stores what it becomes."""
-        merged = self.state_of(labels[0])
+        """One register holding ``labels``, kept in the bank."""
         for l in labels[1:]:
-            if l not in merged.labels:
-                merged = merge_registers(merged, self.state_of(l))
-        return merged
+            self._joined(labels[0], l)
+        return self.state_of(labels[0])
 
     def _replace(self, state: StateVector | None, removed: tuple[str, ...] = ()) -> None:
+        """Drop ``removed`` and bind ``state``'s labels to a register of it."""
         for l in removed:
             self._states.pop(l, None)
         if state is not None:
+            reg = _Register(state._ket, state.labels, state)
             for l in state.labels:
-                self._states[l] = state
+                self._states[l] = reg
 
     def cnot(self, control: str, target: str) -> None:
-        state = apply_cnot(self._merged(control, target), control, target)
-        self._replace(state)
+        reg = self._joined(control, target)
+        labels = reg.labels
+        reg._ket = _cnot(reg._ket, labels.index(control), labels.index(target))
+        reg.view = None
 
     def x(self, label: str) -> None:
-        self._replace(apply_x(self.state_of(label), label))
+        reg = self._record(label)
+        reg._ket = _x(reg._ket, reg.labels.index(label))
+        reg.view = None
+
+    def _collapse(
+        self, reg: _Register, measured: tuple[str, ...], positions: tuple[int, ...], bras: _Bras,
+        rng: RandomSource,
+    ) -> int:
+        """Sample a measurement of ``measured``, at ``positions`` of ``reg``,
+        in ``bras``; drop their labels and keep the rest of ``reg``."""
+        split = _split(reg._ket, positions, bras)
+        outcome = _sample(split.probs, rng)
+        post = split.posts[outcome]
+        if type(post) is not _Ket:  # not yet collapsed, empty or impossible
+            post = split.post(outcome)
+        states = self._states
+        for l in measured:
+            del states[l]
+        if post is not None:
+            labels = reg.labels
+            reg._ket = post
+            reg.labels = tuple([labels[p] for p in split.keep])
+            reg.view = None
+        return outcome
 
     def measure_z(self, label: str, rng: RandomSource) -> int:
-        rec = measure_z(self.state_of(label), label, rng)
-        self._replace(rec.post_state, removed=(label,))
-        return int(rec.outcome)
+        reg = self._record(label)
+        return self._collapse(reg, (label,), (reg.labels.index(label),), COMPUTATIONAL._bras, rng)
 
     def measure_bell(self, q1: str, q2: str, rng: RandomSource) -> BellKind:
-        rec = measure_bell(self._merged(q1, q2), q1, q2, rng)
-        self._replace(rec.post_state, removed=(q1, q2))
-        return rec.outcome
+        reg = self._joined(q1, q2)
+        positions = (reg.labels.index(q1), reg.labels.index(q2))
+        return BELL_ORDER[self._collapse(reg, (q1, q2), positions, _BELL_BRAS, rng)]
 
     def measure_ab(self, label: str, basis: OrthonormalPair, rng: RandomSource) -> int:
-        rec = measure_ab(self.state_of(label), label, basis, rng)
-        self._replace(rec.post_state, removed=(label,))
-        return int(rec.outcome)
+        reg = self._record(label)
+        return self._collapse(reg, (label,), (reg.labels.index(label),), basis._bras, rng)

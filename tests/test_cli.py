@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from semiquantum.adversary import AttackKind
-from semiquantum.cli import EXIT_USAGE, CliConfig, main, parse_args, run
+from semiquantum.cli import EXIT_IO, EXIT_USAGE, CliConfig, main, parse_args, run
 from semiquantum.protocols import bits_to_hex, hex_to_bits
 
 
@@ -77,6 +77,21 @@ def test_non_integer_seed_env_exits_2(monkeypatch, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("raw", [str(-(2**64)), str(2**64), "-1"])
+def test_out_of_range_seed_env_exits_2(raw, monkeypatch, capsys):
+    monkeypatch.setenv("SEMIQ_SEED", raw)
+    assert main(["--protocol", "sqka", "--n", "2"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "SEMIQ_SEED" in captured.err
+    assert captured.out == ""
+
+
+def test_seed_range_edges_accepted(monkeypatch):
+    assert parse_args(["--protocol", "sqka", "--n", "2", "--seed", "0"]).seed == 0
+    monkeypatch.setenv("SEMIQ_SEED", str(2**64 - 1))
+    assert parse_args(["--protocol", "sqka", "--n", "2"]).seed == 2**64 - 1
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -91,6 +106,9 @@ def test_non_integer_seed_env_exits_2(monkeypatch, capsys):
         ["--protocol", "sqd", "--n", "8", "--messages", "+1,0"],
         ["--protocol", "sqd", "--n", "8", "--messages", "1_0,0"],      # int() separator
         ["--protocol", "sqd", "--n", "8", "--messages", "0x3,0"],      # int() prefix
+        ["--protocol", "sqka", "--n", "2", "--seed", str(2**64)],      # aliased onto seed 0
+        ["--protocol", "sqka", "--n", "2", "--seed=-5"],               # aliased onto 2**64-5
+        ["--protocol", "sqka", "--n", "2", "--seed", str(-(2**64))],
     ],
 )
 def test_validation_errors_exit_2(argv, capsys):
@@ -177,6 +195,28 @@ def test_out_file_io_error(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def _src_env() -> dict:
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_closed_stdout_exits_1_without_traceback():
+    # a 100 KiB transcript overfills the pipe, so the write fails whether
+    # the read end closes before or during it
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "semiquantum.cli", "--protocol", "sqka", "--n", "400"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_src_env(),
+    )
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait() == EXIT_IO
+    assert err.startswith("error:") and "Traceback" not in err
+    assert len(err.splitlines()) == 1
+
+
 # Imports the CLI, runs one transcript and then one batch through ``main``,
 # and reports after each step whether numpy has been loaded.
 _NUMPY_LOADS = """
@@ -196,10 +236,7 @@ print(json.dumps(loaded))
 def test_sessions_never_load_numpy():
     # numpy serves only the dense qsim helpers; neither a session nor a
     # batch may pay for its import
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", _NUMPY_LOADS], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", _NUMPY_LOADS], env=_src_env(), capture_output=True, text=True, check=True
     )
     assert json.loads(proc.stdout) == {"import": False, "transcript": False, "batch": False}

@@ -15,7 +15,7 @@ from semiquantum.parties import (
     restrict,
     verify,
 )
-from semiquantum.qsim import BellKind, RegisterBank
+from semiquantum.qsim import COMPUTATIONAL, BellKind, RegisterBank
 from semiquantum.rng import RandomSource
 
 ALLOWED_CLASSICAL = ["prepare_z", "measure_z", "reflect", "permute", "send_classical"]
@@ -58,6 +58,34 @@ def test_classical_party_cannot_touch_quantum_surface():
         bob.cnot("h", "t")
     assert bob.measure_z("t") in (0, 1)
     assert set(bob.ops_log) <= set(ALLOWED_CLASSICAL)
+
+
+@pytest.mark.parametrize(
+    "method, args, op",
+    [
+        ("prepare_bell", (BellKind.PSI_PLUS, "n1", "n2"), "prepare_bell"),
+        ("prepare_ghz_like", (BellKind.PSI_PLUS, BellKind.PHI_PLUS, COMPUTATIONAL, ("g1", "g2", "g3")),
+         "prepare_ghz_like"),
+        ("measure_bell", ("h", "t"), "measure_bell"),
+        ("measure_ab", ("h", COMPUTATIONAL), "measure_ab"),
+        ("cnot", ("h", "t"), "apply_cnot"),
+        ("x", ("h",), "apply_x"),
+    ],
+)
+def test_every_quantum_op_refused_to_classical_party(method, args, op):
+    bank = RegisterBank()
+    alice = PartyContext("alice", Capability.QUANTUM, RandomSource(1), bank)
+    bob = PartyContext("bob", Capability.CLASSICAL, RandomSource(2), bank)
+    alice.prepare_bell(BellKind.PSI_PLUS, "h", "t")
+    before, pair = bank.labels(), bank.state_of("h")
+    with pytest.raises(CapabilityViolation) as err:
+        getattr(bob, method)(*args)
+    assert err.value.op == op and repr(op) in str(err.value)
+    assert bob.ops_log == []
+    assert bank.labels() == before and bank.state_of("t") is pair
+    # the same call is open to a quantum party
+    getattr(alice, method)(*args)
+    assert alice.ops_log[-1] == op
 
 
 # ---------------------------------------------------------------------------
