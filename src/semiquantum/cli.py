@@ -31,8 +31,6 @@ EXIT_OK = 0
 EXIT_IO = 1
 EXIT_USAGE = 2
 
-SEED_LIMIT = 2**64  # seeds are 64-bit: [0, SEED_LIMIT)
-
 
 class ValidationError(ValueError):
     pass
@@ -87,7 +85,7 @@ def parse_args(argv: list[str]) -> CliConfig:
             seed = int(raw)
         except ValueError:
             raise ValidationError(f"SEMIQ_SEED must be an integer, got {raw!r}") from None
-    if not 0 <= seed < SEED_LIMIT:
+    if not 0 <= seed < 2**64:
         raise ValidationError(f"{source} must lie in [0, 2**64), got {seed}")
     if ns.n < 1:
         raise ValidationError("--n must be >= 1")
