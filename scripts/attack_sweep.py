@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Sweep every protocol x attack combination and print one stats row each.
 
-Usage: python3 scripts/attack_sweep.py [--trials N] [--seed S]
+Usage: python3 scripts/attack_sweep.py [--trials N] [--seed S] [--n N]
 
 Detection is left on, so the abort_rate column shows how loudly each attack
 trips the checks; key_match_rate and eve_accuracy are aggregated over the
@@ -32,6 +32,12 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--n", type=int, default=8)
     args = parser.parse_args()
+    if args.trials < 1:
+        parser.error("--trials must be >= 1")
+    if args.n < 1:
+        parser.error("--n must be >= 1")
+    if not 0 <= args.seed < 2**64:
+        parser.error(f"--seed must lie in [0, 2**64), got {args.seed}")
 
     print(",".join(CSV_COLUMNS))
     for protocol in ("sqka", "sqkd", "cdssqc-ghz", "cdssqc-switch", "sqd"):

@@ -104,6 +104,8 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seed", type=int, default=11)
     args = parser.parse_args()
+    if not 0 <= args.seed < 2**64:
+        parser.error(f"--seed must lie in [0, 2**64), got {args.seed}")
     extraction_table()
     dialogue_table()
     efficiency_table()

@@ -49,25 +49,21 @@ class AttackStrategy:
         return AttackStrategy(AttackKind.NONE, frozenset())
 
 
-# Channel legs per protocol: "forward" is the quantum-to-classical
-# distribution leg, "return" the classical sender's outgoing leg.  The
-# controller-to-receiver leg of the controlled protocols is secured by a
-# separate subroutine and is not attackable here.
-PROTOCOL_LEGS: dict[str, frozenset[str]] = {
-    "sqka": frozenset({"forward", "return"}),
-    "sqkd": frozenset({"forward", "return"}),
-    "sqd": frozenset({"forward", "return"}),
-    "cdssqc-ghz": frozenset({"forward", "return"}),
-    "cdssqc-switch": frozenset({"forward", "return"}),
-}
+# Channel legs: "forward" is the quantum-to-classical distribution leg,
+# "return" the classical sender's outgoing leg.  The controller-to-receiver
+# leg of the controlled protocols is secured by a separate subroutine and is
+# not attackable here.
+LEGS = frozenset({"forward", "return"})
 
 _DEFAULT_LEGS: dict[AttackKind, dict[str, frozenset[str]]] = {
     AttackKind.NONE: {},
-    AttackKind.CNOT: {p: frozenset({"forward", "return"}) for p in PROTOCOL_LEGS},
+    AttackKind.CNOT: {
+        p: LEGS for p in ("sqka", "sqkd", "sqd", "cdssqc-ghz", "cdssqc-switch")
+    },
     AttackKind.INTERCEPT_RESEND: {
-        "sqka": frozenset({"forward", "return"}),
-        "sqkd": frozenset({"forward", "return"}),
-        "sqd": frozenset({"forward", "return"}),
+        "sqka": LEGS,
+        "sqkd": LEGS,
+        "sqd": LEGS,
         "cdssqc-ghz": frozenset({"forward"}),
         "cdssqc-switch": frozenset({"forward"}),
     },
@@ -75,8 +71,8 @@ _DEFAULT_LEGS: dict[AttackKind, dict[str, frozenset[str]]] = {
         "sqka": frozenset({"forward"}),
         "sqkd": frozenset({"forward"}),
         "sqd": frozenset({"forward"}),
-        "cdssqc-ghz": frozenset({"forward", "return"}),
-        "cdssqc-switch": frozenset({"forward", "return"}),
+        "cdssqc-ghz": LEGS,
+        "cdssqc-switch": LEGS,
     },
 }
 
@@ -98,105 +94,6 @@ class EveState:
     wire_bits: dict[int, int | None] = field(default_factory=dict)
     wire_classifications: dict[int, str] = field(default_factory=dict)
     inferred_bits: tuple[int | None, ...] | None = None
-    inferred_positions: tuple[str, ...] | None = None
-
-
-# ---------------------------------------------------------------------------
-# primitive attack steps (shared by the batch API and the per-wire hooks)
-
-
-def _cnot_attach(eve: PartyContext, state: EveState, i: int, label: str) -> None:
-    anc = f"_EA{i}"
-    eve.prepare_z(0, anc)
-    eve.cnot(label, anc)
-    state.ancillas[i] = anc
-
-
-def _cnot_return(eve: PartyContext, state: EveState, j: int, label: str) -> None:
-    anc = state.ancillas.get(j)
-    if anc is not None:
-        eve.cnot(label, anc)
-
-
-def _cnot_read(eve: PartyContext, state: EveState, j: int) -> int | None:
-    anc = state.ancillas.pop(j, None)
-    if anc is None:
-        return None
-    bit = eve.measure_z(anc)
-    state.wire_bits[j] = bit
-    state.wire_classifications[j] = "unknown"
-    return bit
-
-
-def _ir_substitute(eve: PartyContext, state: EveState, i: int, label: str) -> str:
-    state.retained_travel[i] = label
-    kept, fwd = f"_ER{i}", f"_EF{i}"
-    eve.prepare_bell(BellKind.PSI_PLUS, kept, fwd)
-    state.retained_pairs[i] = (kept, fwd)
-    return fwd
-
-
-def _ir_return(eve: PartyContext, state: EveState, j: int, label: str) -> str:
-    kept = state.retained_pairs[j][0]
-    outcome = eve.measure_bell(kept, label)
-    if outcome is BellKind.PSI_MINUS:
-        cls, bit = "measured", 0
-    elif outcome.parity == 1:  # phi+/phi-
-        cls, bit = "measured", 1
-    else:  # psi+ is consistent with a reflection; recorded as unknown
-        cls, bit = "unknown", None
-    original = state.retained_travel[j]
-    u = eve.measure_z(original)
-    # Identified wires are resent mimicking the sender's encoding; the
-    # ambiguous psi+ wires are resent as the complement of the collapsed
-    # original.
-    forwarded = u ^ (bit if bit is not None else 1)
-    new = f"_ES{j}"
-    eve.prepare_z(forwarded, new)
-    state.wire_classifications[j] = cls
-    state.wire_bits[j] = bit
-    return new
-
-
-def _mr_tap(eve: PartyContext, state: EveState, record: dict[int, int], i: int, label: str, prefix: str) -> str:
-    u = eve.measure_z(label)
-    record[i] = u
-    new = f"{prefix}{i}"
-    eve.prepare_z(u, new)
-    return new
-
-
-# ---------------------------------------------------------------------------
-# batch API (whole-sequence form, used directly in tests and small scenarios)
-
-
-def cnot_forward(eve: PartyContext, travel: list[str], state: EveState) -> list[str]:
-    """Entangle one fresh ancilla with each travel qubit; qubits pass through."""
-    for i, label in enumerate(travel):
-        _cnot_attach(eve, state, i, label)
-    return list(travel)
-
-
-def cnot_backward(eve: PartyContext, returned: list[str], state: EveState) -> list[int | None]:
-    """Second CNOT per wire, then read the ancillas; returns per-wire bits."""
-    for j, label in enumerate(returned):
-        _cnot_return(eve, state, j, label)
-    return [_cnot_read(eve, state, j) for j in range(len(returned))]
-
-
-def intercept_resend_forward(eve: PartyContext, travel: list[str], state: EveState) -> list[str]:
-    """Keep the real travel qubits, forward halves of Eve's own Bell pairs."""
-    return [_ir_substitute(eve, state, i, label) for i, label in enumerate(travel)]
-
-
-def intercept_resend_backward(eve: PartyContext, returned: list[str], state: EveState) -> list[str]:
-    """Bell-classify each wire against the retained half, then resend."""
-    return [_ir_return(eve, state, j, label) for j, label in enumerate(returned)]
-
-
-def measure_resend_z(eve: PartyContext, qubits: list[str], state: EveState) -> list[str]:
-    """Measure each qubit in Z and forward a fresh copy of the outcome."""
-    return [_mr_tap(eve, state, state.forward_bits, i, label, "_EM") for i, label in enumerate(qubits)]
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +101,12 @@ def measure_resend_z(eve: PartyContext, qubits: list[str], state: EveState) -> l
 
 
 class ChannelAttack:
-    """Base hook: pass-through on every leg."""
+    """Base hook: pass-through on every leg.
+
+    ``forward_leg`` sees the whole distribution leg; ``wire`` and
+    ``after_wire`` see each return-leg wire in arrival order, before and
+    after the receiver's measurement.
+    """
 
     kind = AttackKind.NONE
 
@@ -213,13 +115,13 @@ class ChannelAttack:
         self.legs = legs
         self.state = EveState()
 
-    def forward_leg(self, leg: str, labels: list[str]) -> list[str]:
+    def forward_leg(self, labels: list[str]) -> list[str]:
         return labels
 
-    def wire(self, leg: str, j: int, label: str) -> str:
+    def wire(self, j: int, label: str) -> str:
         return label
 
-    def after_wire(self, leg: str, j: int) -> None:
+    def after_wire(self, j: int) -> None:
         pass
 
     def reindex(self, remaining: list[int]) -> None:
@@ -241,9 +143,6 @@ class ChannelAttack:
     def finalize(self, encoded_wires: list[int]) -> None:
         """Fix Eve's per-slot inferences once the wire roles are public."""
         self.state.inferred_bits = tuple(self.state.wire_bits.get(w) for w in encoded_wires)
-        self.state.inferred_positions = tuple(
-            self.state.wire_classifications.get(w, "unknown") for w in encoded_wires
-        )
 
 
 class NoAttack(ChannelAttack):
@@ -252,36 +151,73 @@ class NoAttack(ChannelAttack):
 
 
 class CnotAttack(ChannelAttack):
+    """Entangle a fresh ancilla with each travel qubit, CNOT it again with the
+    returning wire of the same index, then read the ancilla."""
+
     kind = AttackKind.CNOT
 
-    def forward_leg(self, leg, labels):
-        if leg == "forward" and "forward" in self.legs:
+    def forward_leg(self, labels):
+        if "forward" in self.legs:
             for i, label in enumerate(labels):
-                _cnot_attach(self.eve, self.state, i, label)
+                anc = f"_EA{i}"
+                self.eve.prepare_z(0, anc)
+                self.eve.cnot(label, anc)
+                self.state.ancillas[i] = anc
         return labels
 
-    def wire(self, leg, j, label):
-        if leg == "return" and "return" in self.legs:
-            _cnot_return(self.eve, self.state, j, label)
+    def wire(self, j, label):
+        if "return" in self.legs:
+            anc = self.state.ancillas.get(j)
+            if anc is not None:
+                self.eve.cnot(label, anc)
         return label
 
-    def after_wire(self, leg, j):
-        if leg == "return" and "return" in self.legs:
-            _cnot_read(self.eve, self.state, j)
+    def after_wire(self, j):
+        if "return" in self.legs:
+            anc = self.state.ancillas.pop(j, None)
+            if anc is not None:
+                self.state.wire_bits[j] = self.eve.measure_z(anc)
+                self.state.wire_classifications[j] = "unknown"
 
 
 class InterceptResendAttack(ChannelAttack):
+    """Keep the real travel qubits and forward halves of Eve's own Bell pairs;
+    Bell-classify each returning wire against the retained half, then resend."""
+
     kind = AttackKind.INTERCEPT_RESEND
 
-    def forward_leg(self, leg, labels):
-        if leg == "forward" and "forward" in self.legs:
-            return [_ir_substitute(self.eve, self.state, i, l) for i, l in enumerate(labels)]
-        return labels
+    def forward_leg(self, labels):
+        if "forward" not in self.legs:
+            return labels
+        out = []
+        for i, label in enumerate(labels):
+            self.state.retained_travel[i] = label
+            kept, fwd = f"_ER{i}", f"_EF{i}"
+            self.eve.prepare_bell(BellKind.PSI_PLUS, kept, fwd)
+            self.state.retained_pairs[i] = (kept, fwd)
+            out.append(fwd)
+        return out
 
-    def wire(self, leg, j, label):
-        if leg == "return" and "return" in self.legs:
-            return _ir_return(self.eve, self.state, j, label)
-        return label
+    def wire(self, j, label):
+        if "return" not in self.legs:
+            return label
+        st = self.state
+        outcome = self.eve.measure_bell(st.retained_pairs[j][0], label)
+        if outcome is BellKind.PSI_MINUS:
+            cls, bit = "measured", 0
+        elif outcome.parity == 1:  # phi+/phi-
+            cls, bit = "measured", 1
+        else:  # psi+ is consistent with a reflection; recorded as unknown
+            cls, bit = "unknown", None
+        u = self.eve.measure_z(st.retained_travel[j])
+        # Identified wires are resent mimicking the sender's encoding; the
+        # ambiguous psi+ wires are resent as the complement of the collapsed
+        # original.
+        new = f"_ES{j}"
+        self.eve.prepare_z(u ^ (bit if bit is not None else 1), new)
+        st.wire_classifications[j] = cls
+        st.wire_bits[j] = bit
+        return new
 
 
 class SubstituteSinglesAttack(ChannelAttack):
@@ -291,40 +227,46 @@ class SubstituteSinglesAttack(ChannelAttack):
 
     kind = AttackKind.INTERCEPT_RESEND
 
-    def forward_leg(self, leg, labels):
-        if leg == "forward" and "forward" in self.legs:
-            out = []
-            for i, label in enumerate(labels):
-                self.state.retained_travel[i] = label
-                bit = self.eve.rng.bit()
-                new = f"_EX{i}"
-                self.eve.prepare_z(bit, new)
-                self.state.forward_bits[i] = bit
-                out.append(new)
-            return out
-        return labels
+    def forward_leg(self, labels):
+        if "forward" not in self.legs:
+            return labels
+        out = []
+        for i, label in enumerate(labels):
+            self.state.retained_travel[i] = label
+            bit = self.eve.rng.bit()
+            new = f"_EX{i}"
+            self.eve.prepare_z(bit, new)
+            self.state.forward_bits[i] = bit
+            out.append(new)
+        return out
 
 
 class MeasureResendAttack(ChannelAttack):
+    """Measure each qubit of an attacked leg in Z and forward a fresh copy."""
+
     kind = AttackKind.MEASURE_RESEND
 
-    def forward_leg(self, leg, labels):
-        if leg == "forward" and "forward" in self.legs:
-            return [
-                _mr_tap(self.eve, self.state, self.state.forward_bits, i, l, "_EM")
-                for i, l in enumerate(labels)
-            ]
-        return labels
-
-    def wire(self, leg, j, label):
-        if leg == "return" and "return" in self.legs:
+    def forward_leg(self, labels):
+        if "forward" not in self.legs:
+            return labels
+        out = []
+        for i, label in enumerate(labels):
             u = self.eve.measure_z(label)
-            self.state.wire_bits[j] = u
-            self.state.wire_classifications[j] = "unknown"
-            new = f"_EW{j}"
+            self.state.forward_bits[i] = u
+            new = f"_EM{i}"
             self.eve.prepare_z(u, new)
-            return new
-        return label
+            out.append(new)
+        return out
+
+    def wire(self, j, label):
+        if "return" not in self.legs:
+            return label
+        u = self.eve.measure_z(label)
+        self.state.wire_bits[j] = u
+        self.state.wire_classifications[j] = "unknown"
+        new = f"_EW{j}"
+        self.eve.prepare_z(u, new)
+        return new
 
     def finalize(self, encoded_wires):
         # Wire-order decode guess: XOR the value seen on the return wire with
@@ -335,17 +277,13 @@ class MeasureResendAttack(ChannelAttack):
             r = self.state.forward_bits.get(w)
             bits.append(None if v is None or r is None else v ^ r)
         self.state.inferred_bits = tuple(bits)
-        self.state.inferred_positions = tuple(
-            self.state.wire_classifications.get(w, "unknown") for w in encoded_wires
-        )
 
 
 def build_attack(strategy: AttackStrategy, protocol: str, eve: PartyContext | None) -> ChannelAttack:
     """Instantiate the channel hooks for a strategy in a given protocol."""
     legs = strategy.legs if strategy.legs is not None else default_legs(strategy.kind, protocol)
-    available = PROTOCOL_LEGS[protocol]
-    if not legs <= available:
-        raise ValueError(f"legs {sorted(legs)} not available in {protocol}: {sorted(available)}")
+    if not legs <= LEGS:
+        raise ValueError(f"legs {sorted(legs)} not available in {protocol}: {sorted(LEGS)}")
     if strategy.kind is AttackKind.NONE:
         return NoAttack(eve, legs)
     if strategy.kind is AttackKind.CNOT:

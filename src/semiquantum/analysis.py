@@ -46,31 +46,6 @@ CSV_COLUMNS = (
 
 
 @dataclass(frozen=True)
-class EfficiencyInput:
-    """Raw counts: message bits, message qubits, decoy qubits, classical bits."""
-
-    c: int
-    q_c: int
-    d: int
-    b: int
-
-    def __post_init__(self):
-        if min(self.c, self.q_c, self.d, self.b) < 0:
-            raise ValueError("efficiency inputs must be nonnegative")
-
-    @property
-    def q(self) -> int:
-        return self.q_c + self.d
-
-
-def qubit_efficiency(inp: EfficiencyInput) -> float:
-    denom = inp.q + inp.b
-    if denom == 0:
-        raise ZeroDivisionError("q + b must be positive")
-    return inp.c / denom
-
-
-@dataclass(frozen=True)
 class ProtocolCostRow:
     """Per-protocol cost coefficients, all linear in the message length n."""
 
@@ -86,9 +61,6 @@ class ProtocolCostRow:
 
     def efficiency(self) -> Fraction:
         return Fraction(self.c, self.q + self.b)
-
-    def inputs(self, n: int = 1) -> EfficiencyInput:
-        return EfficiencyInput(self.c * n, self.q_c * n, self.d * n, self.b * n)
 
 
 TABLE3: dict[str, ProtocolCostRow] = {
@@ -145,7 +117,10 @@ def detection_model(attack: AttackKind, m: int) -> float:
     p refers to each attack in its analyzed setting: intercept-resend under
     the default secret permutation, measure-resend on any leg, and the
     entangle-probe attack on reflected qubits with matched pairing (where it
-    is trace-free).
+    is trace-free).  Intercept-resend's 3/4 is the limit as n+m grows: on
+    sqka with the permutation on, a decoy that the permutation leaves on its
+    own wire always trips, so the exact per-decoy mismatch is
+    3/4 + 1/(4(n+m)).
     """
     if attack not in _PER_DECOY_MISMATCH:
         raise UnknownAttack(f"no per-decoy mismatch probability for {attack!r}")

@@ -80,17 +80,8 @@ class Permutation:
             out[self.mapping[i]] = x
         return out
 
-    def invert(self) -> "Permutation":
-        inv = [0] * self.size
-        for i, j in enumerate(self.mapping):
-            inv[j] = i
-        return Permutation(self.size, tuple(inv))
-
     def destination(self, i: int) -> int:
         return self.mapping[i]
-
-    def source(self, j: int) -> int:
-        return self.mapping.index(j)
 
 
 def random_permutation(size: int, rng: RandomSource) -> Permutation:
@@ -128,8 +119,9 @@ def verify(commitment: Commitment, bits: tuple[int, ...]) -> bool:
 class PartyContext:
     """A protocol participant: capability-checked access to the register bank.
 
-    Every quantum-surface call is logged by op name, so tests can assert that
-    no execution path lets a classical party reach a forbidden operation.
+    Every op name the party calls is recorded in ``ops_log``, so tests can
+    assert that no execution path lets a classical party reach a forbidden
+    operation.
     Each op checks its name against the party's allowed set, one membership
     test per call.
     """
@@ -139,7 +131,7 @@ class PartyContext:
         self.capability = capability
         self.rng = rng
         self.bank = bank
-        self.ops_log: list[str] = []
+        self.ops_log: set[str] = set()
         self._allowed = _ALLOWED[capability]
 
     # classical surface -----------------------------------------------------
@@ -147,25 +139,25 @@ class PartyContext:
     def prepare_z(self, bit: int, label: str) -> str:
         if "prepare_z" not in self._allowed:
             raise CapabilityViolation("prepare_z")
-        self.ops_log.append("prepare_z")
+        self.ops_log.add("prepare_z")
         return self.bank.prepare_z(bit, label)
 
     def measure_z(self, label: str) -> int:
         if "measure_z" not in self._allowed:
             raise CapabilityViolation("measure_z")
-        self.ops_log.append("measure_z")
+        self.ops_log.add("measure_z")
         return self.bank.measure_z(label, self.rng)
 
     def reflect(self, label: str) -> str:
         if "reflect" not in self._allowed:
             raise CapabilityViolation("reflect")
-        self.ops_log.append("reflect")
+        self.ops_log.add("reflect")
         return label
 
     def permute(self, perm: Permutation, seq: list) -> list:
         if "permute" not in self._allowed:
             raise CapabilityViolation("permute")
-        self.ops_log.append("permute")
+        self.ops_log.add("permute")
         return perm.apply(seq)
 
     # quantum surface -------------------------------------------------------
@@ -173,7 +165,7 @@ class PartyContext:
     def prepare_bell(self, kind: BellKind, l1: str, l2: str) -> tuple[str, str]:
         if "prepare_bell" not in self._allowed:
             raise CapabilityViolation("prepare_bell")
-        self.ops_log.append("prepare_bell")
+        self.ops_log.add("prepare_bell")
         return self.bank.prepare_bell(kind, l1, l2)
 
     def prepare_ghz_like(
@@ -181,31 +173,31 @@ class PartyContext:
     ) -> tuple[str, str, str]:
         if "prepare_ghz_like" not in self._allowed:
             raise CapabilityViolation("prepare_ghz_like")
-        self.ops_log.append("prepare_ghz_like")
+        self.ops_log.add("prepare_ghz_like")
         return self.bank.prepare_ghz_like(psi1, psi2, basis, labels)
 
     def measure_bell(self, q1: str, q2: str) -> BellKind:
         if "measure_bell" not in self._allowed:
             raise CapabilityViolation("measure_bell")
-        self.ops_log.append("measure_bell")
+        self.ops_log.add("measure_bell")
         return self.bank.measure_bell(q1, q2, self.rng)
 
     def measure_ab(self, label: str, basis: OrthonormalPair) -> int:
         if "measure_ab" not in self._allowed:
             raise CapabilityViolation("measure_ab")
-        self.ops_log.append("measure_ab")
+        self.ops_log.add("measure_ab")
         return self.bank.measure_ab(label, basis, self.rng)
 
     def cnot(self, control: str, target: str) -> None:
         if "apply_cnot" not in self._allowed:
             raise CapabilityViolation("apply_cnot")
-        self.ops_log.append("apply_cnot")
+        self.ops_log.add("apply_cnot")
         self.bank.cnot(control, target)
 
     def x(self, label: str) -> None:
         if "apply_x" not in self._allowed:
             raise CapabilityViolation("apply_x")
-        self.ops_log.append("apply_x")
+        self.ops_log.add("apply_x")
         self.bank.x(label)
 
 

@@ -12,19 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..adversary import AttackStrategy, build_attack
-from ..errors import ZeroCount
-from ..parties import (
-    Capability,
-    ClassicalAction,
-    PartyContext,
-    Permutation,
-    choose_actions,
-    random_permutation,
-)
-from ..qsim import BellKind, RegisterBank
-from ..rng import RandomSource
-from .common import AbortReason, Bits, SessionOutcome, Transcript
+from ..adversary import AttackStrategy
+from ..parties import ClassicalAction, choose_actions
+from ..qsim import BellKind
+from .common import Bits, Session, SessionOutcome
 
 
 @dataclass(frozen=True)
@@ -58,187 +49,71 @@ def decode_dialogue(outcome: BellKind, own_bit: int) -> int:
 
 
 def run_sqd(config: SqdConfig) -> SessionOutcome:
-    n = config.n
-    m = config.decoy_count()
-    if n < 1 or m < 1:
-        raise ZeroCount(f"need n >= 1 and m >= 1, got n={n}, m={m}")
+    session = Session(config, "sqd", classical="bob")
     if config.final_measurement not in ("bell", "zz"):
         raise ValueError("final_measurement must be 'bell' or 'zz'")
-
-    root = RandomSource(config.seed)
-    bank = RegisterBank()
-    transcript = Transcript()
-    alice = PartyContext("alice", Capability.QUANTUM, root.spawn(1), bank)
-    bob = PartyContext("bob", Capability.CLASSICAL, root.spawn(2), bank)
-    eve_rng = (
-        RandomSource(config.attack.eve_rng_seed)
-        if config.attack.eve_rng_seed is not None
-        else root.spawn(3)
-    )
-    eve = PartyContext("eve", Capability.QUANTUM, eve_rng, bank)
-    attack = build_attack(config.attack, "sqd", eve)
-
-    total = n + m
+    alice, bob, transcript = session.alice, session.bob, session.transcript
+    n = session.n
     m_a = config.alice_message if config.alice_message is not None else alice.rng.bits(n)
     m_b = config.bob_message if config.bob_message is not None else bob.rng.bits(n)
     if len(m_a) != n or len(m_b) != n:
         raise ValueError("messages must have length n")
 
-    transcript.log("alice", "prepare_pairs", count=total, state=BellKind.PSI_PLUS.value)
-    travel: list[str] = []
-    for i in range(total):
-        alice.prepare_bell(BellKind.PSI_PLUS, f"H{i}", f"T{i}")
-        travel.append(f"T{i}")
-    transcript.log("alice", "send_travel", count=total)
-    travel = attack.forward_leg("forward", travel)
+    session.psi_pairs()
     transcript.log("bob", "ack_receipt")
-
-    s = config.spot_count()
-    spot_positions = sorted(alice.rng.sample(total, s)) if s else []
-    spot_mismatches = 0
-    for p in spot_positions:
-        u = alice.measure_z(f"H{p}")
-        v = bob.measure_z(travel[p])
-        if u ^ v:  # psi+ pairs are Z-correlated
-            spot_mismatches += 1
-    spot_rate = spot_mismatches / s if s else 0.0
-    transcript.log(
-        "all", "correlation_check",
-        positions=list(spot_positions), mismatches=spot_mismatches, checked=s,
+    session.details["eve_truth"] = tuple(m_b)
+    # psi+ pairs are Z-correlated
+    aborted = session.spot_check(
+        alice, lambda p: alice.measure_z(f"H{p}") ^ bob.measure_z(session.travel[p])
     )
+    if aborted:
+        return aborted
 
-    details: dict = {
-        "spot_checked": s,
-        "spot_mismatches": spot_mismatches,
-        "decoy_checked": 0,
-        "decoy_mismatches": 0,
-        "eve_truth": tuple(m_b),
-    }
-
-    def finish(aborted, reason, keys, error_rate) -> SessionOutcome:
-        details["party_ops"] = {
-            "alice": sorted(set(alice.ops_log)),
-            "bob": sorted(set(bob.ops_log)),
-        }
-        return SessionOutcome(
-            protocol="sqd",
-            aborted=aborted,
-            abort_reason=reason,
-            keys=keys,
-            transcript=transcript,
-            error_rate_observed=error_rate,
-            eve_inferences=attack.state.inferred_bits,
-            raw=None,
-            details=details,
-        )
-
-    if s and spot_rate > config.threshold:
-        transcript.log("alice", "abort", reason=AbortReason.CORRELATION_MISMATCH.value)
-        attack.finalize([])
-        return finish(True, AbortReason.CORRELATION_MISMATCH, {}, spot_rate)
-
-    spot_set = set(spot_positions)
-    remaining = [p for p in range(total) if p not in spot_set]
-    attack.reindex(remaining)
-    local_index = {p: i for i, p in enumerate(remaining)}
-    decoys_left = m - s
-    size = len(remaining)
-
+    remaining = session.slots
+    decoys_left = len(remaining) - n
     if decoys_left >= 1:
         actions = choose_actions(n, decoys_left, bob.rng)
-        measured_local = [
-            i for i, a in enumerate(actions) if a is ClassicalAction.MEASURE_AND_PREPARE
+        encoded = [
+            remaining[i] for i, a in enumerate(actions) if a is ClassicalAction.MEASURE_AND_PREPARE
         ]
     else:  # spot check consumed the whole decoy budget
-        measured_local = list(range(size))
-    encode_positions = [remaining[i] for i in measured_local]
-    encode_index = {p: i for i, p in enumerate(encode_positions)}
-    decoy_positions = [p for p in remaining if p not in encode_index]
+        encoded = list(remaining)
 
-    r_b: list[int] = []
-    out_seq: list[str] = []
-    for p in remaining:
-        if p in encode_index:
-            idx = encode_index[p]
-            outcome = bob.measure_z(travel[p])
-            r_b.append(outcome)
-            out_seq.append(bob.prepare_z(outcome ^ m_b[idx], f"B{p}"))
-        else:
-            out_seq.append(bob.reflect(travel[p]))
-    transcript.log("bob", "encode", count=n)
+    zz = config.final_measurement == "zz"
 
-    pi = (
-        random_permutation(size, bob.rng)
-        if config.permutation_enabled
-        else Permutation.identity(size)
-    )
-    wire = bob.permute(pi, out_seq)
-    transcript.log("bob", "return_sequence", count=size)
+    def receive(i: int, qubit: str):
+        """Alice adds her bit with I/X, then measures the pair: parity or Bell state."""
+        home = f"H{encoded[i]}"
+        if m_a[i]:
+            alice.x(qubit)
+        if zz:
+            return alice.measure_z(home) ^ alice.measure_z(qubit)
+        return alice.measure_bell(home, qubit)
 
-    # per-wire processing (see sqka runner note on commuting wire-order sampling)
-    origin_of_wire = {pi.destination(i): remaining[i] for i in range(size)}
-    bell_outcomes: dict[int, BellKind] = {}
-    final_parity: dict[int, int] = {}
-    final_kind: dict[int, BellKind] = {}
-    for j in range(size):
-        qubit = attack.wire("return", j, wire[j])
-        p = origin_of_wire[j]
-        if p in encode_index:
-            idx = encode_index[p]
-            if m_a[idx]:
-                alice.x(qubit)
-            if config.final_measurement == "bell":
-                kind = alice.measure_bell(f"H{p}", qubit)
-                final_kind[p] = kind
-                final_parity[p] = kind.parity
-            else:
-                u = alice.measure_z(f"H{p}")
-                v = alice.measure_z(qubit)
-                final_parity[p] = u ^ v
-        else:
-            bell_outcomes[p] = alice.measure_bell(f"H{p}", qubit)
-        attack.after_wire("return", j)
-
-    transcript.log("alice", "ack_receipt")
-    decoy_wire = {p: pi.destination(local_index[p]) for p in decoy_positions}
-    transcript.log(
-        "bob", "reveal_decoy_positions", mapping=sorted([p, w] for p, w in decoy_wire.items())
-    )
-
-    decoy_mismatches = sum(
-        1 for p in decoy_positions if bell_outcomes[p] is not BellKind.PSI_PLUS
-    )
-    decoy_rate = decoy_mismatches / decoys_left if decoys_left else 0.0
-    transcript.log("alice", "bell_check", mismatches=decoy_mismatches, checked=decoys_left)
-    details["decoy_checked"] = decoys_left
-    details["decoy_mismatches"] = decoy_mismatches
-
-    encoded_wires = [pi.destination(local_index[p]) for p in encode_positions]
-    attack.finalize(encoded_wires)
-    details["encoded_origins"] = list(encode_positions)
-    details["encoded_wires"] = list(encoded_wires)
-
-    error_rate = (spot_mismatches + decoy_mismatches) / max(s + decoys_left, 1)
-
-    if decoys_left and decoy_rate > config.threshold:
-        transcript.log("alice", "abort", reason=AbortReason.BELL_MISMATCH.value)
-        return finish(True, AbortReason.BELL_MISMATCH, {}, error_rate)
+    r_b = session.exchange(encoded, m_b, "return_sequence", receive)
+    transcript.log("bob", "reveal_decoy_positions", mapping=session.decoy_wires())
+    aborted = session.bell_check(lambda p: BellKind.PSI_PLUS)
+    if aborted:
+        return aborted
 
     transcript.log(
-        "bob", "reveal_message_permutation", mapping=[[i, w] for i, w in enumerate(encoded_wires)]
+        "bob",
+        "reveal_message_permutation",
+        mapping=[[i, w] for i, w in enumerate(session.encoded_wires)],
     )
-
-    parities = tuple(final_parity[p] for p in encode_positions)
-    if config.final_measurement == "bell":
-        outcomes = [final_kind[p] for p in encode_positions]
+    details = session.details
+    if zz:
+        parities = tuple(session.received)
+        transcript.log("alice", "announce_outcomes", parities=list(parities))
+        bob_decoded = tuple(parities[i] ^ m_b[i] for i in range(n))
+        alice_decoded = tuple(parities[i] ^ m_a[i] for i in range(n))
+    else:
+        outcomes = list(session.received)
+        parities = tuple(kind.parity for kind in outcomes)
         transcript.log("alice", "announce_outcomes", outcomes=[k.value for k in outcomes])
         bob_decoded = tuple(decode_dialogue(outcomes[i], m_b[i]) for i in range(n))
         alice_decoded = tuple(decode_dialogue(outcomes[i], m_a[i]) for i in range(n))
         details["final_outcomes"] = outcomes
-    else:
-        transcript.log("alice", "announce_outcomes", parities=list(parities))
-        bob_decoded = tuple(parities[i] ^ m_b[i] for i in range(n))
-        alice_decoded = tuple(parities[i] ^ m_a[i] for i in range(n))
     details["final_parities"] = parities
     transcript.log("both", "decode", count=n)
 
@@ -253,4 +128,4 @@ def run_sqd(config: SqdConfig) -> SessionOutcome:
         bob_decoded + alice_decoded,
     )
     details["r_b"] = tuple(r_b)
-    return finish(False, AbortReason.NONE, keys, error_rate)
+    return session.finish(keys)

@@ -14,28 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from ..adversary import AttackStrategy, build_attack
-from ..errors import ZeroCount
-from ..parties import (
-    Capability,
-    ClassicalAction,
-    PartyContext,
-    Permutation,
-    choose_actions,
-    commit,
-    random_permutation,
-    verify,
-)
-from ..qsim import BellKind, RegisterBank
-from ..rng import RandomSource
-from .common import (
-    AbortReason,
-    Bits,
-    RawKeys,
-    SessionOutcome,
-    Transcript,
-    xor_bits,
-)
+from ..adversary import AttackStrategy
+from ..parties import ClassicalAction, choose_actions, commit, verify
+from ..qsim import BellKind
+from .common import AbortReason, Bits, RawKeys, Session, SessionOutcome, xor_bits
 
 
 @dataclass(frozen=True)
@@ -75,26 +57,9 @@ def run_sqkd(config: SqkaConfig) -> SessionOutcome:
 
 
 def _run_keyed(config: SqkaConfig, announce_key: bool) -> SessionOutcome:
-    n = config.n
-    m = config.decoy_count()
-    if n < 1 or m < 1:
-        raise ZeroCount(f"need n >= 1 and m >= 1, got n={n}, m={m}")
-    protocol = "sqka" if announce_key else "sqkd"
-
-    root = RandomSource(config.seed)
-    bank = RegisterBank()
-    transcript = Transcript()
-    alice = PartyContext("alice", Capability.QUANTUM, root.spawn(1), bank)
-    bob = PartyContext("bob", Capability.CLASSICAL, root.spawn(2), bank)
-    eve_rng = (
-        RandomSource(config.attack.eve_rng_seed)
-        if config.attack.eve_rng_seed is not None
-        else root.spawn(3)
-    )
-    eve = PartyContext("eve", Capability.QUANTUM, eve_rng, bank)
-    attack = build_attack(config.attack, protocol, eve)
-
-    total = n + m
+    session = Session(config, "sqka" if announce_key else "sqkd", classical="bob")
+    alice, bob, transcript = session.alice, session.bob, session.transcript
+    n = session.n
     k_a = config.fixed_k_a if config.fixed_k_a is not None else alice.rng.bits(n)
     k_b = config.fixed_k_b if config.fixed_k_b is not None else bob.rng.bits(n)
     if len(k_a) != n or len(k_b) != n:
@@ -107,99 +72,18 @@ def _run_keyed(config: SqkaConfig, announce_key: bool) -> SessionOutcome:
         c_b = commit(k_b, bob.rng)
         transcript.log("bob", "commit_K_B", digest=c_b.digest.hex())
 
-    transcript.log("alice", "prepare_pairs", count=total, state=BellKind.PSI_PLUS.value)
-    travel: list[str] = []
-    for i in range(total):
-        alice.prepare_bell(BellKind.PSI_PLUS, f"H{i}", f"T{i}")
-        travel.append(f"T{i}")
-    transcript.log("alice", "send_travel", count=total)
-    travel = attack.forward_leg("forward", travel)
-
-    actions = choose_actions(n, m, bob.rng)
-    measured_positions = [
-        i for i, a in enumerate(actions) if a is ClassicalAction.MEASURE_AND_PREPARE
-    ]
-    reflected_positions = [i for i, a in enumerate(actions) if a is ClassicalAction.REFLECT]
-    encoded_set = set(measured_positions)
-
-    r_b: list[int] = []
-    return_seq = list(travel)
-    for idx, p in enumerate(measured_positions):
-        outcome = bob.measure_z(travel[p])
-        r_b.append(outcome)
-        return_seq[p] = bob.prepare_z(outcome ^ k_b[idx], f"B{p}")
-    for p in reflected_positions:
-        return_seq[p] = bob.reflect(travel[p])
-    transcript.log("bob", "encode", count=n)
-
-    pi = (
-        random_permutation(total, bob.rng)
-        if config.permutation_enabled
-        else Permutation.identity(total)
+    session.psi_pairs()
+    actions = choose_actions(n, session.m, bob.rng)
+    encoded = [i for i, a in enumerate(actions) if a is ClassicalAction.MEASURE_AND_PREPARE]
+    r_b = session.exchange(encoded, k_b, "return_sequence", lambda i, q: alice.measure_z(q))
+    transcript.log("bob", "reveal_Pi_m", mapping=session.decoy_wires())
+    session.details["eve_truth"] = tuple(k_b)
+    session.details["eve_wire_classifications"] = dict(
+        session.attack.state.wire_classifications
     )
-    wire = bob.permute(pi, return_seq)
-    transcript.log("bob", "return_sequence", count=total)
-
-    # Per-wire processing: the eavesdropper hook, the receiving measurement
-    # and the ancilla readout all act on disjoint qubits across wires, so
-    # they commute with the later classical stages; sampling them in wire
-    # order keeps every register within the qubit cap.
-    origin_of_wire = {pi.destination(p): p for p in range(total)}
-    bell_outcomes: dict[int, BellKind] = {}
-    wire_z: dict[int, int] = {}
-    for j in range(total):
-        qubit = attack.wire("return", j, wire[j])
-        origin = origin_of_wire[j]
-        if origin in encoded_set:
-            wire_z[j] = alice.measure_z(qubit)
-        else:
-            bell_outcomes[origin] = alice.measure_bell(f"H{origin}", qubit)
-        attack.after_wire("return", j)
-
-    transcript.log("alice", "ack_receipt")
-    decoy_map = {p: pi.destination(p) for p in reflected_positions}
-    transcript.log(
-        "bob", "reveal_Pi_m", mapping=sorted([p, w] for p, w in decoy_map.items())
-    )
-
-    mismatches = sum(1 for p in reflected_positions if bell_outcomes[p] is not BellKind.PSI_PLUS)
-    error_rate = mismatches / m
-    transcript.log("alice", "bell_check", mismatches=mismatches, checked=m)
-
-    encoded_wire_by_idx = [pi.destination(p) for p in measured_positions]
-    attack.finalize(encoded_wire_by_idx)
-
-    details = {
-        "decoy_checked": m,
-        "decoy_mismatches": mismatches,
-        "spot_checked": 0,
-        "spot_mismatches": 0,
-        "eve_truth": tuple(k_b),
-        "eve_wire_classifications": dict(attack.state.wire_classifications),
-        "encoded_origins": list(measured_positions),
-        "encoded_wires": list(encoded_wire_by_idx),
-    }
-
-    def finish(aborted: bool, reason: AbortReason, keys: dict, raw: RawKeys | None) -> SessionOutcome:
-        details["party_ops"] = {
-            "alice": sorted(set(alice.ops_log)),
-            "bob": sorted(set(bob.ops_log)),
-        }
-        return SessionOutcome(
-            protocol=protocol,
-            aborted=aborted,
-            abort_reason=reason,
-            keys=keys,
-            transcript=transcript,
-            error_rate_observed=error_rate,
-            eve_inferences=attack.state.inferred_bits,
-            raw=raw,
-            details=details,
-        )
-
-    if error_rate > config.threshold:
-        transcript.log("alice", "abort", reason=AbortReason.BELL_MISMATCH.value)
-        return finish(True, AbortReason.BELL_MISMATCH, {}, None)
+    aborted = session.bell_check(lambda p: BellKind.PSI_PLUS)
+    if aborted:
+        return aborted
 
     if announce_key:
         announced = config.dishonest_k_a if config.dishonest_k_a is not None else k_a
@@ -209,41 +93,36 @@ def _run_keyed(config: SqkaConfig, announce_key: bool) -> SessionOutcome:
         announced = None
         k_f_bob = k_b
 
-    claimed_wire_by_idx = list(encoded_wire_by_idx)
+    # claimed[i]: the encoded slot whose wire Bob discloses as slot i's
+    claimed = list(range(n))
     if config.dishonest_pi_n and n >= 2:
-        claimed_wire_by_idx[0], claimed_wire_by_idx[1] = (
-            claimed_wire_by_idx[1],
-            claimed_wire_by_idx[0],
-        )
-    transcript.log("bob", "reveal_Pi_n", mapping=[[i, w] for i, w in enumerate(claimed_wire_by_idx)])
+        claimed[0], claimed[1] = 1, 0
+    wires = session.encoded_wires
+    transcript.log("bob", "reveal_Pi_n", mapping=[[i, wires[c]] for i, c in enumerate(claimed)])
 
     if config.commitments_enabled and announce_key:
         ok = verify(c_a, announced)
         transcript.log("bob", "verify_commitment", party="alice", ok=ok)
         if not ok:
-            transcript.log("bob", "abort", reason=AbortReason.COMMITMENT_MISMATCH.value)
-            return finish(True, AbortReason.COMMITMENT_MISMATCH, {}, None)
+            return session.abort("bob", AbortReason.COMMITMENT_MISMATCH)
 
-    r_a = tuple(alice.measure_z(f"H{p}") for p in measured_positions)
-    travel_bits = tuple(wire_z[w] for w in claimed_wire_by_idx)
+    r_a = tuple(alice.measure_z(f"H{p}") for p in encoded)
     k_b_decoded = tuple(
-        extract_bob_key_bit(r_a[i], travel_bits[i]) for i in range(n)
+        extract_bob_key_bit(r_a[i], session.received[c]) for i, c in enumerate(claimed)
     )
 
     if config.commitments_enabled:
         ok = verify(c_b, k_b_decoded)
         transcript.log("alice", "verify_commitment", party="bob", ok=ok)
         if not ok:
-            transcript.log("alice", "abort", reason=AbortReason.COMMITMENT_MISMATCH.value)
-            return finish(True, AbortReason.COMMITMENT_MISMATCH, {}, None)
+            return session.abort("alice", AbortReason.COMMITMENT_MISMATCH)
 
     k_f_alice = xor_bits(announced, k_b_decoded) if announce_key else k_b_decoded
     transcript.log("alice", "compute_K_f")
 
-    keys = {"alice": k_f_alice, "bob": tuple(k_f_bob)}
     raw = RawKeys(tuple(k_a), tuple(k_b), r_a, tuple(r_b), tuple(k_f_bob))
-    details["match_bits"] = (tuple(k_f_bob), tuple(k_f_alice))
-    return finish(False, AbortReason.NONE, keys, raw)
+    session.details["match_bits"] = (tuple(k_f_bob), tuple(k_f_alice))
+    return session.finish({"alice": k_f_alice, "bob": tuple(k_f_bob)}, raw)
 
 
 def detection_disabled(config: SqkaConfig) -> SqkaConfig:

@@ -17,7 +17,6 @@ from semiquantum.analysis import (
     TABLE3,
     detection_model,
     efficiency_report,
-    qubit_efficiency,
 )
 from semiquantum.protocols import (
     CdssqcConfig,
@@ -123,9 +122,9 @@ def test_criterion_3_efficiency_table():
     assert TABLE3["cdssqc-ghz"].efficiency() == Fraction(1, 25)
     assert TABLE3["sqd"].efficiency() == Fraction(1, 5)
     assert TABLE3["cdssqc-switch"].efficiency() == Fraction(1, 21)
-    assert qubit_efficiency(TABLE3["sqka"].inputs(n=9)) == pytest.approx(0.10, abs=1e-15)
-    assert qubit_efficiency(TABLE3["cdssqc-ghz"].inputs(n=9)) == pytest.approx(0.04, abs=1e-15)
-    assert qubit_efficiency(TABLE3["sqd"].inputs(n=9)) == pytest.approx(0.20, abs=1e-15)
+    assert float(TABLE3["sqka"].efficiency()) == pytest.approx(0.10, abs=1e-15)
+    assert float(TABLE3["cdssqc-ghz"].efficiency()) == pytest.approx(0.04, abs=1e-15)
+    assert float(TABLE3["sqd"].efficiency()) == pytest.approx(0.20, abs=1e-15)
     assert float(Fraction(1, 21)) == pytest.approx(0.047619, abs=1e-6)
     rep = efficiency_report("cdssqc-switch")
     assert rep["eta_exact"] == [1, 21]

@@ -7,12 +7,7 @@ from semiquantum.adversary import (
     AttackStrategy,
     EveState,
     build_attack,
-    cnot_backward,
-    cnot_forward,
     default_legs,
-    intercept_resend_backward,
-    intercept_resend_forward,
-    measure_resend_z,
 )
 from semiquantum.parties import Capability, PartyContext
 from semiquantum.qsim import (
@@ -33,15 +28,20 @@ def quantum_party(name="eve", seed=9):
     return PartyContext(name, Capability.QUANTUM, RandomSource(seed), bank), bank
 
 
+def sqka_attack(kind, seed=9):
+    """The hooks of ``kind`` against sqka (default legs), and Eve's bank."""
+    eve, bank = quantum_party(seed=seed)
+    return build_attack(AttackStrategy(kind), "sqka", eve), bank
+
+
 # ---------------------------------------------------------------------------
 # entangle-probe (CNOT) attack
 
 
 def test_cnot_forward_produces_three_qubit_chain():
-    eve, bank = quantum_party()
+    attack, bank = sqka_attack(AttackKind.CNOT)
     bank.prepare_bell(BellKind.PSI_PLUS, "H0", "T0")
-    state = EveState()
-    cnot_forward(eve, ["T0"], state)
+    assert attack.forward_leg(["T0"]) == ["T0"]
     merged = bank.state_of("T0")
     # (|000> + |111>)/sqrt(2) over (home, travel, ancilla)
     assert set(merged.labels) == {"H0", "T0", "_EA0"}
@@ -58,12 +58,12 @@ def test_cnot_reflected_position_is_trace_free():
     # with matched pairing the second CNOT undoes the first: ancilla reads 0
     # and the pair Bell-checks as psi+ with certainty
     for seed in range(10):
-        eve, bank = quantum_party(seed=seed)
+        attack, bank = sqka_attack(AttackKind.CNOT, seed=seed)
         bank.prepare_bell(BellKind.PSI_PLUS, "H0", "T0")
-        state = EveState()
-        cnot_forward(eve, ["T0"], state)
-        bits = cnot_backward(eve, ["T0"], state)
-        assert bits == [0]
+        attack.forward_leg(["T0"])
+        assert attack.wire(0, "T0") == "T0"
+        attack.after_wire(0)
+        assert attack.state.wire_bits == {0: 0}
         pair = bank.state_of("H0")
         probs = dict(zip(BELL_ORDER, bell_probabilities(pair, "H0", "T0")))
         assert probs[BellKind.PSI_PLUS] == pytest.approx(1.0, abs=1e-12)
@@ -73,15 +73,15 @@ def test_cnot_reflected_position_is_trace_free():
 def test_cnot_encoded_position_reads_key_bit(k_b):
     # without a permutation the ancilla deterministically holds the key bit
     for seed in range(8):
-        eve, bank = quantum_party(seed=seed)
+        attack, bank = sqka_attack(AttackKind.CNOT, seed=seed)
         bob = PartyContext("bob", Capability.CLASSICAL, RandomSource(seed + 100), bank)
         bank.prepare_bell(BellKind.PSI_PLUS, "H0", "T0")
-        state = EveState()
-        cnot_forward(eve, ["T0"], state)
+        attack.forward_leg(["T0"])
         r = bob.measure_z("T0")
         bob.prepare_z(r ^ k_b, "B0")
-        bits = cnot_backward(eve, ["B0"], state)
-        assert bits == [k_b]
+        attack.wire(0, "B0")
+        attack.after_wire(0)
+        assert attack.state.wire_bits == {0: k_b}
 
 
 # ---------------------------------------------------------------------------
@@ -89,10 +89,9 @@ def test_cnot_encoded_position_reads_key_bit(k_b):
 
 
 def test_ir_forward_substitutes_uniform_halves():
-    eve, bank = quantum_party()
+    attack, bank = sqka_attack(AttackKind.INTERCEPT_RESEND)
     bank.prepare_bell(BellKind.PSI_PLUS, "H0", "T0")
-    state = EveState()
-    out = intercept_resend_forward(eve, ["T0"], state)
+    out = attack.forward_leg(["T0"])
     assert out == ["_EF0"]
     # forwarded qubit is a maximally mixed Bell half
     fwd = bank.state_of("_EF0")
@@ -139,16 +138,15 @@ def test_ir_classification_confusion_matrix():
 def test_ir_backward_classifies_and_resends():
     hits = {"measured": 0, "unknown": 0}
     for seed in range(60):
-        eve, bank = quantum_party(seed=seed)
+        attack, bank = sqka_attack(AttackKind.INTERCEPT_RESEND, seed=seed)
         bob = PartyContext("bob", Capability.CLASSICAL, RandomSource(seed + 7), bank)
         bank.prepare_bell(BellKind.PSI_PLUS, "H0", "T0")
-        state = EveState()
-        fwd = intercept_resend_forward(eve, ["T0"], state)
+        fwd = attack.forward_leg(["T0"])
         r = bob.measure_z(fwd[0])
         k_b = seed % 2
         bob.prepare_z(r ^ k_b, "B0")
-        out = intercept_resend_backward(eve, ["B0"], state)
-        assert out == ["_ES0"]
+        assert attack.wire(0, "B0") == "_ES0"
+        state = attack.state
         cls = state.wire_classifications[0]
         if cls == "measured":
             assert state.wire_bits[0] == k_b  # identified bits are always right
@@ -165,11 +163,10 @@ def test_ir_backward_classifies_and_resends():
 
 
 def test_measure_resend_forwards_outcome_copies():
-    eve, bank = quantum_party()
+    attack, bank = sqka_attack(AttackKind.MEASURE_RESEND)
     bank.prepare_bell(BellKind.PSI_PLUS, "H0", "T0")
-    state = EveState()
-    out = measure_resend_z(eve, ["T0"], state)
-    u = state.forward_bits[0]
+    out = attack.forward_leg(["T0"])
+    u = attack.state.forward_bits[0]
     # home qubit collapsed to the same value: Z-Z correlation survives
     home = bank.state_of("H0")
     expected = [1.0, 0.0] if u == 0 else [0.0, 1.0]
@@ -219,7 +216,7 @@ def test_eve_rng_seed_override_changes_attack_randomness():
 def test_none_attack_passthrough():
     eve, _ = quantum_party()
     attack = build_attack(AttackStrategy.none(), "sqka", eve)
-    assert attack.forward_leg("forward", ["a", "b"]) == ["a", "b"]
-    assert attack.wire("return", 0, "a") == "a"
+    assert attack.forward_leg(["a", "b"]) == ["a", "b"]
+    assert attack.wire(0, "a") == "a"
     attack.finalize([0, 1])
     assert attack.state.inferred_bits is None  # no adversary, no inference record

@@ -8,7 +8,6 @@ from semiquantum.analysis import (
     CSV_COLUMNS,
     SWITCH_ETA_QUOTED,
     TABLE3,
-    EfficiencyInput,
     ProtocolCostRow,
     detection_model,
     efficiency_report,
@@ -16,7 +15,6 @@ from semiquantum.analysis import (
     emit_transcript,
     parse_stats,
     parse_transcript,
-    qubit_efficiency,
     run_trials,
 )
 from semiquantum.errors import UnknownAttack
@@ -30,25 +28,23 @@ from semiquantum.protocols import SqdConfig, SqkaConfig, run_sqka
 @pytest.mark.parametrize(
     "inp,expected",
     [
-        (EfficiencyInput(c=8, q_c=16, d=24, b=40), 0.10),
-        (EfficiencyInput(c=16, q_c=16, d=24, b=40), 0.20),
-        (EfficiencyInput(c=8, q_c=32, d=104, b=64), 0.04),
+        (ProtocolCostRow("a", c=8, q_c=16, d=24, b=40), 0.10),
+        (ProtocolCostRow("b", c=16, q_c=16, d=24, b=40), 0.20),
+        (ProtocolCostRow("c", c=8, q_c=32, d=104, b=64), 0.04),
     ],
 )
 def test_qubit_efficiency_values(inp, expected):
-    assert qubit_efficiency(inp) == pytest.approx(expected, abs=1e-12)
+    assert float(inp.efficiency()) == pytest.approx(expected, abs=1e-12)
 
 
 def test_qubit_efficiency_switch_exact_ratio():
-    inp = EfficiencyInput(c=8, q_c=24, d=80, b=64)
-    assert qubit_efficiency(inp) == pytest.approx(1 / 21, abs=1e-12)
+    inp = ProtocolCostRow("cdssqc-switch", c=8, q_c=24, d=80, b=64)
+    assert float(inp.efficiency()) == pytest.approx(1 / 21, abs=1e-12)
 
 
 def test_qubit_efficiency_errors():
     with pytest.raises(ZeroDivisionError):
-        qubit_efficiency(EfficiencyInput(c=0, q_c=0, d=0, b=0))
-    with pytest.raises(ValueError):
-        EfficiencyInput(c=-1, q_c=0, d=0, b=1)
+        ProtocolCostRow("empty", c=0, q_c=0, d=0, b=0).efficiency()
 
 
 def test_cost_rows_are_exact_rationals():
@@ -60,10 +56,11 @@ def test_cost_rows_are_exact_rationals():
 
 
 def test_cost_row_scales_with_n():
+    # eta is a ratio of per-bit coefficients, so n bits cost the same ratio
     row = ProtocolCostRow("sqka", c=1, q_c=2, d=3, b=5)
-    inp = row.inputs(n=7)
-    assert (inp.c, inp.q_c, inp.d, inp.b) == (7, 14, 21, 35)
-    assert qubit_efficiency(inp) == pytest.approx(0.10)
+    scaled = ProtocolCostRow("sqka", c=7, q_c=14, d=21, b=35)
+    assert scaled.efficiency() == row.efficiency()
+    assert float(row.efficiency()) == pytest.approx(0.10)
 
 
 def test_switch_report_flags_quoted_figure():

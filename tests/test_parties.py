@@ -57,7 +57,7 @@ def test_classical_party_cannot_touch_quantum_surface():
     with pytest.raises(CapabilityViolation):
         bob.cnot("h", "t")
     assert bob.measure_z("t") in (0, 1)
-    assert set(bob.ops_log) <= set(ALLOWED_CLASSICAL)
+    assert bob.ops_log <= set(ALLOWED_CLASSICAL)
 
 
 @pytest.mark.parametrize(
@@ -81,11 +81,11 @@ def test_every_quantum_op_refused_to_classical_party(method, args, op):
     with pytest.raises(CapabilityViolation) as err:
         getattr(bob, method)(*args)
     assert err.value.op == op and repr(op) in str(err.value)
-    assert bob.ops_log == []
+    assert bob.ops_log == set()
     assert bank.labels() == before and bank.state_of("t") is pair
     # the same call is open to a quantum party
     getattr(alice, method)(*args)
-    assert alice.ops_log[-1] == op
+    assert alice.ops_log == {"prepare_bell", op}
 
 
 # ---------------------------------------------------------------------------
@@ -109,15 +109,16 @@ def test_permutation_roundtrip(seed, size):
     rng = RandomSource(seed)
     perm = random_permutation(size, rng)
     seq = list(range(size))
-    assert perm.invert().apply(perm.apply(seq)) == seq
-    assert sorted(perm.apply(seq)) == seq  # pure reordering
+    moved = perm.apply(seq)
+    assert [moved[perm.destination(i)] for i in range(size)] == seq
+    assert sorted(moved) == seq  # pure reordering
 
 
 def test_permutation_destination_source():
     perm = Permutation(3, (2, 0, 1))
     assert perm.apply(["a", "b", "c"]) == ["b", "c", "a"]
     assert perm.destination(0) == 2
-    assert perm.source(2) == 0
+    assert perm.apply([0, 1, 2])[2] == 0  # wire 2 carries input 0
 
 
 def test_permutation_uniform_at_size_three():

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 # Loads reproduce_figures, swaps run_sqka for a recorder of the seeds it is
@@ -56,3 +58,25 @@ def test_reproduce_figures_output_is_pinned():
         env=env, capture_output=True, check=True,
     )
     assert hashlib.sha256(out.stdout).hexdigest() == REPRODUCE_FIGURES_SHA256
+
+
+@pytest.mark.parametrize(
+    "script, args",
+    [
+        ("attack_sweep.py", ["--trials", "0"]),
+        ("attack_sweep.py", ["--n", "0", "--trials", "1"]),
+        ("attack_sweep.py", ["--seed", "-1", "--trials", "1"]),
+        ("attack_sweep.py", ["--seed", str(2**64), "--trials", "1"]),
+        ("reproduce_figures.py", ["--seed", "-1"]),
+    ],
+)
+def test_bad_arguments_exit_2_without_traceback(script, args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script), *args],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "error:" in proc.stderr and "Traceback" not in proc.stderr
