@@ -291,6 +291,9 @@ def build_attack(strategy: AttackStrategy, protocol: str, eve: PartyContext | No
     if strategy.kind is AttackKind.INTERCEPT_RESEND:
         if protocol in ("cdssqc-ghz", "cdssqc-switch"):
             return SubstituteSinglesAttack(eve, legs)
+        if "return" in legs and "forward" not in legs:
+            raise ValueError("intercept-resend classifies return wires against the Bell "
+                             "pairs it swaps in on the forward leg, so it needs both legs")
         return InterceptResendAttack(eve, legs)
     if strategy.kind is AttackKind.MEASURE_RESEND:
         return MeasureResendAttack(eve, legs)

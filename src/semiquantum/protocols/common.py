@@ -11,7 +11,7 @@ from ..adversary import build_attack
 from ..errors import ZeroCount
 from ..parties import Capability, PartyContext, Permutation, random_permutation
 from ..qsim import BellKind, RegisterBank
-from ..rng import RandomSource
+from ..rng import RandomSource, derive_seed
 
 Bits = tuple[int, ...]
 
@@ -97,7 +97,7 @@ class Session:
     decoys and returns the sequence permuted; the quantum ``receiver``
     Bell-checks each decoy against its home partner.  The runners call the
     stages in protocol order and keep only what differs.  Each party draws
-    from its own stream, spawned from the session seed (alice 1, bob 2,
+    from its own stream, derived from the session seed (alice 1, bob 2,
     charlie 4, Eve 3 unless the attack brings its own seed), so seeded output
     depends only on the order of each party's own draws.
     """
@@ -111,11 +111,10 @@ class Session:
         self.total = self.n + self.m
         self.transcript = Transcript()
         bank = RegisterBank()
-        root = RandomSource(config.seed)
 
         def party(name: str, stream: int) -> PartyContext:
             cap = Capability.CLASSICAL if name == classical else Capability.QUANTUM
-            return PartyContext(name, cap, root.spawn(stream), bank)
+            return PartyContext(name, cap, RandomSource(derive_seed(config.seed, stream)), bank)
 
         self.alice, self.bob = party("alice", 1), party("bob", 2)
         self.charlie = party("charlie", 4) if controller else None
@@ -124,7 +123,7 @@ class Session:
             (self.alice, self.bob) if classical == "alice" else (self.bob, self.alice)
         )
         eve_seed = config.attack.eve_rng_seed
-        eve_rng = root.spawn(3) if eve_seed is None else RandomSource(eve_seed)
+        eve_rng = RandomSource(derive_seed(config.seed, 3) if eve_seed is None else eve_seed)
         eve = PartyContext("eve", Capability.QUANTUM, eve_rng, bank)
         self.attack = build_attack(config.attack, protocol, eve)
         self.slots = list(range(self.total))  # the positions still in play
@@ -189,8 +188,8 @@ class Session:
         slots in play, and sends the sequence under a secret permutation.
         On each wire Eve's hook acts, then the receiver either reads encoded
         slot i through ``receive(i, qubit)`` into ``received[i]`` or
-        Bell-measures a decoy against its home partner.  Returns the sender's
-        Z outcomes.
+        Bell-measures a decoy against its home partner.  Records how Eve
+        classified each wire and returns the sender's Z outcomes.
         """
         sender, travel, slots = self.sender, self.travel, self.slots
         index = {p: i for i, p in enumerate(encoded)}
@@ -234,6 +233,7 @@ class Session:
                 self.bell[p] = self.receiver.measure_bell(self.home[p], qubit)
             self.attack.after_wire(j)
         self.transcript.log(self.receiver.name, "ack_receipt")
+        self.details["eve_wire_classifications"] = dict(self.attack.state.wire_classifications)
         return outcomes
 
     def decoy_wires(self) -> list[list[int]]:

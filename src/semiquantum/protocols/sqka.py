@@ -78,9 +78,6 @@ def _run_keyed(config: SqkaConfig, announce_key: bool) -> SessionOutcome:
     r_b = session.exchange(encoded, k_b, "return_sequence", lambda i, q: alice.measure_z(q))
     transcript.log("bob", "reveal_Pi_m", mapping=session.decoy_wires())
     session.details["eve_truth"] = tuple(k_b)
-    session.details["eve_wire_classifications"] = dict(
-        session.attack.state.wire_classifications
-    )
     aborted = session.bell_check(lambda p: BellKind.PSI_PLUS)
     if aborted:
         return aborted

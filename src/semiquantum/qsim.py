@@ -717,7 +717,8 @@ class RegisterBank:
         split = _split(reg._ket, positions, bras)
         outcome = _sample(split.probs, rng)
         post = split.posts[outcome]
-        if type(post) is not _Ket:  # not yet collapsed, empty or impossible
+        # a dict is a branch not yet collapsed; post() raises on an impossible one
+        if type(post) is dict or split.probs[outcome] <= 0.0:
             post = split.post(outcome)
         states = self._states
         for l in measured:

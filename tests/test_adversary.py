@@ -198,6 +198,24 @@ def test_build_attack_rejects_unknown_leg():
         build_attack(strategy, "sqka", eve)
 
 
+@pytest.mark.parametrize("protocol", ["sqka", "sqkd", "sqd"])
+def test_build_attack_rejects_return_only_intercept_resend(protocol):
+    # the return leg Bell-measures against pairs only the forward leg makes
+    eve, _ = quantum_party()
+    strategy = AttackStrategy(AttackKind.INTERCEPT_RESEND, legs=frozenset({"return"}))
+    with pytest.raises(ValueError):
+        build_attack(strategy, protocol, eve)
+
+
+def test_run_trials_rejects_return_only_intercept_resend():
+    from semiquantum.analysis import run_trials
+    from semiquantum.protocols import SqkaConfig
+
+    strategy = AttackStrategy(AttackKind.INTERCEPT_RESEND, legs=frozenset({"return"}))
+    with pytest.raises(ValueError):
+        run_trials(SqkaConfig(n=2, attack=strategy), 1, 0)
+
+
 def test_eve_rng_seed_override_changes_attack_randomness():
     from semiquantum.protocols import SqkaConfig, run_sqka
 

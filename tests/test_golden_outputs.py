@@ -1,7 +1,7 @@
 """Byte-identical seeded CLI output, pinned by SHA-256.
 
-The digests were generated at commit 6c7efe6e3386118fc1b4410fdc8561f747989533,
-before the simulator moved from dense numpy vectors to sparse registers.
+The digests were regenerated once, when RandomSource moved to the stdlib
+Mersenne Twister (stream v2; the draw contract is in ``semiquantum.rng``).
 Every measurement takes one uniform draw from its party's stream, in slot or
 wire order, so any change to the engine that keeps the outcome rule keeps
 these digests; a change to a draw, its order or a transcript field breaks
@@ -24,38 +24,38 @@ PROTOCOLS = ("sqka", "sqkd", "cdssqc-ghz", "cdssqc-switch", "sqd")
 ATTACKS = ("none", "cnot", "intercept-resend", "measure-resend")
 
 TRANSCRIPT_DIGESTS = {
-    "sqka/none": "cf959ddcd3ddd4da1b7bf271b5b3f2108c497ee2fa6b6fa63a285b5e09dc808c",
-    "sqka/cnot": "ed92bcd2fcb072b6d00b6411b3f2c5d93bb95a10f55780e968edf788c8272174",
-    "sqka/intercept-resend": "1890713768c58ba298baca54bf095ed50d904c8f17d585dc4631a73e95d58bbb",
-    "sqka/measure-resend": "24a335f728a89d74f225b586567e2144de60873a5f626ceeb489a7e4d0d6ccd5",
-    "sqkd/none": "47de63c91f8e60188be0295b64238c48051cec0330044c9a89de31b0270ad55e",
-    "sqkd/cnot": "982fc2ca3e77f6b7dfb88c31ab523f8eef3dfcd6f8993e4a7e175ba8a96466f4",
-    "sqkd/intercept-resend": "dfd5592fc9d437e187d23b9cb537e3f119703083a03be1835ad51d0765289daf",
-    "sqkd/measure-resend": "bccd84fd13a8153c398717f38ef9480980c05d66ab385a83b8e1d3686633d48f",
-    "cdssqc-ghz/none": "7fa541e9bd56fa3e4acd666021dd90cc6cc9a4632abb32e2bd853a55862f59ce",
-    "cdssqc-ghz/cnot": "4ed86b5339757fe2b8c178d7be3e8a1357d5b1cca7388b5a328e1afcbdbe8530",
-    "cdssqc-ghz/intercept-resend": "95d18d0e1740b8255d9e4431f057242032fbab40f425bc12a1404f0551e8b414",
-    "cdssqc-ghz/measure-resend": "c3103e98c0a12357abe8283a8ae6ab5da057a3d6936ddeda2e7edd4d611286ed",
-    "cdssqc-switch/none": "d091bf5a509f8e932e76ce2c27e8898fbaab4f7b2f2c9f20322d05f803683ae2",
-    "cdssqc-switch/cnot": "b1f388c066a97198f3f290023e49ae64d335c511768d52bf4356f9a1a8711fbf",
-    "cdssqc-switch/intercept-resend": "753b599612dd594ec8752db405c9352c6cc30c7cb5eaca50cbe28dbab028a212",
-    "cdssqc-switch/measure-resend": "34e6d8fbe8375b9981f95fc6cd8eb054b7efc3ffd1e3c6eaf9cce2b35c35a49f",
-    "sqd/none": "ec51cb11595f57b99c7b7baec024e2aeb60ed4064d9ec0f8afdb7de383d8a997",
-    "sqd/cnot": "a2fa8ca73da3d48f37b2f737e2033013b60eb61bffd21670f4d33340bf78d436",
-    "sqd/intercept-resend": "39de66345d31da2b88b9302a966319a0c2558a19f7edf38715a235f4af500f88",
-    "sqd/measure-resend": "89d44d1aa5042085c80a79d0bb53910373f4fbbbae2dfe1bb5819f924f0fc094",
+    "sqka/none": "51f0f8c7e78e106efd6030e0e7befd403d499937916c4f23bdea5d72d2a29463",
+    "sqka/cnot": "8f4f07fc90b8512b069f379b1510769e71c71a1817a1405dc457568f49c87281",
+    "sqka/intercept-resend": "df9bc64e8ae984c29d956771a2f1e1f76a73cb41b2e06fccf2e8d888e963f101",
+    "sqka/measure-resend": "c4920f733a0001fb7ba6ebcdc0d779d50d66029df3a8d2194692b8870d220d36",
+    "sqkd/none": "2af92f1ceb20e53e809907fd6f02d6cf095e45027bd0e1f2481bafec5f978a58",
+    "sqkd/cnot": "53d61bd142ecc3cae68fd5ea53ef5c70d475c0858462be933f8e276e2baebdb5",
+    "sqkd/intercept-resend": "fe7211f53e73541ad84409bfee185849f06f3341629ab1fce9e69f37e20ada2d",
+    "sqkd/measure-resend": "8c4746541d1e8eec784379a270a57b270c386dc056c84597f183bd3614f44ccb",
+    "cdssqc-ghz/none": "4ae8dd538cf68841eaa31ead3b2441421cba5cdf01e2ccc6154c6444bb67dcee",
+    "cdssqc-ghz/cnot": "6eb121c4de1d3c17e64d2fcca20580066f628966f9d26ce35c83f381a8d0f0cd",
+    "cdssqc-ghz/intercept-resend": "9315b67023ba648b06b9913d1611060e285f74f745b1e3ade1491923387f8684",
+    "cdssqc-ghz/measure-resend": "e67996965cbdf7994c18deace28a21794cb74d7b843e3af3b80239e8e16fdcb0",
+    "cdssqc-switch/none": "a293001cadbc248c01bd0b55038f57a6be828537d6e76add5baa983631bb00b9",
+    "cdssqc-switch/cnot": "696b12dc6d8b10a8a5f7e8f0d3528d43de9e58cf4c2f89ae4106ff00d8d471b7",
+    "cdssqc-switch/intercept-resend": "0f581e6feada99944679ebdc376e5ec5b9e50f873cc97be81ffe7f413a3e9d8b",
+    "cdssqc-switch/measure-resend": "40af890e04cd5a7feadbd291f571243d1dc57db18a81d7b6d252ab41c388e767",
+    "sqd/none": "3593f8268a1a59a0f173027a72fa43fe5099c6fab18845329215091ff97379c8",
+    "sqd/cnot": "edc217c71e88769c5b239c20de2f414ee8eb966f8e9c0fde579d30aa0778613e",
+    "sqd/intercept-resend": "05886ecdfb01e3216db137e08c1a5427df662c6389fada9b5e463b225fa9f888",
+    "sqd/measure-resend": "35c9a321a6a66a3f5f1ded3c3f0fc084a707383861b7342ae9d15487333e23e5",
 }
 
 BATCHES = {
     "csv": (
         ["--protocol", "sqka", "--n", "8", "--attack", "intercept-resend",
          "--trials", "20", "--format", "csv", "--seed", "3"],
-        "e4781ff2b9f62ed836e41737da640191b5876d167f81a8c59024decc60583b48",
+        "32289c4c9a2868e2c8079e59b5940edbbebe32b8fe204e5627c6664252081fab",
     ),
     "json": (
         ["--protocol", "cdssqc-ghz", "--n", "8", "--attack", "cnot",
          "--trials", "20", "--format", "json", "--seed", "5"],
-        "b83ba38551af01ee077d0acb11ec98b602a664f7d835181f5b2c9831c57ef693",
+        "ecb2a391534f7e0c61b4b359fa9b4c841a6be5e911f101d151765615d122c770",
     ),
 }
 

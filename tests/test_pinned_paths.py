@@ -89,9 +89,9 @@ def family_digest(family: str) -> str:
 
 
 FAMILY_DIGESTS = {
-    "sqka": "f0af4b622cfd1ce94e245a246dba085b2778487694cfe5a2ae79df80a83386e9",
-    "cdssqc": "e05aa35bab78f44468e1d049b6a1c3b1cf87c026ec6e99312a79c5e62a3a5477",
-    "sqd": "78a52e01a59f97f400dce50025fb64593c2ae1f65d35e621dd6fe188772e2966",
+    "sqka": "a44ba8e405429300606814d3109eb14e8e167b585819488cb5f86f4e60760f64",
+    "cdssqc": "32cc07de85a7bb5bcb312493da0c17463f20b46d645fb6efa73e233710e09754",
+    "sqd": "ab5f3f19760d9020a40ab87ace4c48f020b603e7ff452f235e24958070dce5b8",
 }
 
 

@@ -4,6 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from semiquantum.adversary import AttackKind, AttackStrategy
+from semiquantum.analysis import run_trials, trial_record
 from semiquantum.protocols import AbortReason, SqdConfig, decode_dialogue, run_sqd
 from semiquantum.qsim import BellKind
 
@@ -120,6 +121,13 @@ def test_intercept_resend_detected_by_correlation_check():
     # Eve's substituted halves are uncorrelated with the home qubits:
     # each of the s=8 checked pairs mismatches with probability 1/2
     assert caught / trials == pytest.approx(1 - 0.5**8, abs=0.03)
+
+
+def test_intercept_resend_identification_is_counted_over_encoded_wires():
+    config = SqdConfig(n=8, threshold=1.0, attack=AttackStrategy(AttackKind.INTERCEPT_RESEND))
+    out = run_sqd(config)
+    assert trial_record(out)["id_total"] == len(out.details["encoded_wires"]) == 8
+    assert run_trials(config, 300, 1).eve_position_id_rate > 0
 
 
 def test_measure_resend_survives_correlation_check():

@@ -1,55 +1,29 @@
-"""RandomSource draws exactly what numpy's ``default_rng`` does.
+"""The RandomSource stream: repeatable across processes, pinned, in range
+and uniform.
 
-numpy is the reference: each ``RandomSource`` method is driven on a source
-and on :class:`NumpySource`, the same calls on ``default_rng`` of the same
-seed, and each output must be equal, including the generator state that
-carries from one call to the next (the saved 32-bit half, rejection loops).
+Python promises only that ``random()`` repeats for a seed across versions;
+the other draws are written in the package on ``getrandbits``.  The first
+draws of two edge seeds are pinned as literals, so a change to CPython's
+``getrandbits`` or to one of those algorithms fails here first.
 """
+import json
+import os
 import random
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
 
-import numpy as np
 import pytest
 
 from semiquantum.rng import RandomSource
 
-
-class NumpySource:
-    """RandomSource's methods as calls on numpy's ``default_rng(seed)``."""
-
-    def __init__(self, seed: int):
-        self._gen = np.random.default_rng(seed & ((1 << 64) - 1))
-
-    def random(self) -> float:
-        return float(self._gen.random())
-
-    def bit(self) -> int:
-        return int(self._gen.integers(0, 2))
-
-    def bits(self, k: int) -> tuple[int, ...]:
-        return tuple(int(b) for b in self._gen.integers(0, 2, size=k))
-
-    def integer(self, n: int) -> int:
-        return int(self._gen.integers(0, n))
-
-    def permutation(self, n: int) -> list[int]:
-        return [int(i) for i in self._gen.permutation(n)]
-
-    def sample(self, n: int, k: int) -> list[int]:
-        return [int(i) for i in self._gen.choice(n, size=k, replace=False)]
-
-    def shuffle(self, items: list) -> None:
-        self._gen.shuffle(items)
-
-    def token(self, nbytes: int = 16) -> bytes:
-        return self._gen.bytes(nbytes)
+ROOT = Path(__file__).resolve().parents[1]
+EDGE_SEEDS = (0, 1, (1 << 32) - 1, 1 << 32, (1 << 64) - 1)
 
 
-def sources(seed: int) -> tuple[RandomSource, NumpySource]:
-    return RandomSource(seed), NumpySource(seed)
-
-
-def draw(src, op: str, arg):
-    """One call of ``op``; what it returns, or the class of what it raised."""
+def draw(src: RandomSource, op: str, arg):
+    """One call of ``op`` as JSON; a ValueError becomes the string "ValueError"."""
     try:
         if op == "shuffle":
             items = list(range(arg))
@@ -58,9 +32,30 @@ def draw(src, op: str, arg):
         if op == "sample":
             return src.sample(*arg)
         method = getattr(src, op)
-        return method() if arg is None else method(arg)
+        value = method() if arg is None else method(arg)
     except ValueError:
-        return ValueError
+        return "ValueError"
+    return value.hex() if isinstance(value, bytes) else value
+
+
+def run(seed: int, calls) -> list:
+    src = RandomSource(seed)
+    return [draw(src, op, arg) for op, arg in calls]
+
+
+def edge_calls() -> list:
+    calls = [("random", None), ("bit", None), ("random", None)]
+    for size in (0, 1):
+        calls += [("bits", size), ("permutation", size), ("shuffle", size), ("token", size),
+                  ("integer", size + 1), ("sample", (size, size)), ("sample", (1, size))]
+    return calls + [("bit", None), ("token", 3), ("integer", 1 << 63), ("random", None)]
+
+
+# the sizes a session at n=100 draws: 100-bit messages, 400-slot
+# permutations and shuffles, 100 of 400 spot-check positions
+SESSION_CALLS = [("bits", 101), ("permutation", 400), ("bit", None), ("shuffle", 400),
+                 ("bits", 100), ("sample", (400, 100)), ("shuffle", 399), ("random", None),
+                 ("token", 16)]
 
 
 def random_call(r: random.Random):
@@ -68,58 +63,158 @@ def random_call(r: random.Random):
     if op in ("random", "bit"):
         return op, None
     if op == "integer":
-        return op, r.choice((1, 2, 3, 5, 1 << 31, (1 << 32) - 1, 1 << 32, (1 << 32) + 1,
-                             r.randrange(1, 1 << 32), r.randrange(1 << 32, 1 << 63), 1 << 63))
+        return op, r.choice((1, 2, 3, 5, 6, 1 << 31, (1 << 32) + 1, r.randrange(1, 1 << 63), 1 << 63))
     if op == "sample":
-        n = r.choice((r.randrange(0, 60), r.randrange(10_001, 11_000)))
-        return op, (n, r.randrange(0, min(n, 400) + 1))
-    return op, r.randrange(0, 40)
+        n = r.randrange(0, 500)
+        return op, (n, r.randrange(0, min(n, 120) + 1))
+    return op, r.randrange(0, 80)
 
 
-def test_seeded_interleavings_match():
+def interleavings() -> list:
+    """250 sources of assorted seeds, 40 assorted calls each."""
     r = random.Random(20170419)
-    ops = 0
+    out = []
     for _ in range(250):
         seed = r.choice((r.randrange(1 << 64), r.randrange(1 << 32), r.randrange(64)))
-        pure, ref = sources(seed)
-        for _ in range(40):
-            op, arg = random_call(r)
-            assert draw(pure, op, arg) == draw(ref, op, arg), (seed, op, arg)
-            ops += 1
-    assert ops == 10_000
+        calls = [random_call(r) for _ in range(40)]
+        out.append([seed, [list(c) for c in calls], run(seed, calls)])
+    return out
 
 
-@pytest.mark.parametrize("seed", [0, 1, (1 << 32) - 1, 1 << 32, (1 << 64) - 1])
-def test_edge_seeds_and_sizes_match(seed):
-    pure, ref = sources(seed)
-    calls = [("random", None), ("bit", None), ("random", None)]
-    for size in (0, 1):
-        calls += [("bits", size), ("permutation", size), ("shuffle", size), ("token", size),
-                  ("integer", size + 1), ("sample", (size, size)), ("sample", (1, size))]
-    calls += [("bit", None), ("token", 3), ("bit", None), ("random", None)]
-    for op, arg in calls:
-        assert draw(pure, op, arg) == draw(ref, op, arg), (op, arg)
+def all_draws() -> dict:
+    return {
+        "edge": {str(s): run(s, edge_calls()) for s in EDGE_SEEDS},
+        "interleavings": interleavings(),
+        "session": run(2017, SESSION_CALLS),
+    }
 
 
-@pytest.mark.parametrize("n,k", [(10_001, 201), (10_050, 10_050), (12_000, 3_000), (10_001, 200)])
-def test_sample_tail_shuffle_branch_matches(n, k):
-    # numpy switches from Floyd's algorithm to a partial shuffle when
-    # n > 10000 and k > n // 50; (10001, 200) stays on Floyd's side
-    pure, ref = sources(n * k)
-    got = pure.sample(n, k)
-    assert got == ref.sample(n, k)
-    assert len(set(got)) == k
-    assert pure.random() == ref.random()
+_CHILD = """
+import importlib.util, json, sys
+spec = importlib.util.spec_from_file_location("stream", sys.argv[1])
+module = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(module)
+print(json.dumps(module.all_draws()))
+"""
 
 
-def test_wide_integers_use_64_bit_draws():
-    # ranges past 2**32 take whole 64-bit outputs and leave a saved 32-bit
-    # half untouched, so the bit after them still uses it
-    pure, ref = sources(99)
-    for n in ((1 << 32) + 1, (1 << 40) + 7, 1 << 63):
-        assert pure.bit() == ref.bit()
-        assert pure.integer(n) == ref.integer(n)
-        assert pure.bit() == ref.bit()
+@pytest.fixture(scope="module")
+def processes():
+    """``all_draws`` here and in fresh processes under PYTHONHASHSEED 1 and 2."""
+    out = [json.loads(json.dumps(all_draws()))]
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", _CHILD, __file__],
+            env=env, capture_output=True, text=True, check=True, timeout=120,
+        )
+        out.append(json.loads(proc.stdout))
+    return out
+
+
+@pytest.mark.parametrize("seed", EDGE_SEEDS)
+def test_edge_seeds_and_sizes_match(seed, processes):
+    here, first, second = (p["edge"][str(seed)] for p in processes)
+    assert here == first == second
+
+
+def test_seeded_interleavings_match(processes):
+    here, first, second = (p["interleavings"] for p in processes)
+    assert sum(len(calls) for _, calls, _ in here) == 10_000
+    assert here == first == second
+
+
+def test_session_sized_draws_match(processes):
+    here, first, second = (p["session"] for p in processes)
+    assert here == first == second
+    bits, perm, bit, shuffled, message, positions, shuffled_399, u, token = here
+    assert len(bits) == 101 and len(message) == 100 and set(bits + message) <= {0, 1}
+    assert sorted(perm) == sorted(shuffled) == list(range(400)) != perm
+    assert sorted(shuffled_399) == list(range(399))
+    assert len(set(positions)) == 100 and all(0 <= p < 400 for p in positions)
+    assert bit in (0, 1) and 0.0 <= u < 1.0 and len(bytes.fromhex(token)) == 16
+
+
+PIN_CALLS = [("random", None)] * 3 + [("bits", 70), ("permutation", 10), ("sample", (400, 16)),
+                                      ("token", 16)]
+
+PINNED = {
+    0: [
+        0.8444218515250481, 0.7579544029403025, 0.420571580830845,
+        "1000001111011100101000101101001111101001000010010010000101111000111010",
+        [0, 4, 5, 1, 3, 2, 8, 9, 6, 7],
+        [111, 259, 73, 147, 75, 391, 54, 323, 136, 281, 371, 319, 87, 171, 64, 388],
+        "b2c8e0121c441ae614a7b8d92a9219af",
+    ],
+    (1 << 64) - 1: [
+        0.021825695401270107, 0.3380953268613758, 0.21196748656082065,
+        "1110100001100001010011000100010111111010011101011110001110010111000011",
+        [8, 3, 2, 6, 4, 7, 1, 9, 0, 5],
+        [40, 169, 249, 137, 146, 306, 24, 167, 158, 160, 394, 304, 9, 327, 269, 206],
+        "298f93c6c0e04224e7f28e5aa26c7d88",
+    ],
+}
+
+
+@pytest.mark.parametrize("seed", sorted(PINNED))
+def test_first_draws_are_pinned(seed):
+    got = run(seed, PIN_CALLS)
+    got[3] = "".join(map(str, got[3]))
+    assert got == PINNED[seed]
+
+
+def test_every_draw_lies_in_range():
+    r = random.Random(7)
+    for seed in range(200):
+        src = RandomSource(seed)
+        assert 0.0 <= src.random() < 1.0
+        assert src.bit() in (0, 1)
+        k = r.randrange(0, 200)
+        bits = src.bits(k)
+        assert len(bits) == k and set(bits) <= {0, 1}
+        for n in (1, 2, 3, 6, 7, 400, (1 << 32) + 1, 1 << 63, r.randrange(1, 1 << 63)):
+            assert 0 <= src.integer(n) < n
+        n = r.randrange(0, 60)
+        assert sorted(src.permutation(n)) == list(range(n))
+        k = r.randrange(0, n + 1)
+        picked = src.sample(n, k)
+        assert len(picked) == len(set(picked)) == k and all(0 <= p < n for p in picked)
+        nbytes = r.randrange(0, 40)
+        assert len(src.token(nbytes)) == nbytes
+
+
+def test_integer_is_uniform():
+    scipy_stats = pytest.importorskip("scipy.stats")
+    src = RandomSource(11)
+    counts = Counter(src.integer(6) for _ in range(6000))
+    assert scipy_stats.chisquare([counts[v] for v in range(6)]).pvalue > 0.001
+
+
+def test_shuffle_positions_are_uniform():
+    scipy_stats = pytest.importorskip("scipy.stats")
+    src = RandomSource(12)
+    table = [[0] * 5 for _ in range(5)]  # table[item][position]
+    for _ in range(5000):
+        items = list(range(5))
+        src.shuffle(items)
+        for position, item in enumerate(items):
+            table[item][position] += 1
+    # every row and column sums to 5000: 16 degrees of freedom
+    flat = [c for row in table for c in row]
+    assert scipy_stats.chisquare(flat, ddof=8).pvalue > 0.001
+
+
+def test_sample_is_uniform():
+    scipy_stats = pytest.importorskip("scipy.stats")
+    src = RandomSource(13)
+    table = [[0] * 6 for _ in range(3)]  # table[place][value]
+    for _ in range(6000):
+        for place, value in enumerate(src.sample(6, 3)):
+            table[place][value] += 1
+    # every row sums to 6000: 15 degrees of freedom
+    flat = [c for row in table for c in row]
+    assert scipy_stats.chisquare(flat, ddof=2).pvalue > 0.001
 
 
 @pytest.mark.parametrize(
@@ -138,20 +233,26 @@ def test_wide_integers_use_64_bit_draws():
     ],
 )
 def test_source_rejects_what_numpy_rejects(op, arg):
-    for src in sources(4):
-        assert draw(src, op, arg) is ValueError
+    # the sizes numpy's generator rejected, which the source still rejects
+    assert draw(RandomSource(4), op, arg) == "ValueError"
 
 
 def test_seed_is_taken_modulo_2_64():
     assert RandomSource(-1).seed == (1 << 64) - 1
-    assert draw(RandomSource(-1), "bits", 70) == draw(NumpySource((1 << 64) - 1), "bits", 70)
+    assert run(-1, PIN_CALLS) == run((1 << 64) - 1, PIN_CALLS)
     assert RandomSource(1 << 64).random() == RandomSource(0).random()
 
 
-def test_session_sized_draws_match():
-    # the sizes a session at n=100 draws: 100-bit messages, 400-slot
-    # permutations and shuffles, 100 of 400 spot-check positions
-    pure, ref = sources(2017)
-    for op, arg in [("bits", 101), ("permutation", 400), ("bit", None), ("shuffle", 400),
-                    ("bits", 100), ("sample", (400, 100)), ("shuffle", 399), ("random", None)]:
-        assert draw(pure, op, arg) == draw(ref, op, arg), (op, arg)
+@pytest.mark.parametrize("n,k", [(10_001, 201), (10_050, 10_050), (12_000, 3_000), (10_001, 200)])
+def test_large_samples_are_distinct_and_in_range(n, k):
+    src = RandomSource(n * k)
+    got = src.sample(n, k)
+    assert len(set(got)) == k and all(0 <= v < n for v in got)
+
+
+def test_wide_integers_take_one_draw_of_their_width():
+    # a bound of 2**w takes one w-bit draw: no rejection, no other draw
+    for w in (33, 40, 63):
+        src, mt = RandomSource(99), random.Random(99)
+        assert [src.integer(1 << w) for _ in range(5)] == [mt.getrandbits(w) for _ in range(5)]
+        assert src.random() == mt.random()
