@@ -12,9 +12,9 @@ Three attacks are modeled:
   basis and forwards a fresh copy of the outcome.
 
 Eve always pairs her bookkeeping by wire arrival order; she has no access
-to the honest parties' secret permutations.  All her quantum work goes
-through a quantum :class:`~semiquantum.parties.PartyContext`, so it is
-norm-checked like everything else.
+to the honest parties' secret permutations.  Her hooks run steps of a
+quantum :class:`~semiquantum.parties.PartyContext` on its register bank,
+so her work is capability-checked and norm-checked like everything else.
 """
 from __future__ import annotations
 
@@ -97,7 +97,12 @@ class EveState:
 
 
 # ---------------------------------------------------------------------------
-# channel hooks used by the protocol runners
+# channel hooks used by the protocol session
+
+
+def _label(role: str, i: int) -> str:
+    """Eve's ``role`` qubit for slot or wire ``i``, named as a bank label."""
+    return f"_{role}{i}"
 
 
 class ChannelAttack:
@@ -105,20 +110,28 @@ class ChannelAttack:
 
     ``forward_leg`` sees the whole distribution leg; ``wire`` and
     ``after_wire`` see each return-leg wire in arrival order, before and
-    after the receiver's measurement.
+    after the receiver's measurement.  The hooks run Eve's steps straight
+    on her bank; ``qubit(role, i)`` addresses her own qubits there.  Eve's
+    steps (``FORWARD`` on the distribution leg, ``WIRE`` per return wire)
+    are checked against her capability when the attack is built.
     """
 
     kind = AttackKind.NONE
+    FORWARD: tuple[str, ...] = ()
+    WIRE: tuple[str, ...] = ()
 
-    def __init__(self, eve: PartyContext | None, legs: frozenset[str]):
+    def __init__(self, eve: PartyContext | None, legs: frozenset[str], qubit=_label):
         self.eve = eve
         self.legs = legs
+        self.qubit = qubit
         self.state = EveState()
+        if eve is not None:
+            self.forward_step, self.wire_step = eve.step(*self.FORWARD), eve.step(*self.WIRE)
 
-    def forward_leg(self, labels: list[str]) -> list[str]:
+    def forward_leg(self, labels: list) -> list:
         return labels
 
-    def wire(self, j: int, label: str) -> str:
+    def wire(self, j: int, label):
         return label
 
     def after_wire(self, j: int) -> None:
@@ -155,29 +168,34 @@ class CnotAttack(ChannelAttack):
     returning wire of the same index, then read the ancilla."""
 
     kind = AttackKind.CNOT
+    FORWARD = ("prepare_z", "apply_cnot")
+    WIRE = ("apply_cnot", "measure_z")
 
     def forward_leg(self, labels):
-        if "forward" in self.legs:
+        if "forward" in self.legs and labels:
+            bank, ancillas = self.eve.bank, self.state.ancillas
             for i, label in enumerate(labels):
-                anc = f"_EA{i}"
-                self.eve.prepare_z(0, anc)
-                self.eve.cnot(label, anc)
-                self.state.ancillas[i] = anc
+                anc = bank.prepare_z(0, self.qubit("EA", i))
+                bank.cnot(label, anc)
+                ancillas[i] = anc
+            self.eve.ran(self.forward_step)
         return labels
 
     def wire(self, j, label):
         if "return" in self.legs:
             anc = self.state.ancillas.get(j)
             if anc is not None:
-                self.eve.cnot(label, anc)
+                self.eve.bank.cnot(label, anc)
         return label
 
     def after_wire(self, j):
         if "return" in self.legs:
             anc = self.state.ancillas.pop(j, None)
             if anc is not None:
-                self.state.wire_bits[j] = self.eve.measure_z(anc)
+                eve = self.eve
+                self.state.wire_bits[j] = eve.bank.measure_z(anc, eve.rng)
                 self.state.wire_classifications[j] = "unknown"
+                eve.ran(self.wire_step)
 
 
 class InterceptResendAttack(ChannelAttack):
@@ -185,38 +203,42 @@ class InterceptResendAttack(ChannelAttack):
     Bell-classify each returning wire against the retained half, then resend."""
 
     kind = AttackKind.INTERCEPT_RESEND
+    FORWARD = ("prepare_bell",)
+    WIRE = ("measure_bell", "measure_z", "prepare_z")
 
     def forward_leg(self, labels):
-        if "forward" not in self.legs:
+        if "forward" not in self.legs or not labels:
             return labels
+        st, bank, qubit = self.state, self.eve.bank, self.qubit
         out = []
         for i, label in enumerate(labels):
-            self.state.retained_travel[i] = label
-            kept, fwd = f"_ER{i}", f"_EF{i}"
-            self.eve.prepare_bell(BellKind.PSI_PLUS, kept, fwd)
-            self.state.retained_pairs[i] = (kept, fwd)
-            out.append(fwd)
+            st.retained_travel[i] = label
+            pair = bank.prepare_bell(BellKind.PSI_PLUS, qubit("ER", i), qubit("EF", i))
+            st.retained_pairs[i] = pair
+            out.append(pair[1])
+        self.eve.ran(self.forward_step)
         return out
 
     def wire(self, j, label):
         if "return" not in self.legs:
             return label
-        st = self.state
-        outcome = self.eve.measure_bell(st.retained_pairs[j][0], label)
+        st, eve = self.state, self.eve
+        bank, rng = eve.bank, eve.rng
+        outcome = bank.measure_bell(st.retained_pairs[j][0], label, rng)
         if outcome is BellKind.PSI_MINUS:
             cls, bit = "measured", 0
         elif outcome.parity == 1:  # phi+/phi-
             cls, bit = "measured", 1
         else:  # psi+ is consistent with a reflection; recorded as unknown
             cls, bit = "unknown", None
-        u = self.eve.measure_z(st.retained_travel[j])
+        u = bank.measure_z(st.retained_travel[j], rng)
         # Identified wires are resent mimicking the sender's encoding; the
         # ambiguous psi+ wires are resent as the complement of the collapsed
         # original.
-        new = f"_ES{j}"
-        self.eve.prepare_z(u ^ (bit if bit is not None else 1), new)
+        new = bank.prepare_z(u ^ (bit if bit is not None else 1), self.qubit("ES", j))
         st.wire_classifications[j] = cls
         st.wire_bits[j] = bit
+        eve.ran(self.wire_step)
         return new
 
 
@@ -226,18 +248,20 @@ class SubstituteSinglesAttack(ChannelAttack):
     protocols, where the forwarded qubits have no partner in Eve's hands."""
 
     kind = AttackKind.INTERCEPT_RESEND
+    FORWARD = ("prepare_z",)
 
     def forward_leg(self, labels):
-        if "forward" not in self.legs:
+        if "forward" not in self.legs or not labels:
             return labels
+        st, eve = self.state, self.eve
+        bank, rng = eve.bank, eve.rng
         out = []
         for i, label in enumerate(labels):
-            self.state.retained_travel[i] = label
-            bit = self.eve.rng.bit()
-            new = f"_EX{i}"
-            self.eve.prepare_z(bit, new)
-            self.state.forward_bits[i] = bit
-            out.append(new)
+            st.retained_travel[i] = label
+            bit = rng.bit()
+            out.append(bank.prepare_z(bit, self.qubit("EX", i)))
+            st.forward_bits[i] = bit
+        eve.ran(self.forward_step)
         return out
 
 
@@ -245,28 +269,30 @@ class MeasureResendAttack(ChannelAttack):
     """Measure each qubit of an attacked leg in Z and forward a fresh copy."""
 
     kind = AttackKind.MEASURE_RESEND
+    FORWARD = WIRE = ("measure_z", "prepare_z")
 
     def forward_leg(self, labels):
-        if "forward" not in self.legs:
+        if "forward" not in self.legs or not labels:
             return labels
+        st, eve = self.state, self.eve
+        bank, rng = eve.bank, eve.rng
         out = []
         for i, label in enumerate(labels):
-            u = self.eve.measure_z(label)
-            self.state.forward_bits[i] = u
-            new = f"_EM{i}"
-            self.eve.prepare_z(u, new)
-            out.append(new)
+            u = bank.measure_z(label, rng)
+            st.forward_bits[i] = u
+            out.append(bank.prepare_z(u, self.qubit("EM", i)))
+        eve.ran(self.forward_step)
         return out
 
     def wire(self, j, label):
         if "return" not in self.legs:
             return label
-        u = self.eve.measure_z(label)
+        eve = self.eve
+        u = eve.bank.measure_z(label, eve.rng)
         self.state.wire_bits[j] = u
         self.state.wire_classifications[j] = "unknown"
-        new = f"_EW{j}"
-        self.eve.prepare_z(u, new)
-        return new
+        eve.ran(self.wire_step)
+        return eve.bank.prepare_z(u, self.qubit("EW", j))
 
     def finalize(self, encoded_wires):
         # Wire-order decode guess: XOR the value seen on the return wire with
@@ -279,22 +305,28 @@ class MeasureResendAttack(ChannelAttack):
         self.state.inferred_bits = tuple(bits)
 
 
-def build_attack(strategy: AttackStrategy, protocol: str, eve: PartyContext | None) -> ChannelAttack:
-    """Instantiate the channel hooks for a strategy in a given protocol."""
+def build_attack(
+    strategy: AttackStrategy, protocol: str, eve: PartyContext | None, qubit=_label
+) -> ChannelAttack:
+    """Instantiate the channel hooks for a strategy in a given protocol.
+
+    ``eve`` may be None only under ``AttackKind.NONE``; ``qubit(role, i)``
+    addresses Eve's own qubits in her bank.
+    """
     legs = strategy.legs if strategy.legs is not None else default_legs(strategy.kind, protocol)
     if not legs <= LEGS:
         raise ValueError(f"legs {sorted(legs)} not available in {protocol}: {sorted(LEGS)}")
     if strategy.kind is AttackKind.NONE:
-        return NoAttack(eve, legs)
+        return NoAttack(eve, legs, qubit)
     if strategy.kind is AttackKind.CNOT:
-        return CnotAttack(eve, legs)
+        return CnotAttack(eve, legs, qubit)
     if strategy.kind is AttackKind.INTERCEPT_RESEND:
         if protocol in ("cdssqc-ghz", "cdssqc-switch"):
-            return SubstituteSinglesAttack(eve, legs)
+            return SubstituteSinglesAttack(eve, legs, qubit)
         if "return" in legs and "forward" not in legs:
             raise ValueError("intercept-resend classifies return wires against the Bell "
                              "pairs it swaps in on the forward leg, so it needs both legs")
-        return InterceptResendAttack(eve, legs)
+        return InterceptResendAttack(eve, legs, qubit)
     if strategy.kind is AttackKind.MEASURE_RESEND:
-        return MeasureResendAttack(eve, legs)
+        return MeasureResendAttack(eve, legs, qubit)
     raise ValueError(f"unhandled attack kind {strategy.kind}")

@@ -4,9 +4,15 @@ A classical party may only measure/prepare in the computational basis,
 reflect qubits untouched, reorder sequences, and talk on the classical
 channel.  Anything else raises :class:`CapabilityViolation` instead of
 silently degrading.  Quantum parties get the full simulator surface.
+
+A protocol session runs each stage as a loop of slot steps on its register
+bank.  A step is the tuple of op names one party applies to a slot; it is
+checked against the party's allowed set when it is built, once per process
+for each capability, and logged in the party's ``ops_log`` when it runs.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -23,12 +29,6 @@ class Capability(Enum):
 _CLASSICAL_ALLOWED = frozenset(
     {"prepare_z", "measure_z", "reflect", "permute", "send_classical"}
 )
-# Each capability's allowed party ops: a quantum party adds the quantum surface.
-_ALLOWED = {
-    Capability.CLASSICAL: _CLASSICAL_ALLOWED,
-    Capability.QUANTUM: _CLASSICAL_ALLOWED
-    | {"prepare_bell", "prepare_ghz_like", "measure_bell", "measure_ab", "apply_cnot", "apply_x"},
-}
 
 
 def restrict(capability: Capability, op: str) -> None:
@@ -37,6 +37,13 @@ def restrict(capability: Capability, op: str) -> None:
         return
     if op not in _CLASSICAL_ALLOWED:
         raise CapabilityViolation(op)
+
+
+@functools.lru_cache(maxsize=None)
+def _step(capability: Capability, ops: tuple[str, ...]) -> tuple[str, ...]:
+    for op in ops:
+        restrict(capability, op)
+    return ops
 
 
 class ClassicalAction(Enum):
@@ -119,11 +126,11 @@ def verify(commitment: Commitment, bits: tuple[int, ...]) -> bool:
 class PartyContext:
     """A protocol participant: capability-checked access to the register bank.
 
-    Every op name the party calls is recorded in ``ops_log``, so tests can
+    Every op name the party runs is recorded in ``ops_log``, so tests can
     assert that no execution path lets a classical party reach a forbidden
-    operation.
-    Each op checks its name against the party's allowed set, one membership
-    test per call.
+    operation.  A session's stage loops build their steps (``step``) before
+    they run and log each once the loop has run it (``ran``); the single
+    ops below do both around one bank call.
     """
 
     def __init__(self, name: str, capability: Capability, rng: RandomSource, bank: RegisterBank):
@@ -132,72 +139,60 @@ class PartyContext:
         self.rng = rng
         self.bank = bank
         self.ops_log: set[str] = set()
-        self._allowed = _ALLOWED[capability]
 
-    # classical surface -----------------------------------------------------
+    def step(self, *ops: str) -> tuple[str, ...]:
+        """The step of ``ops``; raises CapabilityViolation if any is not allowed."""
+        return _step(self.capability, ops)
+
+    def ran(self, step: tuple[str, ...]) -> None:
+        """Log the ops of a step that ran."""
+        self.ops_log.update(step)
+
+    # single ops, each one step ------------------------------------------
+
+    def _run(self, op: str) -> None:
+        self.ran(self.step(op))
 
     def prepare_z(self, bit: int, label: str) -> str:
-        if "prepare_z" not in self._allowed:
-            raise CapabilityViolation("prepare_z")
-        self.ops_log.add("prepare_z")
+        self._run("prepare_z")
         return self.bank.prepare_z(bit, label)
 
     def measure_z(self, label: str) -> int:
-        if "measure_z" not in self._allowed:
-            raise CapabilityViolation("measure_z")
-        self.ops_log.add("measure_z")
+        self._run("measure_z")
         return self.bank.measure_z(label, self.rng)
 
     def reflect(self, label: str) -> str:
-        if "reflect" not in self._allowed:
-            raise CapabilityViolation("reflect")
-        self.ops_log.add("reflect")
+        self._run("reflect")
         return label
 
     def permute(self, perm: Permutation, seq: list) -> list:
-        if "permute" not in self._allowed:
-            raise CapabilityViolation("permute")
-        self.ops_log.add("permute")
+        self._run("permute")
         return perm.apply(seq)
 
-    # quantum surface -------------------------------------------------------
-
     def prepare_bell(self, kind: BellKind, l1: str, l2: str) -> tuple[str, str]:
-        if "prepare_bell" not in self._allowed:
-            raise CapabilityViolation("prepare_bell")
-        self.ops_log.add("prepare_bell")
+        self._run("prepare_bell")
         return self.bank.prepare_bell(kind, l1, l2)
 
     def prepare_ghz_like(
         self, psi1: BellKind, psi2: BellKind, basis: OrthonormalPair, labels: tuple[str, str, str]
     ) -> tuple[str, str, str]:
-        if "prepare_ghz_like" not in self._allowed:
-            raise CapabilityViolation("prepare_ghz_like")
-        self.ops_log.add("prepare_ghz_like")
+        self._run("prepare_ghz_like")
         return self.bank.prepare_ghz_like(psi1, psi2, basis, labels)
 
     def measure_bell(self, q1: str, q2: str) -> BellKind:
-        if "measure_bell" not in self._allowed:
-            raise CapabilityViolation("measure_bell")
-        self.ops_log.add("measure_bell")
+        self._run("measure_bell")
         return self.bank.measure_bell(q1, q2, self.rng)
 
     def measure_ab(self, label: str, basis: OrthonormalPair) -> int:
-        if "measure_ab" not in self._allowed:
-            raise CapabilityViolation("measure_ab")
-        self.ops_log.add("measure_ab")
+        self._run("measure_ab")
         return self.bank.measure_ab(label, basis, self.rng)
 
     def cnot(self, control: str, target: str) -> None:
-        if "apply_cnot" not in self._allowed:
-            raise CapabilityViolation("apply_cnot")
-        self.ops_log.add("apply_cnot")
+        self._run("apply_cnot")
         self.bank.cnot(control, target)
 
     def x(self, label: str) -> None:
-        if "apply_x" not in self._allowed:
-            raise CapabilityViolation("apply_x")
-        self.ops_log.add("apply_x")
+        self._run("apply_x")
         self.bank.x(label)
 
 

@@ -21,7 +21,7 @@ from enum import Enum
 from ..adversary import AttackStrategy
 from ..parties import Permutation, random_permutation
 from ..qsim import COMPUTATIONAL, BellKind, OrthonormalPair
-from .common import Bits, Session, SessionOutcome
+from .common import CONTROL, HOME, TRAVEL, Bits, Session, SessionOutcome, qubit
 
 
 class CdssqcVariant(Enum):
@@ -89,7 +89,10 @@ def _run(config: CdssqcConfig) -> SessionOutcome:
     if len(message) != n:
         raise ValueError("message length must equal n")
 
+    bank, arng, brng, crng = session.bank, alice.rng, bob.rng, charlie.rng
+    measure_z, measure_ab = bank.measure_z, bank.measure_ab
     if ghz:
+        step = charlie.step("prepare_ghz_like")
         transcript.log(
             "charlie",
             "prepare_triples",
@@ -97,12 +100,17 @@ def _run(config: CdssqcConfig) -> SessionOutcome:
             psi1=config.psi1.value,
             psi2=config.psi2.value,
         )
-        for i in range(total):
-            charlie.prepare_ghz_like(config.psi1, config.psi2, basis, (f"A{i}", f"B{i}", f"C{i}"))
+        for p in range(total):
+            bank.prepare_ghz_like(
+                config.psi1, config.psi2, basis, (qubit(p, TRAVEL), qubit(p, HOME), qubit(p, CONTROL))
+            )
+        charlie.ran(step)
     else:
+        step = charlie.step("prepare_bell")
         transcript.log("charlie", "prepare_pairs", count=total, state=config.switch_bell.value)
-        for i in range(total):
-            charlie.prepare_bell(config.switch_bell, f"A{i}", f"B{i}")
+        for p in range(total):
+            bank.prepare_bell(config.switch_bell, qubit(p, TRAVEL), qubit(p, HOME))
+        charlie.ran(step)
         pi_c = (
             random_permutation(total, charlie.rng)
             if config.charlie_permutation_enabled
@@ -110,31 +118,40 @@ def _run(config: CdssqcConfig) -> SessionOutcome:
         )
         transcript.log("charlie", "permute_bob_sequence", size=total)
     transcript.log("charlie", "distribute", to=["alice", "bob"])
-    session.send([f"A{i}" for i in range(total)], [f"B{i}" for i in range(total)])
+    session.send()
 
     def spot_mismatch(p: int) -> bool:
         if ghz:
-            parity = _branch_state(config, charlie.measure_ab(f"C{p}", basis)).parity
+            parity = _branch_state(config, measure_ab(qubit(p, CONTROL), basis, crng)).parity
         else:
             parity = config.switch_bell.parity
-        return (alice.measure_z(session.travel[p]) ^ bob.measure_z(f"B{p}")) != parity
+        return (measure_z(session.travel[p], arng) ^ measure_z(qubit(p, HOME), brng)) != parity
 
     details["eve_truth"] = tuple(message)
-    aborted = session.spot_check(charlie, spot_mismatch)
+    steps = [(alice, alice.step("measure_z")), (bob, bob.step("measure_z"))]
+    if ghz:
+        steps.append((charlie, charlie.step("measure_ab")))
+    aborted = session.spot_check(charlie, spot_mismatch, steps)
     if aborted:
         return aborted
 
     # Controller outcomes are sampled now (they commute with everything the
     # other parties do to qubits 1 and 2) and announced at the staged points.
     remaining = session.slots
-    branch = {p: charlie.measure_ab(f"C{p}", basis) for p in remaining} if ghz else {}
+    branch = {}
+    if ghz:
+        step = charlie.step("measure_ab")
+        branch = {p: measure_ab(qubit(p, CONTROL), basis, crng) for p in remaining}
+        charlie.ran(step)
 
     def shared(p: int) -> BellKind:
         """The Bell state of slot p's A and B qubits, given Charlie's outcome."""
         return _branch_state(config, branch[p]) if ghz else config.switch_bell
 
     encoded = sorted(remaining[i] for i in alice.rng.sample(len(remaining), n))
-    r_a = session.exchange(encoded, message, "send_sequence", lambda i, q: bob.measure_z(q))
+    r_a = session.exchange(
+        encoded, message, "send_sequence", lambda i, q: measure_z(q, brng), ("measure_z",)
+    )
     transcript.log("alice", "reveal_split", decoys=session.decoy_wires())
     if ghz:
         outcomes = sorted([p, branch[p]] for p in session.decoys)
@@ -150,7 +167,7 @@ def _run(config: CdssqcConfig) -> SessionOutcome:
     transcript.log("alice", "reveal_message_permutation", mapping=mapping)
     # Bob reads his own halves of the message copies
     travel_bits = session.received
-    partner_bits = [bob.measure_z(f"B{p}") for p in encoded]
+    partner_bits = session.read(bob, encoded, HOME)
     transcript.log("bob", "measure_remaining", count=n)
     if ghz:
         outcomes = sorted([p, branch[p]] for p in encoded)

@@ -7,13 +7,30 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
 
-from ..adversary import build_attack
+from ..adversary import AttackKind, build_attack
 from ..errors import ZeroCount
 from ..parties import Capability, PartyContext, Permutation, random_permutation
 from ..qsim import BellKind, RegisterBank
 from ..rng import RandomSource, derive_seed
 
 Bits = tuple[int, ...]
+
+# A qubit's bank address packs its slot and its role, slot << 3 | role.
+# HOME is the partner the distributing party keeps (H, B), TRAVEL the qubit
+# it sends (T, A), CONTROL the controller's third qubit and FRESH the
+# sender's re-prepared qubit.  Eve's qubits take roles 4-6; her resent
+# qubits are indexed by wire instead of slot.
+HOME, TRAVEL, CONTROL, FRESH = range(4)
+_EVE_ROLES = {"EA": 4, "ER": 4, "EF": 5, "EX": 5, "EM": 5, "ES": 6, "EW": 6}
+
+
+def qubit(slot: int, role: int) -> int:
+    """The bank address of slot ``slot``'s ``role`` qubit."""
+    return slot << 3 | role
+
+
+def _eve_qubit(role: str, i: int) -> int:
+    return i << 3 | _EVE_ROLES[role]
 
 
 class AbortReason(Enum):
@@ -99,7 +116,14 @@ class Session:
     stages in protocol order and keep only what differs.  Each party draws
     from its own stream, derived from the session seed (alice 1, bob 2,
     charlie 4, Eve 3 unless the attack brings its own seed), so seeded output
-    depends only on the order of each party's own draws.
+    depends only on the order of each party's own draws.  Eve exists only
+    while an attack is active.
+
+    Each stage is a loop over slots that runs one party's step on each
+    slot's registers, straight on the bank, with qubits addressed by
+    ``qubit(slot, role)``.  The steps are built, and so capability-checked,
+    before the loop touches a register, and logged once the loop has run
+    them.
     """
 
     def __init__(self, config, protocol: str, classical: str, controller: bool = False):
@@ -110,7 +134,7 @@ class Session:
         self.protocol = protocol
         self.total = self.n + self.m
         self.transcript = Transcript()
-        bank = RegisterBank()
+        self.bank = bank = RegisterBank()
 
         def party(name: str, stream: int) -> PartyContext:
             cap = Capability.CLASSICAL if name == classical else Capability.QUANTUM
@@ -122,10 +146,12 @@ class Session:
         self.sender, self.receiver = (
             (self.alice, self.bob) if classical == "alice" else (self.bob, self.alice)
         )
-        eve_seed = config.attack.eve_rng_seed
-        eve_rng = RandomSource(derive_seed(config.seed, 3) if eve_seed is None else eve_seed)
-        eve = PartyContext("eve", Capability.QUANTUM, eve_rng, bank)
-        self.attack = build_attack(config.attack, protocol, eve)
+        eve = None
+        if config.attack.kind is not AttackKind.NONE:
+            eve_seed = config.attack.eve_rng_seed
+            eve_rng = RandomSource(derive_seed(config.seed, 3) if eve_seed is None else eve_seed)
+            eve = PartyContext("eve", Capability.QUANTUM, eve_rng, bank)
+        self.attack = build_attack(config.attack, protocol, eve, _eve_qubit)
         self.slots = list(range(self.total))  # the positions still in play
         self.error_rate = 0.0
         self.details: dict = {
@@ -137,30 +163,36 @@ class Session:
 
     def psi_pairs(self) -> None:
         """Alice prepares psi+ pairs, keeps the H halves and sends the T halves."""
-        total = self.total
+        total, alice = self.total, self.alice
+        step = alice.step("prepare_bell")
         self.transcript.log("alice", "prepare_pairs", count=total, state=BellKind.PSI_PLUS.value)
-        for i in range(total):
-            self.alice.prepare_bell(BellKind.PSI_PLUS, f"H{i}", f"T{i}")
+        prepare, kind = self.bank.prepare_bell, BellKind.PSI_PLUS
+        for p in range(total):
+            prepare(kind, p << 3 | HOME, p << 3 | TRAVEL)
+        alice.ran(step)
         self.transcript.log("alice", "send_travel", count=total)
-        self.send([f"T{i}" for i in range(total)], [f"H{i}" for i in range(total)])
+        self.send()
 
-    def send(self, travel: list[str], home: list[str]) -> None:
-        """Put the travel qubits on the forward leg; ``home[p]`` is slot p's partner."""
-        self.home = home
-        self.travel = self.attack.forward_leg(travel)
+    def send(self) -> None:
+        """Put every slot's TRAVEL qubit on the forward leg; HOME stays behind."""
+        self.travel = self.attack.forward_leg([p << 3 | TRAVEL for p in range(self.total)])
 
     def spot_check(
-        self, chooser: PartyContext, mismatched: Callable[[int], bool]
+        self, chooser: PartyContext, mismatched: Callable[[int], bool], steps: list
     ) -> SessionOutcome | None:
         """Measure a random set of slots, drawn by ``chooser``, and compare.
 
-        ``mismatched(p)`` measures slot p's qubits; the checked copies are
-        consumed.  Returns the abort outcome if the mismatch rate is over the
+        ``mismatched(p)`` runs ``steps``, (party, step) pairs built by the
+        runner, on slot p's qubits; the checked copies are consumed.
+        Returns the abort outcome if the mismatch rate is over the
         threshold; otherwise the unchecked slots stay in play.
         """
         s = self.config.spot_count()
         positions = sorted(chooser.rng.sample(self.total, s)) if s else []
         bad = sum(1 for p in positions if mismatched(p))
+        if positions:
+            for party, step in steps:
+                party.ran(step)
         self.transcript.log(
             "all", "correlation_check", positions=positions, mismatches=bad, checked=s
         )
@@ -179,62 +211,97 @@ class Session:
         encoded: list[int],
         message: Bits,
         send_action: str,
-        receive: Callable[[int, str], object],
+        receive: Callable[[int, int], object],
+        receive_step: tuple[str, ...],
     ) -> list[int]:
         """The sender's encoding and permuted return, then the per-wire readout.
 
         The sender measures each encoded slot (ascending) in Z and resends
         outcome XOR its message bit on a fresh qubit, reflects the other
         slots in play, and sends the sequence under a secret permutation.
-        On each wire Eve's hook acts, then the receiver either reads encoded
-        slot i through ``receive(i, qubit)`` into ``received[i]`` or
-        Bell-measures a decoy against its home partner.  Records how Eve
-        classified each wire and returns the sender's Z outcomes.
+        On each wire Eve's hook acts, then the receiver either runs
+        ``receive_step`` on encoded slot i through ``receive(i, qubit)``
+        into ``received[i]`` or Bell-measures a decoy against its home
+        partner.  Records how Eve classified each wire and returns the
+        sender's Z outcomes.
         """
-        sender, travel, slots = self.sender, self.travel, self.slots
+        sender, receiver, bank = self.sender, self.receiver, self.bank
+        encode, reflect = sender.step("measure_z", "prepare_z"), sender.step("reflect")
+        permute = sender.step("permute")
+        check = receiver.step("measure_bell")
+        receive_step = receiver.step(*receive_step)
+
+        travel, slots, srng = self.travel, self.slots, sender.rng
+        measure_z, prepare_z = bank.measure_z, bank.prepare_z
         index = {p: i for i, p in enumerate(encoded)}
         outcomes: list[int] = []
-        seq: list[str] = []
+        seq: list[int] = []
         for p in slots:
-            if p in index:
-                bit = sender.measure_z(travel[p])
-                outcomes.append(bit)
-                seq.append(sender.prepare_z(bit ^ message[index[p]], f"S{p}"))
+            i = index.get(p)
+            if i is None:
+                seq.append(travel[p])
             else:
-                seq.append(sender.reflect(travel[p]))
+                bit = measure_z(travel[p], srng)
+                outcomes.append(bit)
+                seq.append(prepare_z(bit ^ message[i], p << 3 | FRESH))
+        self.decoys = [p for p in slots if p not in index]
+        if encoded:
+            sender.ran(encode)
+        if self.decoys:
+            sender.ran(reflect)
         self.transcript.log(sender.name, "encode", count=self.n)
 
         size = len(slots)
         pi = (
-            random_permutation(size, sender.rng)
+            random_permutation(size, srng)
             if self.config.permutation_enabled
             else Permutation.identity(size)
         )
-        wire = sender.permute(pi, seq)
+        wire = pi.apply(seq)
+        sender.ran(permute)
         self.transcript.log(sender.name, send_action, count=size)
-        self.wire_of = {p: pi.destination(k) for k, p in enumerate(slots)}
+        self.wire_of = dict(zip(slots, pi.mapping))
         self.encoded = encoded
         self.encoded_wires = [self.wire_of[p] for p in encoded]
-        self.decoys = [p for p in slots if p not in index]
 
         # Per-wire processing: the eavesdropper hook, the receiving measurement
         # and the ancilla readout all act on disjoint qubits across wires, so
         # they commute with the later classical stages; sampling them in wire
         # order keeps every register within the qubit cap.
         origin = {w: p for p, w in self.wire_of.items()}
-        self.received: list = [None] * len(encoded)
-        self.bell: dict[int, BellKind] = {}
+        received: list = [None] * len(encoded)
+        bell: dict[int, BellKind] = {}
+        measure_bell, rrng = bank.measure_bell, receiver.rng
+        attack = self.attack if "return" in self.attack.legs else None
         for j in range(size):
-            qubit = self.attack.wire(j, wire[j])
+            q = wire[j]
+            if attack is not None:
+                q = attack.wire(j, q)
             p = origin[j]
-            if p in index:
-                self.received[index[p]] = receive(index[p], qubit)
+            i = index.get(p)
+            if i is None:
+                bell[p] = measure_bell(p << 3 | HOME, q, rrng)
             else:
-                self.bell[p] = self.receiver.measure_bell(self.home[p], qubit)
-            self.attack.after_wire(j)
-        self.transcript.log(self.receiver.name, "ack_receipt")
+                received[i] = receive(i, q)
+            if attack is not None:
+                attack.after_wire(j)
+        if encoded:
+            receiver.ran(receive_step)
+        if self.decoys:
+            receiver.ran(check)
+        self.received, self.bell = received, bell
+        self.transcript.log(receiver.name, "ack_receipt")
         self.details["eve_wire_classifications"] = dict(self.attack.state.wire_classifications)
         return outcomes
+
+    def read(self, party: PartyContext, slots: list[int], role: int) -> list[int]:
+        """``party`` measures each slot's ``role`` qubit in Z, in slot order."""
+        step = party.step("measure_z")
+        measure_z, rng = self.bank.measure_z, party.rng
+        bits = [measure_z(p << 3 | role, rng) for p in slots]
+        if bits:
+            party.ran(step)
+        return bits
 
     def decoy_wires(self) -> list[list[int]]:
         """The disclosed [slot, wire] pairs of the decoys."""

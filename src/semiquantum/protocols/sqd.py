@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from ..adversary import AttackStrategy
 from ..parties import ClassicalAction, choose_actions
 from ..qsim import BellKind
-from .common import Bits, Session, SessionOutcome
+from .common import HOME, Bits, Session, SessionOutcome, qubit
 
 
 @dataclass(frozen=True)
@@ -62,9 +62,13 @@ def run_sqd(config: SqdConfig) -> SessionOutcome:
     session.psi_pairs()
     transcript.log("bob", "ack_receipt")
     session.details["eve_truth"] = tuple(m_b)
+    bank, arng, brng = session.bank, alice.rng, bob.rng
+    measure_z = bank.measure_z
     # psi+ pairs are Z-correlated
     aborted = session.spot_check(
-        alice, lambda p: alice.measure_z(f"H{p}") ^ bob.measure_z(session.travel[p])
+        alice,
+        lambda p: measure_z(qubit(p, HOME), arng) ^ measure_z(session.travel[p], brng),
+        [(alice, alice.step("measure_z")), (bob, bob.step("measure_z"))],
     )
     if aborted:
         return aborted
@@ -81,16 +85,18 @@ def run_sqd(config: SqdConfig) -> SessionOutcome:
 
     zz = config.final_measurement == "zz"
 
-    def receive(i: int, qubit: str):
+    def receive(i: int, q: int):
         """Alice adds her bit with I/X, then measures the pair: parity or Bell state."""
-        home = f"H{encoded[i]}"
+        home = qubit(encoded[i], HOME)
         if m_a[i]:
-            alice.x(qubit)
+            bank.x(q)
         if zz:
-            return alice.measure_z(home) ^ alice.measure_z(qubit)
-        return alice.measure_bell(home, qubit)
+            return measure_z(home, arng) ^ measure_z(q, arng)
+        return bank.measure_bell(home, q, arng)
 
-    r_b = session.exchange(encoded, m_b, "return_sequence", receive)
+    step = ("apply_x",) if any(m_a) else ()
+    step += ("measure_z",) if zz else ("measure_bell",)
+    r_b = session.exchange(encoded, m_b, "return_sequence", receive, step)
     transcript.log("bob", "reveal_decoy_positions", mapping=session.decoy_wires())
     aborted = session.bell_check(lambda p: BellKind.PSI_PLUS)
     if aborted:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 from ..adversary import AttackStrategy
 from ..parties import ClassicalAction, choose_actions, commit, verify
 from ..qsim import BellKind
-from .common import AbortReason, Bits, RawKeys, Session, SessionOutcome, xor_bits
+from .common import HOME, AbortReason, Bits, RawKeys, Session, SessionOutcome, xor_bits
 
 
 @dataclass(frozen=True)
@@ -75,7 +75,10 @@ def _run_keyed(config: SqkaConfig, announce_key: bool) -> SessionOutcome:
     session.psi_pairs()
     actions = choose_actions(n, session.m, bob.rng)
     encoded = [i for i, a in enumerate(actions) if a is ClassicalAction.MEASURE_AND_PREPARE]
-    r_b = session.exchange(encoded, k_b, "return_sequence", lambda i, q: alice.measure_z(q))
+    measure_z, arng = session.bank.measure_z, alice.rng
+    r_b = session.exchange(
+        encoded, k_b, "return_sequence", lambda i, q: measure_z(q, arng), ("measure_z",)
+    )
     transcript.log("bob", "reveal_Pi_m", mapping=session.decoy_wires())
     session.details["eve_truth"] = tuple(k_b)
     aborted = session.bell_check(lambda p: BellKind.PSI_PLUS)
@@ -103,7 +106,7 @@ def _run_keyed(config: SqkaConfig, announce_key: bool) -> SessionOutcome:
         if not ok:
             return session.abort("bob", AbortReason.COMMITMENT_MISMATCH)
 
-    r_a = tuple(alice.measure_z(f"H{p}") for p in encoded)
+    r_a = tuple(session.read(alice, encoded, HOME))
     k_b_decoded = tuple(
         extract_bob_key_bit(r_a[i], session.received[c]) for i, c in enumerate(claimed)
     )

@@ -24,18 +24,22 @@ Memo
 ----
 A ``StateVector`` is its labels plus a ket: the qubit count and the exact
 amplitude entries in insertion order, range- and norm-checked once when
-built.  Kets of at most ``MAX_STORED_QUBITS`` qubits are interned, so a
-content that recurs is one object, and each primitive keeps its result on
-the input ket: a gate or merge its output ket, a measurement its branch
-probabilities and each branch's post-measurement ket, collapsed only when
-that branch is first sampled or projected.  A recurring content thus
-repeats no arithmetic.  Larger kets (the cross-slot registers of permuted
-attacks) go through the same code but are not stored.  Results are the
-values the computation gives the first time, so the memo changes no draw.
+built.  Kets are interned, so a content that recurs is one object, and each
+primitive keeps its result on the input ket: a gate or merge its output
+ket, a measurement its step (see below).  A recurring content thus repeats
+no arithmetic.  Every ket of at most 4 qubits is stored; of the 5- and
+6-qubit kets (the cross-slot registers of permuted attacks) only the first
+``MAX_WIDE_KETS``, so the table stays bounded.  Later wide kets go through
+the same code but are not stored, and a stored ket's memo refers only to
+stored kets.  Results are the values the computation gives the first time,
+so the memo changes no draw.
 
-Every sampled measurement takes exactly one ``rng.random()`` draw and
-returns the first outcome, in a fixed order (Z: 0, 1; Bell: ``BELL_ORDER``;
-basis: a, b), whose running probability sum exceeds the draw.
+A measurement's step holds its branch probabilities, their running sums
+and each branch's post-measurement ket, collapsed only when that branch is
+first sampled or projected.  Every sampled measurement takes exactly one
+``rng.random()`` draw and returns the first outcome, in a fixed order (Z:
+0, 1; Bell: ``BELL_ORDER``; basis: a, b), whose running probability sum
+exceeds the draw.
 """
 from __future__ import annotations
 
@@ -60,8 +64,8 @@ if TYPE_CHECKING:
 
 NORM_TOL = 1e-12
 MAX_QUBITS = 6
-# kets of at most this many qubits are interned with their memo (see Memo)
-MAX_STORED_QUBITS = 4
+# at most this many kets of 5-6 qubits are stored with their memo (see Memo)
+MAX_WIDE_KETS = 512
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
@@ -72,6 +76,10 @@ class BellKind(Enum):
     PSI_MINUS = "psi-"
     PHI_PLUS = "phi+"
     PHI_MINUS = "phi-"
+
+    # members are singletons compared by identity; the C-level hash keeps
+    # the per-slot ket lookups off Enum's Python-level one
+    __hash__ = object.__hash__
 
     @property
     def parity(self) -> int:
@@ -101,7 +109,7 @@ _BELL_ENTRIES: dict[BellKind, dict[int, complex]] = {
 
 
 class _Bras(tuple):
-    """A bra table for ``_Split``: ``table[pattern]`` lists ``(outcome,
+    """A bra table for ``_Step``: ``table[pattern]`` lists ``(outcome,
     <outcome|bits>)`` for every outcome overlapping the measured bits
     ``pattern``.  It hashes by identity, so it is a cheap memo key; two
     equal tables built apart are two keys, which costs only a recomputation.
@@ -187,27 +195,32 @@ class _Ket:
     ``memo`` maps a primitive's arguments to its result on this ket:
     ``("cnot", c, t)`` and ``("x", t)`` to the output ket, the right-hand
     ket of a merge to the merged ket, and ``(bras, positions)`` to the
-    measurement's ``_Split``.
+    measurement's ``_Step``.  ``stored`` tells whether the ket is interned.
     """
 
-    __slots__ = ("k", "entries", "memo")
+    __slots__ = ("k", "entries", "memo", "stored")
 
     def __init__(self, k: int, entries: dict[int, complex]):
         self.k = k
         self.entries = entries
         self.memo: dict = {}
+        self.stored = False
 
 
-# Interned kets of at most MAX_STORED_QUBITS qubits, keyed by content.
+# Interned kets, keyed by content; at most MAX_WIDE_KETS of them are wide.
 _KETS: dict[tuple, _Ket] = {}
+_NARROW_QUBITS = 4
+_wide_stored = 0
 
 
 def _intern(k: int, amplitudes) -> _Ket:
     """The ket of ``amplitudes``, pairs of basis index and amplitude.
 
     Exact zeros are dropped.  A content seen before returns its interned
-    ket; a new one is norm-checked and, if small enough, interned.
+    ket; a new one is norm-checked and stored if it is narrow or the wide
+    kets are still under their cap.
     """
+    global _wide_stored
     size = 1 << k
     entries = {}
     for i, amp in amplitudes:
@@ -224,7 +237,10 @@ def _intern(k: int, amplitudes) -> _Ket:
         if abs(norm2 - 1.0) > NORM_TOL:
             raise ValueError(f"state not normalized: sum |amp|^2 = {norm2!r}")
         ket = _Ket(k, entries)
-        if k <= MAX_STORED_QUBITS:
+        if k <= _NARROW_QUBITS or _wide_stored < MAX_WIDE_KETS:
+            if k > _NARROW_QUBITS:
+                _wide_stored += 1
+            ket.stored = True
             _KETS[key] = ket
     return ket
 
@@ -345,15 +361,15 @@ def prepare_ghz_like(
 
 
 def merge_registers(s1: StateVector, s2: StateVector) -> StateVector:
-    """Tensor product of two disjoint registers; s1's labels become the high bits.
-
-    Only ``labels`` and ``_ket`` of each argument are read, so a bank's
-    register record serves as well as a ``StateVector``.
-    """
+    """Tensor product of two disjoint registers; s1's labels become the high bits."""
     if not set(s1.labels).isdisjoint(s2.labels):
         common = sorted(set(s1.labels) & set(s2.labels))
         raise DuplicateLabel(f"labels shared between registers: {common}")
-    left, right = s1._ket, s2._ket
+    return StateVector(_merge(s1._ket, s2._ket), s1.labels + s2.labels)
+
+
+def _merge(left: _Ket, right: _Ket) -> _Ket:
+    """The ket of ``left`` and ``right`` side by side, ``left`` in the high bits."""
     k = left.k + right.k
     if k > MAX_QUBITS:
         raise RegisterTooLarge(f"merged register would hold {k} > {MAX_QUBITS} qubits")
@@ -362,10 +378,9 @@ def merge_registers(s1: StateVector, s2: StateVector) -> StateVector:
         shift = right.k
         pairs = right.entries.items()
         ket = _intern(k, [((i << shift) | j, a * b) for i, a in left.entries.items() for j, b in pairs])
-        # a stored ket keeps only stored kets, so the table stays bounded
-        if k <= MAX_STORED_QUBITS:
+        if ket.stored and right.stored:
             left.memo[right] = ket
-    return StateVector(ket, s1.labels + s2.labels)
+    return ket
 
 
 # ---------------------------------------------------------------------------
@@ -384,9 +399,9 @@ def _cnot(ket: _Ket, c: int, t: int) -> _Ket:
     out = ket.memo.get(key)
     if out is None:
         cm, tm = _mask(ket.k, c), _mask(ket.k, t)
-        out = ket.memo[key] = _intern(
-            ket.k, [(i ^ tm if i & cm else i, a) for i, a in ket.entries.items()]
-        )
+        out = _intern(ket.k, [(i ^ tm if i & cm else i, a) for i, a in ket.entries.items()])
+        if out.stored:
+            ket.memo[key] = out
     return out
 
 
@@ -396,7 +411,9 @@ def _x(ket: _Ket, t: int) -> _Ket:
     out = ket.memo.get(key)
     if out is None:
         tm = _mask(ket.k, t)
-        out = ket.memo[key] = _intern(ket.k, [(i ^ tm, a) for i, a in ket.entries.items()])
+        out = _intern(ket.k, [(i ^ tm, a) for i, a in ket.entries.items()])
+        if out.stored:
+            ket.memo[key] = out
     return out
 
 
@@ -452,17 +469,20 @@ def _weight(entries: dict) -> float:
     return total
 
 
-class _Split:
+class _Step:
     """A measurement of the qubits at ``positions`` of one ket.
 
     The live entries split into one branch per outcome, keyed by the index
     of the unmeasured qubits (``keep``); a branch's Born weight is the sum
-    of its squared magnitudes.  ``posts[o]`` holds branch ``o`` until it is
-    first used, then its renormalized ket; it is None once no qubit remains
-    or the branch is impossible.
+    of its squared magnitudes.  ``cuts`` pairs each possible outcome with
+    the running sum of the weights up to it, the sums ``_sample`` compares
+    the draw with; the last bound is infinite, so a draw above the summed
+    weights takes the last possible outcome.  ``posts[o]`` holds branch
+    ``o`` as a dict until it is first used, then its renormalized ket if
+    that is stored; it is None once no qubit remains.
     """
 
-    __slots__ = ("probs", "keep", "posts")
+    __slots__ = ("probs", "keep", "posts", "cuts")
 
     def __init__(self, ket: _Ket, positions: tuple[int, ...], bras: _Bras):
         table, keep = _split_plan(ket.k, positions)
@@ -474,7 +494,11 @@ class _Split:
                 branch[j] = branch.get(j, 0j) + bra * a
         self.probs = tuple(map(_weight, branches))
         self.keep = keep
-        self.posts = [b if keep and p > 0.0 else None for b, p in zip(branches, self.probs)]
+        self.posts = [b if keep or p <= 0.0 else None for b, p in zip(branches, self.probs)]
+        self.cuts = _cuts(self.probs)
+
+    def __len__(self) -> int:
+        return len(self.probs)
 
     def post(self, outcome: int) -> _Ket | None:
         """The renormalized ket of branch ``outcome``, or None."""
@@ -484,7 +508,9 @@ class _Split:
         post = self.posts[outcome]
         if type(post) is dict:
             scale = 1.0 / math.sqrt(prob)
-            post = self.posts[outcome] = _intern(len(self.keep), [(j, a * scale) for j, a in post.items()])
+            post = _intern(len(self.keep), [(j, a * scale) for j, a in post.items()])
+            if post.stored:
+                self.posts[outcome] = post
         return post
 
     def post_state(self, state: StateVector, outcome: int) -> StateVector | None:
@@ -496,29 +522,42 @@ class _Split:
         return StateVector(post, tuple([labels[p] for p in self.keep]))
 
 
-def _split(ket: _Ket, positions: tuple[int, ...], bras: _Bras) -> _Split:
+def _cuts(probs) -> tuple[tuple[float, int], ...]:
+    """(running sum, outcome) for each outcome of nonzero weight, the last
+    sum replaced by infinity."""
+    cuts, acc = [], 0.0
+    for i, p in enumerate(probs):
+        acc += p
+        if p > 0.0:
+            cuts.append((acc, i))
+    if cuts:
+        cuts[-1] = (math.inf, cuts[-1][1])
+    return tuple(cuts)
+
+
+def _step(ket: _Ket, positions: tuple[int, ...], bras: _Bras) -> _Step:
     key = (bras, positions)
-    split = ket.memo.get(key)
-    if split is None:
-        split = ket.memo[key] = _Split(ket, positions, bras)
-    return split
+    step = ket.memo.get(key)
+    if step is None:
+        step = ket.memo[key] = _Step(ket, positions, bras)
+    return step
 
 
-def _project(state: StateVector, split: _Split, outcome: int) -> tuple[float, StateVector | None]:
-    return split.probs[outcome], split.post_state(state, outcome)
+def _project(state: StateVector, step: _Step, outcome: int) -> tuple[float, StateVector | None]:
+    return step.probs[outcome], step.post_state(state, outcome)
 
 
-def _measure(state: StateVector, split: _Split, rng: RandomSource) -> tuple[int, float, StateVector | None]:
-    i = _sample(split.probs, rng)
-    return i, split.probs[i], split.post_state(state, i)
+def _measure(state: StateVector, step: _Step, rng: RandomSource) -> tuple[int, float, StateVector | None]:
+    i = _sample(step, rng)
+    return i, step.probs[i], step.post_state(state, i)
 
 
-def _qubit_split(state: StateVector, label: str, basis: OrthonormalPair) -> _Split:
-    return _split(state._ket, (state.position(label),), basis._bras)
+def _qubit_step(state: StateVector, label: str, basis: OrthonormalPair) -> _Step:
+    return _step(state._ket, (state.position(label),), basis._bras)
 
 
-def _bell_split(state: StateVector, q1: str, q2: str) -> _Split:
-    return _split(state._ket, (state.position(q1), state.position(q2)), _BELL_BRAS)
+def _bell_step(state: StateVector, q1: str, q2: str) -> _Step:
+    return _step(state._ket, (state.position(q1), state.position(q2)), _BELL_BRAS)
 
 
 def _array(probs: tuple[float, ...]) -> np.ndarray:
@@ -528,111 +567,113 @@ def _array(probs: tuple[float, ...]) -> np.ndarray:
 
 
 def z_probabilities(state: StateVector, label: str) -> np.ndarray:
-    return _array(_qubit_split(state, label, COMPUTATIONAL).probs)
+    return _array(_qubit_step(state, label, COMPUTATIONAL).probs)
 
 
 def project_z(state: StateVector, label: str, outcome: int) -> tuple[float, StateVector | None]:
     """Born probability of a Z outcome and the collapsed remainder."""
-    return _project(state, _qubit_split(state, label, COMPUTATIONAL), outcome)
+    return _project(state, _qubit_step(state, label, COMPUTATIONAL), outcome)
 
 
 def measure_z(state: StateVector, label: str, rng: RandomSource) -> MeasurementRecord:
     """Sample a computational-basis measurement of one qubit."""
-    return MeasurementRecord(*_measure(state, _qubit_split(state, label, COMPUTATIONAL), rng))
+    return MeasurementRecord(*_measure(state, _qubit_step(state, label, COMPUTATIONAL), rng))
 
 
 def bell_probabilities(state: StateVector, q1: str, q2: str) -> np.ndarray:
     """Born probabilities of the four Bell outcomes on (q1, q2), in BELL_ORDER."""
-    return _array(_bell_split(state, q1, q2).probs)
+    return _array(_bell_step(state, q1, q2).probs)
 
 
 def project_bell(state: StateVector, q1: str, q2: str, kind: BellKind) -> tuple[float, StateVector | None]:
-    return _project(state, _bell_split(state, q1, q2), BELL_ORDER.index(kind))
+    return _project(state, _bell_step(state, q1, q2), BELL_ORDER.index(kind))
 
 
 def measure_bell(state: StateVector, q1: str, q2: str, rng: RandomSource) -> MeasurementRecord:
     """Sample a Bell-basis measurement of two qubits; both leave the register."""
-    i, prob, post = _measure(state, _bell_split(state, q1, q2), rng)
+    i, prob, post = _measure(state, _bell_step(state, q1, q2), rng)
     return MeasurementRecord(BELL_ORDER[i], prob, post)
 
 
 def ab_probabilities(state: StateVector, label: str, basis: OrthonormalPair) -> np.ndarray:
-    return _array(_qubit_split(state, label, basis).probs)
+    return _array(_qubit_step(state, label, basis).probs)
 
 
 def project_ab(
     state: StateVector, label: str, basis: OrthonormalPair, outcome: int
 ) -> tuple[float, StateVector | None]:
-    return _project(state, _qubit_split(state, label, basis), outcome)
+    return _project(state, _qubit_step(state, label, basis), outcome)
 
 
 def measure_ab(
     state: StateVector, label: str, basis: OrthonormalPair, rng: RandomSource
 ) -> MeasurementRecord:
     """Sample a measurement in an arbitrary orthonormal basis; outcome 0=|a>, 1=|b>."""
-    return MeasurementRecord(*_measure(state, _qubit_split(state, label, basis), rng))
+    return MeasurementRecord(*_measure(state, _qubit_step(state, label, basis), rng))
 
 
 def _sample(probs, rng: RandomSource) -> int:
+    """The outcome of one ``rng.random()`` draw against ``probs``, a step or
+    a sequence of outcome weights (see ``_Step.cuts``)."""
+    cuts = probs.cuts if type(probs) is _Step else _cuts(probs)
     r = rng.random()
-    acc = 0.0
-    for i, p in enumerate(probs):
-        acc += p
-        if r < acc:
-            return i
-    # fp shortfall: the draw lies above the summed weights
-    for i in range(len(probs) - 1, -1, -1):
-        if probs[i] > 0.0:
-            return i
+    for cut, outcome in cuts:
+        if r < cut:
+            return outcome
     raise ZeroProbabilityOutcome("no outcome has nonzero probability")
 
 
 # ---------------------------------------------------------------------------
 # register bookkeeping
 
+_Z_BRAS = COMPUTATIONAL._bras
+# the memo key of a Z measurement at each position
+_Z_KEYS = tuple((_Z_BRAS, (p,)) for p in range(MAX_QUBITS))
+
 
 class _Register:
-    """A bank-private register: its current ket and labels, updated in place.
+    """A bank-private register: its current ket and qubits, updated in place.
 
-    It carries ``_ket`` and ``labels`` as a ``StateVector`` does, so
-    ``merge_registers`` reads it directly.  ``view`` caches the immutable
-    ``StateVector`` of the current content until the register next changes.
+    ``view`` caches the immutable ``StateVector`` of the current content
+    until the register next changes.
     """
 
     __slots__ = ("_ket", "labels", "view")
 
-    def __init__(self, ket: _Ket, labels: tuple[str, ...], view: StateVector | None = None):
+    def __init__(self, ket: _Ket, labels: tuple, view: StateVector | None = None):
         self._ket = ket
         self.labels = labels
         self.view = view
 
 
 class RegisterBank:
-    """Tracks disjoint registers addressed by qubit label.
+    """Tracks disjoint registers, each qubit addressed by a hashable key.
 
-    Each label maps to a mutable register record that the bank alone owns;
-    an operation rewrites that record in place instead of building a new
-    ``StateVector``.  Operations that span registers merge them first
-    (subject to the qubit cap), re-binding the right-hand labels to the
-    left record; measurements drop consumed labels.  ``state_of`` hands out
-    an immutable snapshot, so nothing a caller holds changes afterwards.
-    This is where travel qubits, home qubits, ancillas and fresh
-    preparations all live during a session.
+    Tests and single-register callers use label strings; a protocol session
+    addresses a qubit by its slot and role, packed in one integer.  Each
+    address maps to a mutable register record that the bank alone owns; an
+    operation advances that record's ket in place by the ket's memoized
+    step instead of building a new ``StateVector``.  Operations that span
+    registers first join them (subject to the qubit cap), the first
+    address's register in the high bits, and re-bind the other register's
+    addresses to it; measurements drop consumed addresses.  ``state_of``
+    hands out an immutable snapshot, so nothing a caller holds changes
+    afterwards.
     """
 
     def __init__(self):
-        self._states: dict[str, _Register] = {}
+        self._states: dict = {}
 
-    def labels(self) -> set[str]:
+    def labels(self) -> set:
         return set(self._states)
 
-    def _record(self, label: str) -> _Register:
+    def _record(self, label) -> _Register:
         try:
             return self._states[label]
         except KeyError:
             raise UnknownLabel(label) from None
 
-    def state_of(self, label: str) -> StateVector:
+    def state_of(self, label) -> StateVector:
         """The current content of ``label``'s register, one object per content."""
         reg = self._record(label)
         view = reg.view
@@ -640,8 +681,10 @@ class RegisterBank:
             view = reg.view = StateVector(reg._ket, reg.labels)
         return view
 
-    def _bind(self, ket: _Ket, labels: tuple[str, ...], view: StateVector | None = None) -> None:
+    def _bind(self, ket: _Ket, labels: tuple, view: StateVector | None = None) -> None:
         states = self._states
+        if len(set(labels)) != len(labels):
+            raise DuplicateLabel(f"labels not unique: {labels}")
         for l in labels:
             if l in states:
                 raise DuplicateLabel(l)
@@ -652,93 +695,105 @@ class RegisterBank:
     def add(self, state: StateVector) -> None:
         self._bind(state._ket, state.labels, state)
 
-    def prepare_z(self, bit: int, label: str) -> str:
+    def prepare_z(self, bit: int, label):
         if bit not in (0, 1):
             raise ValueError(f"bit must be 0 or 1, got {bit!r}")
-        self._bind(_Z_KETS[bit], (label,))
+        states = self._states
+        if label in states:
+            raise DuplicateLabel(label)
+        states[label] = _Register(_Z_KETS[bit], (label,))
         return label
 
-    def prepare_bell(self, kind: BellKind, l1: str, l2: str) -> tuple[str, str]:
-        ket = _BELL_KETS[kind]
+    def prepare_bell(self, kind: BellKind, l1, l2) -> tuple:
+        ket, states = _BELL_KETS[kind], self._states
         if l1 == l2:
             raise DuplicateLabel(f"labels not unique: {(l1, l2)}")
-        self._bind(ket, (l1, l2))
+        for l in (l1, l2):
+            if l in states:
+                raise DuplicateLabel(l)
+        states[l1] = states[l2] = _Register(ket, (l1, l2))
         return l1, l2
 
-    def prepare_ghz_like(
-        self, psi1: BellKind, psi2: BellKind, basis: OrthonormalPair, labels: tuple[str, str, str]
-    ) -> tuple[str, str, str]:
-        self.add(prepare_ghz_like(psi1, psi2, basis, labels))
+    def prepare_ghz_like(self, psi1: BellKind, psi2: BellKind, basis: OrthonormalPair, labels: tuple) -> tuple:
+        if psi1 is psi2:
+            raise EqualBellKinds("psi1 and psi2 must be distinct Bell states")
+        self._bind(_ghz_like_ket(psi1, psi2, basis), tuple(labels))
         return labels
 
-    def _joined(self, l1: str, l2: str) -> _Register:
-        """The one register holding ``l1`` and ``l2``, merging l2's into l1's."""
-        reg, other = self._record(l1), self._record(l2)
+    def _joined(self, l1, l2) -> _Register:
+        """The one register holding ``l1`` and ``l2``, joining l2's into l1's."""
+        states = self._states
+        try:
+            reg, other = states[l1], states[l2]
+        except KeyError as err:
+            raise UnknownLabel(err.args[0]) from None
         if other is not reg:
-            merged = merge_registers(reg, other)
-            reg._ket, reg.labels, reg.view = merged._ket, merged.labels, merged
-            states = self._states
+            reg._ket = _merge(reg._ket, other._ket)
+            reg.labels += other.labels
+            reg.view = None
             for l in other.labels:
                 states[l] = reg
         return reg
 
-    def _merged(self, *labels: str) -> StateVector:
-        """One register holding ``labels``, kept in the bank."""
-        for l in labels[1:]:
-            self._joined(labels[0], l)
-        return self.state_of(labels[0])
-
-    def _replace(self, state: StateVector | None, removed: tuple[str, ...] = ()) -> None:
-        """Drop ``removed`` and bind ``state``'s labels to a register of it."""
-        for l in removed:
-            self._states.pop(l, None)
-        if state is not None:
-            reg = _Register(state._ket, state.labels, state)
-            for l in state.labels:
-                self._states[l] = reg
-
-    def cnot(self, control: str, target: str) -> None:
+    def cnot(self, control, target) -> None:
         reg = self._joined(control, target)
         labels = reg.labels
         reg._ket = _cnot(reg._ket, labels.index(control), labels.index(target))
         reg.view = None
 
-    def x(self, label: str) -> None:
+    def x(self, label) -> None:
         reg = self._record(label)
         reg._ket = _x(reg._ket, reg.labels.index(label))
         reg.view = None
 
-    def _collapse(
-        self, reg: _Register, measured: tuple[str, ...], positions: tuple[int, ...], bras: _Bras,
-        rng: RandomSource,
-    ) -> int:
-        """Sample a measurement of ``measured``, at ``positions`` of ``reg``,
-        in ``bras``; drop their labels and keep the rest of ``reg``."""
-        split = _split(reg._ket, positions, bras)
-        outcome = _sample(split.probs, rng)
-        post = split.posts[outcome]
+    def measure_z(self, label, rng: RandomSource) -> int:
+        states = self._states
+        try:
+            reg = states[label]
+        except KeyError:
+            raise UnknownLabel(label) from None
+        labels = reg.labels
+        pos = labels.index(label)
+        ket = reg._ket
+        step = ket.memo.get(_Z_KEYS[pos])
+        if step is None:
+            step = _step(ket, (pos,), _Z_BRAS)
+        outcome = _sample(step, rng)
+        post = step.posts[outcome]
         # a dict is a branch not yet collapsed; post() raises on an impossible one
-        if type(post) is dict or split.probs[outcome] <= 0.0:
-            post = split.post(outcome)
+        if type(post) is dict:
+            post = step.post(outcome)
+        del states[label]
+        if post is not None:
+            reg._ket = post
+            reg.labels = labels[:pos] + labels[pos + 1:]
+            reg.view = None
+        return outcome
+
+    def _collapse(self, reg: _Register, measured: tuple, positions: tuple[int, ...], bras: _Bras,
+                  rng: RandomSource) -> int:
+        """Sample a measurement of ``measured``, at ``positions`` of ``reg``,
+        in ``bras``; drop their addresses and keep the rest of ``reg``."""
+        step = _step(reg._ket, positions, bras)
+        outcome = _sample(step, rng)
+        post = step.posts[outcome]
+        if type(post) is dict:
+            post = step.post(outcome)
         states = self._states
         for l in measured:
             del states[l]
         if post is not None:
             labels = reg.labels
             reg._ket = post
-            reg.labels = tuple([labels[p] for p in split.keep])
+            reg.labels = tuple([labels[p] for p in step.keep])
             reg.view = None
         return outcome
 
-    def measure_z(self, label: str, rng: RandomSource) -> int:
-        reg = self._record(label)
-        return self._collapse(reg, (label,), (reg.labels.index(label),), COMPUTATIONAL._bras, rng)
-
-    def measure_bell(self, q1: str, q2: str, rng: RandomSource) -> BellKind:
+    def measure_bell(self, q1, q2, rng: RandomSource) -> BellKind:
         reg = self._joined(q1, q2)
         positions = (reg.labels.index(q1), reg.labels.index(q2))
         return BELL_ORDER[self._collapse(reg, (q1, q2), positions, _BELL_BRAS, rng)]
 
-    def measure_ab(self, label: str, basis: OrthonormalPair, rng: RandomSource) -> int:
+    def measure_ab(self, label, basis: OrthonormalPair, rng: RandomSource) -> int:
         reg = self._record(label)
         return self._collapse(reg, (label,), (reg.labels.index(label),), basis._bras, rng)

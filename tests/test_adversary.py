@@ -15,6 +15,8 @@ from semiquantum.qsim import (
     BellKind,
     RegisterBank,
     bell_probabilities,
+    merge_registers,
+    prepare_z,
     project_z,
     z_probabilities,
 )
@@ -116,9 +118,8 @@ def test_ir_classification_confusion_matrix():
             reg = bank.state_of("_EF0")
             prob, post = project_z(reg, "_EF0", bob_outcome)
             assert prob == pytest.approx(0.5, abs=1e-12)
-            bank._replace(post, removed=("_EF0",))
-            bank.prepare_z(bob_outcome ^ bob_bit, "fresh")
-            merged = bank._merged("_ER0", "fresh")
+            merged = merge_registers(post, prepare_z(bob_outcome ^ bob_bit, "fresh"))
+            assert merged.labels == ("_ER0", "fresh")
             probs = dict(zip(BELL_ORDER, bell_probabilities(merged, "_ER0", "fresh")))
             if bob_bit == 0:
                 assert probs[BellKind.PSI_PLUS] == pytest.approx(0.5, abs=1e-12)
@@ -174,7 +175,7 @@ def test_measure_resend_forwards_outcome_copies():
     fwd = bank.state_of(out[0])
     assert np.allclose(z_probabilities(fwd, out[0]), expected, atol=1e-12)
     # decoy Bell check on (home, copy): psi class only, half mismatch
-    merged = bank._merged("H0", out[0])
+    merged = merge_registers(bank.state_of("H0"), bank.state_of(out[0]))
     probs = dict(zip(BELL_ORDER, bell_probabilities(merged, "H0", out[0])))
     assert probs[BellKind.PSI_PLUS] == pytest.approx(0.5, abs=1e-12)
     assert probs[BellKind.PSI_MINUS] == pytest.approx(0.5, abs=1e-12)

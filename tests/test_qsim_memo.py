@@ -2,8 +2,8 @@
 
 Seeded outputs through the memo are pinned byte for byte by
 ``test_golden_outputs.py`` and ``test_scripts.py``; these tests check the
-memo's own rules: it stops growing, stores only small kets, never skips a
-check and never caches a failure into a success.
+memo's own rules: it stops growing, stores at most ``MAX_WIDE_KETS`` wide
+kets, never skips a check and never caches a failure into a success.
 """
 import math
 
@@ -35,9 +35,9 @@ from semiquantum.qsim import (
 from semiquantum.rng import RandomSource
 
 
-def _entangle_probe_session() -> bytes:
+def _entangle_probe_session(seed: int = 5) -> bytes:
     config = SqkaConfig(
-        n=100, seed=5, attack=AttackStrategy(AttackKind.CNOT), threshold=1.0,
+        n=100, seed=seed, attack=AttackStrategy(AttackKind.CNOT), threshold=1.0,
         commitments_enabled=False,
     )
     return emit_transcript(run_sqka(config))
@@ -50,13 +50,27 @@ def test_repeated_session_is_identical_and_adds_no_ket():
     assert len(qsim._KETS) == interned
 
 
-def test_no_stored_ket_exceeds_four_qubits():
-    _entangle_probe_session()  # the permuted attack builds 6-qubit registers
-    left = prepare_ghz_like(BellKind.PSI_PLUS, BellKind.PHI_MINUS, labels=("a", "b", "c"))
-    right = prepare_ghz_like(BellKind.PSI_MINUS, BellKind.PHI_PLUS, labels=("d", "e", "f"))
-    wide = apply_cnot(merge_registers(left, right), "a", "f")
-    assert wide.num_qubits == 6
-    assert qsim._KETS and all(ket.k <= 4 for ket in qsim._KETS.values())
+def _wide_kets() -> int:
+    return sum(ket.k > 4 for ket in qsim._KETS.values())
+
+
+def test_stored_wide_kets_stay_within_the_cap(monkeypatch):
+    # the permuted attack joins slots into 5- and 6-qubit registers
+    for seed in range(3):
+        _entangle_probe_session(seed)
+    assert 0 < _wide_kets() <= qsim.MAX_WIDE_KETS
+    assert all(ket.k <= qsim.MAX_QUBITS for ket in qsim._KETS.values())
+    first = _entangle_probe_session(11)
+    # once the cap is reached a new wide ket is not stored, and the
+    # sessions give the same bytes as before
+    monkeypatch.setattr(qsim, "MAX_WIDE_KETS", _wide_kets() + 2)
+    kets = [
+        StateVector({0: math.cos(t), 63: math.sin(t)}, "abcdef")._ket for t in (0.125, 0.25, 0.375)
+    ]
+    assert [ket.stored for ket in kets] == [True, True, False]
+    assert _wide_kets() == qsim.MAX_WIDE_KETS
+    assert _entangle_probe_session(11) == first
+    assert _wide_kets() == qsim.MAX_WIDE_KETS
 
 
 def test_unnormalized_state_raises_although_its_indices_are_interned():

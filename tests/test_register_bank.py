@@ -160,7 +160,9 @@ def test_replaced_state_never_changes_after_bank_ops():
     bank.prepare_bell(BellKind.PSI_PLUS, "h", "t")
     _, post = project_z(bank.state_of("t"), "t", 1)
     before = snapshot(post)
-    bank._replace(post, removed=("t",))
+    # the collapsed remainder takes the place of the measured pair
+    bank = RegisterBank()
+    bank.add(post)
     assert bank.state_of("h") is post
     bank.prepare_z(0, "t")
     bank.cnot("h", "t")
