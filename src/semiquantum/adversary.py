@@ -178,7 +178,7 @@ class CnotAttack(ChannelAttack):
                 anc = bank.prepare_z(0, self.qubit("EA", i))
                 bank.cnot(label, anc)
                 ancillas[i] = anc
-            self.eve.ran(self.forward_step)
+            self.eve.ops_log.update(self.forward_step)
         return labels
 
     def wire(self, j, label):
@@ -195,7 +195,7 @@ class CnotAttack(ChannelAttack):
                 eve = self.eve
                 self.state.wire_bits[j] = eve.bank.measure_z(anc, eve.rng)
                 self.state.wire_classifications[j] = "unknown"
-                eve.ran(self.wire_step)
+                eve.ops_log.update(self.wire_step)
 
 
 class InterceptResendAttack(ChannelAttack):
@@ -216,7 +216,7 @@ class InterceptResendAttack(ChannelAttack):
             pair = bank.prepare_bell(BellKind.PSI_PLUS, qubit("ER", i), qubit("EF", i))
             st.retained_pairs[i] = pair
             out.append(pair[1])
-        self.eve.ran(self.forward_step)
+        self.eve.ops_log.update(self.forward_step)
         return out
 
     def wire(self, j, label):
@@ -238,7 +238,7 @@ class InterceptResendAttack(ChannelAttack):
         new = bank.prepare_z(u ^ (bit if bit is not None else 1), self.qubit("ES", j))
         st.wire_classifications[j] = cls
         st.wire_bits[j] = bit
-        eve.ran(self.wire_step)
+        eve.ops_log.update(self.wire_step)
         return new
 
 
@@ -261,7 +261,7 @@ class SubstituteSinglesAttack(ChannelAttack):
             bit = rng.bit()
             out.append(bank.prepare_z(bit, self.qubit("EX", i)))
             st.forward_bits[i] = bit
-        eve.ran(self.forward_step)
+        eve.ops_log.update(self.forward_step)
         return out
 
 
@@ -281,7 +281,7 @@ class MeasureResendAttack(ChannelAttack):
             u = bank.measure_z(label, rng)
             st.forward_bits[i] = u
             out.append(bank.prepare_z(u, self.qubit("EM", i)))
-        eve.ran(self.forward_step)
+        eve.ops_log.update(self.forward_step)
         return out
 
     def wire(self, j, label):
@@ -291,7 +291,7 @@ class MeasureResendAttack(ChannelAttack):
         u = eve.bank.measure_z(label, eve.rng)
         self.state.wire_bits[j] = u
         self.state.wire_classifications[j] = "unknown"
-        eve.ran(self.wire_step)
+        eve.ops_log.update(self.wire_step)
         return eve.bank.prepare_z(u, self.qubit("EW", j))
 
     def finalize(self, encoded_wires):

@@ -8,7 +8,7 @@ silently degrading.  Quantum parties get the full simulator surface.
 A protocol session runs each stage as a loop of slot steps on its register
 bank.  A step is the tuple of op names one party applies to a slot; it is
 checked against the party's allowed set when it is built, once per process
-for each capability, and logged in the party's ``ops_log`` when it runs.
+for each capability, and added to the party's ``ops_log`` when it runs.
 """
 from __future__ import annotations
 
@@ -129,8 +129,8 @@ class PartyContext:
     Every op name the party runs is recorded in ``ops_log``, so tests can
     assert that no execution path lets a classical party reach a forbidden
     operation.  A session's stage loops build their steps (``step``) before
-    they run and log each once the loop has run it (``ran``); the single
-    ops below do both around one bank call.
+    they run and add each to ``ops_log`` once the loop has run it; the
+    single ops below do both around one bank call.
     """
 
     def __init__(self, name: str, capability: Capability, rng: RandomSource, bank: RegisterBank):
@@ -144,55 +144,48 @@ class PartyContext:
         """The step of ``ops``; raises CapabilityViolation if any is not allowed."""
         return _step(self.capability, ops)
 
-    def ran(self, step: tuple[str, ...]) -> None:
-        """Log the ops of a step that ran."""
-        self.ops_log.update(step)
-
     # single ops, each one step ------------------------------------------
 
-    def _run(self, op: str) -> None:
-        self.ran(self.step(op))
-
     def prepare_z(self, bit: int, label: str) -> str:
-        self._run("prepare_z")
+        self.ops_log.update(self.step("prepare_z"))
         return self.bank.prepare_z(bit, label)
 
     def measure_z(self, label: str) -> int:
-        self._run("measure_z")
+        self.ops_log.update(self.step("measure_z"))
         return self.bank.measure_z(label, self.rng)
 
     def reflect(self, label: str) -> str:
-        self._run("reflect")
+        self.ops_log.update(self.step("reflect"))
         return label
 
     def permute(self, perm: Permutation, seq: list) -> list:
-        self._run("permute")
+        self.ops_log.update(self.step("permute"))
         return perm.apply(seq)
 
     def prepare_bell(self, kind: BellKind, l1: str, l2: str) -> tuple[str, str]:
-        self._run("prepare_bell")
+        self.ops_log.update(self.step("prepare_bell"))
         return self.bank.prepare_bell(kind, l1, l2)
 
     def prepare_ghz_like(
         self, psi1: BellKind, psi2: BellKind, basis: OrthonormalPair, labels: tuple[str, str, str]
     ) -> tuple[str, str, str]:
-        self._run("prepare_ghz_like")
+        self.ops_log.update(self.step("prepare_ghz_like"))
         return self.bank.prepare_ghz_like(psi1, psi2, basis, labels)
 
     def measure_bell(self, q1: str, q2: str) -> BellKind:
-        self._run("measure_bell")
+        self.ops_log.update(self.step("measure_bell"))
         return self.bank.measure_bell(q1, q2, self.rng)
 
     def measure_ab(self, label: str, basis: OrthonormalPair) -> int:
-        self._run("measure_ab")
+        self.ops_log.update(self.step("measure_ab"))
         return self.bank.measure_ab(label, basis, self.rng)
 
     def cnot(self, control: str, target: str) -> None:
-        self._run("apply_cnot")
+        self.ops_log.update(self.step("apply_cnot"))
         self.bank.cnot(control, target)
 
     def x(self, label: str) -> None:
-        self._run("apply_x")
+        self.ops_log.update(self.step("apply_x"))
         self.bank.x(label)
 
 

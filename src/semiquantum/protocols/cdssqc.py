@@ -104,13 +104,13 @@ def _run(config: CdssqcConfig) -> SessionOutcome:
             bank.prepare_ghz_like(
                 config.psi1, config.psi2, basis, (qubit(p, TRAVEL), qubit(p, HOME), qubit(p, CONTROL))
             )
-        charlie.ran(step)
+        charlie.ops_log.update(step)
     else:
         step = charlie.step("prepare_bell")
         transcript.log("charlie", "prepare_pairs", count=total, state=config.switch_bell.value)
         for p in range(total):
             bank.prepare_bell(config.switch_bell, qubit(p, TRAVEL), qubit(p, HOME))
-        charlie.ran(step)
+        charlie.ops_log.update(step)
         pi_c = (
             random_permutation(total, charlie.rng)
             if config.charlie_permutation_enabled
@@ -142,7 +142,7 @@ def _run(config: CdssqcConfig) -> SessionOutcome:
     if ghz:
         step = charlie.step("measure_ab")
         branch = {p: measure_ab(qubit(p, CONTROL), basis, crng) for p in remaining}
-        charlie.ran(step)
+        charlie.ops_log.update(step)
 
     def shared(p: int) -> BellKind:
         """The Bell state of slot p's A and B qubits, given Charlie's outcome."""

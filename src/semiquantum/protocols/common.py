@@ -162,14 +162,14 @@ class Session:
         }
 
     def psi_pairs(self) -> None:
-        """Alice prepares psi+ pairs, keeps the H halves and sends the T halves."""
+        """Alice prepares psi+ pairs, keeps the HOME halves and sends the TRAVEL halves."""
         total, alice = self.total, self.alice
         step = alice.step("prepare_bell")
         self.transcript.log("alice", "prepare_pairs", count=total, state=BellKind.PSI_PLUS.value)
         prepare, kind = self.bank.prepare_bell, BellKind.PSI_PLUS
         for p in range(total):
             prepare(kind, p << 3 | HOME, p << 3 | TRAVEL)
-        alice.ran(step)
+        alice.ops_log.update(step)
         self.transcript.log("alice", "send_travel", count=total)
         self.send()
 
@@ -192,7 +192,7 @@ class Session:
         bad = sum(1 for p in positions if mismatched(p))
         if positions:
             for party, step in steps:
-                party.ran(step)
+                party.ops_log.update(step)
         self.transcript.log(
             "all", "correlation_check", positions=positions, mismatches=bad, checked=s
         )
@@ -246,9 +246,9 @@ class Session:
                 seq.append(prepare_z(bit ^ message[i], p << 3 | FRESH))
         self.decoys = [p for p in slots if p not in index]
         if encoded:
-            sender.ran(encode)
+            sender.ops_log.update(encode)
         if self.decoys:
-            sender.ran(reflect)
+            sender.ops_log.update(reflect)
         self.transcript.log(sender.name, "encode", count=self.n)
 
         size = len(slots)
@@ -258,7 +258,7 @@ class Session:
             else Permutation.identity(size)
         )
         wire = pi.apply(seq)
-        sender.ran(permute)
+        sender.ops_log.update(permute)
         self.transcript.log(sender.name, send_action, count=size)
         self.wire_of = dict(zip(slots, pi.mapping))
         self.encoded = encoded
@@ -286,9 +286,9 @@ class Session:
             if attack is not None:
                 attack.after_wire(j)
         if encoded:
-            receiver.ran(receive_step)
+            receiver.ops_log.update(receive_step)
         if self.decoys:
-            receiver.ran(check)
+            receiver.ops_log.update(check)
         self.received, self.bell = received, bell
         self.transcript.log(receiver.name, "ack_receipt")
         self.details["eve_wire_classifications"] = dict(self.attack.state.wire_classifications)
@@ -300,7 +300,7 @@ class Session:
         measure_z, rng = self.bank.measure_z, party.rng
         bits = [measure_z(p << 3 | role, rng) for p in slots]
         if bits:
-            party.ran(step)
+            party.ops_log.update(step)
         return bits
 
     def decoy_wires(self) -> list[list[int]]:

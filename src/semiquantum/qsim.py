@@ -774,7 +774,10 @@ class RegisterBank:
                   rng: RandomSource) -> int:
         """Sample a measurement of ``measured``, at ``positions`` of ``reg``,
         in ``bras``; drop their addresses and keep the rest of ``reg``."""
-        step = _step(reg._ket, positions, bras)
+        ket = reg._ket
+        step = ket.memo.get((bras, positions))
+        if step is None:
+            step = _step(ket, positions, bras)
         outcome = _sample(step, rng)
         post = step.posts[outcome]
         if type(post) is dict:

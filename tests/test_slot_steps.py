@@ -92,7 +92,7 @@ def test_steps_are_built_once_per_capability():
     assert bob.step("measure_z", "prepare_z") is other.step("measure_z", "prepare_z")
     assert alice.step("measure_bell") == ("measure_bell",)
     assert bob.ops_log == other.ops_log == alice.ops_log == set()  # built, not run
-    bob.ran(bob.step("reflect"))
+    assert bob.reflect("q") == "q"
     assert bob.ops_log == {"reflect"}
 
 
