@@ -24,9 +24,9 @@ Memo
 ----
 A ``StateVector`` is its labels plus a ket: the qubit count and the exact
 amplitude entries in insertion order, range- and norm-checked once when
-built.  Kets are interned, so a content that recurs is one object, and each
-primitive keeps its result on the input ket: a gate or merge its output
-ket, a measurement its step (see below).  A recurring content thus repeats
+built.  Stored kets are interned, so a content that recurs is one object,
+and each primitive keeps its result on the input ket: a gate or merge its
+output ket, a measurement its step (see below).  A recurring content thus repeats
 no arithmetic.  Every ket of at most 4 qubits is stored; of the 5- and
 6-qubit kets (the cross-slot registers of permuted attacks) only the first
 ``MAX_WIDE_KETS``, so the table stays bounded.  Later wide kets go through
@@ -649,8 +649,8 @@ class _Register:
 class RegisterBank:
     """Tracks disjoint registers, each qubit addressed by a hashable key.
 
-    Tests and single-register callers use label strings; a protocol session
-    addresses a qubit by its slot and role, packed in one integer.  Each
+    An address may be a label string; a protocol session addresses a qubit
+    by its slot and role, packed in one integer.  Each
     address maps to a mutable register record that the bank alone owns; an
     operation advances that record's ket in place by the ket's memoized
     step instead of building a new ``StateVector``.  Operations that span
