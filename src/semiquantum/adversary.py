@@ -15,6 +15,7 @@ Eve always pairs her bookkeeping by wire arrival order; she has no access
 to the honest parties' secret permutations.  Her hooks run steps of a
 quantum :class:`~semiquantum.parties.PartyContext` on its register bank,
 so her work is capability-checked and norm-checked like everything else.
+Her own qubits have bank addresses ``eve_qubit(role, i)``.
 """
 from __future__ import annotations
 
@@ -100,9 +101,15 @@ class EveState:
 # channel hooks used by the protocol session
 
 
-def _label(role: str, i: int) -> str:
-    """Eve's ``role`` qubit for slot or wire ``i``, named as a bank label."""
-    return f"_{role}{i}"
+# A session addresses slot i's qubits as i << 3 | role with roles 0-3 (see
+# protocols.common.qubit); Eve's qubits take roles 4-6 of the same packing,
+# her resent ones indexed by wire instead of slot.
+_EVE_ROLES = {"EA": 4, "ER": 4, "EF": 5, "EX": 5, "EM": 5, "ES": 6, "EW": 6}
+
+
+def eve_qubit(role: str, i: int) -> int:
+    """The bank address of Eve's ``role`` qubit for slot or wire ``i``."""
+    return i << 3 | _EVE_ROLES[role]
 
 
 class ChannelAttack:
@@ -110,23 +117,22 @@ class ChannelAttack:
 
     ``forward_leg`` sees the whole distribution leg; ``wire`` and
     ``after_wire`` see each return-leg wire in arrival order, before and
-    after the receiver's measurement.  The hooks run Eve's steps straight
-    on her bank; ``qubit(role, i)`` addresses her own qubits there.  Eve's
-    steps (``FORWARD`` on the distribution leg, ``WIRE`` per return wire)
-    are checked against her capability when the attack is built.
+    after the receiver's measurement.  The hooks act only through Eve's
+    steps, ``FORWARD`` on the distribution leg and ``WIRE`` per return
+    wire, which are checked against her capability when the attack is
+    built.
     """
 
     kind = AttackKind.NONE
     FORWARD: tuple[str, ...] = ()
     WIRE: tuple[str, ...] = ()
 
-    def __init__(self, eve: PartyContext | None, legs: frozenset[str], qubit=_label):
+    def __init__(self, eve: PartyContext | None, legs: frozenset[str]):
         self.eve = eve
         self.legs = legs
-        self.qubit = qubit
         self.state = EveState()
         if eve is not None:
-            self.forward_step, self.wire_step = eve.step(*self.FORWARD), eve.step(*self.WIRE)
+            self.forward_ops, self.wire_ops = eve.step(*self.FORWARD), eve.step(*self.WIRE)
 
     def forward_leg(self, labels: list) -> list:
         return labels
@@ -173,29 +179,30 @@ class CnotAttack(ChannelAttack):
 
     def forward_leg(self, labels):
         if "forward" in self.legs and labels:
-            bank, ancillas = self.eve.bank, self.state.ancillas
+            ops, ancillas = self.forward_ops, self.state.ancillas
+            prepare_z, cnot = ops.prepare_z, ops.apply_cnot
             for i, label in enumerate(labels):
-                anc = bank.prepare_z(0, self.qubit("EA", i))
-                bank.cnot(label, anc)
+                anc = prepare_z(0, eve_qubit("EA", i))
+                cnot(label, anc)
                 ancillas[i] = anc
-            self.eve.ops_log.update(self.forward_step)
+            ops.log()
         return labels
 
     def wire(self, j, label):
         if "return" in self.legs:
             anc = self.state.ancillas.get(j)
             if anc is not None:
-                self.eve.bank.cnot(label, anc)
+                self.wire_ops.apply_cnot(label, anc)
         return label
 
     def after_wire(self, j):
         if "return" in self.legs:
             anc = self.state.ancillas.pop(j, None)
             if anc is not None:
-                eve = self.eve
-                self.state.wire_bits[j] = eve.bank.measure_z(anc, eve.rng)
+                ops = self.wire_ops
+                self.state.wire_bits[j] = ops.measure_z(anc)
                 self.state.wire_classifications[j] = "unknown"
-                eve.ops_log.update(self.wire_step)
+                ops.log()
 
 
 class InterceptResendAttack(ChannelAttack):
@@ -209,36 +216,35 @@ class InterceptResendAttack(ChannelAttack):
     def forward_leg(self, labels):
         if "forward" not in self.legs or not labels:
             return labels
-        st, bank, qubit = self.state, self.eve.bank, self.qubit
+        st, ops = self.state, self.forward_ops
         out = []
         for i, label in enumerate(labels):
             st.retained_travel[i] = label
-            pair = bank.prepare_bell(BellKind.PSI_PLUS, qubit("ER", i), qubit("EF", i))
+            pair = ops.prepare_bell(BellKind.PSI_PLUS, eve_qubit("ER", i), eve_qubit("EF", i))
             st.retained_pairs[i] = pair
             out.append(pair[1])
-        self.eve.ops_log.update(self.forward_step)
+        ops.log()
         return out
 
     def wire(self, j, label):
         if "return" not in self.legs:
             return label
-        st, eve = self.state, self.eve
-        bank, rng = eve.bank, eve.rng
-        outcome = bank.measure_bell(st.retained_pairs[j][0], label, rng)
+        st, ops = self.state, self.wire_ops
+        outcome = ops.measure_bell(st.retained_pairs[j][0], label)
         if outcome is BellKind.PSI_MINUS:
             cls, bit = "measured", 0
         elif outcome.parity == 1:  # phi+/phi-
             cls, bit = "measured", 1
         else:  # psi+ is consistent with a reflection; recorded as unknown
             cls, bit = "unknown", None
-        u = bank.measure_z(st.retained_travel[j], rng)
+        u = ops.measure_z(st.retained_travel[j])
         # Identified wires are resent mimicking the sender's encoding; the
         # ambiguous psi+ wires are resent as the complement of the collapsed
         # original.
-        new = bank.prepare_z(u ^ (bit if bit is not None else 1), self.qubit("ES", j))
+        new = ops.prepare_z(u ^ (bit if bit is not None else 1), eve_qubit("ES", j))
         st.wire_classifications[j] = cls
         st.wire_bits[j] = bit
-        eve.ops_log.update(self.wire_step)
+        ops.log()
         return new
 
 
@@ -253,15 +259,14 @@ class SubstituteSinglesAttack(ChannelAttack):
     def forward_leg(self, labels):
         if "forward" not in self.legs or not labels:
             return labels
-        st, eve = self.state, self.eve
-        bank, rng = eve.bank, eve.rng
+        st, ops, rng = self.state, self.forward_ops, self.eve.rng
         out = []
         for i, label in enumerate(labels):
             st.retained_travel[i] = label
             bit = rng.bit()
-            out.append(bank.prepare_z(bit, self.qubit("EX", i)))
+            out.append(ops.prepare_z(bit, eve_qubit("EX", i)))
             st.forward_bits[i] = bit
-        eve.ops_log.update(self.forward_step)
+        ops.log()
         return out
 
 
@@ -274,25 +279,25 @@ class MeasureResendAttack(ChannelAttack):
     def forward_leg(self, labels):
         if "forward" not in self.legs or not labels:
             return labels
-        st, eve = self.state, self.eve
-        bank, rng = eve.bank, eve.rng
+        st, ops = self.state, self.forward_ops
+        measure_z, prepare_z = ops.measure_z, ops.prepare_z
         out = []
         for i, label in enumerate(labels):
-            u = bank.measure_z(label, rng)
+            u = measure_z(label)
             st.forward_bits[i] = u
-            out.append(bank.prepare_z(u, self.qubit("EM", i)))
-        eve.ops_log.update(self.forward_step)
+            out.append(prepare_z(u, eve_qubit("EM", i)))
+        ops.log()
         return out
 
     def wire(self, j, label):
         if "return" not in self.legs:
             return label
-        eve = self.eve
-        u = eve.bank.measure_z(label, eve.rng)
+        ops = self.wire_ops
+        u = ops.measure_z(label)
         self.state.wire_bits[j] = u
         self.state.wire_classifications[j] = "unknown"
-        eve.ops_log.update(self.wire_step)
-        return eve.bank.prepare_z(u, self.qubit("EW", j))
+        ops.log()
+        return ops.prepare_z(u, eve_qubit("EW", j))
 
     def finalize(self, encoded_wires):
         # Wire-order decode guess: XOR the value seen on the return wire with
@@ -305,28 +310,25 @@ class MeasureResendAttack(ChannelAttack):
         self.state.inferred_bits = tuple(bits)
 
 
-def build_attack(
-    strategy: AttackStrategy, protocol: str, eve: PartyContext | None, qubit=_label
-) -> ChannelAttack:
+def build_attack(strategy: AttackStrategy, protocol: str, eve: PartyContext | None) -> ChannelAttack:
     """Instantiate the channel hooks for a strategy in a given protocol.
 
-    ``eve`` may be None only under ``AttackKind.NONE``; ``qubit(role, i)``
-    addresses Eve's own qubits in her bank.
+    ``eve`` may be None only under ``AttackKind.NONE``.
     """
     legs = strategy.legs if strategy.legs is not None else default_legs(strategy.kind, protocol)
     if not legs <= LEGS:
         raise ValueError(f"legs {sorted(legs)} not available in {protocol}: {sorted(LEGS)}")
     if strategy.kind is AttackKind.NONE:
-        return NoAttack(eve, legs, qubit)
+        return NoAttack(eve, legs)
     if strategy.kind is AttackKind.CNOT:
-        return CnotAttack(eve, legs, qubit)
+        return CnotAttack(eve, legs)
     if strategy.kind is AttackKind.INTERCEPT_RESEND:
         if protocol in ("cdssqc-ghz", "cdssqc-switch"):
-            return SubstituteSinglesAttack(eve, legs, qubit)
+            return SubstituteSinglesAttack(eve, legs)
         if "return" in legs and "forward" not in legs:
             raise ValueError("intercept-resend classifies return wires against the Bell "
                              "pairs it swaps in on the forward leg, so it needs both legs")
-        return InterceptResendAttack(eve, legs, qubit)
+        return InterceptResendAttack(eve, legs)
     if strategy.kind is AttackKind.MEASURE_RESEND:
-        return MeasureResendAttack(eve, legs, qubit)
+        return MeasureResendAttack(eve, legs)
     raise ValueError(f"unhandled attack kind {strategy.kind}")

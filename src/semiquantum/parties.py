@@ -6,9 +6,12 @@ channel.  Anything else raises :class:`CapabilityViolation` instead of
 silently degrading.  Quantum parties get the full simulator surface.
 
 A protocol session runs each stage as a loop of slot steps on its register
-bank.  A step is the tuple of op names one party applies to a slot; it is
-checked against the party's allowed set when it is built, once per process
-for each capability, and added to the party's ``ops_log`` when it runs.
+bank.  A step names the ops one party applies to a slot and is the only way
+the party reaches them: it exposes each named op, bound to the session's
+bank and, for a measurement, to the party's random source, and no other.
+The names are checked against the party's allowed set when the step is
+built, once per process for each capability, and added to the party's
+``ops_log`` when the step has run.
 """
 from __future__ import annotations
 
@@ -40,10 +43,71 @@ def restrict(capability: Capability, op: str) -> None:
 
 
 @functools.lru_cache(maxsize=None)
-def _step(capability: Capability, ops: tuple[str, ...]) -> tuple[str, ...]:
+def _checked(capability: Capability, ops: tuple[str, ...]) -> tuple[str, ...]:
     for op in ops:
         restrict(capability, op)
     return ops
+
+
+def _reflect(label):
+    return label
+
+
+def _permute(perm: Permutation, seq: list) -> list:
+    return perm.apply(seq)
+
+
+def _measure_z(bank: RegisterBank, rng: RandomSource):
+    measure = bank.measure_z
+    return lambda label: measure(label, rng)
+
+
+def _measure_bell(bank: RegisterBank, rng: RandomSource):
+    measure = bank.measure_bell
+    return lambda q1, q2: measure(q1, q2, rng)
+
+
+def _measure_ab(bank: RegisterBank, rng: RandomSource):
+    measure = bank.measure_ab
+    return lambda label, basis: measure(label, basis, rng)
+
+
+# what each op of a step reaches, given the session's bank and the party's rng
+_BIND = {
+    "prepare_z": lambda bank, rng: bank.prepare_z,
+    "prepare_bell": lambda bank, rng: bank.prepare_bell,
+    "prepare_ghz_like": lambda bank, rng: bank.prepare_ghz_like,
+    "apply_cnot": lambda bank, rng: bank.cnot,
+    "apply_x": lambda bank, rng: bank.x,
+    "measure_z": _measure_z,
+    "measure_bell": _measure_bell,
+    "measure_ab": _measure_ab,
+    "reflect": lambda bank, rng: _reflect,
+    "permute": lambda bank, rng: _permute,
+}
+
+
+class Step:
+    """The ops ``names`` of one party, bound for one session.
+
+    Each named op that acts is an attribute of the same name (``apply_cnot``
+    is the bank's ``cnot``, ``measure_bell(q1, q2)`` draws from the party's
+    rng); an op the step does not name is not there.  ``log`` records the
+    names in the party's ``ops_log``; a stage calls it once the step has run.
+    """
+
+    __slots__ = ("party", "names", *_BIND)
+
+    def __init__(self, party: PartyContext, names: tuple[str, ...]):
+        self.party, self.names = party, names
+        bank, rng = party.bank, party.rng
+        for op in names:
+            bind = _BIND.get(op)
+            if bind is not None:
+                setattr(self, op, bind(bank, rng))
+
+    def log(self) -> None:
+        self.party.ops_log.update(self.names)
 
 
 class ClassicalAction(Enum):
@@ -129,8 +193,8 @@ class PartyContext:
     Every op name the party runs is recorded in ``ops_log``, so tests can
     assert that no execution path lets a classical party reach a forbidden
     operation.  A session's stage loops build their steps (``step``) before
-    they run and add each to ``ops_log`` once the loop has run it; the
-    single ops below do both around one bank call.
+    they run and log each once the loop has run it; the single ops below
+    log a one-op step and run it.
     """
 
     def __init__(self, name: str, capability: Capability, rng: RandomSource, bank: RegisterBank):
@@ -140,53 +204,48 @@ class PartyContext:
         self.bank = bank
         self.ops_log: set[str] = set()
 
-    def step(self, *ops: str) -> tuple[str, ...]:
+    def step(self, *ops: str) -> Step:
         """The step of ``ops``; raises CapabilityViolation if any is not allowed."""
-        return _step(self.capability, ops)
+        return Step(self, _checked(self.capability, ops))
+
+    def _op(self, op: str):
+        step = self.step(op)
+        step.log()
+        return getattr(step, op)
 
     # single ops, each one step ------------------------------------------
 
     def prepare_z(self, bit: int, label: str) -> str:
-        self.ops_log.update(self.step("prepare_z"))
-        return self.bank.prepare_z(bit, label)
+        return self._op("prepare_z")(bit, label)
 
     def measure_z(self, label: str) -> int:
-        self.ops_log.update(self.step("measure_z"))
-        return self.bank.measure_z(label, self.rng)
+        return self._op("measure_z")(label)
 
     def reflect(self, label: str) -> str:
-        self.ops_log.update(self.step("reflect"))
-        return label
+        return self._op("reflect")(label)
 
     def permute(self, perm: Permutation, seq: list) -> list:
-        self.ops_log.update(self.step("permute"))
-        return perm.apply(seq)
+        return self._op("permute")(perm, seq)
 
     def prepare_bell(self, kind: BellKind, l1: str, l2: str) -> tuple[str, str]:
-        self.ops_log.update(self.step("prepare_bell"))
-        return self.bank.prepare_bell(kind, l1, l2)
+        return self._op("prepare_bell")(kind, l1, l2)
 
     def prepare_ghz_like(
         self, psi1: BellKind, psi2: BellKind, basis: OrthonormalPair, labels: tuple[str, str, str]
     ) -> tuple[str, str, str]:
-        self.ops_log.update(self.step("prepare_ghz_like"))
-        return self.bank.prepare_ghz_like(psi1, psi2, basis, labels)
+        return self._op("prepare_ghz_like")(psi1, psi2, basis, labels)
 
     def measure_bell(self, q1: str, q2: str) -> BellKind:
-        self.ops_log.update(self.step("measure_bell"))
-        return self.bank.measure_bell(q1, q2, self.rng)
+        return self._op("measure_bell")(q1, q2)
 
     def measure_ab(self, label: str, basis: OrthonormalPair) -> int:
-        self.ops_log.update(self.step("measure_ab"))
-        return self.bank.measure_ab(label, basis, self.rng)
+        return self._op("measure_ab")(label, basis)
 
     def cnot(self, control: str, target: str) -> None:
-        self.ops_log.update(self.step("apply_cnot"))
-        self.bank.cnot(control, target)
+        self._op("apply_cnot")(control, target)
 
     def x(self, label: str) -> None:
-        self.ops_log.update(self.step("apply_x"))
-        self.bank.x(label)
+        self._op("apply_x")(label)
 
 
 __all__ = [
@@ -195,6 +254,7 @@ __all__ = [
     "Commitment",
     "PartyContext",
     "Permutation",
+    "Step",
     "choose_actions",
     "commit",
     "random_permutation",

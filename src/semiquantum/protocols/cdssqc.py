@@ -89,8 +89,6 @@ def _run(config: CdssqcConfig) -> SessionOutcome:
     if len(message) != n:
         raise ValueError("message length must equal n")
 
-    bank, arng, brng, crng = session.bank, alice.rng, bob.rng, charlie.rng
-    measure_z, measure_ab = bank.measure_z, bank.measure_ab
     if ghz:
         step = charlie.step("prepare_ghz_like")
         transcript.log(
@@ -101,16 +99,16 @@ def _run(config: CdssqcConfig) -> SessionOutcome:
             psi2=config.psi2.value,
         )
         for p in range(total):
-            bank.prepare_ghz_like(
+            step.prepare_ghz_like(
                 config.psi1, config.psi2, basis, (qubit(p, TRAVEL), qubit(p, HOME), qubit(p, CONTROL))
             )
-        charlie.ops_log.update(step)
+        step.log()
     else:
         step = charlie.step("prepare_bell")
         transcript.log("charlie", "prepare_pairs", count=total, state=config.switch_bell.value)
         for p in range(total):
-            bank.prepare_bell(config.switch_bell, qubit(p, TRAVEL), qubit(p, HOME))
-        charlie.ops_log.update(step)
+            step.prepare_bell(config.switch_bell, qubit(p, TRAVEL), qubit(p, HOME))
+        step.log()
         pi_c = (
             random_permutation(total, charlie.rng)
             if config.charlie_permutation_enabled
@@ -120,17 +118,18 @@ def _run(config: CdssqcConfig) -> SessionOutcome:
     transcript.log("charlie", "distribute", to=["alice", "bob"])
     session.send()
 
+    alice_z, bob_z = alice.step("measure_z"), bob.step("measure_z")
+    charlie_ab = charlie.step("measure_ab") if ghz else None
+
     def spot_mismatch(p: int) -> bool:
         if ghz:
-            parity = _branch_state(config, measure_ab(qubit(p, CONTROL), basis, crng)).parity
+            parity = _branch_state(config, charlie_ab.measure_ab(qubit(p, CONTROL), basis)).parity
         else:
             parity = config.switch_bell.parity
-        return (measure_z(session.travel[p], arng) ^ measure_z(qubit(p, HOME), brng)) != parity
+        return (alice_z.measure_z(session.travel[p]) ^ bob_z.measure_z(qubit(p, HOME))) != parity
 
     details["eve_truth"] = tuple(message)
-    steps = [(alice, alice.step("measure_z")), (bob, bob.step("measure_z"))]
-    if ghz:
-        steps.append((charlie, charlie.step("measure_ab")))
+    steps = [alice_z, bob_z, charlie_ab] if ghz else [alice_z, bob_z]
     aborted = session.spot_check(charlie, spot_mismatch, steps)
     if aborted:
         return aborted
@@ -141,8 +140,8 @@ def _run(config: CdssqcConfig) -> SessionOutcome:
     branch = {}
     if ghz:
         step = charlie.step("measure_ab")
-        branch = {p: measure_ab(qubit(p, CONTROL), basis, crng) for p in remaining}
-        charlie.ops_log.update(step)
+        branch = {p: step.measure_ab(qubit(p, CONTROL), basis) for p in remaining}
+        step.log()
 
     def shared(p: int) -> BellKind:
         """The Bell state of slot p's A and B qubits, given Charlie's outcome."""
@@ -150,7 +149,7 @@ def _run(config: CdssqcConfig) -> SessionOutcome:
 
     encoded = sorted(remaining[i] for i in alice.rng.sample(len(remaining), n))
     r_a = session.exchange(
-        encoded, message, "send_sequence", lambda i, q: measure_z(q, brng), ("measure_z",)
+        encoded, message, "send_sequence", lambda rx, i, q: rx.measure_z(q), ("measure_z",)
     )
     transcript.log("alice", "reveal_split", decoys=session.decoy_wires())
     if ghz:

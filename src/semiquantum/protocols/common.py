@@ -9,7 +9,7 @@ from enum import Enum
 
 from ..adversary import AttackKind, build_attack
 from ..errors import ZeroCount
-from ..parties import Capability, PartyContext, Permutation, random_permutation
+from ..parties import Capability, PartyContext, Permutation, Step, random_permutation
 from ..qsim import BellKind, RegisterBank
 from ..rng import RandomSource, derive_seed
 
@@ -18,19 +18,14 @@ Bits = tuple[int, ...]
 # A qubit's bank address packs its slot and its role, slot << 3 | role.
 # HOME is the partner the distributing party keeps (H, B), TRAVEL the qubit
 # it sends (T, A), CONTROL the controller's third qubit and FRESH the
-# sender's re-prepared qubit.  Eve's qubits take roles 4-6; her resent
-# qubits are indexed by wire instead of slot.
+# sender's re-prepared qubit.  Eve's qubits take roles 4-6 (see
+# adversary.eve_qubit).
 HOME, TRAVEL, CONTROL, FRESH = range(4)
-_EVE_ROLES = {"EA": 4, "ER": 4, "EF": 5, "EX": 5, "EM": 5, "ES": 6, "EW": 6}
 
 
 def qubit(slot: int, role: int) -> int:
     """The bank address of slot ``slot``'s ``role`` qubit."""
     return slot << 3 | role
-
-
-def _eve_qubit(role: str, i: int) -> int:
-    return i << 3 | _EVE_ROLES[role]
 
 
 class AbortReason(Enum):
@@ -120,10 +115,10 @@ class Session:
     while an attack is active.
 
     Each stage is a loop over slots that runs one party's step on each
-    slot's registers, straight on the bank, with qubits addressed by
-    ``qubit(slot, role)``.  The steps are built, and so capability-checked,
-    before the loop touches a register, and logged once the loop has run
-    them.
+    slot's registers, with qubits addressed by ``qubit(slot, role)``.  A
+    step is the party's only way to the bank ops it names; it is built, and
+    so capability-checked, before the loop touches a register, and logged
+    once the loop has run it.
     """
 
     def __init__(self, config, protocol: str, classical: str, controller: bool = False):
@@ -151,7 +146,7 @@ class Session:
             eve_seed = config.attack.eve_rng_seed
             eve_rng = RandomSource(derive_seed(config.seed, 3) if eve_seed is None else eve_seed)
             eve = PartyContext("eve", Capability.QUANTUM, eve_rng, bank)
-        self.attack = build_attack(config.attack, protocol, eve, _eve_qubit)
+        self.attack = build_attack(config.attack, protocol, eve)
         self.slots = list(range(self.total))  # the positions still in play
         self.error_rate = 0.0
         self.details: dict = {
@@ -163,13 +158,12 @@ class Session:
 
     def psi_pairs(self) -> None:
         """Alice prepares psi+ pairs, keeps the HOME halves and sends the TRAVEL halves."""
-        total, alice = self.total, self.alice
-        step = alice.step("prepare_bell")
+        total, step = self.total, self.alice.step("prepare_bell")
         self.transcript.log("alice", "prepare_pairs", count=total, state=BellKind.PSI_PLUS.value)
-        prepare, kind = self.bank.prepare_bell, BellKind.PSI_PLUS
+        prepare, kind = step.prepare_bell, BellKind.PSI_PLUS
         for p in range(total):
             prepare(kind, p << 3 | HOME, p << 3 | TRAVEL)
-        alice.ops_log.update(step)
+        step.log()
         self.transcript.log("alice", "send_travel", count=total)
         self.send()
 
@@ -178,21 +172,21 @@ class Session:
         self.travel = self.attack.forward_leg([p << 3 | TRAVEL for p in range(self.total)])
 
     def spot_check(
-        self, chooser: PartyContext, mismatched: Callable[[int], bool], steps: list
+        self, chooser: PartyContext, mismatched: Callable[[int], bool], steps: list[Step]
     ) -> SessionOutcome | None:
         """Measure a random set of slots, drawn by ``chooser``, and compare.
 
-        ``mismatched(p)`` runs ``steps``, (party, step) pairs built by the
-        runner, on slot p's qubits; the checked copies are consumed.
-        Returns the abort outcome if the mismatch rate is over the
-        threshold; otherwise the unchecked slots stay in play.
+        ``mismatched(p)`` runs ``steps``, built by the runner, on slot p's
+        qubits; the checked copies are consumed.  Returns the abort outcome
+        if the mismatch rate is over the threshold; otherwise the unchecked
+        slots stay in play.
         """
         s = self.config.spot_count()
         positions = sorted(chooser.rng.sample(self.total, s)) if s else []
         bad = sum(1 for p in positions if mismatched(p))
         if positions:
-            for party, step in steps:
-                party.ops_log.update(step)
+            for step in steps:
+                step.log()
         self.transcript.log(
             "all", "correlation_check", positions=positions, mismatches=bad, checked=s
         )
@@ -211,28 +205,28 @@ class Session:
         encoded: list[int],
         message: Bits,
         send_action: str,
-        receive: Callable[[int, int], object],
-        receive_step: tuple[str, ...],
+        receive: Callable[[Step, int, int], object],
+        receive_ops: tuple[str, ...],
     ) -> list[int]:
         """The sender's encoding and permuted return, then the per-wire readout.
 
         The sender measures each encoded slot (ascending) in Z and resends
         outcome XOR its message bit on a fresh qubit, reflects the other
         slots in play, and sends the sequence under a secret permutation.
-        On each wire Eve's hook acts, then the receiver either runs
-        ``receive_step`` on encoded slot i through ``receive(i, qubit)``
-        into ``received[i]`` or Bell-measures a decoy against its home
-        partner.  Records how Eve classified each wire and returns the
-        sender's Z outcomes.
+        On each wire Eve's hook acts, then the receiver either reads encoded
+        slot i into ``received[i]`` by ``receive(step, i, qubit)``, where
+        ``step`` is its step of ``receive_ops``, or Bell-measures a decoy
+        against its home partner.  Records how Eve classified each wire and
+        returns the sender's Z outcomes.
         """
-        sender, receiver, bank = self.sender, self.receiver, self.bank
+        sender, receiver, srng = self.sender, self.receiver, self.sender.rng
         encode, reflect = sender.step("measure_z", "prepare_z"), sender.step("reflect")
         permute = sender.step("permute")
         check = receiver.step("measure_bell")
-        receive_step = receiver.step(*receive_step)
+        rx = receiver.step(*receive_ops)
 
-        travel, slots, srng = self.travel, self.slots, sender.rng
-        measure_z, prepare_z = bank.measure_z, bank.prepare_z
+        travel, slots = self.travel, self.slots
+        measure_z, prepare_z = encode.measure_z, encode.prepare_z
         index = {p: i for i, p in enumerate(encoded)}
         outcomes: list[int] = []
         seq: list[int] = []
@@ -241,14 +235,14 @@ class Session:
             if i is None:
                 seq.append(travel[p])
             else:
-                bit = measure_z(travel[p], srng)
+                bit = measure_z(travel[p])
                 outcomes.append(bit)
                 seq.append(prepare_z(bit ^ message[i], p << 3 | FRESH))
         self.decoys = [p for p in slots if p not in index]
         if encoded:
-            sender.ops_log.update(encode)
+            encode.log()
         if self.decoys:
-            sender.ops_log.update(reflect)
+            reflect.log()
         self.transcript.log(sender.name, "encode", count=self.n)
 
         size = len(slots)
@@ -257,8 +251,8 @@ class Session:
             if self.config.permutation_enabled
             else Permutation.identity(size)
         )
-        wire = pi.apply(seq)
-        sender.ops_log.update(permute)
+        wire = permute.permute(pi, seq)
+        permute.log()
         self.transcript.log(sender.name, send_action, count=size)
         self.wire_of = dict(zip(slots, pi.mapping))
         self.encoded = encoded
@@ -271,7 +265,7 @@ class Session:
         origin = {w: p for p, w in self.wire_of.items()}
         received: list = [None] * len(encoded)
         bell: dict[int, BellKind] = {}
-        measure_bell, rrng = bank.measure_bell, receiver.rng
+        measure_bell = check.measure_bell
         attack = self.attack if "return" in self.attack.legs else None
         for j in range(size):
             q = wire[j]
@@ -280,15 +274,15 @@ class Session:
             p = origin[j]
             i = index.get(p)
             if i is None:
-                bell[p] = measure_bell(p << 3 | HOME, q, rrng)
+                bell[p] = measure_bell(p << 3 | HOME, q)
             else:
-                received[i] = receive(i, q)
+                received[i] = receive(rx, i, q)
             if attack is not None:
                 attack.after_wire(j)
         if encoded:
-            receiver.ops_log.update(receive_step)
+            rx.log()
         if self.decoys:
-            receiver.ops_log.update(check)
+            check.log()
         self.received, self.bell = received, bell
         self.transcript.log(receiver.name, "ack_receipt")
         self.details["eve_wire_classifications"] = dict(self.attack.state.wire_classifications)
@@ -297,10 +291,10 @@ class Session:
     def read(self, party: PartyContext, slots: list[int], role: int) -> list[int]:
         """``party`` measures each slot's ``role`` qubit in Z, in slot order."""
         step = party.step("measure_z")
-        measure_z, rng = self.bank.measure_z, party.rng
-        bits = [measure_z(p << 3 | role, rng) for p in slots]
+        measure_z = step.measure_z
+        bits = [measure_z(p << 3 | role) for p in slots]
         if bits:
-            party.ops_log.update(step)
+            step.log()
         return bits
 
     def decoy_wires(self) -> list[list[int]]:

@@ -62,13 +62,12 @@ def run_sqd(config: SqdConfig) -> SessionOutcome:
     session.psi_pairs()
     transcript.log("bob", "ack_receipt")
     session.details["eve_truth"] = tuple(m_b)
-    bank, arng, brng = session.bank, alice.rng, bob.rng
-    measure_z = bank.measure_z
+    alice_z, bob_z = alice.step("measure_z"), bob.step("measure_z")
     # psi+ pairs are Z-correlated
     aborted = session.spot_check(
         alice,
-        lambda p: measure_z(qubit(p, HOME), arng) ^ measure_z(session.travel[p], brng),
-        [(alice, alice.step("measure_z")), (bob, bob.step("measure_z"))],
+        lambda p: alice_z.measure_z(qubit(p, HOME)) ^ bob_z.measure_z(session.travel[p]),
+        [alice_z, bob_z],
     )
     if aborted:
         return aborted
@@ -85,18 +84,18 @@ def run_sqd(config: SqdConfig) -> SessionOutcome:
 
     zz = config.final_measurement == "zz"
 
-    def receive(i: int, q: int):
+    def receive(rx, i: int, q: int):
         """Alice adds her bit with I/X, then measures the pair: parity or Bell state."""
         home = qubit(encoded[i], HOME)
         if m_a[i]:
-            bank.x(q)
+            rx.apply_x(q)
         if zz:
-            return measure_z(home, arng) ^ measure_z(q, arng)
-        return bank.measure_bell(home, q, arng)
+            return rx.measure_z(home) ^ rx.measure_z(q)
+        return rx.measure_bell(home, q)
 
-    step = ("apply_x",) if any(m_a) else ()
-    step += ("measure_z",) if zz else ("measure_bell",)
-    r_b = session.exchange(encoded, m_b, "return_sequence", receive, step)
+    ops = ("apply_x",) if any(m_a) else ()
+    ops += ("measure_z",) if zz else ("measure_bell",)
+    r_b = session.exchange(encoded, m_b, "return_sequence", receive, ops)
     transcript.log("bob", "reveal_decoy_positions", mapping=session.decoy_wires())
     aborted = session.bell_check(lambda p: BellKind.PSI_PLUS)
     if aborted:

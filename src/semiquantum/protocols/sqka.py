@@ -75,9 +75,8 @@ def _run_keyed(config: SqkaConfig, announce_key: bool) -> SessionOutcome:
     session.psi_pairs()
     actions = choose_actions(n, session.m, bob.rng)
     encoded = [i for i, a in enumerate(actions) if a is ClassicalAction.MEASURE_AND_PREPARE]
-    measure_z, arng = session.bank.measure_z, alice.rng
     r_b = session.exchange(
-        encoded, k_b, "return_sequence", lambda i, q: measure_z(q, arng), ("measure_z",)
+        encoded, k_b, "return_sequence", lambda rx, i, q: rx.measure_z(q), ("measure_z",)
     )
     transcript.log("bob", "reveal_Pi_m", mapping=session.decoy_wires())
     session.details["eve_truth"] = tuple(k_b)

@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING, NamedTuple, Sequence
@@ -479,10 +480,11 @@ class _Step:
     the draw with; the last bound is infinite, so a draw above the summed
     weights takes the last possible outcome.  ``posts[o]`` holds branch
     ``o`` as a dict until it is first used, then its renormalized ket if
-    that is stored; it is None once no qubit remains.
+    that is stored; it is None once no qubit remains.  ``pick(labels)``
+    gives the labels at ``keep`` as a tuple.
     """
 
-    __slots__ = ("probs", "keep", "posts", "cuts")
+    __slots__ = ("probs", "keep", "posts", "cuts", "pick")
 
     def __init__(self, ket: _Ket, positions: tuple[int, ...], bras: _Bras):
         table, keep = _split_plan(ket.k, positions)
@@ -496,6 +498,10 @@ class _Step:
         self.keep = keep
         self.posts = [b if keep or p <= 0.0 else None for b, p in zip(branches, self.probs)]
         self.cuts = _cuts(self.probs)
+        if len(keep) == 1:  # a slice, so that one label stays a tuple
+            self.pick = operator.itemgetter(slice(keep[0], keep[0] + 1))
+        else:
+            self.pick = operator.itemgetter(*keep) if keep else None
 
     def __len__(self) -> int:
         return len(self.probs)
@@ -518,8 +524,7 @@ class _Step:
         post = self.post(outcome)
         if post is None:
             return None
-        labels = state.labels
-        return StateVector(post, tuple([labels[p] for p in self.keep]))
+        return StateVector(post, self.pick(state.labels))
 
 
 def _cuts(probs) -> tuple[tuple[float, int], ...]:
@@ -612,12 +617,10 @@ def measure_ab(
     return MeasurementRecord(*_measure(state, _qubit_step(state, label, basis), rng))
 
 
-def _sample(probs, rng: RandomSource) -> int:
-    """The outcome of one ``rng.random()`` draw against ``probs``, a step or
-    a sequence of outcome weights (see ``_Step.cuts``)."""
-    cuts = probs.cuts if type(probs) is _Step else _cuts(probs)
+def _sample(step: _Step, rng: RandomSource) -> int:
+    """The outcome of one ``rng.random()`` draw against ``step.cuts``."""
     r = rng.random()
-    for cut, outcome in cuts:
+    for cut, outcome in step.cuts:
         if r < cut:
             return outcome
     raise ZeroProbabilityOutcome("no outcome has nonzero probability")
@@ -626,9 +629,8 @@ def _sample(probs, rng: RandomSource) -> int:
 # ---------------------------------------------------------------------------
 # register bookkeeping
 
-_Z_BRAS = COMPUTATIONAL._bras
 # the memo key of a Z measurement at each position
-_Z_KEYS = tuple((_Z_BRAS, (p,)) for p in range(MAX_QUBITS))
+_Z_KEYS = tuple((COMPUTATIONAL._bras, (p,)) for p in range(MAX_QUBITS))
 
 
 class _Register:
@@ -682,6 +684,8 @@ class RegisterBank:
         return view
 
     def _bind(self, ket: _Ket, labels: tuple, view: StateVector | None = None) -> None:
+        if len(labels) != ket.k:
+            raise ValueError(f"a {ket.k}-qubit ket cannot carry {len(labels)} labels")
         states = self._states
         if len(set(labels)) != len(labels):
             raise DuplicateLabel(f"labels not unique: {labels}")
@@ -695,6 +699,8 @@ class RegisterBank:
     def add(self, state: StateVector) -> None:
         self._bind(state._ket, state.labels, state)
 
+    # prepare_z and prepare_bell bind inline: routed through _bind they took
+    # about 10% more time per complete-n100 session (see CHANGES.md)
     def prepare_z(self, bit: int, label):
         if bit not in (0, 1):
             raise ValueError(f"bit must be 0 or 1, got {bit!r}")
@@ -717,7 +723,8 @@ class RegisterBank:
     def prepare_ghz_like(self, psi1: BellKind, psi2: BellKind, basis: OrthonormalPair, labels: tuple) -> tuple:
         if psi1 is psi2:
             raise EqualBellKinds("psi1 and psi2 must be distinct Bell states")
-        self._bind(_ghz_like_ket(psi1, psi2, basis), tuple(labels))
+        labels = tuple(labels)
+        self._bind(_ghz_like_ket(psi1, psi2, basis), labels)
         return labels
 
     def _joined(self, l1, l2) -> _Register:
@@ -747,56 +754,35 @@ class RegisterBank:
         reg.view = None
 
     def measure_z(self, label, rng: RandomSource) -> int:
-        states = self._states
-        try:
-            reg = states[label]
-        except KeyError:
-            raise UnknownLabel(label) from None
-        labels = reg.labels
-        pos = labels.index(label)
+        reg = self._record(label)
+        return self._collapse(reg, (label,), _Z_KEYS[reg.labels.index(label)], rng)
+
+    def _collapse(self, reg: _Register, measured: tuple, key: tuple, rng: RandomSource) -> int:
+        """Sample the measurement ``key``, a ``(bras, positions)`` memo key,
+        of ``measured`` in ``reg``; drop their addresses and keep the rest."""
         ket = reg._ket
-        step = ket.memo.get(_Z_KEYS[pos])
+        step = ket.memo.get(key)
         if step is None:
-            step = _step(ket, (pos,), _Z_BRAS)
+            step = _step(ket, key[1], key[0])
         outcome = _sample(step, rng)
         post = step.posts[outcome]
         # a dict is a branch not yet collapsed; post() raises on an impossible one
-        if type(post) is dict:
-            post = step.post(outcome)
-        del states[label]
-        if post is not None:
-            reg._ket = post
-            reg.labels = labels[:pos] + labels[pos + 1:]
-            reg.view = None
-        return outcome
-
-    def _collapse(self, reg: _Register, measured: tuple, positions: tuple[int, ...], bras: _Bras,
-                  rng: RandomSource) -> int:
-        """Sample a measurement of ``measured``, at ``positions`` of ``reg``,
-        in ``bras``; drop their addresses and keep the rest of ``reg``."""
-        ket = reg._ket
-        step = ket.memo.get((bras, positions))
-        if step is None:
-            step = _step(ket, positions, bras)
-        outcome = _sample(step, rng)
-        post = step.posts[outcome]
         if type(post) is dict:
             post = step.post(outcome)
         states = self._states
         for l in measured:
             del states[l]
         if post is not None:
-            labels = reg.labels
             reg._ket = post
-            reg.labels = tuple([labels[p] for p in step.keep])
+            reg.labels = step.pick(reg.labels)
             reg.view = None
         return outcome
 
     def measure_bell(self, q1, q2, rng: RandomSource) -> BellKind:
         reg = self._joined(q1, q2)
-        positions = (reg.labels.index(q1), reg.labels.index(q2))
-        return BELL_ORDER[self._collapse(reg, (q1, q2), positions, _BELL_BRAS, rng)]
+        key = (_BELL_BRAS, (reg.labels.index(q1), reg.labels.index(q2)))
+        return BELL_ORDER[self._collapse(reg, (q1, q2), key, rng)]
 
     def measure_ab(self, label, basis: OrthonormalPair, rng: RandomSource) -> int:
         reg = self._record(label)
-        return self._collapse(reg, (label,), (reg.labels.index(label),), basis._bras, rng)
+        return self._collapse(reg, (label,), (basis._bras, (reg.labels.index(label),)), rng)

@@ -8,6 +8,7 @@ from semiquantum.adversary import (
     EveState,
     build_attack,
     default_legs,
+    eve_qubit,
 )
 from semiquantum.parties import Capability, PartyContext
 from semiquantum.qsim import (
@@ -46,7 +47,7 @@ def test_cnot_forward_produces_three_qubit_chain():
     assert attack.forward_leg(["T0"]) == ["T0"]
     merged = bank.state_of("T0")
     # (|000> + |111>)/sqrt(2) over (home, travel, ancilla)
-    assert set(merged.labels) == {"H0", "T0", "_EA0"}
+    assert set(merged.labels) == {"H0", "T0", eve_qubit("EA", 0)}
     probs = {
         idx: abs(a) ** 2 for idx, a in enumerate(merged.amplitudes) if abs(a) > 1e-12
     }
@@ -94,10 +95,10 @@ def test_ir_forward_substitutes_uniform_halves():
     attack, bank = sqka_attack(AttackKind.INTERCEPT_RESEND)
     bank.prepare_bell(BellKind.PSI_PLUS, "H0", "T0")
     out = attack.forward_leg(["T0"])
-    assert out == ["_EF0"]
+    assert out == [eve_qubit("EF", 0)]
     # forwarded qubit is a maximally mixed Bell half
-    fwd = bank.state_of("_EF0")
-    assert np.allclose(z_probabilities(fwd, "_EF0"), [0.5, 0.5], atol=1e-12)
+    fwd = bank.state_of(eve_qubit("EF", 0))
+    assert np.allclose(z_probabilities(fwd, eve_qubit("EF", 0)), [0.5, 0.5], atol=1e-12)
     # the retained original stays entangled with the home qubit
     pair = bank.state_of("H0")
     assert set(pair.labels) == {"H0", "T0"}
@@ -112,15 +113,15 @@ def test_ir_classification_confusion_matrix():
         for bob_outcome in (0, 1):
             eve, bank = quantum_party()
             state = EveState()
-            bank.prepare_bell(BellKind.PSI_PLUS, "_ER0", "_EF0")
-            state.retained_pairs[0] = ("_ER0", "_EF0")
+            bank.prepare_bell(BellKind.PSI_PLUS, eve_qubit("ER", 0), eve_qubit("EF", 0))
+            state.retained_pairs[0] = (eve_qubit("ER", 0), eve_qubit("EF", 0))
             # force Bob's measurement branch on Eve's forwarded half
-            reg = bank.state_of("_EF0")
-            prob, post = project_z(reg, "_EF0", bob_outcome)
+            reg = bank.state_of(eve_qubit("EF", 0))
+            prob, post = project_z(reg, eve_qubit("EF", 0), bob_outcome)
             assert prob == pytest.approx(0.5, abs=1e-12)
             merged = merge_registers(post, prepare_z(bob_outcome ^ bob_bit, "fresh"))
-            assert merged.labels == ("_ER0", "fresh")
-            probs = dict(zip(BELL_ORDER, bell_probabilities(merged, "_ER0", "fresh")))
+            assert merged.labels == (eve_qubit("ER", 0), "fresh")
+            probs = dict(zip(BELL_ORDER, bell_probabilities(merged, eve_qubit("ER", 0), "fresh")))
             if bob_bit == 0:
                 assert probs[BellKind.PSI_PLUS] == pytest.approx(0.5, abs=1e-12)
                 assert probs[BellKind.PSI_MINUS] == pytest.approx(0.5, abs=1e-12)
@@ -130,9 +131,9 @@ def test_ir_classification_confusion_matrix():
     # reflected: the pair comes back intact
     eve, bank = quantum_party()
     state = EveState()
-    bank.prepare_bell(BellKind.PSI_PLUS, "_ER0", "_EF0")
-    state.retained_pairs[0] = ("_ER0", "_EF0")
-    probs = dict(zip(BELL_ORDER, bell_probabilities(bank.state_of("_ER0"), "_ER0", "_EF0")))
+    bank.prepare_bell(BellKind.PSI_PLUS, eve_qubit("ER", 0), eve_qubit("EF", 0))
+    state.retained_pairs[0] = (eve_qubit("ER", 0), eve_qubit("EF", 0))
+    probs = dict(zip(BELL_ORDER, bell_probabilities(bank.state_of(eve_qubit("ER", 0)), eve_qubit("ER", 0), eve_qubit("EF", 0))))
     assert probs[BellKind.PSI_PLUS] == pytest.approx(1.0, abs=1e-12)
 
 
@@ -146,7 +147,7 @@ def test_ir_backward_classifies_and_resends():
         r = bob.measure_z(fwd[0])
         k_b = seed % 2
         bob.prepare_z(r ^ k_b, "B0")
-        assert attack.wire(0, "B0") == "_ES0"
+        assert attack.wire(0, "B0") == eve_qubit("ES", 0)
         state = attack.state
         cls = state.wire_classifications[0]
         if cls == "measured":

@@ -235,20 +235,29 @@ class StubRng:
         return self.draws.pop(0)
 
 
+class Weights:
+    """A measurement step reduced to what ``_sample`` reads: the running sums
+    of outcome weights."""
+
+    def __init__(self, probs):
+        self.cuts = qsim._cuts(probs)
+
+
 def test_sample_takes_first_outcome_whose_running_sum_exceeds_draw():
-    probs = [0.25, 0.25, 0.5]
+    step = Weights([0.25, 0.25, 0.5])
     draws = (0.0, 0.2499, 0.25, 0.5, 0.9999)
-    assert [qsim._sample(probs, StubRng(r)) for r in draws] == [0, 0, 1, 2, 2]
+    assert [qsim._sample(step, StubRng(r)) for r in draws] == [0, 0, 1, 2, 2]
 
 
 def test_sample_shortfall_falls_back_to_last_nonzero_outcome():
     # the weights sum below the draw and the last outcome is impossible
-    assert qsim._sample([0.5, 0.4999999999999996, 0.0], StubRng(0.9999999999999999)) == 1
+    step = Weights([0.5, 0.4999999999999996, 0.0])
+    assert qsim._sample(step, StubRng(0.9999999999999999)) == 1
 
 
 def test_sample_with_no_possible_outcome_raises():
     with pytest.raises(ZeroProbabilityOutcome):
-        qsim._sample([0.0, 0.0], StubRng(0.5))
+        qsim._sample(Weights([0.0, 0.0]), StubRng(0.5))
 
 
 def test_zero_probability_collapse_is_a_package_error():

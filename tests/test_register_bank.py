@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semiquantum.errors import DuplicateLabel
+from semiquantum.parties import Capability, PartyContext
 from semiquantum.qsim import (
     BELL_ORDER,
     COMPUTATIONAL,
@@ -194,3 +195,24 @@ def test_prepares_check_bits_and_labels_before_binding():
         bank.prepare_bell(BellKind.PSI_PLUS, "b", "a")
     assert bank.labels() == {"a"}
     assert snapshot(bank.state_of("a")) == (("a",), {0: 1 + 0j})
+
+
+@pytest.mark.parametrize("labels", [("g1", "g2"), ("g1", "g2", "g3", "g4")])
+def test_ghz_like_prepare_needs_three_labels(labels):
+    bank = RegisterBank()
+    party = PartyContext("charlie", Capability.QUANTUM, RandomSource(1), bank)
+    with pytest.raises(ValueError, match="3-qubit ket cannot carry"):
+        bank.prepare_ghz_like(BellKind.PSI_PLUS, BellKind.PHI_PLUS, COMPUTATIONAL, labels)
+    with pytest.raises(ValueError, match="3-qubit ket cannot carry"):
+        party.prepare_ghz_like(BellKind.PSI_PLUS, BellKind.PHI_PLUS, COMPUTATIONAL, labels)
+    assert bank.labels() == set()
+
+
+def test_prepare_with_a_taken_label_binds_nothing():
+    bank = RegisterBank()
+    bank.prepare_z(0, "g3")
+    with pytest.raises(DuplicateLabel):
+        bank.prepare_ghz_like(BellKind.PSI_PLUS, BellKind.PHI_PLUS, COMPUTATIONAL, ("g1", "g2", "g3"))
+    with pytest.raises(DuplicateLabel):
+        bank.prepare_ghz_like(BellKind.PSI_PLUS, BellKind.PHI_PLUS, COMPUTATIONAL, ("g1", "g2", "g1"))
+    assert bank.labels() == {"g3"}

@@ -16,7 +16,7 @@ from semiquantum.errors import CapabilityViolation
 from semiquantum.parties import Capability, PartyContext
 from semiquantum.protocols import CdssqcConfig, CdssqcVariant, SqdConfig, SqkaConfig, run_session
 from semiquantum.protocols import common
-from semiquantum.qsim import RegisterBank
+from semiquantum.qsim import BellKind, RegisterBank
 from semiquantum.rng import RandomSource
 
 KEYED = ("measure_bell", "measure_z", "prepare_bell"), ("measure_z", "permute", "prepare_z", "reflect")
@@ -89,8 +89,8 @@ def test_steps_are_built_once_per_capability():
     alice = PartyContext("alice", Capability.QUANTUM, RandomSource(1), bank)
     bob = PartyContext("bob", Capability.CLASSICAL, RandomSource(2), bank)
     other = PartyContext("carol", Capability.CLASSICAL, RandomSource(3), bank)
-    assert bob.step("measure_z", "prepare_z") is other.step("measure_z", "prepare_z")
-    assert alice.step("measure_bell") == ("measure_bell",)
+    assert bob.step("measure_z", "prepare_z").names is other.step("measure_z", "prepare_z").names
+    assert alice.step("measure_bell").names == ("measure_bell",)
     assert bob.ops_log == other.ops_log == alice.ops_log == set()  # built, not run
     assert bob.reflect("q") == "q"
     assert bob.ops_log == {"reflect"}
@@ -105,7 +105,7 @@ def test_quantum_step_refused_to_classical_party_before_any_register_changes():
     # a classical receiver cannot Bell-check the decoys
     session.receiver = PartyContext("alice", Capability.CLASSICAL, session.alice.rng, bank)
     with pytest.raises(CapabilityViolation) as err:
-        session.exchange([0, 1], (1, 0), "return_sequence", lambda i, q: None, ("measure_z",))
+        session.exchange([0, 1], (1, 0), "return_sequence", lambda rx, i, q: None, ("measure_z",))
     assert err.value.op == "measure_bell"
     after = {q: (bank.state_of(q).labels, dict(bank.state_of(q)._ket.entries)) for q in bank.labels()}
     assert after == before
@@ -143,3 +143,19 @@ def test_eve_source_is_built_only_under_an_attack(monkeypatch, cfg, sources):
         built.clear()
     monkeypatch.undo()
     assert run_session(cfg).transcript.events == honest.transcript.events
+
+
+def test_step_reaches_only_the_ops_it_names():
+    bank = RegisterBank()
+    alice = PartyContext("alice", Capability.QUANTUM, RandomSource(1), bank)
+    step = alice.step("prepare_bell", "measure_z")
+    step.prepare_bell(BellKind.PSI_PLUS, "h", "t")
+    for op in ("measure_bell", "measure_ab", "apply_cnot", "apply_x", "prepare_z", "prepare_ghz_like"):
+        assert not hasattr(step, op)
+    # the measurement draws from the party's own source, one draw per sample
+    reference = RandomSource(1)
+    assert step.measure_z("t") == (0 if reference.random() < 0.5 else 1)
+    assert alice.rng.random() == reference.random()
+    assert alice.ops_log == set()  # run, not yet logged
+    step.log()
+    assert alice.ops_log == {"prepare_bell", "measure_z"}
