@@ -503,9 +503,6 @@ class _Step:
         else:
             self.pick = operator.itemgetter(*keep) if keep else None
 
-    def __len__(self) -> int:
-        return len(self.probs)
-
     def post(self, outcome: int) -> _Ket | None:
         """The renormalized ket of branch ``outcome``, or None."""
         prob = self.probs[outcome]

@@ -270,7 +270,7 @@ def test_zero_probability_collapse_is_a_package_error():
 def test_run_trials_counts_zero_probability_collapse_as_failure(monkeypatch):
     # force every measurement onto its last outcome, which a definite |0>
     # qubit cannot take
-    monkeypatch.setattr(qsim, "_sample", lambda probs, rng: len(probs) - 1)
+    monkeypatch.setattr(qsim, "_sample", lambda step, rng: len(step.probs) - 1)
     stats = analysis.run_trials(SqkaConfig(n=2, m=2), 3, 1)
     assert stats.failures == 3
 
