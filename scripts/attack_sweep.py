@@ -11,6 +11,7 @@ import argparse
 import sys
 
 from semiquantum.adversary import AttackKind, AttackStrategy
+from semiquantum.cli import stdout_failed
 from semiquantum.analysis import CSV_COLUMNS, emit_stats, run_trials
 from semiquantum.protocols import CdssqcConfig, CdssqcVariant, SqdConfig, SqkaConfig
 
@@ -49,4 +50,9 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except OSError as exc:  # stdout closed or full
+        code = stdout_failed(exc)
+    sys.exit(code)

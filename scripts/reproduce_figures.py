@@ -9,6 +9,7 @@ import math
 import sys
 
 from semiquantum.adversary import AttackKind, AttackStrategy
+from semiquantum.cli import stdout_failed
 from semiquantum.analysis import detection_model, efficiency_report
 from semiquantum.protocols import SqdConfig, SqkaConfig, run_sqd, run_sqka
 from semiquantum.qsim import (
@@ -115,4 +116,9 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except OSError as exc:  # stdout closed or full
+        code = stdout_failed(exc)
+    sys.exit(code)

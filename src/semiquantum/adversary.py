@@ -13,9 +13,9 @@ Three attacks are modeled:
 
 Eve always pairs her bookkeeping by wire arrival order; she has no access
 to the honest parties' secret permutations.  Her hooks run steps of a
-quantum :class:`~semiquantum.parties.PartyContext` on its register bank,
+quantum :class:`~semiquantum.parties.PartyContext` on the session's lanes,
 so her work is capability-checked and norm-checked like everything else.
-Her own qubits have bank addresses ``eve_qubit(role, i)``.
+Her own qubits have lane addresses ``eve_qubit(role, i)``.
 """
 from __future__ import annotations
 
@@ -108,7 +108,7 @@ _EVE_ROLES = {"EA": 4, "ER": 4, "EF": 5, "EX": 5, "EM": 5, "ES": 6, "EW": 6}
 
 
 def eve_qubit(role: str, i: int) -> int:
-    """The bank address of Eve's ``role`` qubit for slot or wire ``i``."""
+    """The lane address of Eve's ``role`` qubit for slot or wire ``i``."""
     return i << 3 | _EVE_ROLES[role]
 
 
@@ -180,11 +180,11 @@ class CnotAttack(ChannelAttack):
     def forward_leg(self, labels):
         if "forward" in self.legs and labels:
             ops, ancillas = self.forward_ops, self.state.ancillas
-            prepare_z, cnot = ops.prepare_z, ops.apply_cnot
+            cnot = ops.apply_cnot
+            ops.prepare_z(0, eve_qubit("EA", 0), len(labels))
             for i, label in enumerate(labels):
-                anc = prepare_z(0, eve_qubit("EA", i))
+                anc = ancillas[i] = eve_qubit("EA", i)
                 cnot(label, anc)
-                ancillas[i] = anc
             ops.log()
         return labels
 
@@ -217,11 +217,11 @@ class InterceptResendAttack(ChannelAttack):
         if "forward" not in self.legs or not labels:
             return labels
         st, ops = self.state, self.forward_ops
+        ops.prepare_bell(BellKind.PSI_PLUS, eve_qubit("ER", 0), eve_qubit("EF", 0), len(labels))
         out = []
         for i, label in enumerate(labels):
             st.retained_travel[i] = label
-            pair = ops.prepare_bell(BellKind.PSI_PLUS, eve_qubit("ER", i), eve_qubit("EF", i))
-            st.retained_pairs[i] = pair
+            pair = st.retained_pairs[i] = eve_qubit("ER", i), eve_qubit("EF", i)
             out.append(pair[1])
         ops.log()
         return out

@@ -211,13 +211,18 @@ def main(argv: list[str] | None = None) -> int:
         try:
             sys.stdout.write(payload.decode())
             sys.stdout.flush()
-        except BrokenPipeError as exc:
-            # the reader went away: send what is left in the buffer to
-            # devnull, so the flush at interpreter exit raises nothing more
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-            print(f"error: cannot write to stdout: {exc}", file=sys.stderr)
-            return EXIT_IO
+        except OSError as exc:
+            return stdout_failed(exc)
     return EXIT_OK
+
+
+def stdout_failed(exc: OSError) -> int:
+    """Report a failed write to stdout (a closed pipe, a full disk) in one
+    ``error:`` line and return EXIT_IO.  What is left in stdout's buffer goes
+    to devnull, so the flush at interpreter exit raises nothing more."""
+    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    print(f"error: cannot write to stdout: {exc}", file=sys.stderr)
+    return EXIT_IO
 
 
 if __name__ == "__main__":

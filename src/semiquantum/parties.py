@@ -5,10 +5,10 @@ reflect qubits untouched, reorder sequences, and talk on the classical
 channel.  Anything else raises :class:`CapabilityViolation` instead of
 silently degrading.  Quantum parties get the full simulator surface.
 
-A protocol session runs each stage as a loop of slot steps on its register
-bank.  A step names the ops one party applies to a slot and is the only way
+A protocol session runs each stage as a loop of slot steps on its slot
+lanes.  A step names the ops one party applies to a slot and is the only way
 the party reaches them: it exposes each named op, bound to the session's
-bank and, for a measurement, to the party's random source, and no other.
+lanes and, for a measurement, to the party's random source, and no other.
 The names are checked against the party's allowed set when the step is
 built, once per process for each capability, and added to the party's
 ``ops_log`` when the step has run.
@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .errors import CapabilityViolation, EmptyInput, ZeroCount
-from .qsim import BellKind, OrthonormalPair, RegisterBank
+from .qsim import BellKind, Lanes, OrthonormalPair
 from .rng import RandomSource
 
 
@@ -57,33 +57,18 @@ def _permute(perm: Permutation, seq: list) -> list:
     return perm.apply(seq)
 
 
-def _measure_z(bank: RegisterBank, rng: RandomSource):
-    measure = bank.measure_z
-    return lambda label: measure(label, rng)
-
-
-def _measure_bell(bank: RegisterBank, rng: RandomSource):
-    measure = bank.measure_bell
-    return lambda q1, q2: measure(q1, q2, rng)
-
-
-def _measure_ab(bank: RegisterBank, rng: RandomSource):
-    measure = bank.measure_ab
-    return lambda label, basis: measure(label, basis, rng)
-
-
-# what each op of a step reaches, given the session's bank and the party's rng
+# what each op of a step reaches, given the session's lanes and the party's rng
 _BIND = {
-    "prepare_z": lambda bank, rng: bank.prepare_z,
-    "prepare_bell": lambda bank, rng: bank.prepare_bell,
-    "prepare_ghz_like": lambda bank, rng: bank.prepare_ghz_like,
-    "apply_cnot": lambda bank, rng: bank.cnot,
-    "apply_x": lambda bank, rng: bank.x,
-    "measure_z": _measure_z,
-    "measure_bell": _measure_bell,
-    "measure_ab": _measure_ab,
-    "reflect": lambda bank, rng: _reflect,
-    "permute": lambda bank, rng: _permute,
+    "prepare_z": lambda lanes, rng: lanes.prepare_z,
+    "prepare_bell": lambda lanes, rng: lanes.prepare_bell,
+    "prepare_ghz_like": lambda lanes, rng: lanes.prepare_ghz_like,
+    "apply_cnot": lambda lanes, rng: lanes.cnot,
+    "apply_x": lambda lanes, rng: lanes.x,
+    "measure_z": lambda lanes, rng: lanes.measurements(rng)[0],
+    "measure_bell": lambda lanes, rng: lanes.measurements(rng)[1],
+    "measure_ab": lambda lanes, rng: lanes.measurements(rng)[2],
+    "reflect": lambda lanes, rng: _reflect,
+    "permute": lambda lanes, rng: _permute,
 }
 
 
@@ -91,7 +76,7 @@ class Step:
     """The ops ``names`` of one party, bound for one session.
 
     Each named op that acts is an attribute of the same name (``apply_cnot``
-    is the bank's ``cnot``, ``measure_bell(q1, q2)`` draws from the party's
+    is the lanes' ``cnot``, ``measure_bell(q1, q2)`` draws from the party's
     rng); an op the step does not name is not there.  ``log`` records the
     names in the party's ``ops_log``; a stage calls it once the step has run.
     """
@@ -100,11 +85,11 @@ class Step:
 
     def __init__(self, party: PartyContext, names: tuple[str, ...]):
         self.party, self.names = party, names
-        bank, rng = party.bank, party.rng
+        lanes, rng = party.lanes, party.rng
         for op in names:
             bind = _BIND.get(op)
             if bind is not None:
-                setattr(self, op, bind(bank, rng))
+                setattr(self, op, bind(lanes, rng))
 
     def log(self) -> None:
         self.party.ops_log.update(self.names)
@@ -188,20 +173,20 @@ def verify(commitment: Commitment, bits: tuple[int, ...]) -> bool:
 
 
 class PartyContext:
-    """A protocol participant: capability-checked access to the register bank.
+    """A protocol participant: capability-checked access to the slot lanes.
 
     Every op name the party runs is recorded in ``ops_log``, so tests can
     assert that no execution path lets a classical party reach a forbidden
     operation.  A session's stage loops build their steps (``step``) before
-    they run and log each once the loop has run it; the single ops below
-    log a one-op step and run it.
+    they run and log each once the loop has run it; the single ops (after
+    the class) log a one-op step and run it.
     """
 
-    def __init__(self, name: str, capability: Capability, rng: RandomSource, bank: RegisterBank):
+    def __init__(self, name: str, capability: Capability, rng: RandomSource, lanes: Lanes):
         self.name = name
         self.capability = capability
         self.rng = rng
-        self.bank = bank
+        self.lanes = lanes
         self.ops_log: set[str] = set()
 
     def step(self, *ops: str) -> Step:
@@ -213,39 +198,18 @@ class PartyContext:
         step.log()
         return getattr(step, op)
 
-    # single ops, each one step ------------------------------------------
 
-    def prepare_z(self, bit: int, label: str) -> str:
-        return self._op("prepare_z")(bit, label)
-
-    def measure_z(self, label: str) -> int:
-        return self._op("measure_z")(label)
-
-    def reflect(self, label: str) -> str:
-        return self._op("reflect")(label)
-
-    def permute(self, perm: Permutation, seq: list) -> list:
-        return self._op("permute")(perm, seq)
-
-    def prepare_bell(self, kind: BellKind, l1: str, l2: str) -> tuple[str, str]:
-        return self._op("prepare_bell")(kind, l1, l2)
-
-    def prepare_ghz_like(
-        self, psi1: BellKind, psi2: BellKind, basis: OrthonormalPair, labels: tuple[str, str, str]
-    ) -> tuple[str, str, str]:
-        return self._op("prepare_ghz_like")(psi1, psi2, basis, labels)
-
-    def measure_bell(self, q1: str, q2: str) -> BellKind:
-        return self._op("measure_bell")(q1, q2)
-
-    def measure_ab(self, label: str, basis: OrthonormalPair) -> int:
-        return self._op("measure_ab")(label, basis)
-
-    def cnot(self, control: str, target: str) -> None:
-        self._op("apply_cnot")(control, target)
-
-    def x(self, label: str) -> None:
-        self._op("apply_x")(label)
+# PartyContext's single ops, each a one-op step that is logged and run:
+# ``party.measure_z(a)`` runs the "measure_z" op, ``party.cnot(c, t)``
+# the "apply_cnot" op, and so on.
+for _name, _op in (
+    ("prepare_z", "prepare_z"), ("measure_z", "measure_z"), ("reflect", "reflect"),
+    ("permute", "permute"), ("prepare_bell", "prepare_bell"),
+    ("prepare_ghz_like", "prepare_ghz_like"), ("measure_bell", "measure_bell"),
+    ("measure_ab", "measure_ab"), ("cnot", "apply_cnot"), ("x", "apply_x"),
+):
+    setattr(PartyContext, _name, lambda self, *args, _op=_op: self._op(_op)(*args))
+del _name, _op
 
 
 __all__ = [

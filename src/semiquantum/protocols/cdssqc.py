@@ -98,16 +98,12 @@ def _run(config: CdssqcConfig) -> SessionOutcome:
             psi1=config.psi1.value,
             psi2=config.psi2.value,
         )
-        for p in range(total):
-            step.prepare_ghz_like(
-                config.psi1, config.psi2, basis, (qubit(p, TRAVEL), qubit(p, HOME), qubit(p, CONTROL))
-            )
+        step.prepare_ghz_like(config.psi1, config.psi2, basis, (TRAVEL, HOME, CONTROL), total)
         step.log()
     else:
         step = charlie.step("prepare_bell")
         transcript.log("charlie", "prepare_pairs", count=total, state=config.switch_bell.value)
-        for p in range(total):
-            step.prepare_bell(config.switch_bell, qubit(p, TRAVEL), qubit(p, HOME))
+        step.prepare_bell(config.switch_bell, TRAVEL, HOME, total)
         step.log()
         pi_c = (
             random_permutation(total, charlie.rng)

@@ -10,12 +10,12 @@ from enum import Enum
 from ..adversary import AttackKind, build_attack
 from ..errors import ZeroCount
 from ..parties import Capability, PartyContext, Permutation, Step, random_permutation
-from ..qsim import BellKind, RegisterBank
+from ..qsim import BellKind, Lanes
 from ..rng import RandomSource, derive_seed
 
 Bits = tuple[int, ...]
 
-# A qubit's bank address packs its slot and its role, slot << 3 | role.
+# A qubit's lane address packs its slot and its role, slot << 3 | role.
 # HOME is the partner the distributing party keeps (H, B), TRAVEL the qubit
 # it sends (T, A), CONTROL the controller's third qubit and FRESH the
 # sender's re-prepared qubit.  Eve's qubits take roles 4-6 (see
@@ -24,7 +24,7 @@ HOME, TRAVEL, CONTROL, FRESH = range(4)
 
 
 def qubit(slot: int, role: int) -> int:
-    """The bank address of slot ``slot``'s ``role`` qubit."""
+    """The lane address of slot ``slot``'s ``role`` qubit."""
     return slot << 3 | role
 
 
@@ -100,7 +100,7 @@ class SessionOutcome:
 
 
 class Session:
-    """One protocol run: its parties, register bank, transcript and channel
+    """One protocol run: its parties, slot lanes, transcript and channel
     attack, and the stages every protocol shares.
 
     All the protocols follow one orthogonal-state skeleton.  A quantum party
@@ -114,11 +114,14 @@ class Session:
     depends only on the order of each party's own draws.  Eve exists only
     while an attack is active.
 
-    Each stage is a loop over slots that runs one party's step on each
-    slot's registers, with qubits addressed by ``qubit(slot, role)``.  A
-    step is the party's only way to the bank ops it names; it is built, and
-    so capability-checked, before the loop touches a register, and logged
-    once the loop has run it.
+    The registers live in ``lanes``, one lane per slot, with qubits
+    addressed by ``qubit(slot, role)``; a register within a slot is an
+    interned state and each op a memoized transition of it (``qsim.Lanes``).
+    A preparation stage fills every slot in one op; the other stages loop
+    over slots and run one party's step on each slot's registers.  A step
+    is the party's only way to the ops it names; it is built, and so
+    capability-checked, before the loop touches a register, and logged once
+    the loop has run it.
     """
 
     def __init__(self, config, protocol: str, classical: str, controller: bool = False):
@@ -129,11 +132,11 @@ class Session:
         self.protocol = protocol
         self.total = self.n + self.m
         self.transcript = Transcript()
-        self.bank = bank = RegisterBank()
+        self.lanes = lanes = Lanes(self.total)
 
         def party(name: str, stream: int) -> PartyContext:
             cap = Capability.CLASSICAL if name == classical else Capability.QUANTUM
-            return PartyContext(name, cap, RandomSource(derive_seed(config.seed, stream)), bank)
+            return PartyContext(name, cap, RandomSource(derive_seed(config.seed, stream)), lanes)
 
         self.alice, self.bob = party("alice", 1), party("bob", 2)
         self.charlie = party("charlie", 4) if controller else None
@@ -145,7 +148,7 @@ class Session:
         if config.attack.kind is not AttackKind.NONE:
             eve_seed = config.attack.eve_rng_seed
             eve_rng = RandomSource(derive_seed(config.seed, 3) if eve_seed is None else eve_seed)
-            eve = PartyContext("eve", Capability.QUANTUM, eve_rng, bank)
+            eve = PartyContext("eve", Capability.QUANTUM, eve_rng, lanes)
         self.attack = build_attack(config.attack, protocol, eve)
         self.slots = list(range(self.total))  # the positions still in play
         self.error_rate = 0.0
@@ -160,9 +163,7 @@ class Session:
         """Alice prepares psi+ pairs, keeps the HOME halves and sends the TRAVEL halves."""
         total, step = self.total, self.alice.step("prepare_bell")
         self.transcript.log("alice", "prepare_pairs", count=total, state=BellKind.PSI_PLUS.value)
-        prepare, kind = step.prepare_bell, BellKind.PSI_PLUS
-        for p in range(total):
-            prepare(kind, p << 3 | HOME, p << 3 | TRAVEL)
+        step.prepare_bell(BellKind.PSI_PLUS, HOME, TRAVEL, total)
         step.log()
         self.transcript.log("alice", "send_travel", count=total)
         self.send()

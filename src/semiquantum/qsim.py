@@ -24,22 +24,26 @@ Memo
 ----
 A ``StateVector`` is its labels plus a ket: the qubit count and the exact
 amplitude entries in insertion order, range- and norm-checked once when
-built.  Stored kets are interned, so a content that recurs is one object,
-and each primitive keeps its result on the input ket: a gate or merge its
-output ket, a measurement its step (see below).  A recurring content thus repeats
-no arithmetic.  Every ket of at most 4 qubits is stored; of the 5- and
-6-qubit kets (the cross-slot registers of permuted attacks) only the first
-``MAX_WIDE_KETS``, so the table stays bounded.  Later wide kets go through
-the same code but are not stored, and a stored ket's memo refers only to
-stored kets.  Results are the values the computation gives the first time,
-so the memo changes no draw.
+built.  Stored kets are interned, and each primitive keeps its result on the
+input ket: a gate or merge its output ket, a measurement its step.  Every
+ket of at most 4 qubits is stored; of the 5- and 6-qubit kets (cross-slot
+registers of permuted attacks) only the first ``MAX_WIDE_KETS``.  A step
+holds its branch probabilities, their running sums and each branch's post
+ket, collapsed when the branch is first taken.
 
-A measurement's step holds its branch probabilities, their running sums
-and each branch's post-measurement ket, collapsed only when that branch is
-first sampled or projected.  Every sampled measurement takes exactly one
-``rng.random()`` draw and returns the first outcome, in a fixed order (Z:
-0, 1; Bell: ``BELL_ORDER``; basis: a, b), whose running probability sum
-exceeds the draw.
+A session's registers live in ``Lanes``, addressed by slot and role.  A
+register within one slot is an interned lane state, a ket plus the role of
+each qubit, and each op is one memoized transition of it: a gate or
+preparation maps it to the next state, a measurement to a ``_LaneStep``
+whose posts are states, so a measurement is one lookup, one ``_sample`` and
+the stores.  Up to ``MAX_LANE_STATES`` states are stored; a register
+spanning slots is a shared record run on its ket's memo.  A stored ket's or
+state's memo refers only to stored ones, later ones take the same code
+unstored, and every result is the value the computation gives the first
+time, so the memo changes no draw.  Every sampled measurement takes
+exactly one ``rng.random()`` draw in ``_sample`` and returns the first
+outcome, in a fixed order (Z: 0, 1; Bell: ``BELL_ORDER``; basis: a, b),
+whose running probability sum exceeds the draw.
 """
 from __future__ import annotations
 
@@ -159,10 +163,14 @@ class OrthonormalPair:
 
     a: Sequence[complex] | np.ndarray = field(compare=False)
     b: Sequence[complex] | np.ndarray = field(compare=False)
-    # (a, b) components as Python complex numbers, and for each bit value v the
-    # nonzero bras as (outcome, conj(component v)).
+    # (a, b) components as Python complex numbers, their hash, and for each
+    # bit value v the nonzero bras as (outcome, conj(component v)).
     _kets: tuple = field(init=False, repr=False)
+    _hash: int = field(init=False, repr=False, compare=False)
     _bras: _Bras = field(init=False, repr=False, compare=False)
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __post_init__(self):
         kets = a, b = _components(self.a), _components(self.b)
@@ -179,6 +187,7 @@ class OrthonormalPair:
             for v in (0, 1)
         )
         object.__setattr__(self, "_kets", kets)
+        object.__setattr__(self, "_hash", hash(kets))
         object.__setattr__(self, "_bras", bras)
 
 
@@ -624,162 +633,380 @@ def _sample(step: _Step, rng: RandomSource) -> int:
 
 
 # ---------------------------------------------------------------------------
-# register bookkeeping
+# slot lanes: a session's registers as interned per-slot states
 
-# the memo key of a Z measurement at each position
-_Z_KEYS = tuple((COMPUTATIONAL._bras, (p,)) for p in range(MAX_QUBITS))
+# at most this many lane states are stored with their memo (see Lanes)
+MAX_LANE_STATES = 512
 
 
-class _Register:
-    """A bank-private register: its current ket and qubits, updated in place.
+class _State:
+    """A register within one lane: its ket and ``layout``, the role of each
+    qubit in ket order.  ``memo`` maps an op's key (see ``_key``) to the next
+    state or a measurement's ``_LaneStep``, and another state of the lane to
+    the two registers joined.  ``_NONE`` marks a free address; its memo maps
+    a preparation's key to the prepared state."""
 
-    ``view`` caches the immutable ``StateVector`` of the current content
-    until the register next changes.
+    __slots__ = ("ket", "layout", "memo", "stored")
+
+    def __init__(self, ket: _Ket | None, layout: tuple):
+        self.ket, self.layout = ket, layout
+        self.memo: dict = {}
+        self.stored = False
+
+
+# Interned lane states, keyed by ket and layout; at most MAX_LANE_STATES.
+_STATES: dict[tuple, _State] = {}
+
+
+def _state(ket: _Ket, layout: tuple) -> _State:
+    """The lane state of ``ket`` over the roles ``layout``, interned if the
+    ket is stored and the table is under its cap."""
+    state = _STATES.get((ket, layout))
+    if state is None:
+        state = _State(ket, layout)
+        if ket.stored and len(_STATES) < MAX_LANE_STATES:
+            state.stored = True
+            _STATES[ket, layout] = state
+    return state
+
+
+_NONE = _State(None, ())
+_NONE.stored = True
+
+
+class _LaneStep:
+    """A measurement on a lane state: the ket step's ``probs`` and ``cuts``,
+    and in ``posts`` each branch's next state once it has been taken
+    (``_NONE`` if no qubit is left)."""
+
+    __slots__ = ("probs", "cuts", "posts", "step", "layout")
+
+    def __init__(self, layout: tuple, step: _Step):
+        self.probs, self.cuts = step.probs, step.cuts
+        self.posts: list = [None] * len(step.probs)
+        self.step, self.layout = step, layout
+
+    def post(self, outcome: int) -> _State:
+        ket = self.step.post(outcome)  # raises on a zero-probability branch
+        state = _NONE if ket is None else _state(ket, self.step.pick(self.layout))
+        if state.stored:
+            self.posts[outcome] = state
+        return state
+
+
+class _Shared:
+    """A register whose qubits lie in several lanes: its ket and its
+    qubits' addresses, rewritten in place."""
+
+    __slots__ = ("ket", "qubits")
+    memo: dict = {}  # never written: ops on a shared register take the general path
+
+    def __init__(self, ket: _Ket, qubits: tuple):
+        self.ket, self.qubits = ket, qubits
+
+
+# Op codes of the integer memo keys (see _key).  A preparation of |bit> has
+# the code _PREP_Z + bit, a Bell-pair preparation BELL_ORDER index << 3 |
+# _PREP_BELL.
+_Z, _X, _PREP_Z, _CNOT, _BELL, _PREP_BELL = 1, 2, 3, 5, 6, 7
+_BELL_INDEX = {kind: i for i, kind in enumerate(BELL_ORDER)}
+
+
+def _key(code, roles: tuple):
+    """The memo key of the op ``code`` on ``roles``: ``r << 3 | code`` on one
+    role, ``(r1 << 16 | r2) << 5 | code`` on two; a ket or bras in place of
+    the code keys a tuple with the role or roles."""
+    if type(code) is not int:
+        return (code, roles[0]) if len(roles) == 1 else (code, roles)
+    return roles[0] << 3 | code if len(roles) == 1 else (roles[0] << 16 | roles[1]) << 5 | code
+
+
+def _addresses(layout: tuple, base: int) -> tuple:
+    """The addresses of the roles ``layout`` in the lane at ``base``."""
+    if len(layout) == 3:  # a session's usual register, spelled out
+        return base | layout[0], base | layout[1], base | layout[2]
+    return tuple([base | r for r in layout])
+
+
+class Lanes:
+    """A session's registers as slot lanes.
+
+    A qubit's address packs its lane (its slot) and its role there, ``lane
+    << 3 | role``; ``cells[address]`` holds its register.  A register within
+    one lane is an interned ``_State`` under each of its addresses, and an
+    op on it is a memoized transition: a gate or preparation stores the next
+    state, a measurement samples its ``_LaneStep`` with ``_sample`` and
+    stores the branch's state.  A register spanning lanes (Eve's return-leg
+    ops join slots under the permutation) is one ``_Shared`` record under
+    each of its addresses, run on its ket's memo until its last qubit is
+    measured.  Either way its ket and qubit order are a label-addressed
+    register's: an op across registers joins them, the first operand's in
+    the high bits, and a measured qubit leaves.
     """
 
-    __slots__ = ("_ket", "labels", "view")
+    def __init__(self, size: int):
+        self.cells: list = [_NONE] * (size << 3)
 
-    def __init__(self, ket: _Ket, labels: tuple, view: StateVector | None = None):
-        self._ket = ket
-        self.labels = labels
-        self.view = view
+    def _put(self, state: _State, base: int) -> None:
+        cells = self.cells
+        for r in state.layout:
+            cells[base | r] = state
 
-
-class RegisterBank:
-    """Tracks disjoint registers, each qubit addressed by a hashable key.
-
-    An address may be a label string; a protocol session addresses a qubit
-    by its slot and role, packed in one integer.  Each
-    address maps to a mutable register record that the bank alone owns; an
-    operation advances that record's ket in place by the ket's memoized
-    step instead of building a new ``StateVector``.  Operations that span
-    registers first join them (subject to the qubit cap), the first
-    address's register in the high bits, and re-bind the other register's
-    addresses to it; measurements drop consumed addresses.  ``state_of``
-    hands out an immutable snapshot, so nothing a caller holds changes
-    afterwards.
-    """
-
-    def __init__(self):
-        self._states: dict = {}
-
-    def labels(self) -> set:
-        return set(self._states)
-
-    def _record(self, label) -> _Register:
-        try:
-            return self._states[label]
-        except KeyError:
-            raise UnknownLabel(label) from None
-
-    def state_of(self, label) -> StateVector:
-        """The current content of ``label``'s register, one object per content."""
-        reg = self._record(label)
-        view = reg.view
-        if view is None:
-            view = reg.view = StateVector(reg._ket, reg.labels)
-        return view
-
-    def _bind(self, ket: _Ket, labels: tuple, view: StateVector | None = None) -> None:
-        if len(labels) != ket.k:
-            raise ValueError(f"a {ket.k}-qubit ket cannot carry {len(labels)} labels")
-        states = self._states
-        if len(set(labels)) != len(labels):
-            raise DuplicateLabel(f"labels not unique: {labels}")
-        for l in labels:
-            if l in states:
-                raise DuplicateLabel(l)
-        reg = _Register(ket, labels, view)
-        for l in labels:
-            states[l] = reg
-
-    def add(self, state: StateVector) -> None:
-        self._bind(state._ket, state.labels, state)
-
-    # prepare_z and prepare_bell bind inline: routed through _bind they took
-    # about 10% more time per complete-n100 session (see CHANGES.md)
-    def prepare_z(self, bit: int, label):
-        if bit not in (0, 1):
-            raise ValueError(f"bit must be 0 or 1, got {bit!r}")
-        states = self._states
-        if label in states:
-            raise DuplicateLabel(label)
-        states[label] = _Register(_Z_KETS[bit], (label,))
-        return label
-
-    def prepare_bell(self, kind: BellKind, l1, l2) -> tuple:
-        ket, states = _BELL_KETS[kind], self._states
-        if l1 == l2:
-            raise DuplicateLabel(f"labels not unique: {(l1, l2)}")
-        for l in (l1, l2):
-            if l in states:
-                raise DuplicateLabel(l)
-        states[l1] = states[l2] = _Register(ket, (l1, l2))
-        return l1, l2
-
-    def prepare_ghz_like(self, psi1: BellKind, psi2: BellKind, basis: OrthonormalPair, labels: tuple) -> tuple:
-        if psi1 is psi2:
-            raise EqualBellKinds("psi1 and psi2 must be distinct Bell states")
-        labels = tuple(labels)
-        self._bind(_ghz_like_ket(psi1, psi2, basis), labels)
-        return labels
-
-    def _joined(self, l1, l2) -> _Register:
-        """The one register holding ``l1`` and ``l2``, joining l2's into l1's."""
-        states = self._states
-        try:
-            reg, other = states[l1], states[l2]
-        except KeyError as err:
-            raise UnknownLabel(err.args[0]) from None
-        if other is not reg:
-            reg._ket = _merge(reg._ket, other._ket)
-            reg.labels += other.labels
-            reg.view = None
-            for l in other.labels:
-                states[l] = reg
-        return reg
-
-    def cnot(self, control, target) -> None:
-        reg = self._joined(control, target)
-        labels = reg.labels
-        reg._ket = _cnot(reg._ket, labels.index(control), labels.index(target))
-        reg.view = None
-
-    def x(self, label) -> None:
-        reg = self._record(label)
-        reg._ket = _x(reg._ket, reg.labels.index(label))
-        reg.view = None
-
-    def measure_z(self, label, rng: RandomSource) -> int:
-        reg = self._record(label)
-        return self._collapse(reg, (label,), _Z_KEYS[reg.labels.index(label)], rng)
-
-    def _collapse(self, reg: _Register, measured: tuple, key: tuple, rng: RandomSource) -> int:
-        """Sample the measurement ``key``, a ``(bras, positions)`` memo key,
-        of ``measured`` in ``reg``; drop their addresses and keep the rest."""
-        ket = reg._ket
-        step = ket.memo.get(key)
-        if step is None:
-            step = _step(ket, key[1], key[0])
+    def _advance(self, step: _LaneStep, qubits: tuple, rng: RandomSource) -> int:
+        """Sample ``step`` on the lane state holding ``qubits`` and store the
+        branch taken."""
         outcome = _sample(step, rng)
         post = step.posts[outcome]
-        # a dict is a branch not yet collapsed; post() raises on an impossible one
-        if type(post) is dict:
+        if post is None:
             post = step.post(outcome)
-        states = self._states
-        for l in measured:
-            del states[l]
-        if post is not None:
-            reg._ket = post
-            reg.labels = step.pick(reg.labels)
-            reg.view = None
+        cells = self.cells
+        for a in qubits:
+            cells[a] = _NONE
+        base = qubits[0] & -8
+        for r in post.layout:
+            cells[base | r] = post
         return outcome
 
-    def measure_bell(self, q1, q2, rng: RandomSource) -> BellKind:
-        reg = self._joined(q1, q2)
-        key = (_BELL_BRAS, (reg.labels.index(q1), reg.labels.index(q2)))
-        return BELL_ORDER[self._collapse(reg, (q1, q2), key, rng)]
+    def _join(self, a: int, b: int) -> _Shared:
+        """The shared record holding ``a`` and ``b``: their registers joined,
+        ``a``'s in the high bits, unless one record holds both."""
+        cells = self.cells
+        rec, other = cells[a], cells[b]
+        if other is rec and type(rec) is _Shared:
+            return rec
+        if rec is _NONE or other is _NONE:
+            raise UnknownLabel(a if rec is _NONE else b)
+        held = rec.qubits if type(rec) is _Shared else _addresses(rec.layout, a & -8)
+        more = other.qubits if type(other) is _Shared else _addresses(other.layout, b & -8)
+        ket = _merge(rec.ket, other.ket)  # raises before anything changes
+        if type(rec) is _Shared:  # keep a record, and move the other side's qubits to it
+            rec.ket, rec.qubits = ket, held + more
+        elif type(other) is _Shared:
+            other.ket, other.qubits, more, rec = ket, held + more, held, other
+        else:
+            rec = _Shared(ket, held + more)
+            more = rec.qubits
+        for q in more:
+            cells[q] = rec
+        return rec
 
-    def measure_ab(self, label, basis: OrthonormalPair, rng: RandomSource) -> int:
-        reg = self._record(label)
-        return self._collapse(reg, (label,), (basis._bras, (reg.labels.index(label),)), rng)
+    def _collapse(self, rec: _Shared, qubits: tuple, bras: _Bras, rng: RandomSource) -> int:
+        """Sample the measurement ``bras`` of ``qubits`` in the record ``rec``,
+        which keeps what is left."""
+        held, ket, a = rec.qubits, rec.ket, qubits[0]
+        positions = (held.index(a),) if len(qubits) == 1 else (held.index(a), held.index(qubits[1]))
+        step = ket.memo.get((bras, positions))
+        if step is None:
+            step = _step(ket, positions, bras)
+        outcome = _sample(step, rng)
+        post = step.posts[outcome]
+        if type(post) is dict:  # not yet collapsed; raises if impossible
+            post = step.post(outcome)
+        cells = self.cells
+        for a in qubits:
+            cells[a] = _NONE
+        if post is not None:
+            rec.ket, rec.qubits = post, step.pick(held)
+        return outcome
+
+    def _slow(self, code, qubits: tuple, op, rng: RandomSource | None = None):
+        """The op ``code`` (see _key) past the fast paths: ``op`` is the gate
+        (``_x`` or ``_cnot``) or, with ``rng``, the measurement's bras."""
+        cells, a, b = self.cells, qubits[0], qubits[-1]
+        state, other = cells[a], cells[b]
+        if state is _NONE or other is _NONE:
+            raise UnknownLabel(a if state is _NONE else b)
+        if type(state) is _Shared or type(other) is _Shared or a >> 3 != b >> 3:
+            rec = self._join(a, b)
+            if rng is not None:
+                return self._collapse(rec, qubits, op, rng)
+            held = rec.qubits
+            rec.ket = op(rec.ket, held.index(a)) if a == b else op(rec.ket, held.index(a), held.index(b))
+            return None
+        if other is not state:  # two registers of one lane, joined
+            joined = state.memo.get(other)
+            if joined is None:
+                joined = _state(_merge(state.ket, other.ket), state.layout + other.layout)
+                if state.stored and other.stored and joined.stored:
+                    state.memo[other] = joined
+            state = joined
+        key = _key(code, tuple([q & 7 for q in qubits]))
+        nxt = state.memo.get(key)
+        if nxt is None:
+            layout = state.layout
+            positions = tuple([layout.index(q & 7) for q in qubits])
+            if rng is None:
+                nxt = _state(op(state.ket, *positions), layout)
+            else:
+                nxt = _LaneStep(layout, _step(state.ket, positions, op))
+            if state.stored and (rng is not None or nxt.stored):
+                state.memo[key] = nxt
+        if rng is not None:
+            return self._advance(nxt, qubits, rng)
+        self._put(nxt, a & -8)
+        return None
+
+    def _prepare(self, code, ket: _Ket, qubits: tuple, count: int = 1) -> None:
+        """Prepare ``ket`` on ``qubits`` on a memo miss, and on their roles in
+        the next ``count - 1`` lanes, in one store per role when all are free."""
+        cells = self.cells
+        if len(qubits) != ket.k:
+            raise ValueError(f"a {ket.k}-qubit ket cannot carry {len(qubits)} labels")
+        if len(set(qubits)) != len(qubits):
+            raise DuplicateLabel(f"labels not unique: {qubits}")
+        for a in qubits:
+            if cells[a] is not _NONE:
+                raise DuplicateLabel(a)
+        p = qubits[0] >> 3
+        if any(a >> 3 != p for a in qubits):
+            state = _Shared(ket, qubits)
+            for a in qubits:
+                cells[a] = state
+        else:
+            roles = tuple([a & 7 for a in qubits])
+            state = _state(ket, roles)
+            if state.stored:
+                _NONE.memo[_key(code, roles)] = state
+            self._put(state, p << 3)
+        stop = (p + count) << 3
+        if type(state) is _State and stop <= len(cells) and all(
+            cells[a + 8 : stop : 8].count(_NONE) == count - 1 for a in qubits
+        ):
+            fill = [state] * (count - 1)
+            for a in qubits:
+                cells[a + 8 : stop : 8] = fill
+        else:
+            for p in range(1, count):
+                self._prepare(code, ket, tuple([a + (p << 3) for a in qubits]))
+
+    # A preparation puts its state on the qubits and, with a count, on their
+    # roles in the next count - 1 lanes too; it returns the qubits.
+
+    def prepare_z(self, bit: int, a: int, count: int = 1) -> int:
+        if bit not in (0, 1):
+            raise ValueError(f"bit must be 0 or 1, got {bit!r}")
+        cells = self.cells
+        state = None
+        if count == 1 and cells[a] is _NONE:
+            state = _NONE.memo.get((a & 7) << 3 | _PREP_Z + bit)
+        if state is None:
+            self._prepare(_PREP_Z + bit, _Z_KETS[bit], (a,), count)
+        else:
+            cells[a] = state
+        return a
+
+    def prepare_bell(self, kind: BellKind, a1: int, a2: int, count: int = 1) -> tuple:
+        cells = self.cells
+        code = _BELL_INDEX[kind] << 3 | _PREP_BELL
+        state = None
+        if count == 1 and a1 >> 3 == a2 >> 3 and cells[a1] is _NONE is cells[a2]:
+            state = _NONE.memo.get(((a1 & 7) << 16 | a2 & 7) << 5 | code)
+        if state is None:
+            self._prepare(code, _BELL_KETS[kind], (a1, a2), count)
+        else:
+            cells[a1] = cells[a2] = state
+        return a1, a2
+
+    def prepare_ghz_like(
+        self, psi1: BellKind, psi2: BellKind, basis: OrthonormalPair, qubits, count: int = 1
+    ) -> tuple:
+        if psi1 is psi2:
+            raise EqualBellKinds("psi1 and psi2 must be distinct Bell states")
+        ket = _ghz_like_ket(psi1, psi2, basis)
+        self._prepare(ket, ket, tuple(qubits), count)
+        return tuple(qubits)
+
+    def cnot(self, c: int, t: int) -> None:
+        cells = self.cells
+        reg, other = cells[c], cells[t]
+        nxt = None
+        if c >> 3 == t >> 3:
+            state = reg if other is reg else reg.memo.get(other)  # two registers joined
+            if state is not None:
+                nxt = state.memo.get(((c & 7) << 16 | t & 7) << 5 | _CNOT)
+        if nxt is None:
+            self._slow(_CNOT, (c, t), _cnot)
+        else:
+            base = c & -8
+            for r in nxt.layout:
+                cells[base | r] = nxt
+
+    def x(self, a: int) -> None:
+        self._slow(_X, (a,), _x)
+
+    def measurements(self, rng: RandomSource) -> tuple:
+        """``measure_z(a)``, ``measure_bell(a1, a2)`` and ``measure_ab(a,
+        basis)`` on these lanes, each sample drawn from ``rng``."""
+        cells, collapse, slow, advance = self.cells, self._collapse, self._slow, self._advance
+        z_bras = COMPUTATIONAL._bras
+
+        def measure_z(a: int) -> int:
+            reg = cells[a]
+            step = reg.memo.get((a & 7) << 3 | _Z)
+            if step is None:
+                if type(reg) is _Shared:
+                    return collapse(reg, (a,), z_bras, rng)
+                return slow(_Z, (a,), z_bras, rng)
+            # advance, spelled out on the most frequent op
+            outcome = _sample(step, rng)
+            post = step.posts[outcome]
+            if post is None:
+                post = step.post(outcome)
+            cells[a] = _NONE
+            base = a & -8
+            for r in post.layout:
+                cells[base | r] = post
+            return outcome
+
+        def measure_bell(a1: int, a2: int) -> BellKind:
+            reg, other = cells[a1], cells[a2]
+            step = None
+            if a1 >> 3 == a2 >> 3:
+                state = reg if other is reg else reg.memo.get(other)  # two registers joined
+                if state is not None:
+                    step = state.memo.get(((a1 & 7) << 16 | a2 & 7) << 5 | _BELL)
+            if step is None:
+                if other is reg and type(reg) is _Shared:
+                    return BELL_ORDER[collapse(reg, (a1, a2), _BELL_BRAS, rng)]
+                return BELL_ORDER[slow(_BELL, (a1, a2), _BELL_BRAS, rng)]
+            return BELL_ORDER[advance(step, (a1, a2), rng)]
+
+        def measure_ab(a: int, basis: OrthonormalPair) -> int:
+            bras, reg = basis._bras, cells[a]
+            step = reg.memo.get((bras, a & 7))
+            if step is None:
+                if type(reg) is _Shared:
+                    return collapse(reg, (a,), bras, rng)
+                return slow(bras, (a,), bras, rng)
+            return advance(step, (a,), rng)
+
+        return measure_z, measure_bell, measure_ab
+
+    def measure_z(self, a: int, rng: RandomSource) -> int:
+        return self.measurements(rng)[0](a)
+
+    def measure_bell(self, a1: int, a2: int, rng: RandomSource) -> BellKind:
+        return self.measurements(rng)[1](a1, a2)
+
+    def measure_ab(self, a: int, basis: OrthonormalPair, rng: RandomSource) -> int:
+        return self.measurements(rng)[2](a, basis)
+
+    # snapshots
+
+    def state_of(self, a: int) -> StateVector:
+        """The current content of ``a``'s register, over the addresses."""
+        reg = self.cells[a]
+        if reg is _NONE:
+            raise UnknownLabel(a)
+        if type(reg) is _Shared:
+            return StateVector(reg.ket, reg.qubits)
+        return StateVector(reg.ket, _addresses(reg.layout, a & -8))
+
+    def labels(self) -> set:
+        """The addresses of every qubit in the lanes."""
+        return {a for a, reg in enumerate(self.cells) if reg is not _NONE}
+
+
+# bench/tracer.py wraps the ops of RegisterBank, the label-keyed register
+# store that the lanes replaced; the lanes carry the same op names
+RegisterBank = Lanes

@@ -11,10 +11,11 @@ from semiquantum.adversary import (
     eve_qubit,
 )
 from semiquantum.parties import Capability, PartyContext
+from semiquantum.protocols.common import FRESH, HOME, TRAVEL, qubit
 from semiquantum.qsim import (
     BELL_ORDER,
     BellKind,
-    RegisterBank,
+    Lanes,
     bell_probabilities,
     merge_registers,
     prepare_z,
@@ -26,15 +27,19 @@ from semiquantum.rng import RandomSource
 S = 1 / np.sqrt(2)
 
 
+# slot 0's qubits, Bob's fresh one included
+H0, T0, B0 = qubit(0, HOME), qubit(0, TRAVEL), qubit(0, FRESH)
+
+
 def quantum_party(name="eve", seed=9):
-    bank = RegisterBank()
-    return PartyContext(name, Capability.QUANTUM, RandomSource(seed), bank), bank
+    lanes = Lanes(1)
+    return PartyContext(name, Capability.QUANTUM, RandomSource(seed), lanes), lanes
 
 
 def sqka_attack(kind, seed=9):
-    """The hooks of ``kind`` against sqka (default legs), and Eve's bank."""
-    eve, bank = quantum_party(seed=seed)
-    return build_attack(AttackStrategy(kind), "sqka", eve), bank
+    """The hooks of ``kind`` against sqka (default legs), and Eve's lanes."""
+    eve, lanes = quantum_party(seed=seed)
+    return build_attack(AttackStrategy(kind), "sqka", eve), lanes
 
 
 # ---------------------------------------------------------------------------
@@ -42,12 +47,12 @@ def sqka_attack(kind, seed=9):
 
 
 def test_cnot_forward_produces_three_qubit_chain():
-    attack, bank = sqka_attack(AttackKind.CNOT)
-    bank.prepare_bell(BellKind.PSI_PLUS, "H0", "T0")
-    assert attack.forward_leg(["T0"]) == ["T0"]
-    merged = bank.state_of("T0")
+    attack, lanes = sqka_attack(AttackKind.CNOT)
+    lanes.prepare_bell(BellKind.PSI_PLUS, H0, T0)
+    assert attack.forward_leg([T0]) == [T0]
+    merged = lanes.state_of(T0)
     # (|000> + |111>)/sqrt(2) over (home, travel, ancilla)
-    assert set(merged.labels) == {"H0", "T0", eve_qubit("EA", 0)}
+    assert set(merged.labels) == {H0, T0, eve_qubit("EA", 0)}
     probs = {
         idx: abs(a) ** 2 for idx, a in enumerate(merged.amplitudes) if abs(a) > 1e-12
     }
@@ -61,14 +66,14 @@ def test_cnot_reflected_position_is_trace_free():
     # with matched pairing the second CNOT undoes the first: ancilla reads 0
     # and the pair Bell-checks as psi+ with certainty
     for seed in range(10):
-        attack, bank = sqka_attack(AttackKind.CNOT, seed=seed)
-        bank.prepare_bell(BellKind.PSI_PLUS, "H0", "T0")
-        attack.forward_leg(["T0"])
-        assert attack.wire(0, "T0") == "T0"
+        attack, lanes = sqka_attack(AttackKind.CNOT, seed=seed)
+        lanes.prepare_bell(BellKind.PSI_PLUS, H0, T0)
+        attack.forward_leg([T0])
+        assert attack.wire(0, T0) == T0
         attack.after_wire(0)
         assert attack.state.wire_bits == {0: 0}
-        pair = bank.state_of("H0")
-        probs = dict(zip(BELL_ORDER, bell_probabilities(pair, "H0", "T0")))
+        pair = lanes.state_of(H0)
+        probs = dict(zip(BELL_ORDER, bell_probabilities(pair, H0, T0)))
         assert probs[BellKind.PSI_PLUS] == pytest.approx(1.0, abs=1e-12)
 
 
@@ -76,13 +81,13 @@ def test_cnot_reflected_position_is_trace_free():
 def test_cnot_encoded_position_reads_key_bit(k_b):
     # without a permutation the ancilla deterministically holds the key bit
     for seed in range(8):
-        attack, bank = sqka_attack(AttackKind.CNOT, seed=seed)
-        bob = PartyContext("bob", Capability.CLASSICAL, RandomSource(seed + 100), bank)
-        bank.prepare_bell(BellKind.PSI_PLUS, "H0", "T0")
-        attack.forward_leg(["T0"])
-        r = bob.measure_z("T0")
-        bob.prepare_z(r ^ k_b, "B0")
-        attack.wire(0, "B0")
+        attack, lanes = sqka_attack(AttackKind.CNOT, seed=seed)
+        bob = PartyContext("bob", Capability.CLASSICAL, RandomSource(seed + 100), lanes)
+        lanes.prepare_bell(BellKind.PSI_PLUS, H0, T0)
+        attack.forward_leg([T0])
+        r = bob.measure_z(T0)
+        bob.prepare_z(r ^ k_b, B0)
+        attack.wire(0, B0)
         attack.after_wire(0)
         assert attack.state.wire_bits == {0: k_b}
 
@@ -92,17 +97,17 @@ def test_cnot_encoded_position_reads_key_bit(k_b):
 
 
 def test_ir_forward_substitutes_uniform_halves():
-    attack, bank = sqka_attack(AttackKind.INTERCEPT_RESEND)
-    bank.prepare_bell(BellKind.PSI_PLUS, "H0", "T0")
-    out = attack.forward_leg(["T0"])
+    attack, lanes = sqka_attack(AttackKind.INTERCEPT_RESEND)
+    lanes.prepare_bell(BellKind.PSI_PLUS, H0, T0)
+    out = attack.forward_leg([T0])
     assert out == [eve_qubit("EF", 0)]
     # forwarded qubit is a maximally mixed Bell half
-    fwd = bank.state_of(eve_qubit("EF", 0))
+    fwd = lanes.state_of(eve_qubit("EF", 0))
     assert np.allclose(z_probabilities(fwd, eve_qubit("EF", 0)), [0.5, 0.5], atol=1e-12)
     # the retained original stays entangled with the home qubit
-    pair = bank.state_of("H0")
-    assert set(pair.labels) == {"H0", "T0"}
-    probs = dict(zip(BELL_ORDER, bell_probabilities(pair, "H0", "T0")))
+    pair = lanes.state_of(H0)
+    assert set(pair.labels) == {H0, T0}
+    probs = dict(zip(BELL_ORDER, bell_probabilities(pair, H0, T0)))
     assert probs[BellKind.PSI_PLUS] == pytest.approx(1.0, abs=1e-12)
 
 
@@ -111,12 +116,12 @@ def test_ir_classification_confusion_matrix():
     phi+ or phi- (1/2 each); reflected -> psi+ with certainty."""
     for bob_bit in (0, 1):
         for bob_outcome in (0, 1):
-            eve, bank = quantum_party()
+            eve, lanes = quantum_party()
             state = EveState()
-            bank.prepare_bell(BellKind.PSI_PLUS, eve_qubit("ER", 0), eve_qubit("EF", 0))
+            lanes.prepare_bell(BellKind.PSI_PLUS, eve_qubit("ER", 0), eve_qubit("EF", 0))
             state.retained_pairs[0] = (eve_qubit("ER", 0), eve_qubit("EF", 0))
             # force Bob's measurement branch on Eve's forwarded half
-            reg = bank.state_of(eve_qubit("EF", 0))
+            reg = lanes.state_of(eve_qubit("EF", 0))
             prob, post = project_z(reg, eve_qubit("EF", 0), bob_outcome)
             assert prob == pytest.approx(0.5, abs=1e-12)
             merged = merge_registers(post, prepare_z(bob_outcome ^ bob_bit, "fresh"))
@@ -129,25 +134,25 @@ def test_ir_classification_confusion_matrix():
                 assert probs[BellKind.PHI_PLUS] == pytest.approx(0.5, abs=1e-12)
                 assert probs[BellKind.PHI_MINUS] == pytest.approx(0.5, abs=1e-12)
     # reflected: the pair comes back intact
-    eve, bank = quantum_party()
+    eve, lanes = quantum_party()
     state = EveState()
-    bank.prepare_bell(BellKind.PSI_PLUS, eve_qubit("ER", 0), eve_qubit("EF", 0))
+    lanes.prepare_bell(BellKind.PSI_PLUS, eve_qubit("ER", 0), eve_qubit("EF", 0))
     state.retained_pairs[0] = (eve_qubit("ER", 0), eve_qubit("EF", 0))
-    probs = dict(zip(BELL_ORDER, bell_probabilities(bank.state_of(eve_qubit("ER", 0)), eve_qubit("ER", 0), eve_qubit("EF", 0))))
+    probs = dict(zip(BELL_ORDER, bell_probabilities(lanes.state_of(eve_qubit("ER", 0)), eve_qubit("ER", 0), eve_qubit("EF", 0))))
     assert probs[BellKind.PSI_PLUS] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_ir_backward_classifies_and_resends():
     hits = {"measured": 0, "unknown": 0}
     for seed in range(60):
-        attack, bank = sqka_attack(AttackKind.INTERCEPT_RESEND, seed=seed)
-        bob = PartyContext("bob", Capability.CLASSICAL, RandomSource(seed + 7), bank)
-        bank.prepare_bell(BellKind.PSI_PLUS, "H0", "T0")
-        fwd = attack.forward_leg(["T0"])
+        attack, lanes = sqka_attack(AttackKind.INTERCEPT_RESEND, seed=seed)
+        bob = PartyContext("bob", Capability.CLASSICAL, RandomSource(seed + 7), lanes)
+        lanes.prepare_bell(BellKind.PSI_PLUS, H0, T0)
+        fwd = attack.forward_leg([T0])
         r = bob.measure_z(fwd[0])
         k_b = seed % 2
-        bob.prepare_z(r ^ k_b, "B0")
-        assert attack.wire(0, "B0") == eve_qubit("ES", 0)
+        bob.prepare_z(r ^ k_b, B0)
+        assert attack.wire(0, B0) == eve_qubit("ES", 0)
         state = attack.state
         cls = state.wire_classifications[0]
         if cls == "measured":
@@ -165,19 +170,19 @@ def test_ir_backward_classifies_and_resends():
 
 
 def test_measure_resend_forwards_outcome_copies():
-    attack, bank = sqka_attack(AttackKind.MEASURE_RESEND)
-    bank.prepare_bell(BellKind.PSI_PLUS, "H0", "T0")
-    out = attack.forward_leg(["T0"])
+    attack, lanes = sqka_attack(AttackKind.MEASURE_RESEND)
+    lanes.prepare_bell(BellKind.PSI_PLUS, H0, T0)
+    out = attack.forward_leg([T0])
     u = attack.state.forward_bits[0]
     # home qubit collapsed to the same value: Z-Z correlation survives
-    home = bank.state_of("H0")
+    home = lanes.state_of(H0)
     expected = [1.0, 0.0] if u == 0 else [0.0, 1.0]
-    assert np.allclose(z_probabilities(home, "H0"), expected, atol=1e-12)
-    fwd = bank.state_of(out[0])
+    assert np.allclose(z_probabilities(home, H0), expected, atol=1e-12)
+    fwd = lanes.state_of(out[0])
     assert np.allclose(z_probabilities(fwd, out[0]), expected, atol=1e-12)
     # decoy Bell check on (home, copy): psi class only, half mismatch
-    merged = merge_registers(bank.state_of("H0"), bank.state_of(out[0]))
-    probs = dict(zip(BELL_ORDER, bell_probabilities(merged, "H0", out[0])))
+    merged = merge_registers(lanes.state_of(H0), lanes.state_of(out[0]))
+    probs = dict(zip(BELL_ORDER, bell_probabilities(merged, H0, out[0])))
     assert probs[BellKind.PSI_PLUS] == pytest.approx(0.5, abs=1e-12)
     assert probs[BellKind.PSI_MINUS] == pytest.approx(0.5, abs=1e-12)
 

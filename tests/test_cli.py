@@ -217,6 +217,20 @@ def test_closed_stdout_exits_1_without_traceback():
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_full_stdout_exits_1_without_traceback():
+    # every write to /dev/full fails with ENOSPC, at the flush in main
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "semiquantum.cli", "--protocol", "sqka", "--n", "2"],
+            stdout=full, stderr=subprocess.PIPE, env=_src_env(), timeout=120,
+        )
+    err = proc.stderr.decode()
+    assert proc.returncode == EXIT_IO
+    assert err.startswith("error:") and "Traceback" not in err
+    assert len(err.splitlines()) == 1
+
+
 # Imports the CLI, runs one transcript and then one batch through ``main``,
 # and reports after each step whether numpy has been loaded.
 _NUMPY_LOADS = """

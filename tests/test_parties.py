@@ -15,8 +15,13 @@ from semiquantum.parties import (
     restrict,
     verify,
 )
-from semiquantum.qsim import COMPUTATIONAL, BellKind, RegisterBank
+from semiquantum.qsim import COMPUTATIONAL, BellKind, Lanes
 from semiquantum.rng import RandomSource
+
+# lane addresses (lane << 3 | role): a pair in lane 0, free qubits in lanes 1 and 2
+H, T = 0, 1
+N1, N2 = 8, 9
+G1, G2, G3 = 16, 17, 18
 
 ALLOWED_CLASSICAL = ["prepare_z", "measure_z", "reflect", "permute", "send_classical"]
 FORBIDDEN_CLASSICAL = [
@@ -48,41 +53,45 @@ def test_quantum_unrestricted(op):
 
 
 def test_classical_party_cannot_touch_quantum_surface():
-    bank = RegisterBank()
-    alice = PartyContext("alice", Capability.QUANTUM, RandomSource(1), bank)
-    bob = PartyContext("bob", Capability.CLASSICAL, RandomSource(2), bank)
-    alice.prepare_bell(BellKind.PSI_PLUS, "h", "t")
+    lanes = Lanes(1)
+    alice = PartyContext("alice", Capability.QUANTUM, RandomSource(1), lanes)
+    bob = PartyContext("bob", Capability.CLASSICAL, RandomSource(2), lanes)
+    alice.prepare_bell(BellKind.PSI_PLUS, H, T)
     with pytest.raises(CapabilityViolation):
-        bob.measure_bell("h", "t")
+        bob.measure_bell(H, T)
     with pytest.raises(CapabilityViolation):
-        bob.cnot("h", "t")
-    assert bob.measure_z("t") in (0, 1)
+        bob.cnot(H, T)
+    assert bob.measure_z(T) in (0, 1)
     assert bob.ops_log <= set(ALLOWED_CLASSICAL)
+
+
+def snapshot(state):
+    return state.labels, dict(state._ket.entries)
 
 
 @pytest.mark.parametrize(
     "method, args, op",
     [
-        ("prepare_bell", (BellKind.PSI_PLUS, "n1", "n2"), "prepare_bell"),
-        ("prepare_ghz_like", (BellKind.PSI_PLUS, BellKind.PHI_PLUS, COMPUTATIONAL, ("g1", "g2", "g3")),
+        ("prepare_bell", (BellKind.PSI_PLUS, N1, N2), "prepare_bell"),
+        ("prepare_ghz_like", (BellKind.PSI_PLUS, BellKind.PHI_PLUS, COMPUTATIONAL, (G1, G2, G3)),
          "prepare_ghz_like"),
-        ("measure_bell", ("h", "t"), "measure_bell"),
-        ("measure_ab", ("h", COMPUTATIONAL), "measure_ab"),
-        ("cnot", ("h", "t"), "apply_cnot"),
-        ("x", ("h",), "apply_x"),
+        ("measure_bell", (H, T), "measure_bell"),
+        ("measure_ab", (H, COMPUTATIONAL), "measure_ab"),
+        ("cnot", (H, T), "apply_cnot"),
+        ("x", (H,), "apply_x"),
     ],
 )
 def test_every_quantum_op_refused_to_classical_party(method, args, op):
-    bank = RegisterBank()
-    alice = PartyContext("alice", Capability.QUANTUM, RandomSource(1), bank)
-    bob = PartyContext("bob", Capability.CLASSICAL, RandomSource(2), bank)
-    alice.prepare_bell(BellKind.PSI_PLUS, "h", "t")
-    before, pair = bank.labels(), bank.state_of("h")
+    lanes = Lanes(3)
+    alice = PartyContext("alice", Capability.QUANTUM, RandomSource(1), lanes)
+    bob = PartyContext("bob", Capability.CLASSICAL, RandomSource(2), lanes)
+    alice.prepare_bell(BellKind.PSI_PLUS, H, T)
+    before, pair = lanes.labels(), snapshot(lanes.state_of(H))
     with pytest.raises(CapabilityViolation) as err:
         getattr(bob, method)(*args)
     assert err.value.op == op and repr(op) in str(err.value)
     assert bob.ops_log == set()
-    assert bank.labels() == before and bank.state_of("t") is pair
+    assert lanes.labels() == before and snapshot(lanes.state_of(T)) == pair
     # the same call is open to a quantum party
     getattr(alice, method)(*args)
     assert alice.ops_log == {"prepare_bell", op}

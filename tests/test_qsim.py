@@ -18,7 +18,7 @@ from semiquantum.qsim import (
     BellKind,
     MeasurementRecord,
     OrthonormalPair,
-    RegisterBank,
+    Lanes,
     StateVector,
     apply_cnot,
     apply_x,
@@ -332,16 +332,17 @@ def test_random_source_determinism(seed):
 def test_norm_preserved_under_random_walk():
     rng = RandomSource(2024)
     ops = 0
+    a, b, c = 0, 1, 8  # a pair in lane 0, a qubit in lane 1
     while ops < 2000:
-        bank = RegisterBank()
-        bank.prepare_bell(BellKind.PSI_PLUS, "a", "b")
-        bank.prepare_z(rng.bit(), "c")
-        bank.cnot("b", "c")
-        for label in ("a", "b", "c"):
-            state = bank.state_of(label)
+        lanes = Lanes(2)
+        lanes.prepare_bell(BellKind.PSI_PLUS, a, b)
+        lanes.prepare_z(rng.bit(), c)
+        lanes.cnot(b, c)
+        for label in (a, b, c):
+            state = lanes.state_of(label)
             assert abs(state.norm() - 1.0) < 1e-12
-        bank.measure_bell("a", "c", rng)
-        state = bank.state_of("b")
+        lanes.measure_bell(a, c, rng)
+        state = lanes.state_of(b)
         assert abs(state.norm() - 1.0) < 1e-12
         ops += 6
 
@@ -359,26 +360,28 @@ def test_born_frequencies_chi_square():
 
 
 # ---------------------------------------------------------------------------
-# register bank
+# register bank: the slot lanes
 
 
 def test_register_bank_merges_and_removes():
     rng = RandomSource(4)
-    bank = RegisterBank()
-    bank.prepare_bell(BellKind.PSI_PLUS, "h", "t")
-    bank.prepare_z(0, "e")
-    bank.cnot("t", "e")  # merges the registers
-    assert bank.state_of("h") is bank.state_of("e")
-    bit = bank.measure_z("t", rng)
-    assert "t" not in bank.labels()
-    assert bank.measure_z("h", rng) == bit == bank.measure_z("e", rng)
-    assert bank.labels() == set()
+    lanes = Lanes(2)
+    h, t, e = 0, 1, 12  # a pair in lane 0, a qubit in lane 1
+    lanes.prepare_bell(BellKind.PSI_PLUS, h, t)
+    lanes.prepare_z(0, e)
+    lanes.cnot(t, e)  # merges the registers
+    merged = lanes.state_of(h)
+    assert merged.labels == (h, t, e) and lanes.state_of(e).labels == merged.labels
+    bit = lanes.measure_z(t, rng)
+    assert t not in lanes.labels()
+    assert lanes.measure_z(h, rng) == bit == lanes.measure_z(e, rng)
+    assert lanes.labels() == set()
 
 
 def test_register_bank_unknown_label():
-    bank = RegisterBank()
+    lanes = Lanes(1)
     with pytest.raises(UnknownLabel):
-        bank.state_of("missing")
+        lanes.state_of(0)
 
 
 def test_measurement_record_shape():

@@ -3,9 +3,14 @@
 Seeded outputs through the memo are pinned byte for byte by
 ``test_golden_outputs.py`` and ``test_scripts.py``; these tests check the
 memo's own rules: it stops growing, stores at most ``MAX_WIDE_KETS`` wide
-kets, never skips a check and never caches a failure into a success.
+kets and ``MAX_LANE_STATES`` lane states, never skips a check and never
+caches a failure into a success.
 """
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -71,6 +76,52 @@ def test_stored_wide_kets_stay_within_the_cap(monkeypatch):
     assert _wide_kets() == qsim.MAX_WIDE_KETS
     assert _entangle_probe_session(11) == first
     assert _wide_kets() == qsim.MAX_WIDE_KETS
+
+
+# Runs a permuted entangle-probe session of each keyed protocol and a
+# permuted intercept-resend dialogue with the lane-state cap set to argv[1],
+# and prints their transcripts' digests.
+_CAPPED_SESSIONS = """
+import hashlib, sys
+from semiquantum import qsim
+from semiquantum.adversary import AttackKind, AttackStrategy
+from semiquantum.analysis import emit_transcript
+from semiquantum.protocols import SqdConfig, SqkaConfig, run_session
+qsim.MAX_LANE_STATES = int(sys.argv[1])
+for config in (
+    SqkaConfig(n=100, seed=11, attack=AttackStrategy(AttackKind.CNOT), threshold=1.0),
+    SqkaConfig(n=100, seed=12, attack=AttackStrategy(AttackKind.CNOT), protocol="sqkd"),
+    SqdConfig(n=100, seed=13, attack=AttackStrategy(AttackKind.INTERCEPT_RESEND), threshold=1.0),
+):
+    print(hashlib.sha256(emit_transcript(run_session(config))).hexdigest())
+print(len(qsim._STATES))
+"""
+
+
+def _capped_sessions(cap: int) -> list[str]:
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", _CAPPED_SESSIONS, str(cap)],
+        env=env, capture_output=True, text=True, check=True, timeout=300,
+    )
+    return out.stdout.split()
+
+
+def test_lane_states_stay_within_the_cap():
+    # the permuted attack joins slots, so registers move between lane states
+    # and shared records
+    for seed in range(3):
+        _entangle_probe_session(seed)
+    assert 0 < len(qsim._STATES) <= qsim.MAX_LANE_STATES
+    assert all(state.stored for state in qsim._STATES.values())
+    # with the cap lowered, the states past it are not stored and their ops
+    # take the general path each time, giving the same bytes
+    *digests, stored = _capped_sessions(qsim.MAX_LANE_STATES)
+    *capped, stored_capped = _capped_sessions(8)
+    assert capped == digests
+    assert int(stored_capped) == 8 < int(stored) <= qsim.MAX_LANE_STATES
 
 
 def test_unnormalized_state_raises_although_its_indices_are_interned():

@@ -1,11 +1,12 @@
-"""RegisterBank against the public qsim functions, and the bank's snapshots.
+"""The slot lanes against the public qsim functions, and their snapshots.
 
-The bank keeps each register as a private record that its operations
-rewrite in place.  The public functions build a new immutable
-``StateVector`` per step and are the reference here: the same random
-sequence of operations, run through a bank and through the public
-functions with two sources of one seed, must give the same outcomes,
-labels and amplitudes after every step.
+A session's registers live in slot lanes: a register within one lane is an
+interned state advanced by memoized transitions, one spanning lanes a
+shared record.  The public functions build a new immutable ``StateVector``
+per step and are the reference here: the same random sequence of
+operations, run through the lanes and through the public functions with two
+sources of one seed, must give the same outcomes, qubit orders and
+amplitudes after every step, and take the same draws.
 """
 import pytest
 from hypothesis import given, settings
@@ -19,7 +20,7 @@ from semiquantum.qsim import (
     HADAMARD,
     MAX_QUBITS,
     BellKind,
-    RegisterBank,
+    Lanes,
     apply_cnot,
     apply_x,
     measure_ab,
@@ -64,44 +65,46 @@ def register_size(states, *labels):
     return len({l for label in labels for l in states[label].labels})
 
 
-@settings(max_examples=250, deadline=None)
-@given(st.data())
-def test_bank_matches_public_functions(data):
-    seed = data.draw(st.integers(0, 2**64 - 1), label="seed")
-    bank, bank_rng = RegisterBank(), RandomSource(seed)
-    ref = Reference(RandomSource(seed))
-    fresh = iter(f"q{i}" for i in range(10_000))
+def run_program(data, lanes: Lanes, fresh, seed: int) -> None:
+    """Run random ops on ``lanes`` and on the reference, checking after each.
 
+    ``fresh(n)`` draws n free addresses for a preparation (or None).
+    """
+    lanes_rng, ref = RandomSource(seed), Reference(RandomSource(seed))
     for _ in range(data.draw(st.integers(1, 40), label="steps")):
         labels = sorted(ref.states)
         op = data.draw(st.sampled_from(OPS if labels else OPS[:3]), label="op")
+        if op.startswith("prepare"):
+            qubits = fresh({"prepare_z": 1, "prepare_bell": 2, "prepare_ghz_like": 3}[op])
+            if qubits is None:
+                continue
         if op == "prepare_z":
-            bit, l = data.draw(st.integers(0, 1)), next(fresh)
-            got = bank.prepare_z(bit, l)
-            ref.bind(prepare_z(bit, l))
-            want = l
+            bit = data.draw(st.integers(0, 1))
+            got = lanes.prepare_z(bit, *qubits)
+            ref.bind(prepare_z(bit, *qubits))
+            want = qubits[0]
         elif op == "prepare_bell":
-            kind, pair = data.draw(st.sampled_from(BELL_ORDER)), (next(fresh), next(fresh))
-            got = bank.prepare_bell(kind, *pair)
-            ref.bind(prepare_bell(kind, pair))
-            want = pair
+            kind = data.draw(st.sampled_from(BELL_ORDER))
+            got = lanes.prepare_bell(kind, *qubits)
+            ref.bind(prepare_bell(kind, qubits))
+            want = qubits
         elif op == "prepare_ghz_like":
             psi1, psi2 = data.draw(st.lists(st.sampled_from(BELL_ORDER), min_size=2, max_size=2, unique=True))
-            basis, triple = data.draw(st.sampled_from(BASES)), (next(fresh), next(fresh), next(fresh))
-            got = bank.prepare_ghz_like(psi1, psi2, basis, triple)
-            ref.bind(prepare_ghz_like(psi1, psi2, basis, triple))
-            want = triple
+            basis = data.draw(st.sampled_from(BASES))
+            got = lanes.prepare_ghz_like(psi1, psi2, basis, qubits)
+            ref.bind(prepare_ghz_like(psi1, psi2, basis, qubits))
+            want = qubits
         elif op in ("x", "measure_z", "measure_ab"):
             l = data.draw(st.sampled_from(labels))
             if op == "x":
-                got = bank.x(l)
+                got = lanes.x(l)
                 want = ref.bind(apply_x(ref.states[l], l))
             elif op == "measure_z":
-                got = bank.measure_z(l, bank_rng)
+                got = lanes.measure_z(l, lanes_rng)
                 want = ref.measured(measure_z(ref.states[l], l, ref.rng), (l,))
             else:
                 basis = data.draw(st.sampled_from(BASES))
-                got = bank.measure_ab(l, basis, bank_rng)
+                got = lanes.measure_ab(l, basis, lanes_rng)
                 want = ref.measured(measure_ab(ref.states[l], l, basis, ref.rng), (l,))
         else:
             pairs = [
@@ -112,107 +115,152 @@ def test_bank_matches_public_functions(data):
                 continue
             a, b = data.draw(st.sampled_from(pairs))
             if op == "cnot":
-                got = bank.cnot(a, b)
+                got = lanes.cnot(a, b)
                 want = ref.bind(apply_cnot(ref.joined(a, b), a, b))
             else:
-                got = bank.measure_bell(a, b, bank_rng)
+                got = lanes.measure_bell(a, b, lanes_rng)
                 want = ref.measured(measure_bell(ref.joined(a, b), a, b, ref.rng), (a, b))
 
         assert got == want
-        assert bank.labels() == set(ref.states)
+        assert lanes.labels() == set(ref.states)
         for l, state in ref.states.items():
-            view = bank.state_of(l)
+            view = lanes.state_of(l)
             assert view.labels == state.labels
             assert list(view._ket.entries.items()) == list(state._ket.entries.items())
-    assert bank_rng.random() == ref.rng.random()  # both took the same draws
+    assert lanes_rng.random() == ref.rng.random()  # both took the same draws
+
+
+@settings(max_examples=250, deadline=None)
+@given(st.data())
+def test_bank_matches_public_functions(data):
+    # every qubit in a lane of its own: each register of several qubits is
+    # a shared record
+    seed = data.draw(st.integers(0, 2**64 - 1), label="seed")
+    lanes = Lanes(130)
+    addresses = iter(range(0, 130 << 3, 8))
+    run_program(data, lanes, lambda n: tuple(next(addresses) for _ in range(n)), seed)
+
+
+@settings(max_examples=250, deadline=None)
+@given(st.data())
+def test_lanes_match_public_functions(data):
+    # slot programs: qubits in three lanes of eight roles, prepared within a
+    # lane or across lanes, so registers are lane states, shared records
+    # spanning lanes (up to six qubits), or both in turn
+    seed = data.draw(st.integers(0, 2**64 - 1), label="seed")
+    lanes = Lanes(3)
+
+    def fresh(n):
+        free = [a for a in range(3 << 3) if a not in lanes.labels()]
+        if len(free) < n:
+            return None
+        lane = data.draw(st.sampled_from(sorted({a >> 3 for a in free})), label="lane")
+        local = [a for a in free if a >> 3 == lane]
+        pool = local if len(local) >= n and data.draw(st.booleans(), label="within a lane") else free
+        return tuple(data.draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n, unique=True)))
+
+    run_program(data, lanes, fresh, seed)
+
+
+def test_count_prepares_fill_every_lane_alike():
+    # a counted preparation gives each lane what a preparation per lane gives,
+    # and where a lane is taken it prepares lane by lane up to that lane
+    filled, single = Lanes(5), Lanes(5)
+    filled.prepare_ghz_like(BellKind.PSI_PLUS, BellKind.PHI_PLUS, HADAMARD, (1, 0, 2), 5)
+    filled.prepare_z(1, 4, 5)
+    for p in range(5):
+        base = p << 3
+        single.prepare_ghz_like(BellKind.PSI_PLUS, BellKind.PHI_PLUS, HADAMARD, (base | 1, base, base | 2))
+        single.prepare_z(1, base | 4)
+    assert filled.labels() == single.labels() == {p << 3 | r for p in range(5) for r in (0, 1, 2, 4)}
+    for a in filled.labels():
+        assert snapshot(filled.state_of(a)) == snapshot(single.state_of(a))
+    taken = Lanes(4)
+    taken.prepare_z(0, 2 << 3 | 5)
+    with pytest.raises(DuplicateLabel):
+        taken.prepare_bell(BellKind.PSI_MINUS, 5, 6, 4)
+    assert taken.labels() == {5, 6, 13, 14, 21}
 
 
 def snapshot(state):
     return state.labels, dict(state._ket.entries)
 
 
-def churn(bank, rng):
-    """Bank ops on the register holding h and t, ending in measurements."""
-    bank.x("h")
-    bank.measure_z("t", rng)
-    bank.prepare_bell(BellKind.PHI_MINUS, "u", "v")
-    bank.measure_bell("h", "u", rng)
+def churn(lanes, rng):
+    """Ops on the register holding qubits 0 and 1, ending in measurements."""
+    lanes.x(0)
+    lanes.measure_z(1, rng)
+    lanes.prepare_bell(BellKind.PHI_MINUS, 10, 11)
+    lanes.measure_bell(0, 10, rng)
 
 
 def test_snapshots_never_change_after_bank_ops():
-    bank = RegisterBank()
-    given_pair = prepare_bell(BellKind.PSI_MINUS, ("h", "t"))
-    bank.add(given_pair)
-    bank.prepare_z(1, "e")
-    pair, ancilla = bank.state_of("h"), bank.state_of("e")
-    assert pair is given_pair and bank.state_of("t") is pair
-    held = [(s, snapshot(s)) for s in (given_pair, ancilla)]
-    bank.cnot("t", "e")
-    merged = bank.state_of("e")
-    assert merged is bank.state_of("h") is bank.state_of("t")
+    lanes = Lanes(2)
+    h, t, e = 0, 1, 12  # a pair in lane 0, a qubit in lane 1
+    given_pair = prepare_bell(BellKind.PSI_MINUS, (h, t))
+    lanes.prepare_bell(BellKind.PSI_MINUS, h, t)
+    lanes.prepare_z(1, e)
+    pair, ancilla = lanes.state_of(h), lanes.state_of(e)
+    assert snapshot(pair) == snapshot(given_pair) == snapshot(lanes.state_of(t))
+    held = [(s, snapshot(s)) for s in (given_pair, pair, ancilla)]
+    lanes.cnot(t, e)
+    merged = lanes.state_of(e)
+    assert snapshot(merged) == snapshot(lanes.state_of(h)) == snapshot(lanes.state_of(t))
     held.append((merged, snapshot(merged)))
-    churn(bank, RandomSource(6))
+    churn(lanes, RandomSource(6))
     for state, before in held:
         assert snapshot(state) == before
 
 
 def test_replaced_state_never_changes_after_bank_ops():
-    bank = RegisterBank()
-    bank.prepare_bell(BellKind.PSI_PLUS, "h", "t")
-    _, post = project_z(bank.state_of("t"), "t", 1)
+    lanes = Lanes(2)
+    h, t = 0, 1
+    lanes.prepare_bell(BellKind.PSI_PLUS, h, t)
+    _, post = project_z(lanes.state_of(t), t, 1)
     before = snapshot(post)
-    # the collapsed remainder takes the place of the measured pair
-    bank = RegisterBank()
-    bank.add(post)
-    assert bank.state_of("h") is post
-    bank.prepare_z(0, "t")
-    bank.cnot("h", "t")
-    churn(bank, RandomSource(7))
+    # the collapsed remainder, |1>, takes the place of the measured pair
+    lanes = Lanes(2)
+    lanes.prepare_z(1, h)
+    assert snapshot(lanes.state_of(h)) == before
+    lanes.prepare_z(0, t)
+    lanes.cnot(h, t)
+    churn(lanes, RandomSource(7))
     assert snapshot(post) == before
 
 
-def test_state_of_is_one_object_until_the_register_changes():
-    bank = RegisterBank()
-    bank.prepare_bell(BellKind.PSI_PLUS, "h", "t")
-    first = bank.state_of("h")
-    assert bank.state_of("t") is first
-    bank.cnot("h", "t")
-    second = bank.state_of("t")
-    assert second is not first and second is bank.state_of("h")
-    assert snapshot(first)[1] != snapshot(second)[1]
-
-
 def test_prepares_check_bits_and_labels_before_binding():
-    bank = RegisterBank()
-    bank.prepare_z(0, "a")
+    lanes = Lanes(2)
+    a, b = 0, 8
+    lanes.prepare_z(0, a)
     with pytest.raises(ValueError):
-        bank.prepare_z(2, "b")
+        lanes.prepare_z(2, b)
     with pytest.raises(DuplicateLabel):
-        bank.prepare_z(1, "a")
+        lanes.prepare_z(1, a)
     with pytest.raises(DuplicateLabel):
-        bank.prepare_bell(BellKind.PSI_PLUS, "b", "b")
+        lanes.prepare_bell(BellKind.PSI_PLUS, b, b)
     with pytest.raises(DuplicateLabel):
-        bank.prepare_bell(BellKind.PSI_PLUS, "b", "a")
-    assert bank.labels() == {"a"}
-    assert snapshot(bank.state_of("a")) == (("a",), {0: 1 + 0j})
+        lanes.prepare_bell(BellKind.PSI_PLUS, b, a)
+    assert lanes.labels() == {a}
+    assert snapshot(lanes.state_of(a)) == ((a,), {0: 1 + 0j})
 
 
-@pytest.mark.parametrize("labels", [("g1", "g2"), ("g1", "g2", "g3", "g4")])
+@pytest.mark.parametrize("labels", [(0, 1), (0, 1, 2, 3)])
 def test_ghz_like_prepare_needs_three_labels(labels):
-    bank = RegisterBank()
-    party = PartyContext("charlie", Capability.QUANTUM, RandomSource(1), bank)
+    lanes = Lanes(1)
+    party = PartyContext("charlie", Capability.QUANTUM, RandomSource(1), lanes)
     with pytest.raises(ValueError, match="3-qubit ket cannot carry"):
-        bank.prepare_ghz_like(BellKind.PSI_PLUS, BellKind.PHI_PLUS, COMPUTATIONAL, labels)
+        lanes.prepare_ghz_like(BellKind.PSI_PLUS, BellKind.PHI_PLUS, COMPUTATIONAL, labels)
     with pytest.raises(ValueError, match="3-qubit ket cannot carry"):
         party.prepare_ghz_like(BellKind.PSI_PLUS, BellKind.PHI_PLUS, COMPUTATIONAL, labels)
-    assert bank.labels() == set()
+    assert lanes.labels() == set()
 
 
 def test_prepare_with_a_taken_label_binds_nothing():
-    bank = RegisterBank()
-    bank.prepare_z(0, "g3")
+    lanes = Lanes(1)
+    g1, g2, g3 = 0, 1, 2
+    lanes.prepare_z(0, g3)
     with pytest.raises(DuplicateLabel):
-        bank.prepare_ghz_like(BellKind.PSI_PLUS, BellKind.PHI_PLUS, COMPUTATIONAL, ("g1", "g2", "g3"))
+        lanes.prepare_ghz_like(BellKind.PSI_PLUS, BellKind.PHI_PLUS, COMPUTATIONAL, (g1, g2, g3))
     with pytest.raises(DuplicateLabel):
-        bank.prepare_ghz_like(BellKind.PSI_PLUS, BellKind.PHI_PLUS, COMPUTATIONAL, ("g1", "g2", "g1"))
-    assert bank.labels() == {"g3"}
+        lanes.prepare_ghz_like(BellKind.PSI_PLUS, BellKind.PHI_PLUS, COMPUTATIONAL, (g1, g2, g1))
+    assert lanes.labels() == {g3}

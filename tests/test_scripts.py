@@ -80,3 +80,22 @@ def test_bad_arguments_exit_2_without_traceback(script, args):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert "error:" in proc.stderr and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "script, args",
+    [("attack_sweep.py", ["--trials", "1"]), ("reproduce_figures.py", [])],
+)
+def test_closed_stdout_exits_1_without_traceback(script, args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, str(ROOT / "scripts" / script), *args],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    proc.stdout.close()  # the reader is gone before the first write
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 1
+    assert err.startswith("error:") and "Traceback" not in err
+    assert len(err.splitlines()) == 1

@@ -1,6 +1,6 @@
 """The capability bookkeeping of a session's slot steps.
 
-A session runs each stage as a loop of slot steps on its register bank.  A
+A session runs each stage as a loop of slot steps on its slot lanes.  A
 step is checked against its party's allowed set when it is built, before
 the loop touches a register, and is logged in the party's ``ops_log`` only
 once it has run.  ``PARTY_OPS`` pins the logged ops of every protocol x
@@ -16,7 +16,7 @@ from semiquantum.errors import CapabilityViolation
 from semiquantum.parties import Capability, PartyContext
 from semiquantum.protocols import CdssqcConfig, CdssqcVariant, SqdConfig, SqkaConfig, run_session
 from semiquantum.protocols import common
-from semiquantum.qsim import BellKind, RegisterBank
+from semiquantum.qsim import BellKind, Lanes
 from semiquantum.rng import RandomSource
 
 KEYED = ("measure_bell", "measure_z", "prepare_bell"), ("measure_z", "permute", "prepare_z", "reflect")
@@ -85,10 +85,10 @@ def test_spot_check_abort_records_no_encode_op(cell):
 
 
 def test_steps_are_built_once_per_capability():
-    bank = RegisterBank()
-    alice = PartyContext("alice", Capability.QUANTUM, RandomSource(1), bank)
-    bob = PartyContext("bob", Capability.CLASSICAL, RandomSource(2), bank)
-    other = PartyContext("carol", Capability.CLASSICAL, RandomSource(3), bank)
+    lanes = Lanes(1)
+    alice = PartyContext("alice", Capability.QUANTUM, RandomSource(1), lanes)
+    bob = PartyContext("bob", Capability.CLASSICAL, RandomSource(2), lanes)
+    other = PartyContext("carol", Capability.CLASSICAL, RandomSource(3), lanes)
     assert bob.step("measure_z", "prepare_z").names is other.step("measure_z", "prepare_z").names
     assert alice.step("measure_bell").names == ("measure_bell",)
     assert bob.ops_log == other.ops_log == alice.ops_log == set()  # built, not run
@@ -99,15 +99,15 @@ def test_steps_are_built_once_per_capability():
 def test_quantum_step_refused_to_classical_party_before_any_register_changes():
     session = common.Session(SqkaConfig(n=2, m=2, seed=4), "sqka", classical="bob")
     session.psi_pairs()
-    bank = session.bank
-    before = {q: (bank.state_of(q).labels, dict(bank.state_of(q)._ket.entries)) for q in bank.labels()}
+    lanes = session.lanes
+    before = {q: (lanes.state_of(q).labels, dict(lanes.state_of(q)._ket.entries)) for q in lanes.labels()}
     draws = [p.rng._mt.getstate() for p in session.parties]
     # a classical receiver cannot Bell-check the decoys
-    session.receiver = PartyContext("alice", Capability.CLASSICAL, session.alice.rng, bank)
+    session.receiver = PartyContext("alice", Capability.CLASSICAL, session.alice.rng, lanes)
     with pytest.raises(CapabilityViolation) as err:
         session.exchange([0, 1], (1, 0), "return_sequence", lambda rx, i, q: None, ("measure_z",))
     assert err.value.op == "measure_bell"
-    after = {q: (bank.state_of(q).labels, dict(bank.state_of(q)._ket.entries)) for q in bank.labels()}
+    after = {q: (lanes.state_of(q).labels, dict(lanes.state_of(q)._ket.entries)) for q in lanes.labels()}
     assert after == before
     assert [p.rng._mt.getstate() for p in session.parties] == draws
     assert session.bob.ops_log == set()
@@ -146,15 +146,15 @@ def test_eve_source_is_built_only_under_an_attack(monkeypatch, cfg, sources):
 
 
 def test_step_reaches_only_the_ops_it_names():
-    bank = RegisterBank()
-    alice = PartyContext("alice", Capability.QUANTUM, RandomSource(1), bank)
+    lanes = Lanes(1)
+    alice = PartyContext("alice", Capability.QUANTUM, RandomSource(1), lanes)
     step = alice.step("prepare_bell", "measure_z")
-    step.prepare_bell(BellKind.PSI_PLUS, "h", "t")
+    step.prepare_bell(BellKind.PSI_PLUS, 0, 1)
     for op in ("measure_bell", "measure_ab", "apply_cnot", "apply_x", "prepare_z", "prepare_ghz_like"):
         assert not hasattr(step, op)
     # the measurement draws from the party's own source, one draw per sample
     reference = RandomSource(1)
-    assert step.measure_z("t") == (0 if reference.random() < 0.5 else 1)
+    assert step.measure_z(1) == (0 if reference.random() < 0.5 else 1)
     assert alice.rng.random() == reference.random()
     assert alice.ops_log == set()  # run, not yet logged
     step.log()
