@@ -821,7 +821,7 @@ class Lanes:
             if rng is not None:
                 return self._collapse(rec, qubits, op, rng)
             held = rec.qubits
-            rec.ket = op(rec.ket, held.index(a)) if a == b else op(rec.ket, held.index(a), held.index(b))
+            rec.ket = op(rec.ket, *map(held.index, qubits))
             return None
         if other is not state:  # two registers of one lane, joined
             joined = state.memo.get(other)
@@ -847,37 +847,30 @@ class Lanes:
         return None
 
     def _prepare(self, code, ket: _Ket, qubits: tuple, count: int = 1) -> None:
-        """Prepare ``ket`` on ``qubits`` on a memo miss, and on their roles in
-        the next ``count - 1`` lanes, in one store per role when all are free."""
+        """Prepare ``ket`` on ``qubits`` past the fast paths, and on their roles
+        in the next ``count - 1`` lanes (qubits of one lane), one store per
+        role; raises before anything changes unless all of them are free."""
         cells = self.cells
         if len(qubits) != ket.k:
             raise ValueError(f"a {ket.k}-qubit ket cannot carry {len(qubits)} labels")
         if len(set(qubits)) != len(qubits):
             raise DuplicateLabel(f"labels not unique: {qubits}")
         for a in qubits:
-            if cells[a] is not _NONE:
+            if cells[a : a + (count << 3) : 8].count(_NONE) != count:
                 raise DuplicateLabel(a)
-        p = qubits[0] >> 3
-        if any(a >> 3 != p for a in qubits):
-            state = _Shared(ket, qubits)
+        base = qubits[0] & -8
+        if any(a & -8 != base for a in qubits):
+            rec = _Shared(ket, qubits)
             for a in qubits:
-                cells[a] = state
-        else:
-            roles = tuple([a & 7 for a in qubits])
-            state = _state(ket, roles)
-            if state.stored:
-                _NONE.memo[_key(code, roles)] = state
-            self._put(state, p << 3)
-        stop = (p + count) << 3
-        if type(state) is _State and stop <= len(cells) and all(
-            cells[a + 8 : stop : 8].count(_NONE) == count - 1 for a in qubits
-        ):
-            fill = [state] * (count - 1)
-            for a in qubits:
-                cells[a + 8 : stop : 8] = fill
-        else:
-            for p in range(1, count):
-                self._prepare(code, ket, tuple([a + (p << 3) for a in qubits]))
+                cells[a] = rec
+            return
+        roles = tuple([a & 7 for a in qubits])
+        state = _state(ket, roles)
+        if state.stored:
+            _NONE.memo[_key(code, roles)] = state
+        fill, stop = [state] * count, base + (count << 3)
+        for r in roles:
+            cells[base | r : stop : 8] = fill
 
     # A preparation puts its state on the qubits and, with a count, on their
     # roles in the next count - 1 lanes too; it returns the qubits.
@@ -925,7 +918,12 @@ class Lanes:
             if state is not None:
                 nxt = state.memo.get(((c & 7) << 16 | t & 7) << 5 | _CNOT)
         if nxt is None:
-            self._slow(_CNOT, (c, t), _cnot)
+            if type(reg) is _State is type(other) and c >> 3 == t >> 3:
+                self._slow(_CNOT, (c, t), _cnot)
+            else:  # Eve's return-leg CNOT joins slots: straight to the shared record
+                rec = self._join(c, t)
+                held = rec.qubits
+                rec.ket = _cnot(rec.ket, held.index(c), held.index(t))
         else:
             base = c & -8
             for r in nxt.layout:
@@ -969,7 +967,15 @@ class Lanes:
                 if other is reg and type(reg) is _Shared:
                     return BELL_ORDER[collapse(reg, (a1, a2), _BELL_BRAS, rng)]
                 return BELL_ORDER[slow(_BELL, (a1, a2), _BELL_BRAS, rng)]
-            return BELL_ORDER[advance(step, (a1, a2), rng)]
+            outcome = _sample(step, rng)  # advance, spelled out
+            post = step.posts[outcome]
+            if post is None:
+                post = step.post(outcome)
+            cells[a1] = cells[a2] = _NONE
+            base = a1 & -8
+            for r in post.layout:
+                cells[base | r] = post
+            return BELL_ORDER[outcome]
 
         def measure_ab(a: int, basis: OrthonormalPair) -> int:
             bras, reg = basis._bras, cells[a]

@@ -164,7 +164,7 @@ def test_lanes_match_public_functions(data):
 
 def test_count_prepares_fill_every_lane_alike():
     # a counted preparation gives each lane what a preparation per lane gives,
-    # and where a lane is taken it prepares lane by lane up to that lane
+    # and with a qubit taken in any lane it prepares nothing
     filled, single = Lanes(5), Lanes(5)
     filled.prepare_ghz_like(BellKind.PSI_PLUS, BellKind.PHI_PLUS, HADAMARD, (1, 0, 2), 5)
     filled.prepare_z(1, 4, 5)
@@ -179,7 +179,7 @@ def test_count_prepares_fill_every_lane_alike():
     taken.prepare_z(0, 2 << 3 | 5)
     with pytest.raises(DuplicateLabel):
         taken.prepare_bell(BellKind.PSI_MINUS, 5, 6, 4)
-    assert taken.labels() == {5, 6, 13, 14, 21}
+    assert taken.labels() == {21}
 
 
 def snapshot(state):
