@@ -178,8 +178,8 @@ class PartyContext:
     Every op name the party runs is recorded in ``ops_log``, so tests can
     assert that no execution path lets a classical party reach a forbidden
     operation.  A session's stage loops build their steps (``step``) before
-    they run and log each once the loop has run it; the single ops (after
-    the class) log a one-op step and run it.
+    they run and log each once the loop has run it; the single ops below
+    log a one-op step and run it.
     """
 
     def __init__(self, name: str, capability: Capability, rng: RandomSource, lanes: Lanes):
@@ -198,18 +198,39 @@ class PartyContext:
         step.log()
         return getattr(step, op)
 
+    # single ops, each one step ------------------------------------------
 
-# PartyContext's single ops, each a one-op step that is logged and run:
-# ``party.measure_z(a)`` runs the "measure_z" op, ``party.cnot(c, t)``
-# the "apply_cnot" op, and so on.
-for _name, _op in (
-    ("prepare_z", "prepare_z"), ("measure_z", "measure_z"), ("reflect", "reflect"),
-    ("permute", "permute"), ("prepare_bell", "prepare_bell"),
-    ("prepare_ghz_like", "prepare_ghz_like"), ("measure_bell", "measure_bell"),
-    ("measure_ab", "measure_ab"), ("cnot", "apply_cnot"), ("x", "apply_x"),
-):
-    setattr(PartyContext, _name, lambda self, *args, _op=_op: self._op(_op)(*args))
-del _name, _op
+    def prepare_z(self, bit: int, a: int) -> int:
+        return self._op("prepare_z")(bit, a)
+
+    def measure_z(self, a: int) -> int:
+        return self._op("measure_z")(a)
+
+    def reflect(self, a: int) -> int:
+        return self._op("reflect")(a)
+
+    def permute(self, perm: Permutation, seq: list) -> list:
+        return self._op("permute")(perm, seq)
+
+    def prepare_bell(self, kind: BellKind, a1: int, a2: int) -> tuple[int, int]:
+        return self._op("prepare_bell")(kind, a1, a2)
+
+    def prepare_ghz_like(
+        self, psi1: BellKind, psi2: BellKind, basis: OrthonormalPair, qubits: tuple[int, int, int]
+    ) -> tuple[int, int, int]:
+        return self._op("prepare_ghz_like")(psi1, psi2, basis, qubits)
+
+    def measure_bell(self, a1: int, a2: int) -> BellKind:
+        return self._op("measure_bell")(a1, a2)
+
+    def measure_ab(self, a: int, basis: OrthonormalPair) -> int:
+        return self._op("measure_ab")(a, basis)
+
+    def cnot(self, control: int, target: int) -> None:
+        self._op("apply_cnot")(control, target)
+
+    def x(self, a: int) -> None:
+        self._op("apply_x")(a)
 
 
 __all__ = [

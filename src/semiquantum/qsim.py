@@ -714,10 +714,10 @@ _BELL_INDEX = {kind: i for i, kind in enumerate(BELL_ORDER)}
 
 def _key(code, roles: tuple):
     """The memo key of the op ``code`` on ``roles``: ``r << 3 | code`` on one
-    role, ``(r1 << 16 | r2) << 5 | code`` on two; a ket or bras in place of
-    the code keys a tuple with the role or roles."""
+    role, ``(r1 << 16 | r2) << 5 | code`` on two; a basis's bras in place of
+    the code key the tuple ``(bras, r)``."""
     if type(code) is not int:
-        return (code, roles[0]) if len(roles) == 1 else (code, roles)
+        return code, roles[0]
     return roles[0] << 3 | code if len(roles) == 1 else (roles[0] << 16 | roles[1]) << 5 | code
 
 
@@ -847,9 +847,10 @@ class Lanes:
         return None
 
     def _prepare(self, code, ket: _Ket, qubits: tuple, count: int = 1) -> None:
-        """Prepare ``ket`` on ``qubits`` past the fast paths, and on their roles
-        in the next ``count - 1`` lanes (qubits of one lane), one store per
-        role; raises before anything changes unless all of them are free."""
+        """Prepare ``ket`` on ``qubits`` past the fast paths (memoized under
+        ``code`` unless None), and on their roles in the next ``count - 1``
+        lanes (qubits of one lane), one store per role; raises before
+        anything changes unless all of them are free."""
         cells = self.cells
         if len(qubits) != ket.k:
             raise ValueError(f"a {ket.k}-qubit ket cannot carry {len(qubits)} labels")
@@ -866,7 +867,7 @@ class Lanes:
             return
         roles = tuple([a & 7 for a in qubits])
         state = _state(ket, roles)
-        if state.stored:
+        if state.stored and code is not None:
             _NONE.memo[_key(code, roles)] = state
         fill, stop = [state] * count, base + (count << 3)
         for r in roles:
@@ -905,8 +906,7 @@ class Lanes:
     ) -> tuple:
         if psi1 is psi2:
             raise EqualBellKinds("psi1 and psi2 must be distinct Bell states")
-        ket = _ghz_like_ket(psi1, psi2, basis)
-        self._prepare(ket, ket, tuple(qubits), count)
+        self._prepare(None, _ghz_like_ket(psi1, psi2, basis), tuple(qubits), count)
         return tuple(qubits)
 
     def cnot(self, c: int, t: int) -> None:
