@@ -48,6 +48,7 @@ whose running probability sum exceeds the draw.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -1010,7 +1011,8 @@ class Lanes:
 
     def labels(self) -> set:
         """The addresses of every qubit in the lanes."""
-        return {a for a, reg in enumerate(self.cells) if reg is not _NONE}
+        cells = self.cells
+        return set(itertools.compress(range(len(cells)), map(operator.is_not, cells, itertools.repeat(_NONE))))
 
 
 # bench/tracer.py wraps the ops of RegisterBank, the label-keyed register
