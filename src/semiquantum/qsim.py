@@ -746,7 +746,7 @@ class Lanes:
     """
 
     def __init__(self, size: int):
-        self.cells: list = [_NONE] * (size << 3)
+        self.cells: list = [_NONE] * (size << 3)  # one list for good: closures hold it
 
     def _put(self, state: _State, base: int) -> None:
         cells = self.cells

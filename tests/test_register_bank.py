@@ -141,7 +141,7 @@ def test_bank_matches_public_functions(data):
     run_program(data, lanes, lambda n: tuple(next(addresses) for _ in range(n)), seed)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_lanes_match_public_functions(data):
     # slot programs: qubits in three lanes of eight roles, prepared within a
