@@ -748,11 +748,6 @@ class Lanes:
     def __init__(self, size: int):
         self.cells: list = [_NONE] * (size << 3)  # one list for good: closures hold it
 
-    def _put(self, state: _State, base: int) -> None:
-        cells = self.cells
-        for r in state.layout:
-            cells[base | r] = state
-
     def _advance(self, step: _LaneStep, qubits: tuple, rng: RandomSource) -> int:
         """Sample ``step`` on the lane state holding ``qubits`` and store the
         branch taken."""
@@ -844,7 +839,9 @@ class Lanes:
                 state.memo[key] = nxt
         if rng is not None:
             return self._advance(nxt, qubits, rng)
-        self._put(nxt, a & -8)
+        base = a & -8
+        for r in nxt.layout:
+            cells[base | r] = nxt
         return None
 
     def _prepare(self, code, ket: _Ket, qubits: tuple, count: int = 1) -> None:
