@@ -11,7 +11,7 @@ import argparse
 import sys
 
 from semiquantum.adversary import AttackKind, AttackStrategy
-from semiquantum.cli import stdout_failed
+from semiquantum.cli import out_of_memory, stdout_failed
 from semiquantum.analysis import CSV_COLUMNS, emit_stats, run_trials
 from semiquantum.protocols import CdssqcConfig, CdssqcVariant, SqdConfig, SqkaConfig
 
@@ -55,4 +55,6 @@ if __name__ == "__main__":
         sys.stdout.flush()
     except OSError as exc:  # stdout closed or full
         code = stdout_failed(exc)
+    except MemoryError:  # --n too large
+        code = out_of_memory()
     sys.exit(code)

@@ -11,11 +11,13 @@ Three attacks are modeled:
 * measure-resend: Eve measures every qubit on a leg in the computational
   basis and forwards a fresh copy of the outcome.
 
-Eve always pairs her bookkeeping by wire arrival order; she has no access
-to the honest parties' secret permutations.  Her hooks run steps of a
-quantum :class:`~semiquantum.parties.PartyContext` on the session's lanes,
-so her work is capability-checked and norm-checked like everything else.
-Her own qubits have lane addresses ``eve_qubit(role, i)``.
+Eve has no access to the honest parties' secret permutations, so she pairs
+return wire j with the j-th slot still in play, by arrival order.  That
+pairing is all she keeps: one slot list, from which her qubits for a wire
+follow by the lane packing ``slot << 3 | role``, next to the outcomes she
+has measured.  Her hooks run steps of a quantum
+:class:`~semiquantum.parties.PartyContext` on the session's lanes, so her
+work is capability-checked and norm-checked like everything else.
 """
 from __future__ import annotations
 
@@ -86,12 +88,10 @@ def default_legs(kind: AttackKind, protocol: str) -> frozenset[str]:
 
 @dataclass
 class EveState:
-    """Eve's accumulated qubits and per-slot inferences."""
+    """Eve's outcomes and per-slot inferences; her qubits follow from her
+    slot list (``ChannelAttack.slots``)."""
 
-    ancillas: dict[int, str] = field(default_factory=dict)
-    retained_travel: dict[int, str] = field(default_factory=dict)
-    retained_pairs: dict[int, tuple[str, str]] = field(default_factory=dict)
-    forward_bits: dict[int, int] = field(default_factory=dict)
+    forward_bits: dict[int, int] = field(default_factory=dict)  # by slot
     wire_bits: dict[int, int | None] = field(default_factory=dict)
     wire_classifications: dict[int, str] = field(default_factory=dict)
     inferred_bits: tuple[int | None, ...] | None = None
@@ -101,10 +101,11 @@ class EveState:
 # channel hooks used by the protocol session
 
 
-# A session addresses slot i's qubits as i << 3 | role with roles 0-3 (see
-# protocols.common.qubit); Eve's qubits take roles 4-6 of the same packing,
-# her resent ones indexed by wire instead of slot.
-_EVE_ROLES = {"EA": 4, "ER": 4, "EF": 5, "EX": 5, "EM": 5, "ES": 6, "EW": 6}
+# A session addresses slot i's qubits as i << 3 | role with roles 0-3, the
+# travel qubit role 1 (see protocols.common.qubit); Eve's qubits take roles
+# 4-6 of the same packing, her resent ones indexed by wire instead of slot.
+_TRAVEL, _KEPT, _SENT, _RESENT = 1, 4, 5, 6
+_EVE_ROLES = dict(EA=_KEPT, ER=_KEPT, EF=_SENT, EX=_SENT, EM=_SENT, ES=_RESENT, EW=_RESENT)
 
 
 def eve_qubit(role: str, i: int) -> int:
@@ -115,12 +116,14 @@ def eve_qubit(role: str, i: int) -> int:
 class ChannelAttack:
     """Base hook: pass-through on every leg.
 
-    ``forward_leg`` sees the whole distribution leg; ``wire`` and
-    ``after_wire`` see each return-leg wire in arrival order, before and
-    after the receiver's measurement.  The hooks act only through Eve's
-    steps, ``FORWARD`` on the distribution leg and ``WIRE`` per return
-    wire, which are checked against her capability when the attack is
-    built.
+    ``forward_leg`` sees the distribution leg, the travel qubits of slots
+    0, 1, ... in order, and runs ``forward`` if that leg is attacked.  The
+    session calls ``wire`` and ``after_wire`` on each return wire in arrival
+    order, before and after the receiver's measurement, if the return leg
+    is attacked.  The hooks act only through Eve's steps, ``FORWARD`` and
+    ``WIRE``, checked against her capability when the attack is built;
+    ``forward`` logs its step, the session logs ``wire_ops`` once the return
+    leg has run.  ``slots[j]`` is the slot Eve pairs with return wire j.
     """
 
     kind = AttackKind.NONE
@@ -131,10 +134,15 @@ class ChannelAttack:
         self.eve = eve
         self.legs = legs
         self.state = EveState()
+        self.slots: list[int] = []
         if eve is not None:
             self.forward_ops, self.wire_ops = eve.step(*self.FORWARD), eve.step(*self.WIRE)
 
     def forward_leg(self, labels: list) -> list:
+        self.slots = list(range(len(labels)))
+        return self.forward(labels) if "forward" in self.legs else labels
+
+    def forward(self, labels: list) -> list:
         return labels
 
     def wire(self, j: int, label):
@@ -144,20 +152,14 @@ class ChannelAttack:
         pass
 
     def reindex(self, remaining: list[int]) -> None:
-        """Advance Eve's per-slot queues past publicly checked positions.
+        """Drop publicly checked positions from Eve's slot list.
 
         Spot-check positions are announced and never return, so a wire-order
-        adversary re-keys her ancillas and retained qubits to the surviving
-        slots: new index j maps to old index ``remaining[j]``.
+        adversary pairs return wire j with the j-th slot left: new index j
+        maps to old index ``remaining[j]``.
         """
-        st = self.state
-        for attr in ("ancillas", "retained_travel", "retained_pairs", "forward_bits"):
-            old = getattr(st, attr)
-            setattr(
-                st,
-                attr,
-                {j: old[p] for j, p in enumerate(remaining) if p in old},
-            )
+        slots = self.slots
+        self.slots = [slots[p] for p in remaining]
 
     def finalize(self, encoded_wires: list[int]) -> None:
         """Fix Eve's per-slot inferences once the wire roles are public."""
@@ -177,32 +179,23 @@ class CnotAttack(ChannelAttack):
     FORWARD = ("prepare_z", "apply_cnot")
     WIRE = ("apply_cnot", "measure_z")
 
-    def forward_leg(self, labels):
-        if "forward" in self.legs and labels:
-            ops, ancillas = self.forward_ops, self.state.ancillas
-            cnot = ops.apply_cnot
-            ops.prepare_z(0, eve_qubit("EA", 0), len(labels))
-            for i, label in enumerate(labels):
-                anc = ancillas[i] = eve_qubit("EA", i)
-                cnot(label, anc)
-            ops.log()
+    def forward(self, labels):
+        ops = self.forward_ops
+        cnot = ops.apply_cnot
+        ops.prepare_z(0, eve_qubit("EA", 0), len(labels))
+        for i, label in enumerate(labels):
+            cnot(label, eve_qubit("EA", i))
+        ops.log()
         return labels
 
     def wire(self, j, label):
-        if "return" in self.legs:
-            anc = self.state.ancillas.get(j)
-            if anc is not None:
-                self.wire_ops.apply_cnot(label, anc)
+        self.wire_ops.apply_cnot(label, self.slots[j] << 3 | _KEPT)
         return label
 
     def after_wire(self, j):
-        if "return" in self.legs:
-            anc = self.state.ancillas.pop(j, None)
-            if anc is not None:
-                ops = self.wire_ops
-                self.state.wire_bits[j] = ops.measure_z(anc)
-                self.state.wire_classifications[j] = "unknown"
-                ops.log()
+        st = self.state
+        st.wire_bits[j] = self.wire_ops.measure_z(self.slots[j] << 3 | _KEPT)
+        st.wire_classifications[j] = "unknown"
 
 
 class InterceptResendAttack(ChannelAttack):
@@ -213,38 +206,28 @@ class InterceptResendAttack(ChannelAttack):
     FORWARD = ("prepare_bell",)
     WIRE = ("measure_bell", "measure_z", "prepare_z")
 
-    def forward_leg(self, labels):
-        if "forward" not in self.legs or not labels:
-            return labels
-        st, ops = self.state, self.forward_ops
+    def forward(self, labels):
+        ops = self.forward_ops
         ops.prepare_bell(BellKind.PSI_PLUS, eve_qubit("ER", 0), eve_qubit("EF", 0), len(labels))
-        out = []
-        for i, label in enumerate(labels):
-            st.retained_travel[i] = label
-            pair = st.retained_pairs[i] = eve_qubit("ER", i), eve_qubit("EF", i)
-            out.append(pair[1])
         ops.log()
-        return out
+        return [eve_qubit("EF", i) for i in range(len(labels))]
 
     def wire(self, j, label):
-        if "return" not in self.legs:
-            return label
-        st, ops = self.state, self.wire_ops
-        outcome = ops.measure_bell(st.retained_pairs[j][0], label)
+        st, ops, base = self.state, self.wire_ops, self.slots[j] << 3
+        outcome = ops.measure_bell(base | _KEPT, label)
         if outcome is BellKind.PSI_MINUS:
             cls, bit = "measured", 0
         elif outcome.parity == 1:  # phi+/phi-
             cls, bit = "measured", 1
         else:  # psi+ is consistent with a reflection; recorded as unknown
             cls, bit = "unknown", None
-        u = ops.measure_z(st.retained_travel[j])
+        u = ops.measure_z(base | _TRAVEL)
         # Identified wires are resent mimicking the sender's encoding; the
         # ambiguous psi+ wires are resent as the complement of the collapsed
         # original.
-        new = ops.prepare_z(u ^ (bit if bit is not None else 1), eve_qubit("ES", j))
+        new = ops.prepare_z(u ^ (bit if bit is not None else 1), j << 3 | _RESENT)
         st.wire_classifications[j] = cls
         st.wire_bits[j] = bit
-        ops.log()
         return new
 
 
@@ -256,16 +239,9 @@ class SubstituteSinglesAttack(ChannelAttack):
     kind = AttackKind.INTERCEPT_RESEND
     FORWARD = ("prepare_z",)
 
-    def forward_leg(self, labels):
-        if "forward" not in self.legs or not labels:
-            return labels
-        st, ops, rng = self.state, self.forward_ops, self.eve.rng
-        out = []
-        for i, label in enumerate(labels):
-            st.retained_travel[i] = label
-            bit = rng.bit()
-            out.append(ops.prepare_z(bit, eve_qubit("EX", i)))
-            st.forward_bits[i] = bit
+    def forward(self, labels):
+        ops, bit = self.forward_ops, self.eve.rng.bit
+        out = [ops.prepare_z(bit(), eve_qubit("EX", i)) for i in range(len(labels))]
         ops.log()
         return out
 
@@ -276,38 +252,31 @@ class MeasureResendAttack(ChannelAttack):
     kind = AttackKind.MEASURE_RESEND
     FORWARD = WIRE = ("measure_z", "prepare_z")
 
-    def forward_leg(self, labels):
-        if "forward" not in self.legs or not labels:
-            return labels
-        st, ops = self.state, self.forward_ops
+    def forward(self, labels):
+        ops, bits = self.forward_ops, self.state.forward_bits
         measure_z, prepare_z = ops.measure_z, ops.prepare_z
         out = []
         for i, label in enumerate(labels):
-            u = measure_z(label)
-            st.forward_bits[i] = u
+            u = bits[i] = measure_z(label)
             out.append(prepare_z(u, eve_qubit("EM", i)))
         ops.log()
         return out
 
     def wire(self, j, label):
-        if "return" not in self.legs:
-            return label
-        ops = self.wire_ops
-        u = ops.measure_z(label)
-        self.state.wire_bits[j] = u
-        self.state.wire_classifications[j] = "unknown"
-        ops.log()
-        return ops.prepare_z(u, eve_qubit("EW", j))
+        ops, st = self.wire_ops, self.state
+        u = st.wire_bits[j] = ops.measure_z(label)
+        st.wire_classifications[j] = "unknown"
+        return ops.prepare_z(u, j << 3 | _RESENT)
 
     def finalize(self, encoded_wires):
         # Wire-order decode guess: XOR the value seen on the return wire with
-        # the distribution-leg outcome at the same slot index.
+        # the distribution-leg outcome at the slot paired with that wire.
+        st, slots = self.state, self.slots
         bits: list[int | None] = []
         for w in encoded_wires:
-            v = self.state.wire_bits.get(w)
-            r = self.state.forward_bits.get(w)
+            v, r = st.wire_bits.get(w), st.forward_bits.get(slots[w])
             bits.append(None if v is None or r is None else v ^ r)
-        self.state.inferred_bits = tuple(bits)
+        st.inferred_bits = tuple(bits)
 
 
 def build_attack(strategy: AttackStrategy, protocol: str, eve: PartyContext | None) -> ChannelAttack:
@@ -321,7 +290,8 @@ def build_attack(strategy: AttackStrategy, protocol: str, eve: PartyContext | No
     if strategy.kind is AttackKind.NONE:
         return NoAttack(eve, legs)
     if strategy.kind is AttackKind.CNOT:
-        return CnotAttack(eve, legs)
+        # the return-leg CNOT acts on the ancillas of the forward leg
+        return CnotAttack(eve, legs if "forward" in legs else frozenset())
     if strategy.kind is AttackKind.INTERCEPT_RESEND:
         if protocol in ("cdssqc-ghz", "cdssqc-switch"):
             return SubstituteSinglesAttack(eve, legs)

@@ -200,7 +200,10 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     except SystemExit as exc:  # argparse usage errors
         return int(exc.code) if exc.code else EXIT_OK
-    payload = run(cfg)
+    try:
+        payload = run(cfg)
+    except MemoryError:
+        return out_of_memory()
     if cfg.out is not None:
         try:
             _write_atomic(cfg.out, payload)
@@ -222,6 +225,13 @@ def stdout_failed(exc: OSError) -> int:
     to devnull, so the flush at interpreter exit raises nothing more."""
     os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     print(f"error: cannot write to stdout: {exc}", file=sys.stderr)
+    return EXIT_IO
+
+
+def out_of_memory() -> int:
+    """Report a run whose registers do not fit in memory (a huge ``--n`` or
+    ``--m``) in one ``error:`` line and return EXIT_IO."""
+    print("error: out of memory: a session this large does not fit", file=sys.stderr)
     return EXIT_IO
 
 

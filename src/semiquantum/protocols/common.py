@@ -280,6 +280,8 @@ class Session:
                 received[i] = receive(rx, i, q)
             if attack is not None:
                 attack.after_wire(j)
+        if attack is not None:
+            attack.wire_ops.log()
         if encoded:
             rx.log()
         if self.decoys:

@@ -16,9 +16,9 @@ b_{k-1}>`` where ``b0`` is the qubit at ``labels[0]`` and
 ``i = sum(b_j << (k-1-j))``.  Measured qubits are removed from the
 register; measuring the last qubit leaves ``post_state=None``.  Registers
 are hard-capped at ``MAX_QUBITS`` so an accidental global-state blowup
-fails loudly instead of silently going quadratic.  numpy is imported only
-by the dense helpers (dense input, ``.amplitudes``, ``*_probabilities``,
-array input to ``OrthonormalPair``), so a session never loads it.
+fails loudly instead of silently going quadratic.  The package needs no
+numpy: dense values are tuples, and any sequence (a 1-D array too) is read
+by iteration.
 
 Memo
 ----
@@ -53,7 +53,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import (
     DuplicateLabel,
@@ -64,9 +64,6 @@ from .errors import (
     ZeroProbabilityOutcome,
 )
 from .rng import RandomSource
-
-if TYPE_CHECKING:
-    import numpy as np
 
 NORM_TOL = 1e-12
 MAX_QUBITS = 6
@@ -137,19 +134,6 @@ _BELL_BRAS = _Bras(
 )
 
 
-def _components(vector) -> tuple[complex, ...]:
-    """A vector's components as Python complex numbers.
-
-    A tuple or list is read as it is; anything else as a flat complex numpy
-    array, which loads numpy.
-    """
-    if isinstance(vector, (tuple, list)):
-        return tuple(map(complex, vector))
-    import numpy as np
-
-    return tuple(np.asarray(vector, dtype=complex).reshape(-1).tolist())
-
-
 def _vdot(u: tuple[complex, ...], v: tuple[complex, ...]) -> complex:
     return sum((x.conjugate() * y for x, y in zip(u, v)), 0j)
 
@@ -158,12 +142,12 @@ def _vdot(u: tuple[complex, ...], v: tuple[complex, ...]) -> complex:
 class OrthonormalPair:
     """An orthonormal single-qubit basis {|a>, |b>} for controller measurements.
 
-    ``a`` and ``b`` are kept as given, a sequence or an array.  Two bases
-    are equal, and hash alike, when their components are exactly equal.
+    ``a`` and ``b`` are kept as given, any sequence of two numbers.  Two
+    bases are equal, and hash alike, when their components are exactly equal.
     """
 
-    a: Sequence[complex] | np.ndarray = field(compare=False)
-    b: Sequence[complex] | np.ndarray = field(compare=False)
+    a: Sequence[complex] = field(compare=False)
+    b: Sequence[complex] = field(compare=False)
     # (a, b) components as Python complex numbers, their hash, and for each
     # bit value v the nonzero bras as (outcome, conj(component v)).
     _kets: tuple = field(init=False, repr=False)
@@ -174,7 +158,7 @@ class OrthonormalPair:
         return self._hash
 
     def __post_init__(self):
-        kets = a, b = _components(self.a), _components(self.b)
+        kets = a, b = tuple(map(complex, self.a)), tuple(map(complex, self.b))
         if len(a) != 2 or len(b) != 2:
             raise NonOrthonormalBasis("basis vectors must be single-qubit (length 2)")
         if (
@@ -282,7 +266,7 @@ class StateVector:
             if isinstance(amplitudes, dict):
                 items = amplitudes.items()
             else:
-                dense = _components(amplitudes)
+                dense = tuple(map(complex, amplitudes))
                 if len(dense) != 1 << k:
                     raise ValueError(f"need {1 << k} amplitudes for {k} qubits, got {len(dense)}")
                 items = enumerate(dense)
@@ -293,15 +277,10 @@ class StateVector:
         return f"StateVector(labels={self.labels!r})"
 
     @property
-    def amplitudes(self) -> np.ndarray:
-        """Dense read-only copy of the amplitudes, built on each access."""
-        import numpy as np
-
-        dense = np.zeros(1 << len(self.labels), dtype=complex)
-        for i, amp in self._ket.entries.items():
-            dense[i] = amp
-        dense.setflags(write=False)
-        return dense
+    def amplitudes(self) -> tuple[complex, ...]:
+        """The ``2**k`` amplitudes as a tuple, built on each access."""
+        entries = self._ket.entries
+        return tuple(complex(entries.get(i, 0)) for i in range(1 << len(self.labels)))
 
     @property
     def num_qubits(self) -> int:
@@ -572,14 +551,8 @@ def _bell_step(state: StateVector, q1: str, q2: str) -> _Step:
     return _step(state._ket, (state.position(q1), state.position(q2)), _BELL_BRAS)
 
 
-def _array(probs: tuple[float, ...]) -> np.ndarray:
-    import numpy as np
-
-    return np.array(probs)
-
-
-def z_probabilities(state: StateVector, label: str) -> np.ndarray:
-    return _array(_qubit_step(state, label, COMPUTATIONAL).probs)
+def z_probabilities(state: StateVector, label: str) -> tuple[float, float]:
+    return _qubit_step(state, label, COMPUTATIONAL).probs
 
 
 def project_z(state: StateVector, label: str, outcome: int) -> tuple[float, StateVector | None]:
@@ -592,9 +565,9 @@ def measure_z(state: StateVector, label: str, rng: RandomSource) -> MeasurementR
     return MeasurementRecord(*_measure(state, _qubit_step(state, label, COMPUTATIONAL), rng))
 
 
-def bell_probabilities(state: StateVector, q1: str, q2: str) -> np.ndarray:
+def bell_probabilities(state: StateVector, q1: str, q2: str) -> tuple[float, ...]:
     """Born probabilities of the four Bell outcomes on (q1, q2), in BELL_ORDER."""
-    return _array(_bell_step(state, q1, q2).probs)
+    return _bell_step(state, q1, q2).probs
 
 
 def project_bell(state: StateVector, q1: str, q2: str, kind: BellKind) -> tuple[float, StateVector | None]:
@@ -607,8 +580,8 @@ def measure_bell(state: StateVector, q1: str, q2: str, rng: RandomSource) -> Mea
     return MeasurementRecord(BELL_ORDER[i], prob, post)
 
 
-def ab_probabilities(state: StateVector, label: str, basis: OrthonormalPair) -> np.ndarray:
-    return _array(_qubit_step(state, label, basis).probs)
+def ab_probabilities(state: StateVector, label: str, basis: OrthonormalPair) -> tuple[float, float]:
+    return _qubit_step(state, label, basis).probs
 
 
 def project_ab(

@@ -5,7 +5,6 @@ import pytest
 from semiquantum.adversary import (
     AttackKind,
     AttackStrategy,
-    EveState,
     build_attack,
     default_legs,
     eve_qubit,
@@ -117,9 +116,7 @@ def test_ir_classification_confusion_matrix():
     for bob_bit in (0, 1):
         for bob_outcome in (0, 1):
             eve, lanes = quantum_party()
-            state = EveState()
             lanes.prepare_bell(BellKind.PSI_PLUS, eve_qubit("ER", 0), eve_qubit("EF", 0))
-            state.retained_pairs[0] = (eve_qubit("ER", 0), eve_qubit("EF", 0))
             # force Bob's measurement branch on Eve's forwarded half
             reg = lanes.state_of(eve_qubit("EF", 0))
             prob, post = project_z(reg, eve_qubit("EF", 0), bob_outcome)
@@ -135,9 +132,7 @@ def test_ir_classification_confusion_matrix():
                 assert probs[BellKind.PHI_MINUS] == pytest.approx(0.5, abs=1e-12)
     # reflected: the pair comes back intact
     eve, lanes = quantum_party()
-    state = EveState()
     lanes.prepare_bell(BellKind.PSI_PLUS, eve_qubit("ER", 0), eve_qubit("EF", 0))
-    state.retained_pairs[0] = (eve_qubit("ER", 0), eve_qubit("EF", 0))
     probs = dict(zip(BELL_ORDER, bell_probabilities(lanes.state_of(eve_qubit("ER", 0)), eve_qubit("ER", 0), eve_qubit("EF", 0))))
     assert probs[BellKind.PSI_PLUS] == pytest.approx(1.0, abs=1e-12)
 

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from semiquantum.adversary import AttackKind
 from semiquantum.cli import EXIT_IO, EXIT_USAGE, CliConfig, main, parse_args, run
 from semiquantum.protocols import bits_to_hex, hex_to_bits
+from semiquantum.qsim import Lanes
 
 
 @given(st.lists(st.integers(0, 1), min_size=1, max_size=40))
@@ -231,26 +232,53 @@ def test_full_stdout_exits_1_without_traceback():
     assert len(err.splitlines()) == 1
 
 
-# Imports the CLI, runs one transcript and then one batch through ``main``,
-# and reports after each step whether numpy has been loaded.
-_NUMPY_LOADS = """
-import contextlib, io, json, sys
-loaded = {}
+def _no_memory(self, size):
+    raise MemoryError  # what a huge session's lanes raise, without allocating them
+
+
+@pytest.mark.parametrize(
+    "argv", [["--n", "1000000000000"], ["--n", "2", "--m", "1000000000000", "--trials", "3"]]
+)
+def test_huge_session_exits_1_without_traceback(monkeypatch, capsys, argv):
+    monkeypatch.setattr(Lanes, "__init__", _no_memory)
+    assert main(["--protocol", "sqka", *argv]) == EXIT_IO
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+# Blocks numpy, so that importing it raises ImportError; then imports every
+# module of the package, runs one transcript and one batch through ``main``,
+# runs reproduce_figures's ``main`` and prints the SHA-256 of its stdout.
+_WITHOUT_NUMPY = """
+import contextlib, hashlib, importlib, importlib.util, io, pkgutil, sys
+sys.modules["numpy"] = None
+import semiquantum
+for info in pkgutil.walk_packages(semiquantum.__path__, "semiquantum."):
+    importlib.import_module(info.name)
 from semiquantum.cli import main
-loaded["import"] = "numpy" in sys.modules
 with contextlib.redirect_stdout(io.StringIO()):
     assert main(["--protocol", "cdssqc-ghz", "--n", "8", "--attack", "cnot"]) == 0
-    loaded["transcript"] = "numpy" in sys.modules
     assert main(["--protocol", "sqka", "--n", "4", "--trials", "3"]) == 0
-    loaded["batch"] = "numpy" in sys.modules
-print(json.dumps(loaded))
+sys.argv = sys.argv[1:]
+spec = importlib.util.spec_from_file_location("reproduce_figures", sys.argv[0])
+figures = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(figures)
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    assert figures.main() == 0
+print(hashlib.sha256(out.getvalue().encode()).hexdigest())
 """
 
 
-def test_sessions_never_load_numpy():
-    # numpy serves only the dense qsim helpers; neither a session nor a
-    # batch may pay for its import
+def test_package_runs_without_numpy():
+    # numpy is a test dependency only: neither the package nor
+    # reproduce_figures may import it
+    from test_scripts import REPRODUCE_FIGURES_SHA256
+
+    script = Path(__file__).resolve().parents[1] / "scripts" / "reproduce_figures.py"
     proc = subprocess.run(
-        [sys.executable, "-c", _NUMPY_LOADS], env=_src_env(), capture_output=True, text=True, check=True
+        [sys.executable, "-c", _WITHOUT_NUMPY, str(script)],
+        env=_src_env(), capture_output=True, text=True, check=True,
     )
-    assert json.loads(proc.stdout) == {"import": False, "transcript": False, "batch": False}
+    assert proc.stdout.strip() == REPRODUCE_FIGURES_SHA256

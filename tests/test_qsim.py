@@ -233,7 +233,7 @@ def test_measure_ab_certainty_and_normalization():
     plus = StateVector(np.array([S, S]), ("q0",))
     probs = qsim.ab_probabilities(plus, "q0", HADAMARD)
     assert probs[0] == pytest.approx(1.0, abs=1e-12)
-    assert probs.sum() == pytest.approx(1.0, abs=1e-12)
+    assert sum(probs) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_measure_ab_rejects_bad_basis():

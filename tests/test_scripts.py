@@ -99,3 +99,29 @@ def test_closed_stdout_exits_1_without_traceback(script, args):
     assert proc.wait(timeout=120) == 1
     assert err.startswith("error:") and "Traceback" not in err
     assert len(err.splitlines()) == 1
+
+
+# Runs a script as __main__ with ``Lanes.__init__`` raising MemoryError, as
+# the lanes of a huge --n do, without allocating them.
+_NO_MEMORY = """
+import runpy, sys
+from semiquantum.qsim import Lanes
+def no_memory(self, size):
+    raise MemoryError
+Lanes.__init__ = no_memory
+sys.argv = sys.argv[1:]
+runpy.run_path(sys.argv[0], run_name="__main__")
+"""
+
+
+def test_attack_sweep_out_of_memory_exits_1_without_traceback():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    script = ROOT / "scripts" / "attack_sweep.py"
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_MEMORY, str(script), "--n", "1000000000000", "--trials", "1"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1

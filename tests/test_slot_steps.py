@@ -6,6 +6,8 @@ the loop touches a register, and is logged in the party's ``ops_log`` only
 once it has run.  ``PARTY_OPS`` pins the logged ops of every protocol x
 attack cell, and of three cells with the permutation off, at n=4 with the
 default detection; they are the values the per-op party calls gave.
+``EVE_OPS`` pins Eve's log in the same cells, and in two cells that attack
+only the return leg, at the values her per-wire logging gave.
 """
 from dataclasses import replace
 
@@ -52,6 +54,26 @@ PARTY_OPS = {
     "sqka.intercept-resend.nopi": ("bell-mismatch", *KEYED),
 }
 
+CNOT_OPS = ("apply_cnot", "measure_z", "prepare_z")
+BELL_IR_OPS = ("measure_bell", "measure_z", "prepare_bell", "prepare_z")
+MR_OPS = ("measure_z", "prepare_z")
+
+# cell -> Eve's ops, None where no Eve is built; a cell ending in .return
+# attacks only the return leg
+EVE_OPS = {
+    cell: {"none": None, "cnot": CNOT_OPS, "intercept-resend": BELL_IR_OPS, "measure-resend": MR_OPS}[
+        cell.split(".")[1]
+    ]
+    for cell in PARTY_OPS
+}
+EVE_OPS.update({
+    "cdssqc-ghz.intercept-resend": ("prepare_z",),  # fresh singles on the forward leg only
+    "cdssqc-switch.intercept-resend": ("prepare_z",),
+    "sqd.intercept-resend": ("prepare_bell",),  # aborted at the spot check, before the return leg
+    "sqka.cnot.return": (),  # no forward-leg ancilla to CNOT the wire with
+    "sqka.measure-resend.return": MR_OPS,
+})
+
 
 def config(cell: str, seed: int = 1):
     protocol, attack, *rest = cell.split(".")
@@ -72,6 +94,19 @@ def test_party_ops_are_pinned(cell):
     names = ("alice", "bob", "charlie")[: len(ops)]
     assert out.abort_reason.value == reason
     assert out.details["party_ops"] == {name: list(o) for name, o in zip(names, ops)}
+
+
+@pytest.mark.parametrize("cell", EVE_OPS)
+def test_eve_ops_are_pinned(cell, monkeypatch):
+    built = []
+    build = common.build_attack
+    monkeypatch.setattr(common, "build_attack", lambda *args: built.append(build(*args)) or built[0])
+    cfg = config(cell.removesuffix(".return"))
+    if cell.endswith(".return"):
+        cfg = replace(cfg, attack=replace(cfg.attack, legs=frozenset({"return"})))
+    run_session(cfg)
+    eve = built[0].eve
+    assert (None if eve is None else tuple(sorted(eve.ops_log))) == EVE_OPS[cell]
 
 
 @pytest.mark.parametrize("cell", ["sqd.intercept-resend", "cdssqc-ghz.intercept-resend"])
