@@ -5,7 +5,8 @@ Usage: python3 scripts/attack_sweep.py [--trials N] [--seed S] [--n N]
 
 Detection is left on, so the abort_rate column shows how loudly each attack
 trips the checks; key_match_rate and eve_accuracy are aggregated over the
-sessions that complete.
+sessions that complete.  The table is printed once every row is in, so a
+run that fails prints none of it.
 """
 import argparse
 import sys
@@ -13,18 +14,7 @@ import sys
 from semiquantum.adversary import AttackKind, AttackStrategy
 from semiquantum.cli import out_of_memory, stdout_failed
 from semiquantum.analysis import CSV_COLUMNS, emit_stats, run_trials
-from semiquantum.protocols import CdssqcConfig, CdssqcVariant, SqdConfig, SqkaConfig
-
-
-def template(protocol: str, attack: AttackKind, n: int):
-    strategy = AttackStrategy(kind=attack)
-    if protocol in ("sqka", "sqkd"):
-        return SqkaConfig(n=n, attack=strategy, protocol=protocol, commitments_enabled=False)
-    if protocol == "cdssqc-ghz":
-        return CdssqcConfig(n=n, attack=strategy)
-    if protocol == "cdssqc-switch":
-        return CdssqcConfig(n=n, variant=CdssqcVariant.SWITCH, attack=strategy)
-    return SqdConfig(n=n, attack=strategy)
+from semiquantum.protocols import PROTOCOLS, make_config
 
 
 def main() -> int:
@@ -40,12 +30,14 @@ def main() -> int:
     if not 0 <= args.seed < 2**64:
         parser.error(f"--seed must lie in [0, 2**64), got {args.seed}")
 
-    print(",".join(CSV_COLUMNS))
-    for protocol in ("sqka", "sqkd", "cdssqc-ghz", "cdssqc-switch", "sqd"):
+    rows = [",".join(CSV_COLUMNS)]
+    for protocol in PROTOCOLS:
+        keyed = {"commitments_enabled": False} if protocol in ("sqka", "sqkd") else {}
         for attack in AttackKind:
-            stats = run_trials(template(protocol, attack, args.n), args.trials, args.seed)
-            row = emit_stats(stats, "csv").decode().strip().split("\n")[1]
-            print(row)
+            config = make_config(protocol, n=args.n, attack=AttackStrategy(kind=attack), **keyed)
+            stats = run_trials(config, args.trials, args.seed)
+            rows.append(emit_stats(stats, "csv").decode().split("\n")[1])
+    print("\n".join(rows))
     return 0
 
 

@@ -14,13 +14,13 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from enum import Enum
 from fractions import Fraction
 
 from .adversary import AttackKind
 from .errors import SemiQuantumError, UnknownAttack
-from .protocols import SessionConfig, SessionOutcome, protocol_id, run_session
+from .protocols import SessionConfig, SessionOutcome, run_session
 from .rng import derive_seed
 
 TRANSCRIPT_SCHEMA = "semiquantum.transcript/1"
@@ -152,21 +152,17 @@ class TrialStats:
     halfwidth99: dict[str, float]
 
     def to_dict(self) -> dict:
-        return {
-            "protocol": self.protocol,
-            "attack": self.attack,
-            "n": self.n,
-            "m": self.m,
-            "trials": self.trials,
-            "failures": self.failures,
-            "abort_rate": self.abort_rate,
-            "key_match_rate": self.key_match_rate,
-            "eve_accuracy": self.eve_accuracy,
-            "eve_position_id_rate": self.eve_position_id_rate,
-            "decoy_detection_rate": self.decoy_detection_rate,
-            "halfwidth99": dict(self.halfwidth99),
-            "eta": float(TABLE3[self.protocol].efficiency()),
-        }
+        return {**asdict(self), "eta": float(TABLE3[self.protocol].efficiency())}
+
+
+# Each rate's hits and total keys in a trial record.
+_RATES = {
+    "abort_rate": ("aborts", "completed"),
+    "key_match_rate": ("match_hits", "match_total"),
+    "eve_accuracy": ("acc_sum", "acc_total"),
+    "eve_position_id_rate": ("id_hits", "id_total"),
+    "decoy_detection_rate": ("decoy_bad", "decoy_total"),
+}
 
 
 def _halfwidth(successes: float, total: float) -> float:
@@ -219,29 +215,20 @@ def aggregate_records(
         for key, value in rec.items():
             tot[key] = tot.get(key, 0) + value
 
-    def rate(hits: str, total: str) -> float:
-        t = tot.get(total, 0)
-        return tot.get(hits, 0) / t if t else 0.0
-
+    rates, halfwidths = {}, {}
+    for name, (hits, total) in _RATES.items():
+        h, t = tot.get(hits, 0), tot.get(total, 0)
+        rates[name] = h / t if t else 0.0
+        halfwidths[name] = _halfwidth(h, t)
     return TrialStats(
-        protocol=protocol_id(template),
+        protocol=template.protocol,
         attack=template.attack.kind.value,
         n=template.n,
         m=template.decoy_count(),
         trials=trials,
         failures=int(tot.get("failures", 0)),
-        abort_rate=rate("aborts", "completed"),
-        key_match_rate=rate("match_hits", "match_total"),
-        eve_accuracy=rate("acc_sum", "acc_total"),
-        eve_position_id_rate=rate("id_hits", "id_total"),
-        decoy_detection_rate=rate("decoy_bad", "decoy_total"),
-        halfwidth99={
-            "abort_rate": _halfwidth(tot.get("aborts", 0), tot.get("completed", 0)),
-            "key_match_rate": _halfwidth(tot.get("match_hits", 0), tot.get("match_total", 0)),
-            "eve_accuracy": _halfwidth(tot.get("acc_sum", 0), tot.get("acc_total", 0)),
-            "eve_position_id_rate": _halfwidth(tot.get("id_hits", 0), tot.get("id_total", 0)),
-            "decoy_detection_rate": _halfwidth(tot.get("decoy_bad", 0), tot.get("decoy_total", 0)),
-        },
+        halfwidth99=halfwidths,
+        **rates,
     )
 
 
@@ -329,20 +316,10 @@ def emit_stats(stats: TrialStats, fmt: str = "json") -> bytes:
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
+        row = stats.to_dict()
         writer.writerow(CSV_COLUMNS)
         writer.writerow(
-            [
-                stats.protocol,
-                stats.attack,
-                stats.n,
-                stats.m,
-                stats.trials,
-                f"{stats.abort_rate:.6f}",
-                f"{stats.key_match_rate:.6f}",
-                f"{stats.eve_accuracy:.6f}",
-                f"{stats.eve_position_id_rate:.6f}",
-                f"{float(TABLE3[stats.protocol].efficiency()):.6f}",
-            ]
+            [row[c] for c in CSV_COLUMNS[:5]] + [f"{row[c]:.6f}" for c in CSV_COLUMNS[5:]]
         )
         return buf.getvalue().encode()
     raise ValueError(f"unknown stats format {fmt!r}")
@@ -360,9 +337,9 @@ def parse_stats(data: bytes, fmt: str = "json") -> dict:
             raise ValueError("unexpected csv header")
         row = rows[1]
         out: dict = dict(zip(CSV_COLUMNS, row))
-        for key in ("n", "m", "trials"):
+        for key in CSV_COLUMNS[2:5]:
             out[key] = int(out[key])
-        for key in ("abort_rate", "key_match_rate", "eve_accuracy", "eve_position_id_rate", "eta"):
+        for key in CSV_COLUMNS[5:]:
             out[key] = float(out[key])
         return out
     raise ValueError(f"unknown stats format {fmt!r}")

@@ -14,17 +14,8 @@ from dataclasses import dataclass
 
 from . import analysis
 from .adversary import AttackKind, AttackStrategy
-from .protocols import (
-    CdssqcConfig,
-    CdssqcVariant,
-    SessionConfig,
-    SqdConfig,
-    SqkaConfig,
-    hex_to_bits,
-    run_session,
-)
+from .protocols import PROTOCOLS, SessionConfig, hex_to_bits, make_config, run_session
 
-PROTOCOLS = ("sqka", "sqkd", "cdssqc-ghz", "cdssqc-switch", "sqd")
 ATTACKS = {a.value: a for a in AttackKind}
 
 EXIT_OK = 0
@@ -38,18 +29,10 @@ class ValidationError(ValueError):
 
 @dataclass(frozen=True)
 class CliConfig:
-    protocol: str
-    n: int
-    m: int | None
-    attack: AttackKind
+    session: SessionConfig
     trials: int
-    seed: int
-    threshold: float
-    permutation: bool
-    commitments: bool
-    out: str | None
     format: str
-    messages: tuple[str, ...]
+    out: str | None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -57,7 +40,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="semiquantum",
         description="Run semi-quantum protocol sessions or Monte Carlo batches.",
     )
-    p.add_argument("--protocol", required=True, choices=PROTOCOLS)
+    p.add_argument("--protocol", required=True, choices=tuple(PROTOCOLS))
     p.add_argument("--n", type=int, required=True, help="key/message length in bits")
     p.add_argument("--m", type=int, default=None, help="decoy count (default 3n)")
     p.add_argument("--attack", choices=sorted(ATTACKS), default="none")
@@ -65,7 +48,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None, help="64-bit seed (default SEMIQ_SEED or 0)")
     p.add_argument("--threshold", type=float, default=0.0)
     p.add_argument("--permutation", choices=("on", "off"), default="on")
-    p.add_argument("--commitments", choices=("on", "off"), default="on")
+    p.add_argument("--commitments", choices=("on", "off"), default="on", help="sqka, sqkd only")
     p.add_argument("--out", default=None, help="write output to this path (atomic)")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument(
@@ -95,78 +78,30 @@ def parse_args(argv: list[str]) -> CliConfig:
         raise ValidationError("--trials must be >= 1")
     if not 0.0 <= ns.threshold <= 1.0:
         raise ValidationError("--threshold must lie in [0, 1]")
-    messages: tuple[str, ...] = ()
+    fields = dict(n=ns.n, m=ns.m, seed=seed, attack=AttackStrategy(kind=ATTACKS[ns.attack]))
+    fields.update(threshold=ns.threshold, permutation_enabled=ns.permutation == "on")
+    keyed = ns.protocol in ("sqka", "sqkd")
+    if keyed:
+        fields["commitments_enabled"] = ns.commitments == "on"
     if ns.messages is not None:
-        messages = tuple(s.strip() for s in ns.messages.split(","))
-        if ns.protocol in ("cdssqc-ghz", "cdssqc-switch") and len(messages) != 1:
-            raise ValidationError("cdssqc takes exactly one message")
-        if ns.protocol == "sqd" and len(messages) != 2:
-            raise ValidationError("sqd takes exactly two messages: alice,bob")
-        if ns.protocol in ("sqka", "sqkd"):
+        if keyed:
             raise ValidationError(f"--messages is not accepted for {ns.protocol}")
-        for msg in messages:
+        messages = [s.strip() for s in ns.messages.split(",")]
+        names = ("alice_message", "bob_message") if ns.protocol == "sqd" else ("message",)
+        if len(messages) != len(names):
+            raise ValidationError(
+                "sqd takes exactly two messages: alice,bob"
+                if ns.protocol == "sqd"
+                else "cdssqc takes exactly one message"
+            )
+        for name, msg in zip(names, messages):
             try:
-                hex_to_bits(msg, ns.n)
+                fields[name] = hex_to_bits(msg, ns.n)
             except ValueError as exc:
                 raise ValidationError(f"bad message {msg!r}: {exc}") from exc
     if ns.trials == 1 and ns.format == "csv":
         raise ValidationError("single-session transcripts are json only")
-    return CliConfig(
-        protocol=ns.protocol,
-        n=ns.n,
-        m=ns.m,
-        attack=ATTACKS[ns.attack],
-        trials=ns.trials,
-        seed=seed,
-        threshold=ns.threshold,
-        permutation=ns.permutation == "on",
-        commitments=ns.commitments == "on",
-        out=ns.out,
-        format=ns.format,
-        messages=messages,
-    )
-
-
-def _session_config(cfg: CliConfig) -> SessionConfig:
-    strategy = AttackStrategy(kind=cfg.attack)
-    if cfg.protocol in ("sqka", "sqkd"):
-        return SqkaConfig(
-            n=cfg.n,
-            m=cfg.m,
-            seed=cfg.seed,
-            attack=strategy,
-            commitments_enabled=cfg.commitments,
-            permutation_enabled=cfg.permutation,
-            threshold=cfg.threshold,
-            protocol=cfg.protocol,
-        )
-    if cfg.protocol in ("cdssqc-ghz", "cdssqc-switch"):
-        variant = (
-            CdssqcVariant.GHZ_LIKE if cfg.protocol == "cdssqc-ghz" else CdssqcVariant.SWITCH
-        )
-        message = hex_to_bits(cfg.messages[0], cfg.n) if cfg.messages else None
-        return CdssqcConfig(
-            n=cfg.n,
-            m=cfg.m,
-            variant=variant,
-            seed=cfg.seed,
-            attack=strategy,
-            threshold=cfg.threshold,
-            permutation_enabled=cfg.permutation,
-            message=message,
-        )
-    alice = hex_to_bits(cfg.messages[0], cfg.n) if cfg.messages else None
-    bob = hex_to_bits(cfg.messages[1], cfg.n) if cfg.messages else None
-    return SqdConfig(
-        n=cfg.n,
-        m=cfg.m,
-        alice_message=alice,
-        bob_message=bob,
-        seed=cfg.seed,
-        attack=strategy,
-        threshold=cfg.threshold,
-        permutation_enabled=cfg.permutation,
-    )
+    return CliConfig(make_config(ns.protocol, **fields), ns.trials, ns.format, ns.out)
 
 
 def _write_atomic(path: str, payload: bytes) -> None:
@@ -183,11 +118,9 @@ def _write_atomic(path: str, payload: bytes) -> None:
 
 
 def run(cfg: CliConfig) -> bytes:
-    session = _session_config(cfg)
     if cfg.trials == 1:
-        outcome = run_session(session)
-        return analysis.emit_transcript(outcome, "json")
-    stats = analysis.run_trials(session, cfg.trials, cfg.seed)
+        return analysis.emit_transcript(run_session(cfg.session), "json")
+    stats = analysis.run_trials(cfg.session, cfg.trials, cfg.session.seed)
     return analysis.emit_stats(stats, cfg.format)
 
 

@@ -7,7 +7,9 @@ from .common import (
     Bits,
     Event,
     RawKeys,
+    SessionConfig,
     SessionOutcome,
+    SpotCheckedConfig,
     Transcript,
     bits_to_hex,
     hex_to_bits,
@@ -16,35 +18,43 @@ from .common import (
 from .sqd import SqdConfig, decode_dialogue, run_sqd
 from .sqka import SqkaConfig, detection_disabled, extract_bob_key_bit, run_sqka, run_sqkd
 
-SessionConfig = SqkaConfig | CdssqcConfig | SqdConfig
+# Each protocol id's config class and the fields that select the protocol in it.
+PROTOCOLS: dict[str, tuple[type[SessionConfig], dict]] = {
+    "sqka": (SqkaConfig, {"protocol": "sqka"}),
+    "sqkd": (SqkaConfig, {"protocol": "sqkd"}),
+    "cdssqc-ghz": (CdssqcConfig, {"variant": CdssqcVariant.GHZ_LIKE}),
+    "cdssqc-switch": (CdssqcConfig, {"variant": CdssqcVariant.SWITCH}),
+    "sqd": (SqdConfig, {}),
+}
+
+
+def make_config(protocol: str, **fields) -> SessionConfig:
+    """The config record that runs ``protocol``, with ``fields`` set."""
+    if protocol not in PROTOCOLS:
+        raise ValueError(f"unknown protocol {protocol!r}")
+    cls, selector = PROTOCOLS[protocol]
+    return cls(**selector, **fields)
 
 
 def run_session(config: SessionConfig) -> SessionOutcome:
-    """Dispatch a config record to its runner."""
-    if isinstance(config, SqkaConfig):
-        if config.protocol == "sqkd":
-            return run_sqkd(config)
+    """Run the protocol a config record names.  Each runner is looked up by
+    its module-level name at the call, so a patch of that name reaches it."""
+    protocol = config.protocol
+    if protocol == "sqka":
         return run_sqka(config)
-    if isinstance(config, CdssqcConfig):
-        if config.variant is CdssqcVariant.GHZ_LIKE:
-            return run_cdssqc_ghz(config)
+    if protocol == "sqkd":
+        return run_sqkd(config)
+    if protocol == "cdssqc-ghz":
+        return run_cdssqc_ghz(config)
+    if protocol == "cdssqc-switch":
         return run_cdssqc_switch(config)
-    if isinstance(config, SqdConfig):
+    if protocol == "sqd":
         return run_sqd(config)
-    raise TypeError(f"unknown config type {type(config)!r}")
-
-
-def protocol_id(config: SessionConfig) -> str:
-    if isinstance(config, SqkaConfig):
-        return config.protocol
-    if isinstance(config, CdssqcConfig):
-        return "cdssqc-ghz" if config.variant is CdssqcVariant.GHZ_LIKE else "cdssqc-switch"
-    if isinstance(config, SqdConfig):
-        return "sqd"
-    raise TypeError(f"unknown config type {type(config)!r}")
+    raise ValueError(f"unknown protocol {protocol!r}")
 
 
 __all__ = [
+    "PROTOCOLS",
     "AbortReason",
     "Bits",
     "CdssqcConfig",
@@ -53,6 +63,7 @@ __all__ = [
     "RawKeys",
     "SessionConfig",
     "SessionOutcome",
+    "SpotCheckedConfig",
     "SqdConfig",
     "SqkaConfig",
     "Transcript",
@@ -61,7 +72,7 @@ __all__ = [
     "detection_disabled",
     "extract_bob_key_bit",
     "hex_to_bits",
-    "protocol_id",
+    "make_config",
     "run_cdssqc_ghz",
     "run_cdssqc_switch",
     "run_session",

@@ -15,13 +15,12 @@ qubit carrying message XOR outcome, return everything permuted.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
-from ..adversary import AttackStrategy
 from ..parties import Permutation, random_permutation
 from ..qsim import COMPUTATIONAL, BellKind, OrthonormalPair
-from .common import CONTROL, HOME, TRAVEL, Bits, Session, SessionOutcome, qubit
+from .common import CONTROL, HOME, TRAVEL, Bits, Session, SessionOutcome, SpotCheckedConfig, qubit
 
 
 class CdssqcVariant(Enum):
@@ -30,32 +29,18 @@ class CdssqcVariant(Enum):
 
 
 @dataclass(frozen=True)
-class CdssqcConfig:
-    n: int
-    m: int | None = None
+class CdssqcConfig(SpotCheckedConfig):
     variant: CdssqcVariant = CdssqcVariant.GHZ_LIKE
     psi1: BellKind = BellKind.PSI_PLUS
     psi2: BellKind = BellKind.PHI_PLUS
     controller_basis: OrthonormalPair = COMPUTATIONAL
     switch_bell: BellKind = BellKind.PSI_PLUS
-    seed: int = 0
-    attack: AttackStrategy = field(default_factory=AttackStrategy.none)
-    threshold: float = 0.0
-    spot_check_size: int | None = None
-    permutation_enabled: bool = True
     charlie_permutation_enabled: bool = True
     message: Bits | None = None
 
-    def decoy_count(self) -> int:
-        return 3 * self.n if self.m is None else self.m
-
-    def spot_count(self) -> int:
-        s = self.spot_check_size
-        if s is None:
-            s = min(self.decoy_count(), 2 * self.n)
-        if not 0 <= s <= self.decoy_count():
-            raise ValueError("spot check size must lie within the decoy budget")
-        return s
+    @property
+    def protocol(self) -> str:
+        return "cdssqc-ghz" if self.variant is CdssqcVariant.GHZ_LIKE else "cdssqc-switch"
 
 
 def run_cdssqc_ghz(config: CdssqcConfig) -> SessionOutcome:
@@ -76,9 +61,7 @@ def _branch_state(config: CdssqcConfig, g: int) -> BellKind:
 
 def _run(config: CdssqcConfig) -> SessionOutcome:
     ghz = config.variant is CdssqcVariant.GHZ_LIKE
-    session = Session(
-        config, "cdssqc-ghz" if ghz else "cdssqc-switch", classical="alice", controller=True
-    )
+    session = Session(config, config.protocol, classical="alice", controller=True)
     if ghz and config.psi1 is config.psi2:
         raise ValueError("psi1 and psi2 must differ")
     alice, bob, charlie = session.alice, session.bob, session.charlie

@@ -7,7 +7,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
 
-from ..adversary import AttackKind, build_attack
+from ..adversary import AttackKind, AttackStrategy, build_attack
 from ..errors import ZeroCount
 from ..parties import Capability, PartyContext, Permutation, Step, random_permutation
 from ..qsim import BellKind, Lanes
@@ -26,6 +26,39 @@ HOME, TRAVEL, CONTROL, FRESH = range(4)
 def qubit(slot: int, role: int) -> int:
     """The lane address of slot ``slot``'s ``role`` qubit."""
     return slot << 3 | role
+
+
+@dataclass(frozen=True)
+class SessionConfig:
+    """The parameters every protocol takes; ``m=None`` defaults to the 3n
+    decoy ratio.  Each protocol's config adds its own fields and says which
+    protocol it runs as ``protocol``."""
+
+    n: int
+    m: int | None = None
+    seed: int = 0
+    attack: AttackStrategy = field(default_factory=AttackStrategy.none)
+    threshold: float = 0.0
+    permutation_enabled: bool = True
+
+    def decoy_count(self) -> int:
+        return 3 * self.n if self.m is None else self.m
+
+
+@dataclass(frozen=True)
+class SpotCheckedConfig(SessionConfig):
+    """A protocol that spot-checks ``spot_count()`` slots before the exchange;
+    ``spot_check_size=None`` checks min(m, 2n)."""
+
+    spot_check_size: int | None = None
+
+    def spot_count(self) -> int:
+        s = self.spot_check_size
+        if s is None:
+            s = min(self.decoy_count(), 2 * self.n)
+        if not 0 <= s <= self.decoy_count():
+            raise ValueError("spot check size must lie within the decoy budget")
+        return s
 
 
 class AbortReason(Enum):

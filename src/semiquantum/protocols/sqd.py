@@ -10,37 +10,19 @@ pair measurement works identically and is available behind a config flag.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from ..adversary import AttackStrategy
 from ..parties import ClassicalAction, choose_actions
 from ..qsim import BellKind
-from .common import HOME, Bits, Session, SessionOutcome, qubit
+from .common import HOME, Bits, Session, SessionOutcome, SpotCheckedConfig, qubit
 
 
 @dataclass(frozen=True)
-class SqdConfig:
-    n: int
-    m: int | None = None
+class SqdConfig(SpotCheckedConfig):
+    protocol = "sqd"
     alice_message: Bits | None = None
     bob_message: Bits | None = None
-    seed: int = 0
-    attack: AttackStrategy = field(default_factory=AttackStrategy.none)
-    threshold: float = 0.0
-    spot_check_size: int | None = None
-    permutation_enabled: bool = True
     final_measurement: str = "bell"  # or "zz"
-
-    def decoy_count(self) -> int:
-        return 3 * self.n if self.m is None else self.m
-
-    def spot_count(self) -> int:
-        s = self.spot_check_size
-        if s is None:
-            s = min(self.decoy_count(), 2 * self.n)
-        if not 0 <= s <= self.decoy_count():
-            raise ValueError("spot check size must lie within the decoy budget")
-        return s
 
 
 def decode_dialogue(outcome: BellKind, own_bit: int) -> int:

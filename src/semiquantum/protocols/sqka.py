@@ -12,25 +12,20 @@ correlations.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
-from ..adversary import AttackStrategy
 from ..parties import ClassicalAction, choose_actions, commit, verify
 from ..qsim import BellKind
-from .common import HOME, AbortReason, Bits, RawKeys, Session, SessionOutcome, xor_bits
+from .common import (
+    HOME, AbortReason, Bits, RawKeys, Session, SessionConfig, SessionOutcome, xor_bits
+)
 
 
 @dataclass(frozen=True)
-class SqkaConfig:
-    """Session parameters; ``m=None`` defaults to the 3n decoy ratio."""
+class SqkaConfig(SessionConfig):
+    """A key-agreement session: ``protocol`` is "sqka" or its reduction "sqkd"."""
 
-    n: int
-    m: int | None = None
-    seed: int = 0
-    attack: AttackStrategy = field(default_factory=AttackStrategy.none)
     commitments_enabled: bool = True
-    permutation_enabled: bool = True
-    threshold: float = 0.0
     protocol: str = "sqka"
     # test hooks
     fixed_k_a: Bits | None = None
@@ -38,8 +33,9 @@ class SqkaConfig:
     dishonest_k_a: Bits | None = None
     dishonest_pi_n: bool = False
 
-    def decoy_count(self) -> int:
-        return 3 * self.n if self.m is None else self.m
+    def __post_init__(self):
+        if self.protocol not in ("sqka", "sqkd"):
+            raise ValueError(f"SqkaConfig runs sqka or sqkd, not {self.protocol!r}")
 
 
 def extract_bob_key_bit(r_a: int, travel_outcome: int) -> int:

@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from semiquantum.adversary import AttackKind
+from semiquantum.adversary import AttackKind, AttackStrategy
 from semiquantum.cli import EXIT_IO, EXIT_USAGE, CliConfig, main, parse_args, run
-from semiquantum.protocols import bits_to_hex, hex_to_bits
+from semiquantum.protocols import SqkaConfig, bits_to_hex, hex_to_bits
 from semiquantum.qsim import Lanes
 
 
@@ -24,18 +24,19 @@ def test_hex_encoding_roundtrip(bits):
 def test_parse_defaults():
     cfg = parse_args(["--protocol", "sqka", "--n", "8", "--seed", "42"])
     assert cfg == CliConfig(
-        protocol="sqka",
-        n=8,
-        m=None,
-        attack=AttackKind.NONE,
+        session=SqkaConfig(
+            n=8,
+            m=None,
+            seed=42,
+            attack=AttackStrategy(kind=AttackKind.NONE),
+            threshold=0.0,
+            permutation_enabled=True,
+            commitments_enabled=True,
+            protocol="sqka",
+        ),
         trials=1,
-        seed=42,
-        threshold=0.0,
-        permutation=True,
-        commitments=True,
-        out=None,
         format="json",
-        messages=(),
+        out=None,
     )
 
 
@@ -48,9 +49,9 @@ def test_parse_full_flags():
             "--format", "csv", "--threshold", "0.1",
         ]
     )
-    assert cfg.m == 24 and cfg.trials == 1000
-    assert cfg.attack is AttackKind.MEASURE_RESEND
-    assert not cfg.permutation and not cfg.commitments
+    assert cfg.session.m == 24 and cfg.trials == 1000
+    assert cfg.session.attack.kind is AttackKind.MEASURE_RESEND
+    assert not cfg.session.permutation_enabled and not cfg.session.commitments_enabled
 
 
 @pytest.mark.parametrize("protocol", ["sqka", "sqkd", "cdssqc-ghz", "cdssqc-switch", "sqd"])
@@ -64,10 +65,10 @@ def test_every_attack_applies_to_every_protocol(protocol, attack):
 def test_seed_env_fallback(monkeypatch):
     monkeypatch.setenv("SEMIQ_SEED", "777")
     cfg = parse_args(["--protocol", "sqka", "--n", "2"])
-    assert cfg.seed == 777
+    assert cfg.session.seed == 777
     monkeypatch.delenv("SEMIQ_SEED")
     cfg = parse_args(["--protocol", "sqka", "--n", "2"])
-    assert cfg.seed == 0
+    assert cfg.session.seed == 0
 
 
 def test_non_integer_seed_env_exits_2(monkeypatch, capsys):
@@ -88,9 +89,9 @@ def test_out_of_range_seed_env_exits_2(raw, monkeypatch, capsys):
 
 
 def test_seed_range_edges_accepted(monkeypatch):
-    assert parse_args(["--protocol", "sqka", "--n", "2", "--seed", "0"]).seed == 0
+    assert parse_args(["--protocol", "sqka", "--n", "2", "--seed", "0"]).session.seed == 0
     monkeypatch.setenv("SEMIQ_SEED", str(2**64 - 1))
-    assert parse_args(["--protocol", "sqka", "--n", "2"]).seed == 2**64 - 1
+    assert parse_args(["--protocol", "sqka", "--n", "2"]).session.seed == 2**64 - 1
 
 
 @pytest.mark.parametrize(

@@ -45,8 +45,9 @@ def test_detection_stats_seeds_ignore_string_hash_salt():
     assert len(set(first)) == len(first)
 
 
-# SHA-256 of the script's stdout with its default seed, the same under every
-# PYTHONHASHSEED.
+# SHA-256 of the scripts' stdout with their default seed, the same under
+# every PYTHONHASHSEED; the sweep's at --trials 10 --n 4.
+ATTACK_SWEEP_SHA256 = "ca885ce74371e741f93b94b5b1594628d9c8e4351082ae759350868daa708c08"
 REPRODUCE_FIGURES_SHA256 = "0632b845bde539b14033f0f582c6608b6c6559dbe8dd656698f93096b19120e2"
 
 
@@ -58,6 +59,17 @@ def test_reproduce_figures_output_is_pinned():
         env=env, capture_output=True, check=True,
     )
     assert hashlib.sha256(out.stdout).hexdigest() == REPRODUCE_FIGURES_SHA256
+
+
+@pytest.mark.parametrize("hash_seed", ["1", "2"])
+def test_attack_sweep_output_is_pinned(hash_seed):
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "attack_sweep.py"), "--trials", "10", "--n", "4"],
+        env=env, capture_output=True, check=True,
+    )
+    assert hashlib.sha256(out.stdout).hexdigest() == ATTACK_SWEEP_SHA256
 
 
 @pytest.mark.parametrize(
@@ -123,5 +135,6 @@ def test_attack_sweep_out_of_memory_exits_1_without_traceback():
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 1
+    assert proc.stdout == ""  # no header-only table
     assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
     assert len(proc.stderr.splitlines()) == 1

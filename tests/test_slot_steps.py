@@ -16,7 +16,14 @@ import pytest
 from semiquantum.adversary import AttackKind, AttackStrategy
 from semiquantum.errors import CapabilityViolation
 from semiquantum.parties import Capability, PartyContext
-from semiquantum.protocols import CdssqcConfig, CdssqcVariant, SqdConfig, SqkaConfig, run_session
+from semiquantum.protocols import (
+    CdssqcConfig,
+    CdssqcVariant,
+    SqdConfig,
+    SqkaConfig,
+    make_config,
+    run_session,
+)
 from semiquantum.protocols import common
 from semiquantum.qsim import BellKind, Lanes
 from semiquantum.rng import RandomSource
@@ -77,14 +84,8 @@ EVE_OPS.update({
 
 def config(cell: str, seed: int = 1):
     protocol, attack, *rest = cell.split(".")
-    common_fields = dict(
-        n=4, seed=seed, attack=AttackStrategy(AttackKind(attack)), permutation_enabled=not rest
-    )
-    if protocol in ("sqka", "sqkd"):
-        return SqkaConfig(protocol=protocol, **common_fields)
-    if protocol == "sqd":
-        return SqdConfig(**common_fields)
-    return CdssqcConfig(variant=CdssqcVariant(protocol.split("-")[1]), **common_fields)
+    attack = AttackStrategy(AttackKind(attack))
+    return make_config(protocol, n=4, seed=seed, attack=attack, permutation_enabled=not rest)
 
 
 @pytest.mark.parametrize("cell", PARTY_OPS)
