@@ -10,13 +10,11 @@ papering over it.
 """
 from __future__ import annotations
 
-import csv
 import io
 import json
 import math
 from dataclasses import asdict, dataclass, replace
 from enum import Enum
-from fractions import Fraction
 
 from .adversary import AttackKind
 from .errors import SemiQuantumError, UnknownAttack
@@ -60,6 +58,8 @@ class ProtocolCostRow:
         return self.q_c + self.d
 
     def efficiency(self) -> Fraction:
+        from fractions import Fraction  # here, off a transcript run's imports
+
         return Fraction(self.c, self.q + self.b)
 
 
@@ -314,6 +314,8 @@ def emit_stats(stats: TrialStats, fmt: str = "json") -> bytes:
             doc["eta_note"] = SWITCH_ETA_NOTE
         return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
     if fmt == "csv":
+        import csv
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         row = stats.to_dict()
@@ -332,6 +334,8 @@ def parse_stats(data: bytes, fmt: str = "json") -> dict:
             raise ValueError(f"unexpected stats schema {doc.get('schema')!r}")
         return doc
     if fmt == "csv":
+        import csv
+
         rows = list(csv.reader(io.StringIO(data.decode())))
         if not rows or tuple(rows[0]) != CSV_COLUMNS:
             raise ValueError("unexpected csv header")

@@ -2,7 +2,8 @@
 
 Output is a pure function of the arguments: the seed defaults to 0 (or the
 SEMIQ_SEED environment variable), never the clock, so identical invocations
-are byte-identical.
+are byte-identical.  An invocation imports only what it runs: the one
+protocol runner ``--protocol`` names, and no reference simulator.
 """
 from __future__ import annotations
 

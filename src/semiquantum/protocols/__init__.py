@@ -1,83 +1,57 @@
-"""Protocol session runners and their configuration records."""
+"""Protocol session runners and their configuration records.
+
+Every name here loads its module on first use and is bound here then:
+``make_config`` and ``run_session`` import only the runner module their
+protocol id names."""
 from __future__ import annotations
 
-from .cdssqc import CdssqcConfig, CdssqcVariant, run_cdssqc_ghz, run_cdssqc_switch
-from .common import (
-    AbortReason,
-    Bits,
-    Event,
-    RawKeys,
-    SessionConfig,
-    SessionOutcome,
-    SpotCheckedConfig,
-    Transcript,
-    bits_to_hex,
-    hex_to_bits,
-    xor_bits,
-)
-from .sqd import SqdConfig, decode_dialogue, run_sqd
-from .sqka import SqkaConfig, detection_disabled, extract_bob_key_bit, run_sqka, run_sqkd
+from .. import lazy_exports
 
-# Each protocol id's config class and the fields that select the protocol in it.
-PROTOCOLS: dict[str, tuple[type[SessionConfig], dict]] = {
-    "sqka": (SqkaConfig, {"protocol": "sqka"}),
-    "sqkd": (SqkaConfig, {"protocol": "sqkd"}),
-    "cdssqc-ghz": (CdssqcConfig, {"variant": CdssqcVariant.GHZ_LIKE}),
-    "cdssqc-switch": (CdssqcConfig, {"variant": CdssqcVariant.SWITCH}),
-    "sqd": (SqdConfig, {}),
+# The module that defines each exported name.
+_EXPORTS = {
+    **dict.fromkeys(
+        ("AbortReason", "Bits", "Event", "RawKeys", "SessionConfig", "SessionOutcome",
+         "SpotCheckedConfig", "Transcript", "bits_to_hex", "hex_to_bits", "xor_bits"),
+        "common",
+    ),
+    **dict.fromkeys(("CdssqcConfig", "CdssqcVariant", "run_cdssqc_ghz", "run_cdssqc_switch"), "cdssqc"),
+    **dict.fromkeys(("SqdConfig", "decode_dialogue", "run_sqd"), "sqd"),
+    **dict.fromkeys(("SqkaConfig", "detection_disabled", "extract_bob_key_bit", "run_sqka", "run_sqkd"), "sqka"),
 }
+
+# Each protocol id's config class, the fields that select the protocol in
+# it, and its runner, by name.
+PROTOCOLS: dict[str, tuple[str, dict, str]] = {
+    "sqka": ("SqkaConfig", {"protocol": "sqka"}, "run_sqka"),
+    "sqkd": ("SqkaConfig", {"protocol": "sqkd"}, "run_sqkd"),
+    "cdssqc-ghz": ("CdssqcConfig", {"variant": "ghz"}, "run_cdssqc_ghz"),
+    "cdssqc-switch": ("CdssqcConfig", {"variant": "switch"}, "run_cdssqc_switch"),
+    "sqd": ("SqdConfig", {}, "run_sqd"),
+}
+
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
+
+
+def _bound(name: str):
+    """What ``name`` is bound to here now, so a patch of it reaches the caller."""
+    return globals()[name] if name in globals() else __getattr__(name)
 
 
 def make_config(protocol: str, **fields) -> SessionConfig:
     """The config record that runs ``protocol``, with ``fields`` set."""
     if protocol not in PROTOCOLS:
         raise ValueError(f"unknown protocol {protocol!r}")
-    cls, selector = PROTOCOLS[protocol]
-    return cls(**selector, **fields)
+    cls, selector, _ = PROTOCOLS[protocol]
+    return _bound(cls)(**selector, **fields)
 
 
 def run_session(config: SessionConfig) -> SessionOutcome:
     """Run the protocol a config record names.  Each runner is looked up by
     its module-level name at the call, so a patch of that name reaches it."""
-    protocol = config.protocol
-    if protocol == "sqka":
-        return run_sqka(config)
-    if protocol == "sqkd":
-        return run_sqkd(config)
-    if protocol == "cdssqc-ghz":
-        return run_cdssqc_ghz(config)
-    if protocol == "cdssqc-switch":
-        return run_cdssqc_switch(config)
-    if protocol == "sqd":
-        return run_sqd(config)
-    raise ValueError(f"unknown protocol {protocol!r}")
+    if config.protocol not in PROTOCOLS:
+        raise ValueError(f"unknown protocol {config.protocol!r}")
+    return _bound(PROTOCOLS[config.protocol][2])(config)
 
 
-__all__ = [
-    "PROTOCOLS",
-    "AbortReason",
-    "Bits",
-    "CdssqcConfig",
-    "CdssqcVariant",
-    "Event",
-    "RawKeys",
-    "SessionConfig",
-    "SessionOutcome",
-    "SpotCheckedConfig",
-    "SqdConfig",
-    "SqkaConfig",
-    "Transcript",
-    "bits_to_hex",
-    "decode_dialogue",
-    "detection_disabled",
-    "extract_bob_key_bit",
-    "hex_to_bits",
-    "make_config",
-    "run_cdssqc_ghz",
-    "run_cdssqc_switch",
-    "run_session",
-    "run_sqd",
-    "run_sqka",
-    "run_sqkd",
-    "xor_bits",
-]
+__all__ = ["PROTOCOLS", "make_config", "run_session", *_EXPORTS]

@@ -38,6 +38,9 @@ class CdssqcConfig(SpotCheckedConfig):
     charlie_permutation_enabled: bool = True
     message: Bits | None = None
 
+    def __post_init__(self):  # protocols.PROTOCOLS names the variant by its value
+        object.__setattr__(self, "variant", CdssqcVariant(self.variant))
+
     @property
     def protocol(self) -> str:
         return "cdssqc-ghz" if self.variant is CdssqcVariant.GHZ_LIKE else "cdssqc-switch"
