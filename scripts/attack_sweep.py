@@ -10,6 +10,7 @@ run that fails prints none of it.
 """
 import argparse
 import sys
+from dataclasses import replace
 
 from semiquantum.adversary import AttackKind, AttackStrategy
 from semiquantum.cli import out_of_memory, stdout_failed
@@ -32,9 +33,10 @@ def main() -> int:
 
     rows = [",".join(CSV_COLUMNS)]
     for protocol in PROTOCOLS:
-        keyed = {"commitments_enabled": False} if protocol in ("sqka", "sqkd") else {}
         for attack in AttackKind:
-            config = make_config(protocol, n=args.n, attack=AttackStrategy(kind=attack), **keyed)
+            config = make_config(protocol, n=args.n, attack=AttackStrategy(kind=attack))
+            if hasattr(config, "commitments_enabled"):
+                config = replace(config, commitments_enabled=False)
             stats = run_trials(config, args.trials, args.seed)
             rows.append(emit_stats(stats, "csv").decode().split("\n")[1])
     print("\n".join(rows))

@@ -39,7 +39,7 @@ class AttackKind(Enum):
 class AttackStrategy:
     """Which adversary model is active and which channel legs it touches.
 
-    ``legs=None`` means the protocol-specific default for the attack kind.
+    ``legs=None`` means ``default_legs`` for the kind and protocol family.
     ``eve_rng_seed=None`` derives Eve's stream from the session seed.
     """
 
@@ -58,32 +58,18 @@ class AttackStrategy:
 # not attackable here.
 LEGS = frozenset({"forward", "return"})
 
-_DEFAULT_LEGS: dict[AttackKind, dict[str, frozenset[str]]] = {
-    AttackKind.NONE: {},
-    AttackKind.CNOT: {
-        p: LEGS for p in ("sqka", "sqkd", "sqd", "cdssqc-ghz", "cdssqc-switch")
-    },
-    AttackKind.INTERCEPT_RESEND: {
-        "sqka": LEGS,
-        "sqkd": LEGS,
-        "sqd": LEGS,
-        "cdssqc-ghz": frozenset({"forward"}),
-        "cdssqc-switch": frozenset({"forward"}),
-    },
-    AttackKind.MEASURE_RESEND: {
-        "sqka": frozenset({"forward"}),
-        "sqkd": frozenset({"forward"}),
-        "sqd": frozenset({"forward"}),
-        "cdssqc-ghz": LEGS,
-        "cdssqc-switch": LEGS,
-    },
+# Each attack kind's default legs: (psi-pair protocols, controlled protocols).
+_DEFAULT_LEGS: dict[AttackKind, tuple[frozenset[str], frozenset[str]]] = {
+    AttackKind.NONE: (frozenset(), frozenset()),
+    AttackKind.CNOT: (LEGS, LEGS),
+    AttackKind.INTERCEPT_RESEND: (LEGS, frozenset({"forward"})),
+    AttackKind.MEASURE_RESEND: (frozenset({"forward"}), LEGS),
 }
 
 
-def default_legs(kind: AttackKind, protocol: str) -> frozenset[str]:
-    if kind is AttackKind.NONE:
-        return frozenset()
-    return _DEFAULT_LEGS[kind][protocol]
+def default_legs(kind: AttackKind, controlled: bool) -> frozenset[str]:
+    """The legs ``kind`` attacks by default, with a controller or without."""
+    return _DEFAULT_LEGS[kind][controlled]
 
 
 @dataclass
@@ -279,21 +265,20 @@ class MeasureResendAttack(ChannelAttack):
         st.inferred_bits = tuple(bits)
 
 
-def build_attack(strategy: AttackStrategy, protocol: str, eve: PartyContext | None) -> ChannelAttack:
-    """Instantiate the channel hooks for a strategy in a given protocol.
-
-    ``eve`` may be None only under ``AttackKind.NONE``.
-    """
-    legs = strategy.legs if strategy.legs is not None else default_legs(strategy.kind, protocol)
+def build_attack(strategy: AttackStrategy, controlled: bool, eve: PartyContext | None) -> ChannelAttack:
+    """Instantiate the channel hooks for a strategy in a protocol with a
+    controller (``controlled``) or without; ``eve`` may be None only under
+    ``AttackKind.NONE``."""
+    legs = strategy.legs if strategy.legs is not None else default_legs(strategy.kind, controlled)
     if not legs <= LEGS:
-        raise ValueError(f"legs {sorted(legs)} not available in {protocol}: {sorted(LEGS)}")
+        raise ValueError(f"legs {sorted(legs)} not available: {sorted(LEGS)}")
     if strategy.kind is AttackKind.NONE:
         return NoAttack(eve, legs)
     if strategy.kind is AttackKind.CNOT:
         # the return-leg CNOT acts on the ancillas of the forward leg
         return CnotAttack(eve, legs if "forward" in legs else frozenset())
     if strategy.kind is AttackKind.INTERCEPT_RESEND:
-        if protocol in ("cdssqc-ghz", "cdssqc-switch"):
+        if controlled:
             return SubstituteSinglesAttack(eve, legs)
         if "return" in legs and "forward" not in legs:
             raise ValueError("intercept-resend classifies return wires against the Bell "

@@ -11,7 +11,7 @@ import argparse
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import analysis
 from .adversary import AttackKind, AttackStrategy
@@ -49,13 +49,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None, help="64-bit seed (default SEMIQ_SEED or 0)")
     p.add_argument("--threshold", type=float, default=0.0)
     p.add_argument("--permutation", choices=("on", "off"), default="on")
-    p.add_argument("--commitments", choices=("on", "off"), default="on", help="sqka, sqkd only")
+    p.add_argument("--commitments", choices=("on", "off"), default="on",
+                   help="key agreement and distribution only")
     p.add_argument("--out", default=None, help="write output to this path (atomic)")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument(
         "--messages",
         default=None,
-        help="comma-separated hex messages: one for cdssqc, alice,bob for sqd",
+        help="comma-separated hex messages: one for controlled communication, alice,bob for dialogue",
     )
     return p
 
@@ -79,30 +80,24 @@ def parse_args(argv: list[str]) -> CliConfig:
         raise ValidationError("--trials must be >= 1")
     if not 0.0 <= ns.threshold <= 1.0:
         raise ValidationError("--threshold must lie in [0, 1]")
-    fields = dict(n=ns.n, m=ns.m, seed=seed, attack=AttackStrategy(kind=ATTACKS[ns.attack]))
-    fields.update(threshold=ns.threshold, permutation_enabled=ns.permutation == "on")
-    keyed = ns.protocol in ("sqka", "sqkd")
-    if keyed:
-        fields["commitments_enabled"] = ns.commitments == "on"
+    config = make_config(ns.protocol, n=ns.n, m=ns.m, seed=seed, threshold=ns.threshold,
+                         attack=AttackStrategy(kind=ATTACKS[ns.attack]),
+                         permutation_enabled=ns.permutation == "on")
+    if hasattr(config, "commitments_enabled"):
+        config = replace(config, commitments_enabled=ns.commitments == "on")
     if ns.messages is not None:
-        if keyed:
-            raise ValidationError(f"--messages is not accepted for {ns.protocol}")
         messages = [s.strip() for s in ns.messages.split(",")]
-        names = ("alice_message", "bob_message") if ns.protocol == "sqd" else ("message",)
+        names = config.MESSAGES
         if len(messages) != len(names):
-            raise ValidationError(
-                "sqd takes exactly two messages: alice,bob"
-                if ns.protocol == "sqd"
-                else "cdssqc takes exactly one message"
-            )
-        for name, msg in zip(names, messages):
-            try:
-                fields[name] = hex_to_bits(msg, ns.n)
-            except ValueError as exc:
-                raise ValidationError(f"bad message {msg!r}: {exc}") from exc
+            raise ValidationError(f"{ns.protocol} takes {len(names)} --messages, got {len(messages)}")
+        try:
+            bits = {name: hex_to_bits(msg, ns.n) for name, msg in zip(names, messages)}
+        except ValueError as exc:
+            raise ValidationError(f"bad message: {exc}") from exc
+        config = replace(config, **bits)
     if ns.trials == 1 and ns.format == "csv":
         raise ValidationError("single-session transcripts are json only")
-    return CliConfig(make_config(ns.protocol, **fields), ns.trials, ns.format, ns.out)
+    return CliConfig(config, ns.trials, ns.format, ns.out)
 
 
 def _write_atomic(path: str, payload: bytes) -> None:

@@ -20,7 +20,7 @@ from enum import Enum
 
 from ..parties import Permutation, random_permutation
 from ..qsim import COMPUTATIONAL, BellKind, OrthonormalPair
-from .common import CONTROL, HOME, TRAVEL, Bits, Session, SessionOutcome, SpotCheckedConfig, qubit
+from .common import CONTROL, HOME, TRAVEL, Bits, Session, SessionOutcome, SpotCheckedConfig, expect, qubit
 
 
 class CdssqcVariant(Enum):
@@ -37,6 +37,7 @@ class CdssqcConfig(SpotCheckedConfig):
     switch_bell: BellKind = BellKind.PSI_PLUS
     charlie_permutation_enabled: bool = True
     message: Bits | None = None
+    MESSAGES = ("message",)
 
     def __post_init__(self):  # protocols.PROTOCOLS names the variant by its value
         object.__setattr__(self, "variant", CdssqcVariant(self.variant))
@@ -47,14 +48,12 @@ class CdssqcConfig(SpotCheckedConfig):
 
 
 def run_cdssqc_ghz(config: CdssqcConfig) -> SessionOutcome:
-    if config.variant is not CdssqcVariant.GHZ_LIKE:
-        raise ValueError("config variant must be GHZ_LIKE")
+    expect(config, "cdssqc-ghz")
     return _run(config)
 
 
 def run_cdssqc_switch(config: CdssqcConfig) -> SessionOutcome:
-    if config.variant is not CdssqcVariant.SWITCH:
-        raise ValueError("config variant must be SWITCH")
+    expect(config, "cdssqc-switch")
     return _run(config)
 
 
@@ -64,16 +63,14 @@ def _branch_state(config: CdssqcConfig, g: int) -> BellKind:
 
 def _run(config: CdssqcConfig) -> SessionOutcome:
     ghz = config.variant is CdssqcVariant.GHZ_LIKE
-    session = Session(config, config.protocol, classical="alice", controller=True)
+    session = Session(config, classical="alice", controller=True)
     if ghz and config.psi1 is config.psi2:
         raise ValueError("psi1 and psi2 must differ")
     alice, bob, charlie = session.alice, session.bob, session.charlie
     transcript, details = session.transcript, session.details
     n, total = session.n, session.total
     basis = config.controller_basis
-    message = config.message if config.message is not None else alice.rng.bits(n)
-    if len(message) != n:
-        raise ValueError("message length must equal n")
+    message = session.given_or_drawn(alice, "message")
 
     if ghz:
         step = charlie.step("prepare_ghz_like")

@@ -34,6 +34,7 @@ class SessionConfig:
     decoy ratio.  Each protocol's config adds its own fields and says which
     protocol it runs as ``protocol``."""
 
+    MESSAGES = ()  # not a field: the message fields, in ``--messages`` order
     n: int
     m: int | None = None
     seed: int = 0
@@ -77,11 +78,11 @@ class Event:
     payload: dict
 
 
+@dataclass
 class Transcript:
     """Ordered, append-only log of the session's public classical events."""
 
-    def __init__(self):
-        self.events: list[Event] = []
+    events: list[Event] = field(default_factory=list)
 
     def log(self, actor: str, action: str, **payload) -> Event:
         ev = Event(len(self.events), actor, action, payload)
@@ -124,12 +125,11 @@ class SessionOutcome:
     raw: RawKeys | None = None
     details: dict = field(default_factory=dict)
 
-    def eve_confidences(self) -> tuple[float, ...] | None:
-        """1.0 for a committed inference, 0.5 for an unknown slot."""
-        if self.eve_inferences is None:
-            return None
-        return tuple(1.0 if b is not None else 0.5 for b in self.eve_inferences)
 
+def expect(config: SessionConfig, protocol: str) -> None:
+    """Refuse a config that names another protocol than the runner's."""
+    if config.protocol != protocol:
+        raise ValueError(f"the {protocol} runner got a {config.protocol} config")
 
 
 class Session:
@@ -157,12 +157,11 @@ class Session:
     the loop has run it.
     """
 
-    def __init__(self, config, protocol: str, classical: str, controller: bool = False):
+    def __init__(self, config, classical: str, controller: bool = False):
         self.n, self.m = config.n, config.decoy_count()
         if self.n < 1 or self.m < 1:
             raise ZeroCount(f"need n >= 1 and m >= 1, got n={self.n}, m={self.m}")
         self.config = config
-        self.protocol = protocol
         self.total = self.n + self.m
         self.transcript = Transcript()
         self.lanes = lanes = Lanes(self.total)
@@ -182,7 +181,7 @@ class Session:
             eve_seed = config.attack.eve_rng_seed
             eve_rng = RandomSource(derive_seed(config.seed, 3) if eve_seed is None else eve_seed)
             eve = PartyContext("eve", Capability.QUANTUM, eve_rng, lanes)
-        self.attack = build_attack(config.attack, protocol, eve)
+        self.attack = build_attack(config.attack, controller, eve)
         self.slots = list(range(self.total))  # the positions still in play
         self.error_rate = 0.0
         self.details: dict = {
@@ -191,6 +190,13 @@ class Session:
             "decoy_checked": 0,
             "decoy_mismatches": 0,
         }
+
+    def given_or_drawn(self, party: PartyContext, name: str) -> Bits:
+        """The config's bits ``name``, or ``n`` bits ``party`` draws if it sets none."""
+        bits = getattr(self.config, name)
+        if bits is not None and len(bits) != self.n:
+            raise ValueError(f"{name} must have length n={self.n}, got {len(bits)}")
+        return party.rng.bits(self.n) if bits is None else bits
 
     def psi_pairs(self) -> None:
         """Alice prepares psi+ pairs, keeps the HOME halves and sends the TRAVEL halves."""
@@ -368,7 +374,7 @@ class Session:
     ) -> SessionOutcome:
         self.details["party_ops"] = {p.name: sorted(p.ops_log) for p in self.parties}
         return SessionOutcome(
-            protocol=self.protocol,
+            protocol=self.config.protocol,
             aborted=reason is not AbortReason.NONE,
             abort_reason=reason,
             keys=keys,

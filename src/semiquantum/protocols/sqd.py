@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from ..parties import ClassicalAction, choose_actions
 from ..qsim import BellKind
-from .common import HOME, Bits, Session, SessionOutcome, SpotCheckedConfig, qubit
+from .common import HOME, Bits, Session, SessionOutcome, SpotCheckedConfig, expect, qubit
 
 
 @dataclass(frozen=True)
@@ -23,6 +23,7 @@ class SqdConfig(SpotCheckedConfig):
     alice_message: Bits | None = None
     bob_message: Bits | None = None
     final_measurement: str = "bell"  # or "zz"
+    MESSAGES = ("alice_message", "bob_message")
 
 
 def decode_dialogue(outcome: BellKind, own_bit: int) -> int:
@@ -31,15 +32,14 @@ def decode_dialogue(outcome: BellKind, own_bit: int) -> int:
 
 
 def run_sqd(config: SqdConfig) -> SessionOutcome:
-    session = Session(config, "sqd", classical="bob")
+    expect(config, "sqd")
+    session = Session(config, classical="bob")
     if config.final_measurement not in ("bell", "zz"):
         raise ValueError("final_measurement must be 'bell' or 'zz'")
     alice, bob, transcript = session.alice, session.bob, session.transcript
     n = session.n
-    m_a = config.alice_message if config.alice_message is not None else alice.rng.bits(n)
-    m_b = config.bob_message if config.bob_message is not None else bob.rng.bits(n)
-    if len(m_a) != n or len(m_b) != n:
-        raise ValueError("messages must have length n")
+    m_a = session.given_or_drawn(alice, "alice_message")
+    m_b = session.given_or_drawn(bob, "bob_message")
 
     session.psi_pairs()
     transcript.log("bob", "ack_receipt")

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 from ..parties import ClassicalAction, choose_actions, commit, verify
 from ..qsim import BellKind
 from .common import (
-    HOME, AbortReason, Bits, RawKeys, Session, SessionConfig, SessionOutcome, xor_bits
+    HOME, AbortReason, Bits, RawKeys, Session, SessionConfig, SessionOutcome, expect, xor_bits
 )
 
 
@@ -44,22 +44,23 @@ def extract_bob_key_bit(r_a: int, travel_outcome: int) -> int:
 
 
 def run_sqka(config: SqkaConfig) -> SessionOutcome:
-    return _run_keyed(config, announce_key=True)
+    expect(config, "sqka")
+    return _run_keyed(config)
 
 
 def run_sqkd(config: SqkaConfig) -> SessionOutcome:
     """Deterministic key-distribution reduction: Alice never announces K_A."""
-    return _run_keyed(config, announce_key=False)
+    expect(config, "sqkd")
+    return _run_keyed(config)
 
 
-def _run_keyed(config: SqkaConfig, announce_key: bool) -> SessionOutcome:
-    session = Session(config, "sqka" if announce_key else "sqkd", classical="bob")
+def _run_keyed(config: SqkaConfig) -> SessionOutcome:
+    session = Session(config, classical="bob")
     alice, bob, transcript = session.alice, session.bob, session.transcript
     n = session.n
-    k_a = config.fixed_k_a if config.fixed_k_a is not None else alice.rng.bits(n)
-    k_b = config.fixed_k_b if config.fixed_k_b is not None else bob.rng.bits(n)
-    if len(k_a) != n or len(k_b) != n:
-        raise ValueError("fixed raw keys must have length n")
+    announce_key = config.protocol == "sqka"
+    k_a = session.given_or_drawn(alice, "fixed_k_a")
+    k_b = session.given_or_drawn(bob, "fixed_k_b")
 
     c_a = c_b = None
     if config.commitments_enabled:

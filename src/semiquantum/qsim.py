@@ -492,10 +492,8 @@ class _Shared:
 
 
 # Op codes of the integer memo keys (see _key).  A preparation of |bit> has
-# the code _PREP_Z + bit, a Bell-pair preparation BELL_ORDER index << 3 |
-# _PREP_BELL.
-_Z, _X, _PREP_Z, _CNOT, _BELL, _PREP_BELL = 1, 2, 3, 5, 6, 7
-_BELL_INDEX = {kind: i for i, kind in enumerate(BELL_ORDER)}
+# the code _PREP_Z + bit.
+_Z, _X, _PREP_Z, _CNOT, _BELL = 1, 2, 3, 5, 6
 
 
 def _key(code, roles: tuple):
@@ -673,15 +671,7 @@ class Lanes:
         return a
 
     def prepare_bell(self, kind: BellKind, a1: int, a2: int, count: int = 1) -> tuple:
-        cells = self.cells
-        code = _BELL_INDEX[kind] << 3 | _PREP_BELL
-        state = None
-        if count == 1 and a1 >> 3 == a2 >> 3 and cells[a1] is _NONE is cells[a2]:
-            state = _NONE.memo.get(((a1 & 7) << 16 | a2 & 7) << 5 | code)
-        if state is None:
-            self._prepare(code, _BELL_KETS[kind], (a1, a2), count)
-        else:
-            cells[a1] = cells[a2] = state
+        self._prepare(None, _BELL_KETS[kind], (a1, a2), count)
         return a1, a2
 
     def prepare_ghz_like(

@@ -60,10 +60,6 @@ class RandomSource:
         self.seed = seed & _MASK64
         self._mt = _random.Random(self.seed)
 
-    def spawn(self, *path: int) -> "RandomSource":
-        """A new independent source derived from this seed and ``path``."""
-        return RandomSource(derive_seed(self.seed, *path))
-
     def random(self) -> float:
         """A uniform float in [0, 1): the simulator's per-measurement draw."""
         return self._mt.random()

@@ -141,7 +141,7 @@ def test_criterion_4_entangle_probe_attack():
     for i in range(500):
         cfg = SqkaConfig(
             n=16, seed=derive_seed(MASTER, 4, i),
-            attack=AttackStrategy(AttackKind.CNOT), permutation_enabled=False,
+            attack=AttackStrategy(AttackKind.CNOT), permutation_enabled=False, protocol="sqkd",
         )
         out = run_sqkd(cfg)
         assert not out.aborted

@@ -3,8 +3,14 @@ import numpy as np
 import pytest
 
 from semiquantum.adversary import (
+    LEGS,
     AttackKind,
     AttackStrategy,
+    CnotAttack,
+    InterceptResendAttack,
+    MeasureResendAttack,
+    NoAttack,
+    SubstituteSinglesAttack,
     build_attack,
     default_legs,
     eve_qubit,
@@ -38,7 +44,7 @@ def quantum_party(name="eve", seed=9):
 def sqka_attack(kind, seed=9):
     """The hooks of ``kind`` against sqka (default legs), and Eve's lanes."""
     eve, lanes = quantum_party(seed=seed)
-    return build_attack(AttackStrategy(kind), "sqka", eve), lanes
+    return build_attack(AttackStrategy(kind), False, eve), lanes
 
 
 # ---------------------------------------------------------------------------
@@ -187,26 +193,44 @@ def test_measure_resend_forwards_outcome_copies():
 
 
 def test_default_legs_table():
-    assert default_legs(AttackKind.NONE, "sqka") == frozenset()
-    assert default_legs(AttackKind.CNOT, "sqd") == {"forward", "return"}
-    assert default_legs(AttackKind.MEASURE_RESEND, "sqka") == {"forward"}
-    assert default_legs(AttackKind.INTERCEPT_RESEND, "cdssqc-ghz") == {"forward"}
+    # psi-pair protocols (sqka, sqkd, sqd), then controlled ones (cdssqc)
+    assert default_legs(AttackKind.NONE, False) == default_legs(AttackKind.NONE, True) == frozenset()
+    assert default_legs(AttackKind.CNOT, False) == default_legs(AttackKind.CNOT, True) == LEGS
+    assert default_legs(AttackKind.INTERCEPT_RESEND, False) == LEGS
+    assert default_legs(AttackKind.INTERCEPT_RESEND, True) == {"forward"}
+    assert default_legs(AttackKind.MEASURE_RESEND, False) == {"forward"}
+    assert default_legs(AttackKind.MEASURE_RESEND, True) == LEGS
 
 
-def test_build_attack_rejects_unknown_leg():
+@pytest.mark.parametrize("controlled", [False, True])
+def test_build_attack_picks_the_family_hooks(controlled):
+    expected = {
+        AttackKind.NONE: NoAttack,
+        AttackKind.CNOT: CnotAttack,
+        AttackKind.INTERCEPT_RESEND: SubstituteSinglesAttack if controlled else InterceptResendAttack,
+        AttackKind.MEASURE_RESEND: MeasureResendAttack,
+    }
+    for kind, cls in expected.items():
+        eve, _ = quantum_party()
+        attack = build_attack(AttackStrategy(kind), controlled, eve)
+        assert type(attack) is cls
+        assert attack.legs == default_legs(kind, controlled)
+
+
+@pytest.mark.parametrize("controlled", [False, True])
+def test_build_attack_rejects_unknown_leg(controlled):
     eve, _ = quantum_party()
     strategy = AttackStrategy(AttackKind.CNOT, legs=frozenset({"sideways"}))
     with pytest.raises(ValueError):
-        build_attack(strategy, "sqka", eve)
+        build_attack(strategy, controlled, eve)
 
 
-@pytest.mark.parametrize("protocol", ["sqka", "sqkd", "sqd"])
-def test_build_attack_rejects_return_only_intercept_resend(protocol):
+def test_build_attack_rejects_return_only_intercept_resend():
     # the return leg Bell-measures against pairs only the forward leg makes
     eve, _ = quantum_party()
     strategy = AttackStrategy(AttackKind.INTERCEPT_RESEND, legs=frozenset({"return"}))
     with pytest.raises(ValueError):
-        build_attack(strategy, protocol, eve)
+        build_attack(strategy, False, eve)
 
 
 def test_run_trials_rejects_return_only_intercept_resend():
@@ -235,7 +259,7 @@ def test_eve_rng_seed_override_changes_attack_randomness():
 
 def test_none_attack_passthrough():
     eve, _ = quantum_party()
-    attack = build_attack(AttackStrategy.none(), "sqka", eve)
+    attack = build_attack(AttackStrategy.none(), False, eve)
     assert attack.forward_leg(["a", "b"]) == ["a", "b"]
     assert attack.wire(0, "a") == "a"
     attack.finalize([0, 1])

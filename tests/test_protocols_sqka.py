@@ -244,10 +244,3 @@ def test_measure_resend_keeps_keys_but_trips_decoys():
     assert passed / 120 == pytest.approx(0.25, abs=0.12)
 
 
-def test_eve_confidences_convention():
-    out = run_sqka(
-        SqkaConfig(n=12, seed=4, attack=ir(), permutation_enabled=False, threshold=1.0,
-                   commitments_enabled=False)
-    )
-    conf = out.eve_confidences()
-    assert all(c == (0.5 if b is None else 1.0) for b, c in zip(out.eve_inferences, conf))

@@ -325,8 +325,6 @@ def test_state_vector_validation():
 def test_random_source_determinism(seed):
     a, b = RandomSource(seed), RandomSource(seed)
     assert [a.bit() for _ in range(8)] == [b.bit() for _ in range(8)]
-    assert a.spawn(1).seed == b.spawn(1).seed
-    assert a.spawn(1).seed != a.spawn(2).seed
 
 
 def test_norm_preserved_under_random_walk():

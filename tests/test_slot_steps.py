@@ -133,7 +133,7 @@ def test_steps_are_built_once_per_capability():
 
 
 def test_quantum_step_refused_to_classical_party_before_any_register_changes():
-    session = common.Session(SqkaConfig(n=2, m=2, seed=4), "sqka", classical="bob")
+    session = common.Session(SqkaConfig(n=2, m=2, seed=4), classical="bob")
     session.psi_pairs()
     lanes = session.lanes
     before = {q: (lanes.state_of(q).labels, dict(lanes.state_of(q)._ket.entries)) for q in lanes.labels()}
