@@ -10,12 +10,12 @@ run that fails prints none of it.
 """
 import argparse
 import sys
-from dataclasses import replace
 
 from semiquantum.adversary import AttackKind, AttackStrategy
 from semiquantum.cli import out_of_memory, stdout_failed
 from semiquantum.analysis import CSV_COLUMNS, emit_stats, run_trials
 from semiquantum.protocols import PROTOCOLS, make_config
+from semiquantum.records import replace
 
 
 def main() -> int:

@@ -21,11 +21,11 @@ work is capability-checked and norm-checked like everything else.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 
 from .parties import PartyContext
 from .qsim import BellKind
+from .records import Record
 
 
 class AttackKind(Enum):
@@ -35,8 +35,7 @@ class AttackKind(Enum):
     MEASURE_RESEND = "measure-resend"
 
 
-@dataclass(frozen=True)
-class AttackStrategy:
+class AttackStrategy(Record):
     """Which adversary model is active and which channel legs it touches.
 
     ``legs=None`` means ``default_legs`` for the kind and protocol family.
@@ -72,15 +71,15 @@ def default_legs(kind: AttackKind, controlled: bool) -> frozenset[str]:
     return _DEFAULT_LEGS[kind][controlled]
 
 
-@dataclass
 class EveState:
     """Eve's outcomes and per-slot inferences; her qubits follow from her
     slot list (``ChannelAttack.slots``)."""
 
-    forward_bits: dict[int, int] = field(default_factory=dict)  # by slot
-    wire_bits: dict[int, int | None] = field(default_factory=dict)
-    wire_classifications: dict[int, str] = field(default_factory=dict)
-    inferred_bits: tuple[int | None, ...] | None = None
+    def __init__(self):
+        self.forward_bits: dict[int, int] = {}  # by slot
+        self.wire_bits: dict[int, int | None] = {}
+        self.wire_classifications: dict[int, str] = {}
+        self.inferred_bits: tuple[int | None, ...] | None = None
 
 
 # ---------------------------------------------------------------------------

@@ -13,12 +13,12 @@ from __future__ import annotations
 import io
 import json
 import math
-from dataclasses import asdict, dataclass, replace
 from enum import Enum
 
 from .adversary import AttackKind
 from .errors import SemiQuantumError, UnknownAttack
 from .protocols import SessionConfig, SessionOutcome, run_session
+from .records import Record, fields, replace
 from .rng import derive_seed
 
 TRANSCRIPT_SCHEMA = "semiquantum.transcript/1"
@@ -43,8 +43,7 @@ CSV_COLUMNS = (
 # qubit efficiency
 
 
-@dataclass(frozen=True)
-class ProtocolCostRow:
+class ProtocolCostRow(Record):
     """Per-protocol cost coefficients, all linear in the message length n."""
 
     protocol: str
@@ -134,8 +133,7 @@ def detection_model(attack: AttackKind, m: int) -> float:
 # Monte Carlo driver
 
 
-@dataclass(frozen=True)
-class TrialStats:
+class TrialStats(Record):
     """Aggregated session statistics with 99% binomial half-widths."""
 
     protocol: str
@@ -152,7 +150,8 @@ class TrialStats:
     halfwidth99: dict[str, float]
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "eta": float(TABLE3[self.protocol].efficiency())}
+        row = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {**row, "halfwidth99": dict(self.halfwidth99), "eta": float(TABLE3[self.protocol].efficiency())}
 
 
 # Each rate's hits and total keys in a trial record.

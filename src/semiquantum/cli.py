@@ -11,11 +11,11 @@ import argparse
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, replace
 
 from . import analysis
 from .adversary import AttackKind, AttackStrategy
 from .protocols import PROTOCOLS, SessionConfig, hex_to_bits, make_config, run_session
+from .records import Record, replace
 
 ATTACKS = {a.value: a for a in AttackKind}
 
@@ -28,8 +28,7 @@ class ValidationError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class CliConfig:
+class CliConfig(Record):
     session: SessionConfig
     trials: int
     format: str

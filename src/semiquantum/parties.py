@@ -16,11 +16,11 @@ built, once per process for each capability, and added to the party's
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 from enum import Enum
 
 from .errors import CapabilityViolation, EmptyInput, ZeroCount
 from .qsim import BellKind, Lanes, OrthonormalPair
+from .records import Record
 from .rng import RandomSource
 
 
@@ -111,8 +111,7 @@ def choose_actions(n_encode: int, m_decoy: int, rng: RandomSource) -> list[Class
     return actions
 
 
-@dataclass(frozen=True)
-class Permutation:
+class Permutation(Record):
     """Bijection on sequence positions; element i of the input moves to mapping[i]."""
 
     size: int
@@ -132,8 +131,8 @@ class Permutation:
         if len(seq) != self.size:
             raise ValueError(f"sequence length {len(seq)} != permutation size {self.size}")
         out = [None] * self.size
-        for i, x in enumerate(seq):
-            out[self.mapping[i]] = x
+        for i, x in zip(self.mapping, seq):
+            out[i] = x
         return out
 
     def destination(self, i: int) -> int:
@@ -147,7 +146,6 @@ def random_permutation(size: int, rng: RandomSource) -> Permutation:
     return Permutation(size, tuple(rng.permutation(size)))
 
 
-@dataclass
 class Commitment:
     """Ideal commitment: binding and hiding by construction.
 
@@ -156,9 +154,8 @@ class Commitment:
     on the exact committed string.
     """
 
-    digest: bytes
-    opened: bool = False
-    _sealed: tuple[int, ...] = field(default=(), repr=False)
+    def __init__(self, digest: bytes, opened: bool = False, _sealed: tuple[int, ...] = ()):
+        self.digest, self.opened, self._sealed = digest, opened, _sealed
 
 
 def commit(bits: tuple[int, ...], rng: RandomSource) -> Commitment:

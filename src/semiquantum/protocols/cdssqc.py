@@ -15,7 +15,6 @@ qubit carrying message XOR outcome, return everything permuted.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 from ..parties import Permutation, random_permutation
@@ -28,7 +27,6 @@ class CdssqcVariant(Enum):
     SWITCH = "switch"
 
 
-@dataclass(frozen=True)
 class CdssqcConfig(SpotCheckedConfig):
     variant: CdssqcVariant = CdssqcVariant.GHZ_LIKE
     psi1: BellKind = BellKind.PSI_PLUS

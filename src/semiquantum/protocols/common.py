@@ -4,13 +4,13 @@ from __future__ import annotations
 
 import re
 from collections.abc import Callable
-from dataclasses import dataclass, field
 from enum import Enum
 
 from ..adversary import AttackKind, AttackStrategy, build_attack
 from ..errors import ZeroCount
 from ..parties import Capability, PartyContext, Permutation, Step, random_permutation
 from ..qsim import BellKind, Lanes
+from ..records import Record
 from ..rng import RandomSource, derive_seed
 
 Bits = tuple[int, ...]
@@ -28,8 +28,7 @@ def qubit(slot: int, role: int) -> int:
     return slot << 3 | role
 
 
-@dataclass(frozen=True)
-class SessionConfig:
+class SessionConfig(Record):
     """The parameters every protocol takes; ``m=None`` defaults to the 3n
     decoy ratio.  Each protocol's config adds its own fields and says which
     protocol it runs as ``protocol``."""
@@ -38,7 +37,7 @@ class SessionConfig:
     n: int
     m: int | None = None
     seed: int = 0
-    attack: AttackStrategy = field(default_factory=AttackStrategy.none)
+    attack: AttackStrategy = AttackStrategy.none()
     threshold: float = 0.0
     permutation_enabled: bool = True
 
@@ -46,7 +45,6 @@ class SessionConfig:
         return 3 * self.n if self.m is None else self.m
 
 
-@dataclass(frozen=True)
 class SpotCheckedConfig(SessionConfig):
     """A protocol that spot-checks ``spot_count()`` slots before the exchange;
     ``spot_check_size=None`` checks min(m, 2n)."""
@@ -70,38 +68,25 @@ class AbortReason(Enum):
     THRESHOLD_EXCEEDED = "threshold-exceeded"
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(Record):
     index: int
     actor: str
     action: str
     payload: dict
 
 
-@dataclass
-class Transcript:
+class Transcript(Record):
     """Ordered, append-only log of the session's public classical events."""
 
-    events: list[Event] = field(default_factory=list)
+    events: list[Event] = []
 
     def log(self, actor: str, action: str, **payload) -> Event:
         ev = Event(len(self.events), actor, action, payload)
         self.events.append(ev)
         return ev
 
-    def find(self, action: str) -> list[Event]:
-        return [e for e in self.events if e.action == action]
 
-    def index_of(self, action: str) -> int:
-        """Index of the unique event with this action; raises if absent."""
-        matches = self.find(action)
-        if len(matches) != 1:
-            raise ValueError(f"expected exactly one {action!r} event, found {len(matches)}")
-        return matches[0].index
-
-
-@dataclass(frozen=True)
-class RawKeys:
+class RawKeys(Record):
     """Per-party raw material of a key-agreement session."""
 
     k_a: Bits
@@ -111,8 +96,7 @@ class RawKeys:
     k_f: Bits
 
 
-@dataclass
-class SessionOutcome:
+class SessionOutcome(Record):
     """Final result of one protocol session, honest or attacked."""
 
     protocol: str
@@ -123,7 +107,7 @@ class SessionOutcome:
     error_rate_observed: float
     eve_inferences: tuple[int | None, ...] | None = None
     raw: RawKeys | None = None
-    details: dict = field(default_factory=dict)
+    details: dict = {}
 
 
 def expect(config: SessionConfig, protocol: str) -> None:
@@ -373,16 +357,9 @@ class Session:
         self, keys: dict, raw: RawKeys | None = None, reason: AbortReason = AbortReason.NONE
     ) -> SessionOutcome:
         self.details["party_ops"] = {p.name: sorted(p.ops_log) for p in self.parties}
-        return SessionOutcome(
-            protocol=self.config.protocol,
-            aborted=reason is not AbortReason.NONE,
-            abort_reason=reason,
-            keys=keys,
-            transcript=self.transcript,
-            error_rate_observed=self.error_rate,
-            eve_inferences=self.attack.state.inferred_bits,
-            raw=raw,
-            details=self.details,
+        return SessionOutcome(  # every field by position, the record's fast path
+            self.config.protocol, reason is not AbortReason.NONE, reason, keys, self.transcript,
+            self.error_rate, self.attack.state.inferred_bits, raw, self.details,
         )
 
 

@@ -10,14 +10,11 @@ pair measurement works identically and is available behind a config flag.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..parties import ClassicalAction, choose_actions
 from ..qsim import BellKind
 from .common import HOME, Bits, Session, SessionOutcome, SpotCheckedConfig, expect, qubit
 
 
-@dataclass(frozen=True)
 class SqdConfig(SpotCheckedConfig):
     protocol = "sqd"
     alice_message: Bits | None = None

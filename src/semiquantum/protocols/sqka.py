@@ -12,16 +12,14 @@ correlations.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
 from ..parties import ClassicalAction, choose_actions, commit, verify
 from ..qsim import BellKind
+from ..records import replace
 from .common import (
     HOME, AbortReason, Bits, RawKeys, Session, SessionConfig, SessionOutcome, expect, xor_bits
 )
 
 
-@dataclass(frozen=True)
 class SqkaConfig(SessionConfig):
     """A key-agreement session: ``protocol`` is "sqka" or its reduction "sqkd"."""
 

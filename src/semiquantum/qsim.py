@@ -54,7 +54,6 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import Sequence
 
@@ -142,7 +141,6 @@ def _vdot(u: tuple[complex, ...], v: tuple[complex, ...]) -> complex:
     return sum((x.conjugate() * y for x, y in zip(u, v)), 0j)
 
 
-@dataclass(frozen=True)
 class OrthonormalPair:
     """An orthonormal single-qubit basis {|a>, |b>} for controller measurements.
 
@@ -150,19 +148,13 @@ class OrthonormalPair:
     bases are equal, and hash alike, when their components are exactly equal.
     """
 
-    a: Sequence[complex] = field(compare=False)
-    b: Sequence[complex] = field(compare=False)
     # (a, b) components as Python complex numbers, their hash, and for each
     # bit value v the nonzero bras as (outcome, conj(component v)).
-    _kets: tuple = field(init=False, repr=False)
-    _hash: int = field(init=False, repr=False, compare=False)
-    _bras: _Bras = field(init=False, repr=False, compare=False)
+    __slots__ = ("a", "b", "_kets", "_hash", "_bras")
 
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __post_init__(self):
-        kets = a, b = tuple(map(complex, self.a)), tuple(map(complex, self.b))
+    def __init__(self, a: Sequence[complex], b: Sequence[complex]):
+        self.a, self.b = a, b
+        kets = a, b = tuple(map(complex, a)), tuple(map(complex, b))
         if len(a) != 2 or len(b) != 2:
             raise NonOrthonormalBasis("basis vectors must be single-qubit (length 2)")
         if (
@@ -175,9 +167,16 @@ class OrthonormalPair:
             tuple((o, ket[v].conjugate()) for o, ket in enumerate(kets) if ket[v])
             for v in (0, 1)
         )
-        object.__setattr__(self, "_kets", kets)
-        object.__setattr__(self, "_hash", hash(kets))
-        object.__setattr__(self, "_bras", bras)
+        self._kets, self._hash, self._bras = kets, hash(kets), bras
+
+    def __eq__(self, other) -> bool:
+        return self._kets == other._kets if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __repr__(self) -> str:
+        return f"OrthonormalPair(a={self.a!r}, b={self.b!r})"
 
 
 COMPUTATIONAL = OrthonormalPair((1.0, 0.0), (0.0, 1.0))

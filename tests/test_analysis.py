@@ -145,7 +145,7 @@ def test_aggregation_is_order_independent():
     from semiquantum.analysis import aggregate_records, trial_record
     from semiquantum.protocols import run_session
     from semiquantum.rng import derive_seed
-    from dataclasses import replace as dc_replace
+    from semiquantum.records import replace as dc_replace
 
     template = SqkaConfig(
         n=6, m=2, attack=AttackStrategy(AttackKind.INTERCEPT_RESEND), commitments_enabled=False
@@ -193,7 +193,7 @@ def test_monte_carlo_agrees_with_detection_model():
 
 
 def test_aborted_transcript_serializes():
-    from dataclasses import replace as dc_replace
+    from semiquantum.records import replace as dc_replace
 
     cfg = SqkaConfig(
         n=2, m=2, seed=0, attack=AttackStrategy(AttackKind.INTERCEPT_RESEND),

@@ -1,5 +1,7 @@
 """A CLI run imports only what it runs: the one runner module its protocol
-names, and neither the reference simulator nor the stats-only modules."""
+names, and neither the reference simulator nor the stats-only modules, nor
+``dataclasses`` and the ``inspect`` it imports."""
+import ast
 import json
 import os
 import subprocess
@@ -11,7 +13,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 RUNNER_OF = {"sqka": "sqka", "sqkd": "sqka", "cdssqc-ghz": "cdssqc", "cdssqc-switch": "cdssqc", "sqd": "sqd"}
 WATCHED = ["semiquantum.protocols.sqka", "semiquantum.protocols.cdssqc", "semiquantum.protocols.sqd",
-           "semiquantum.qsim_reference", "fractions", "csv"]
+           "semiquantum.qsim_reference", "fractions", "csv", "dataclasses", "inspect"]
 
 # Runs semiquantum.cli.main on the arguments after the first, which lists
 # modules to watch, and prints as JSON its exit code, the watched modules
@@ -49,3 +51,16 @@ def test_csv_stats_run_loads_csv():
     loaded, present = _run("--protocol", "sqd", "--n", "2", "--trials", "2", "--format", "csv")
     assert "csv" in present
     assert "semiquantum.protocols.sqd" in loaded and "semiquantum.qsim_reference" not in loaded
+    assert "dataclasses" not in loaded and "inspect" not in loaded
+
+
+def test_no_package_module_imports_dataclasses_or_inspect():
+    for path in sorted((ROOT / "src" / "semiquantum").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                modules = [node.module]
+            else:
+                continue
+            assert not {m.split(".")[0] for m in modules} & {"dataclasses", "inspect"}, f"{path}:{node.lineno}"

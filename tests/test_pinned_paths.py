@@ -11,8 +11,6 @@ field breaks them.
 """
 import hashlib
 import json
-from dataclasses import replace
-
 import pytest
 
 from semiquantum.adversary import AttackKind, AttackStrategy
@@ -25,6 +23,7 @@ from semiquantum.protocols import (
     run_session,
 )
 from semiquantum.qsim import HADAMARD, BellKind
+from semiquantum.records import replace
 
 SEEDS = (0, 1, 2)
 

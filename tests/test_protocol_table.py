@@ -1,14 +1,13 @@
 """The protocol table: each id builds, runs and parses as the same protocol,
 and the config is the one place that says which protocol runs."""
 import ast
-import dataclasses
 import re
 import types
 from pathlib import Path
 
 import pytest
 
-from semiquantum import protocols
+from semiquantum import protocols, records
 from semiquantum.adversary import AttackKind, AttackStrategy
 from semiquantum.cli import _build_parser
 from semiquantum.protocols import (
@@ -85,7 +84,7 @@ def test_runners_refuse_other_protocols_configs(runner):
 @pytest.mark.parametrize("protocol", PROTOCOLS)
 def test_message_fields_are_config_fields(protocol):
     config = make_config(protocol, n=2)
-    names = {f.name for f in dataclasses.fields(config)}
+    names = {f.name for f in records.fields(config)}
     assert set(config.MESSAGES) <= names
     assert "MESSAGES" not in names
 
@@ -95,7 +94,7 @@ def test_message_fields_are_config_fields(protocol):
 def test_outcomes_compare_by_value(protocol, attack):
     config = make_config(protocol, n=3, seed=11, attack=AttackStrategy(attack))
     assert run_session(config) == run_session(config)
-    assert run_session(config) != run_session(dataclasses.replace(config, seed=12))
+    assert run_session(config) != run_session(records.replace(config, seed=12))
 
 
 # Where a protocol id may be spelled out: the runners and their table, the

@@ -49,13 +49,19 @@ def test_honest_agreement_property(n, m, seed):
     assert out.raw.r_a == out.raw.r_b
 
 
+def _index_of(transcript, action: str) -> int:
+    """The index of the one event with ``action``; fails unless there is exactly one."""
+    (index,) = [e.index for e in transcript.events if e.action == action]
+    return index
+
+
 def test_transcript_ordering():
     for seed in range(20):
         out = run_sqka(SqkaConfig(n=3, seed=seed))
         t = out.transcript
-        announce = t.index_of("announce_K_A")
-        reveal = t.index_of("reveal_Pi_n")
-        compute = t.index_of("compute_K_f")
+        announce = _index_of(t, "announce_K_A")
+        reveal = _index_of(t, "reveal_Pi_n")
+        compute = _index_of(t, "compute_K_f")
         assert announce < reveal < compute
 
 
@@ -118,8 +124,8 @@ def test_sqkd_honest_decode(seed):
     out = run_sqkd(SqkaConfig(n=5, seed=seed, protocol="sqkd"))
     assert not out.aborted
     assert out.keys["alice"] == out.keys["bob"] == out.raw.k_b
-    assert not out.transcript.find("announce_K_A")
-    assert out.transcript.index_of("reveal_Pi_n") < out.transcript.index_of("compute_K_f")
+    assert not [e for e in out.transcript.events if e.action == "announce_K_A"]
+    assert _index_of(out.transcript, "reveal_Pi_n") < _index_of(out.transcript, "compute_K_f")
 
 
 def test_sqkd_all_zero_key():

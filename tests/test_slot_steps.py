@@ -9,8 +9,6 @@ default detection; they are the values the per-op party calls gave.
 ``EVE_OPS`` pins Eve's log in the same cells, and in two cells that attack
 only the return leg, at the values her per-wire logging gave.
 """
-from dataclasses import replace
-
 import pytest
 
 from semiquantum.adversary import AttackKind, AttackStrategy
@@ -26,6 +24,7 @@ from semiquantum.protocols import (
 )
 from semiquantum.protocols import common
 from semiquantum.qsim import BellKind, Lanes
+from semiquantum.records import replace
 from semiquantum.rng import RandomSource
 
 KEYED = ("measure_bell", "measure_z", "prepare_bell"), ("measure_z", "permute", "prepare_z", "reflect")
