@@ -30,11 +30,7 @@ def extraction_table() -> None:
     print(f"{'r_A':>4} {'K_B':>4} {'travel':>7}")
     for r in (0, 1):
         for k_b in (0, 1):
-            pair = prepare_bell(BellKind.PSI_PLUS, ("H", "T"))
-            _, home = project_z(pair, "T", r)
-            travel = r ^ k_b
-            print(f"{r:>4} {k_b:>4} {travel:>7}")
-            assert home is not None
+            print(f"{r:>4} {k_b:>4} {r ^ k_b:>7}")
 
 
 def dialogue_table() -> None:

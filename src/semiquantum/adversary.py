@@ -71,31 +71,17 @@ def default_legs(kind: AttackKind, controlled: bool) -> frozenset[str]:
     return _DEFAULT_LEGS[kind][controlled]
 
 
-class EveState:
-    """Eve's outcomes and per-slot inferences; her qubits follow from her
-    slot list (``ChannelAttack.slots``)."""
-
-    def __init__(self):
-        self.forward_bits: dict[int, int] = {}  # by slot
-        self.wire_bits: dict[int, int | None] = {}
-        self.wire_classifications: dict[int, str] = {}
-        self.inferred_bits: tuple[int | None, ...] | None = None
-
-
 # ---------------------------------------------------------------------------
 # channel hooks used by the protocol session
 
 
 # A session addresses slot i's qubits as i << 3 | role with roles 0-3, the
-# travel qubit role 1 (see protocols.common.qubit); Eve's qubits take roles
-# 4-6 of the same packing, her resent ones indexed by wire instead of slot.
-_TRAVEL, _KEPT, _SENT, _RESENT = 1, 4, 5, 6
-_EVE_ROLES = dict(EA=_KEPT, ER=_KEPT, EF=_SENT, EX=_SENT, EM=_SENT, ES=_RESENT, EW=_RESENT)
-
-
-def eve_qubit(role: str, i: int) -> int:
-    """The lane address of Eve's ``role`` qubit for slot or wire ``i``."""
-    return i << 3 | _EVE_ROLES[role]
+# travel qubit role 1 (see protocols.common.qubit).  Eve's qubits take roles
+# 4-6 of the same packing: KEPT is the one she keeps for slot i (her CNOT
+# ancilla or retained Bell half), SENT the one she forwards in slot i's
+# place, and RESENT the one she returns on wire i.
+_TRAVEL = 1
+KEPT, SENT, RESENT = 4, 5, 6
 
 
 class ChannelAttack:
@@ -109,6 +95,8 @@ class ChannelAttack:
     ``WIRE``, checked against her capability when the attack is built;
     ``forward`` logs its step, the session logs ``wire_ops`` once the return
     leg has run.  ``slots[j]`` is the slot Eve pairs with return wire j.
+    Her observations live on the attack too, and ``finalize`` turns them
+    into ``inferred_bits``, one per encoded slot.
     """
 
     kind = AttackKind.NONE
@@ -118,8 +106,11 @@ class ChannelAttack:
     def __init__(self, eve: PartyContext | None, legs: frozenset[str]):
         self.eve = eve
         self.legs = legs
-        self.state = EveState()
         self.slots: list[int] = []
+        self.forward_bits: dict[int, int] = {}  # by slot
+        self.wire_bits: dict[int, int | None] = {}  # by wire
+        self.wire_classifications: dict[int, str] = {}  # by wire
+        self.inferred_bits: tuple[int | None, ...] | None = None
         if eve is not None:
             self.forward_ops, self.wire_ops = eve.step(*self.FORWARD), eve.step(*self.WIRE)
 
@@ -148,7 +139,7 @@ class ChannelAttack:
 
     def finalize(self, encoded_wires: list[int]) -> None:
         """Fix Eve's per-slot inferences once the wire roles are public."""
-        self.state.inferred_bits = tuple(self.state.wire_bits.get(w) for w in encoded_wires)
+        self.inferred_bits = tuple(self.wire_bits.get(w) for w in encoded_wires)
 
 
 class NoAttack(ChannelAttack):
@@ -167,20 +158,19 @@ class CnotAttack(ChannelAttack):
     def forward(self, labels):
         ops = self.forward_ops
         cnot = ops.apply_cnot
-        ops.prepare_z(0, eve_qubit("EA", 0), len(labels))
+        ops.prepare_z(0, KEPT, len(labels))
         for i, label in enumerate(labels):
-            cnot(label, eve_qubit("EA", i))
+            cnot(label, i << 3 | KEPT)
         ops.log()
         return labels
 
     def wire(self, j, label):
-        self.wire_ops.apply_cnot(label, self.slots[j] << 3 | _KEPT)
+        self.wire_ops.apply_cnot(label, self.slots[j] << 3 | KEPT)
         return label
 
     def after_wire(self, j):
-        st = self.state
-        st.wire_bits[j] = self.wire_ops.measure_z(self.slots[j] << 3 | _KEPT)
-        st.wire_classifications[j] = "unknown"
+        self.wire_bits[j] = self.wire_ops.measure_z(self.slots[j] << 3 | KEPT)
+        self.wire_classifications[j] = "unknown"
 
 
 class InterceptResendAttack(ChannelAttack):
@@ -193,13 +183,13 @@ class InterceptResendAttack(ChannelAttack):
 
     def forward(self, labels):
         ops = self.forward_ops
-        ops.prepare_bell(BellKind.PSI_PLUS, eve_qubit("ER", 0), eve_qubit("EF", 0), len(labels))
+        ops.prepare_bell(BellKind.PSI_PLUS, KEPT, SENT, len(labels))
         ops.log()
-        return [eve_qubit("EF", i) for i in range(len(labels))]
+        return [i << 3 | SENT for i in range(len(labels))]
 
     def wire(self, j, label):
-        st, ops, base = self.state, self.wire_ops, self.slots[j] << 3
-        outcome = ops.measure_bell(base | _KEPT, label)
+        ops, base = self.wire_ops, self.slots[j] << 3
+        outcome = ops.measure_bell(base | KEPT, label)
         if outcome is BellKind.PSI_MINUS:
             cls, bit = "measured", 0
         elif outcome.parity == 1:  # phi+/phi-
@@ -210,9 +200,9 @@ class InterceptResendAttack(ChannelAttack):
         # Identified wires are resent mimicking the sender's encoding; the
         # ambiguous psi+ wires are resent as the complement of the collapsed
         # original.
-        new = ops.prepare_z(u ^ (bit if bit is not None else 1), j << 3 | _RESENT)
-        st.wire_classifications[j] = cls
-        st.wire_bits[j] = bit
+        new = ops.prepare_z(u ^ (bit if bit is not None else 1), j << 3 | RESENT)
+        self.wire_classifications[j] = cls
+        self.wire_bits[j] = bit
         return new
 
 
@@ -226,7 +216,7 @@ class SubstituteSinglesAttack(ChannelAttack):
 
     def forward(self, labels):
         ops, bit = self.forward_ops, self.eve.rng.bit
-        out = [ops.prepare_z(bit(), eve_qubit("EX", i)) for i in range(len(labels))]
+        out = [ops.prepare_z(bit(), i << 3 | SENT) for i in range(len(labels))]
         ops.log()
         return out
 
@@ -238,30 +228,30 @@ class MeasureResendAttack(ChannelAttack):
     FORWARD = WIRE = ("measure_z", "prepare_z")
 
     def forward(self, labels):
-        ops, bits = self.forward_ops, self.state.forward_bits
+        ops, bits = self.forward_ops, self.forward_bits
         measure_z, prepare_z = ops.measure_z, ops.prepare_z
         out = []
         for i, label in enumerate(labels):
             u = bits[i] = measure_z(label)
-            out.append(prepare_z(u, eve_qubit("EM", i)))
+            out.append(prepare_z(u, i << 3 | SENT))
         ops.log()
         return out
 
     def wire(self, j, label):
-        ops, st = self.wire_ops, self.state
-        u = st.wire_bits[j] = ops.measure_z(label)
-        st.wire_classifications[j] = "unknown"
-        return ops.prepare_z(u, j << 3 | _RESENT)
+        ops = self.wire_ops
+        u = self.wire_bits[j] = ops.measure_z(label)
+        self.wire_classifications[j] = "unknown"
+        return ops.prepare_z(u, j << 3 | RESENT)
 
     def finalize(self, encoded_wires):
         # Wire-order decode guess: XOR the value seen on the return wire with
         # the distribution-leg outcome at the slot paired with that wire.
-        st, slots = self.state, self.slots
+        wire_bits, forward_bits, slots = self.wire_bits, self.forward_bits, self.slots
         bits: list[int | None] = []
         for w in encoded_wires:
-            v, r = st.wire_bits.get(w), st.forward_bits.get(slots[w])
+            v, r = wire_bits.get(w), forward_bits.get(slots[w])
             bits.append(None if v is None or r is None else v ^ r)
-        st.inferred_bits = tuple(bits)
+        self.inferred_bits = tuple(bits)
 
 
 def build_attack(strategy: AttackStrategy, controlled: bool, eve: PartyContext | None) -> ChannelAttack:

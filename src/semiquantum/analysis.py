@@ -13,7 +13,6 @@ from __future__ import annotations
 import io
 import json
 import math
-from enum import Enum
 
 from .adversary import AttackKind
 from .errors import SemiQuantumError, UnknownAttack
@@ -258,41 +257,18 @@ def run_trials(template: SessionConfig, trials: int, master_seed: int) -> TrialS
 # serialization
 
 
-def _jsonable(value):
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, Enum):
-        return value.value
-    if isinstance(value, bytes):
-        return value.hex()
-    return value
-
-
-def emit_transcript(outcome: SessionOutcome, fmt: str = "json") -> bytes:
-    """Schema-versioned JSON of a session: summary fields plus event list."""
-    if fmt != "json":
-        raise ValueError("transcripts serialize to json only")
+def emit_transcript(outcome: SessionOutcome) -> bytes:
+    """Schema-versioned JSON of a session: summary fields plus the events as
+    the transcript holds them (JSON writes the tuples as arrays)."""
     doc = {
         "schema": TRANSCRIPT_SCHEMA,
         "protocol": outcome.protocol,
         "aborted": outcome.aborted,
         "abort_reason": outcome.abort_reason.value,
         "error_rate_observed": outcome.error_rate_observed,
-        "keys": {k: list(v) for k, v in outcome.keys.items()},
-        "eve_inferences": None
-        if outcome.eve_inferences is None
-        else [b for b in outcome.eve_inferences],
-        "events": [
-            {
-                "index": e.index,
-                "actor": e.actor,
-                "action": e.action,
-                "payload": _jsonable(e.payload),
-            }
-            for e in outcome.transcript.events
-        ],
+        "keys": outcome.keys,
+        "eve_inferences": outcome.eve_inferences,
+        "events": outcome.transcript.events,
     }
     return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
 

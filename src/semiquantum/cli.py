@@ -114,7 +114,7 @@ def _write_atomic(path: str, payload: bytes) -> None:
 
 def run(cfg: CliConfig) -> bytes:
     if cfg.trials == 1:
-        return analysis.emit_transcript(run_session(cfg.session), "json")
+        return analysis.emit_transcript(run_session(cfg.session))
     stats = analysis.run_trials(cfg.session, cfg.trials, cfg.session.seed)
     return analysis.emit_stats(stats, cfg.format)
 

@@ -10,7 +10,7 @@ from .. import lazy_exports
 # The module that defines each exported name.
 _EXPORTS = {
     **dict.fromkeys(
-        ("AbortReason", "Bits", "Event", "RawKeys", "SessionConfig", "SessionOutcome",
+        ("AbortReason", "Bits", "RawKeys", "SessionConfig", "SessionOutcome",
          "SpotCheckedConfig", "Transcript", "bits_to_hex", "hex_to_bits", "xor_bits"),
         "common",
     ),

@@ -18,8 +18,8 @@ Bits = tuple[int, ...]
 # A qubit's lane address packs its slot and its role, slot << 3 | role.
 # HOME is the partner the distributing party keeps (H, B), TRAVEL the qubit
 # it sends (T, A), CONTROL the controller's third qubit and FRESH the
-# sender's re-prepared qubit.  Eve's qubits take roles 4-6 (see
-# adversary.eve_qubit).
+# sender's re-prepared qubit.  Eve's qubits take roles 4-6 (adversary.KEPT,
+# SENT and RESENT).
 HOME, TRAVEL, CONTROL, FRESH = range(4)
 
 
@@ -68,22 +68,14 @@ class AbortReason(Enum):
     THRESHOLD_EXCEEDED = "threshold-exceeded"
 
 
-class Event(Record):
-    index: int
-    actor: str
-    action: str
-    payload: dict
-
-
 class Transcript(Record):
-    """Ordered, append-only log of the session's public classical events."""
+    """Ordered, append-only log of the session's public classical events,
+    each held as the JSON object a transcript writes for it."""
 
-    events: list[Event] = []
+    events: list[dict] = []
 
-    def log(self, actor: str, action: str, **payload) -> Event:
-        ev = Event(len(self.events), actor, action, payload)
-        self.events.append(ev)
-        return ev
+    def log(self, actor: str, action: str, **payload) -> None:
+        self.events.append({"index": len(self.events), "actor": actor, "action": action, "payload": payload})
 
 
 class RawKeys(Record):
@@ -311,7 +303,7 @@ class Session:
             check.log()
         self.received, self.bell = received, bell
         self.transcript.log(receiver.name, "ack_receipt")
-        self.details["eve_wire_classifications"] = dict(self.attack.state.wire_classifications)
+        self.details["eve_wire_classifications"] = self.attack.wire_classifications
         return outcomes
 
     def read(self, party: PartyContext, slots: list[int], role: int) -> list[int]:
@@ -359,7 +351,7 @@ class Session:
         self.details["party_ops"] = {p.name: sorted(p.ops_log) for p in self.parties}
         return SessionOutcome(  # every field by position, the record's fast path
             self.config.protocol, reason is not AbortReason.NONE, reason, keys, self.transcript,
-            self.error_rate, self.attack.state.inferred_bits, raw, self.details,
+            self.error_rate, self.attack.inferred_bits, raw, self.details,
         )
 
 

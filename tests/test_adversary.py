@@ -3,7 +3,10 @@ import numpy as np
 import pytest
 
 from semiquantum.adversary import (
+    KEPT,
     LEGS,
+    RESENT,
+    SENT,
     AttackKind,
     AttackStrategy,
     CnotAttack,
@@ -13,7 +16,6 @@ from semiquantum.adversary import (
     SubstituteSinglesAttack,
     build_attack,
     default_legs,
-    eve_qubit,
 )
 from semiquantum.parties import Capability, PartyContext
 from semiquantum.protocols.common import FRESH, HOME, TRAVEL, qubit
@@ -34,6 +36,9 @@ S = 1 / np.sqrt(2)
 
 # slot 0's qubits, Bob's fresh one included
 H0, T0, B0 = qubit(0, HOME), qubit(0, TRAVEL), qubit(0, FRESH)
+# Eve's qubits: the one she keeps and the one she sends for slot 0, and the
+# one she resends on wire 0
+K0, S0, R0 = qubit(0, KEPT), qubit(0, SENT), qubit(0, RESENT)
 
 
 def quantum_party(name="eve", seed=9):
@@ -57,7 +62,7 @@ def test_cnot_forward_produces_three_qubit_chain():
     assert attack.forward_leg([T0]) == [T0]
     merged = lanes.state_of(T0)
     # (|000> + |111>)/sqrt(2) over (home, travel, ancilla)
-    assert set(merged.labels) == {H0, T0, eve_qubit("EA", 0)}
+    assert set(merged.labels) == {H0, T0, K0}
     probs = {
         idx: abs(a) ** 2 for idx, a in enumerate(merged.amplitudes) if abs(a) > 1e-12
     }
@@ -76,7 +81,7 @@ def test_cnot_reflected_position_is_trace_free():
         attack.forward_leg([T0])
         assert attack.wire(0, T0) == T0
         attack.after_wire(0)
-        assert attack.state.wire_bits == {0: 0}
+        assert attack.wire_bits == {0: 0}
         pair = lanes.state_of(H0)
         probs = dict(zip(BELL_ORDER, bell_probabilities(pair, H0, T0)))
         assert probs[BellKind.PSI_PLUS] == pytest.approx(1.0, abs=1e-12)
@@ -94,7 +99,7 @@ def test_cnot_encoded_position_reads_key_bit(k_b):
         bob.prepare_z(r ^ k_b, B0)
         attack.wire(0, B0)
         attack.after_wire(0)
-        assert attack.state.wire_bits == {0: k_b}
+        assert attack.wire_bits == {0: k_b}
 
 
 # ---------------------------------------------------------------------------
@@ -105,10 +110,10 @@ def test_ir_forward_substitutes_uniform_halves():
     attack, lanes = sqka_attack(AttackKind.INTERCEPT_RESEND)
     lanes.prepare_bell(BellKind.PSI_PLUS, H0, T0)
     out = attack.forward_leg([T0])
-    assert out == [eve_qubit("EF", 0)]
+    assert out == [S0]
     # forwarded qubit is a maximally mixed Bell half
-    fwd = lanes.state_of(eve_qubit("EF", 0))
-    assert np.allclose(z_probabilities(fwd, eve_qubit("EF", 0)), [0.5, 0.5], atol=1e-12)
+    fwd = lanes.state_of(S0)
+    assert np.allclose(z_probabilities(fwd, S0), [0.5, 0.5], atol=1e-12)
     # the retained original stays entangled with the home qubit
     pair = lanes.state_of(H0)
     assert set(pair.labels) == {H0, T0}
@@ -122,14 +127,14 @@ def test_ir_classification_confusion_matrix():
     for bob_bit in (0, 1):
         for bob_outcome in (0, 1):
             eve, lanes = quantum_party()
-            lanes.prepare_bell(BellKind.PSI_PLUS, eve_qubit("ER", 0), eve_qubit("EF", 0))
+            lanes.prepare_bell(BellKind.PSI_PLUS, K0, S0)
             # force Bob's measurement branch on Eve's forwarded half
-            reg = lanes.state_of(eve_qubit("EF", 0))
-            prob, post = project_z(reg, eve_qubit("EF", 0), bob_outcome)
+            reg = lanes.state_of(S0)
+            prob, post = project_z(reg, S0, bob_outcome)
             assert prob == pytest.approx(0.5, abs=1e-12)
             merged = merge_registers(post, prepare_z(bob_outcome ^ bob_bit, "fresh"))
-            assert merged.labels == (eve_qubit("ER", 0), "fresh")
-            probs = dict(zip(BELL_ORDER, bell_probabilities(merged, eve_qubit("ER", 0), "fresh")))
+            assert merged.labels == (K0, "fresh")
+            probs = dict(zip(BELL_ORDER, bell_probabilities(merged, K0, "fresh")))
             if bob_bit == 0:
                 assert probs[BellKind.PSI_PLUS] == pytest.approx(0.5, abs=1e-12)
                 assert probs[BellKind.PSI_MINUS] == pytest.approx(0.5, abs=1e-12)
@@ -138,8 +143,8 @@ def test_ir_classification_confusion_matrix():
                 assert probs[BellKind.PHI_MINUS] == pytest.approx(0.5, abs=1e-12)
     # reflected: the pair comes back intact
     eve, lanes = quantum_party()
-    lanes.prepare_bell(BellKind.PSI_PLUS, eve_qubit("ER", 0), eve_qubit("EF", 0))
-    probs = dict(zip(BELL_ORDER, bell_probabilities(lanes.state_of(eve_qubit("ER", 0)), eve_qubit("ER", 0), eve_qubit("EF", 0))))
+    lanes.prepare_bell(BellKind.PSI_PLUS, K0, S0)
+    probs = dict(zip(BELL_ORDER, bell_probabilities(lanes.state_of(K0), K0, S0)))
     assert probs[BellKind.PSI_PLUS] == pytest.approx(1.0, abs=1e-12)
 
 
@@ -153,14 +158,13 @@ def test_ir_backward_classifies_and_resends():
         r = bob.measure_z(fwd[0])
         k_b = seed % 2
         bob.prepare_z(r ^ k_b, B0)
-        assert attack.wire(0, B0) == eve_qubit("ES", 0)
-        state = attack.state
-        cls = state.wire_classifications[0]
+        assert attack.wire(0, B0) == R0
+        cls = attack.wire_classifications[0]
         if cls == "measured":
-            assert state.wire_bits[0] == k_b  # identified bits are always right
+            assert attack.wire_bits[0] == k_b  # identified bits are always right
             hits["measured"] += 1
         else:
-            assert cls == "unknown" and state.wire_bits[0] is None
+            assert cls == "unknown" and attack.wire_bits[0] is None
             assert k_b == 0  # psi+ at an encoded slot implies bit 0
             hits["unknown"] += 1
     assert hits["measured"] > 0 and hits["unknown"] > 0
@@ -174,7 +178,7 @@ def test_measure_resend_forwards_outcome_copies():
     attack, lanes = sqka_attack(AttackKind.MEASURE_RESEND)
     lanes.prepare_bell(BellKind.PSI_PLUS, H0, T0)
     out = attack.forward_leg([T0])
-    u = attack.state.forward_bits[0]
+    u = attack.forward_bits[0]
     # home qubit collapsed to the same value: Z-Z correlation survives
     home = lanes.state_of(H0)
     expected = [1.0, 0.0] if u == 0 else [0.0, 1.0]
@@ -263,4 +267,4 @@ def test_none_attack_passthrough():
     assert attack.forward_leg(["a", "b"]) == ["a", "b"]
     assert attack.wire(0, "a") == "a"
     attack.finalize([0, 1])
-    assert attack.state.inferred_bits is None  # no adversary, no inference record
+    assert attack.inferred_bits is None  # no adversary, no inference record

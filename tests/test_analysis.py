@@ -1,4 +1,5 @@
 """Efficiency accounting, detection model, Monte Carlo driver, serialization."""
+import json
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,7 @@ from semiquantum.analysis import (
     run_trials,
 )
 from semiquantum.errors import UnknownAttack
-from semiquantum.protocols import SqdConfig, SqkaConfig, run_sqka
+from semiquantum.protocols import PROTOCOLS, SqdConfig, SqkaConfig, make_config, run_session, run_sqka
 
 
 # ---------------------------------------------------------------------------
@@ -223,6 +224,26 @@ def test_transcript_roundtrip_and_schema():
     for e in doc["events"]:
         assert set(e) == {"index", "actor", "action", "payload"}
     assert parse_transcript(emit_transcript(out)) == doc
+
+
+@pytest.mark.parametrize("attack", list(AttackKind), ids=lambda kind: kind.value)
+@pytest.mark.parametrize("protocol", list(PROTOCOLS))
+def test_every_transcript_event_is_a_json_value(protocol, attack):
+    """A transcript holds each event as the JSON object it is written as, so
+    the event survives a JSON round trip unchanged: a payload holding a
+    tuple, an enum or bytes fails here."""
+    for permutation_enabled in (True, False):
+        for threshold in (0.0, 1.0):
+            for seed in range(3):
+                config = make_config(protocol, n=3, seed=seed, attack=AttackStrategy(attack),
+                                     threshold=threshold, permutation_enabled=permutation_enabled)
+                events = run_session(config).transcript.events
+                assert events
+                for index, event in enumerate(events):
+                    assert type(event) is dict
+                    assert set(event) == {"index", "actor", "action", "payload"}
+                    assert event["index"] == index
+                    assert json.loads(json.dumps(event)) == event
 
 
 def test_transcript_rejects_other_schema():

@@ -29,7 +29,7 @@ DEFINED_IN = {
     "semiquantum.rng": ("RandomSource", "derive_seed"),
     "semiquantum.protocols": ("PROTOCOLS", "make_config", "run_session"),
     "semiquantum.protocols.common": (
-        "AbortReason", "Bits", "Event", "RawKeys", "SessionConfig", "SessionOutcome",
+        "AbortReason", "Bits", "RawKeys", "SessionConfig", "SessionOutcome",
         "SpotCheckedConfig", "Transcript", "bits_to_hex", "hex_to_bits", "xor_bits",
     ),
     "semiquantum.protocols.cdssqc": ("CdssqcConfig", "CdssqcVariant", "run_cdssqc_ghz", "run_cdssqc_switch"),

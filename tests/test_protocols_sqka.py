@@ -51,7 +51,7 @@ def test_honest_agreement_property(n, m, seed):
 
 def _index_of(transcript, action: str) -> int:
     """The index of the one event with ``action``; fails unless there is exactly one."""
-    (index,) = [e.index for e in transcript.events if e.action == action]
+    (index,) = [e["index"] for e in transcript.events if e["action"] == action]
     return index
 
 
@@ -124,7 +124,7 @@ def test_sqkd_honest_decode(seed):
     out = run_sqkd(SqkaConfig(n=5, seed=seed, protocol="sqkd"))
     assert not out.aborted
     assert out.keys["alice"] == out.keys["bob"] == out.raw.k_b
-    assert not [e for e in out.transcript.events if e.action == "announce_K_A"]
+    assert not [e for e in out.transcript.events if e["action"] == "announce_K_A"]
     assert _index_of(out.transcript, "reveal_Pi_n") < _index_of(out.transcript, "compute_K_f")
 
 

@@ -10,7 +10,6 @@ from semiquantum.protocols import (
     AbortReason,
     CdssqcConfig,
     CdssqcVariant,
-    Event,
     RawKeys,
     SessionConfig,
     SessionOutcome,
@@ -37,7 +36,6 @@ RECORDS = {
                    ("psi2", BellKind.PHI_PLUS), ("controller_basis", COMPUTATIONAL),
                    ("switch_bell", BellKind.PSI_PLUS), ("charlie_permutation_enabled", True), ("message", None)],
     SqdConfig: [*SPOT, ("alice_message", None), ("bob_message", None), ("final_measurement", "bell")],
-    Event: [(name, REQUIRED) for name in ("index", "actor", "action", "payload")],
     Transcript: [("events", [])],
     RawKeys: [(name, REQUIRED) for name in ("k_a", "k_b", "r_a", "r_b", "k_f")],
     SessionOutcome: [*[(name, REQUIRED) for name in ("protocol", "aborted", "abort_reason", "keys", "transcript",
@@ -53,7 +51,7 @@ RECORDS = {
 }
 # A valid value for each required field, by name.
 SAMPLE = {
-    "n": 2, "index": 0, "actor": "alice", "action": "encode", "payload": {"count": 2},
+    "n": 2,
     "k_a": (0, 1), "k_b": (1, 1), "r_a": (0, 0), "r_b": (1, 0), "k_f": (1, 0),
     "protocol": "sqka", "aborted": False, "abort_reason": AbortReason.NONE, "keys": {"alice": (1,)},
     "transcript": Transcript(), "error_rate_observed": 0.25, "size": 3, "mapping": (2, 0, 1),
@@ -169,7 +167,7 @@ def test_replace_validates_anew():
         (lambda: SqkaConfig(n=1, bogus=2), "got 0 by position and n, bogus by keyword"),
         (lambda: Permutation(1, (0,), 3), "got 3 by position"),
         (lambda: Permutation(1, size=1), "got 1 by position and size by keyword"),
-        (lambda: Event(0, "alice", "encode"), "takes the fields index, actor, action, payload; got 3 by position"),
+        (lambda: RawKeys((0,), (1,), (0,)), "takes the fields k_a, k_b, r_a, r_b, k_f; got 3 by position"),
     ],
 )
 def test_bad_constructor_calls_raise_type_error(build, word):
@@ -178,7 +176,7 @@ def test_bad_constructor_calls_raise_type_error(build, word):
 
 
 def test_repr_names_every_field_in_order():
-    assert repr(Event(0, "alice", "encode", {})) == "Event(index=0, actor='alice', action='encode', payload={})"
+    assert repr(RawKeys((0,), (1,), (0,), (1,), (1,))) == "RawKeys(k_a=(0,), k_b=(1,), r_a=(0,), r_b=(1,), k_f=(1,))"
     assert repr(SqkaConfig(n=2)) == (
         "SqkaConfig(n=2, m=None, seed=0, attack=AttackStrategy(kind=<AttackKind.NONE: 'none'>, legs=frozenset(), "
         "eve_rng_seed=None), threshold=0.0, permutation_enabled=True, commitments_enabled=True, protocol='sqka', "

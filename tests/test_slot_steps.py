@@ -116,7 +116,7 @@ def test_spot_check_abort_records_no_encode_op(cell):
     sender = "bob" if cell.startswith("sqd") else "alice"
     # the sender measured its spot-check copies, then never encoded or sent
     assert out.details["party_ops"][sender] == ["measure_z"]
-    assert "encode" not in [e.action for e in out.transcript.events]
+    assert "encode" not in [e["action"] for e in out.transcript.events]
 
 
 def test_steps_are_built_once_per_capability():
