@@ -28,6 +28,9 @@ class Capability(Enum):
     CLASSICAL = "classical"
     QUANTUM = "quantum"
 
+    # singletons compared by identity; a C-level hash for each step's ``_checked``
+    __hash__ = object.__hash__
+
 
 _CLASSICAL_ALLOWED = frozenset(
     {"prepare_z", "measure_z", "reflect", "permute", "send_classical"}
@@ -125,7 +128,14 @@ class Permutation(Record):
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":
-        return cls(n, tuple(range(n)))
+        return cls._unchecked(tuple(range(n)))
+
+    @classmethod
+    def _unchecked(cls, mapping: tuple[int, ...]) -> "Permutation":
+        """A mapping that is a bijection by construction, not checked again."""
+        perm = object.__new__(cls)
+        perm.__dict__.update(size=len(mapping), mapping=mapping)
+        return perm if mapping else cls(0, mapping)  # size 0 raises, as from a caller
 
     def apply(self, seq: list) -> list:
         if len(seq) != self.size:
@@ -141,9 +151,7 @@ class Permutation(Record):
 
 def random_permutation(size: int, rng: RandomSource) -> Permutation:
     """Uniform draw from the symmetric group S_size."""
-    if size < 1:
-        raise ValueError("permutation size must be positive")
-    return Permutation(size, tuple(rng.permutation(size)))
+    return Permutation._unchecked(tuple(rng.permutation(size)))
 
 
 class Commitment:

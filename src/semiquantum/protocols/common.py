@@ -139,7 +139,7 @@ class Session:
             raise ZeroCount(f"need n >= 1 and m >= 1, got n={self.n}, m={self.m}")
         self.config = config
         self.total = self.n + self.m
-        self.transcript = Transcript()
+        self.transcript = Transcript([])  # by position, the record's fast path
         self.lanes = lanes = Lanes(self.total)
 
         def party(name: str, stream: int) -> PartyContext:

@@ -5,7 +5,9 @@ Every random draw in a session flows through a :class:`RandomSource`, so a
 Monte Carlo trial) are derived with a portable splitmix64 chain.
 
 A source is CPython's C-coded Mersenne Twister (MT19937, Matsumoto and
-Nishimura 1998) seeded with the 64-bit seed.  Python promises only that
+Nishimura 1998), the ``_random.Random`` type, seeded with the 64-bit seed.
+``random.Random`` extends that type and hands it an int seed unchanged, so
+both draw the same stream for a seed.  Python promises only that
 ``random()`` repeats for a seed across versions, so every other draw is
 written here on ``getrandbits``, bounded integers by rejection, and none
 uses the stdlib's ``shuffle``, ``sample``, ``randrange`` or ``randbytes``.
@@ -23,7 +25,7 @@ Draw contract of seeded output (stream v2), which later changes keep:
 """
 from __future__ import annotations
 
-import random as _random
+import _random
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -39,6 +41,10 @@ def splitmix64(x: int) -> int:
     return (z ^ (z >> 31)) & _MASK64
 
 
+# the scramble of each small path element (the party streams 1-4); none is 0
+_SMALL = {p: splitmix64(p) for p in range(8)}
+
+
 def derive_seed(master: int, *path: int) -> int:
     """Derive a child seed from a master seed and an integer path.
 
@@ -47,7 +53,7 @@ def derive_seed(master: int, *path: int) -> int:
     """
     h = splitmix64(master & _MASK64)
     for p in path:
-        h = splitmix64(h ^ splitmix64(p & _MASK64))
+        h = splitmix64(h ^ (_SMALL.get(p) or splitmix64(p & _MASK64)))
     return h
 
 

@@ -113,6 +113,24 @@ def test_permutation_validation():
         Permutation(2, (0, 1, 2))
 
 
+@pytest.mark.parametrize("size", [0, -1])
+def test_drawn_permutation_of_no_positions_raises(size):
+    with pytest.raises(ValueError):
+        Permutation.identity(size)
+    with pytest.raises(ValueError):
+        random_permutation(size, RandomSource(0))
+
+
+def test_drawn_permutations_equal_the_checked_records_of_their_mappings():
+    # drawn and identity permutations skip the bijection check; each is one
+    rng = RandomSource(17)
+    for size in range(1, 401):
+        for perm in (random_permutation(size, rng), Permutation.identity(size)):
+            assert perm.size == size and sorted(perm.mapping) == list(range(size))
+            checked = Permutation(size, perm.mapping)
+            assert perm == checked and checked == perm and hash(perm) == hash(checked)
+
+
 @given(st.integers(min_value=0, max_value=10**6), st.integers(min_value=1, max_value=40))
 def test_permutation_roundtrip(seed, size):
     rng = RandomSource(seed)

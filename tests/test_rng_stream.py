@@ -15,8 +15,10 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from semiquantum.rng import RandomSource
+from semiquantum.rng import RandomSource, derive_seed, splitmix64
 
 ROOT = Path(__file__).resolve().parents[1]
 EDGE_SEEDS = (0, 1, (1 << 32) - 1, 1 << 32, (1 << 64) - 1)
@@ -256,3 +258,32 @@ def test_wide_integers_take_one_draw_of_their_width():
         src, mt = RandomSource(99), random.Random(99)
         assert [src.integer(1 << w) for _ in range(5)] == [mt.getrandbits(w) for _ in range(5)]
         assert src.random() == mt.random()
+
+
+MASK64 = (1 << 64) - 1
+
+
+@pytest.mark.parametrize("seed", EDGE_SEEDS + (1 << 63, (1 << 64) + 5, -1))
+def test_source_draws_the_stream_of_the_stdlib_generator(seed):
+    # a source is the C type random.Random extends, seeded with the seed mod 2**64
+    src, mt = RandomSource(seed), random.Random(seed & MASK64)
+    assert [src.random() for _ in range(100)] == [mt.random() for _ in range(100)]
+    for k in (1, 31, 32, 33, 64, 65, 128):
+        assert src.bits(k) == tuple(map(int, format(mt.getrandbits(k), f"0{k}b")))
+
+
+def splitmix64_chain(master: int, *path: int) -> int:
+    h = splitmix64(master & MASK64)
+    for p in path:
+        h = splitmix64(h ^ splitmix64(p & MASK64))
+    return h
+
+
+@given(
+    st.integers(min_value=-(1 << 70), max_value=1 << 70),
+    st.lists(st.one_of(st.integers(min_value=0, max_value=9), st.sampled_from((MASK64, -1)),
+                       st.integers(min_value=-(1 << 70), max_value=1 << 70)), max_size=4),
+)
+def test_derive_seed_is_the_splitmix64_chain(master, path):
+    # path elements inside the table of small scrambles (0-7) and outside it
+    assert derive_seed(master, *path) == splitmix64_chain(master, *path)

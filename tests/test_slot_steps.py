@@ -9,12 +9,15 @@ default detection; they are the values the per-op party calls gave.
 ``EVE_OPS`` pins Eve's log in the same cells, and in two cells that attack
 only the return leg, at the values her per-wire logging gave.
 """
+import gc
+
 import pytest
 
 from semiquantum.adversary import AttackKind, AttackStrategy
 from semiquantum.errors import CapabilityViolation
 from semiquantum.parties import Capability, PartyContext
 from semiquantum.protocols import (
+    PROTOCOLS,
     CdssqcConfig,
     CdssqcVariant,
     SqdConfig,
@@ -194,3 +197,32 @@ def test_step_reaches_only_the_ops_it_names():
     assert alice.ops_log == set()  # run, not yet logged
     step.log()
     assert alice.ops_log == {"prepare_bell", "measure_z"}
+
+
+@pytest.mark.parametrize("attack", list(AttackKind), ids=lambda kind: kind.value)
+@pytest.mark.parametrize("protocol", list(PROTOCOLS))
+def test_a_session_leaves_no_cyclic_garbage(protocol, attack):
+    """Reference counting alone frees a finished session: with the cyclic
+    collector off, a collection after the sessions finds nothing.  A cycle
+    (a step cached on the party it points back to, say) would leave every
+    session's objects to the collector, which a Monte Carlo batch then pays
+    for in its time."""
+    configs = [
+        make_config(protocol, n=n, seed=seed, attack=AttackStrategy(attack),
+                    threshold=threshold, permutation_enabled=permutation_enabled)
+        for permutation_enabled in (True, False)
+        for threshold in (0.0, 1.0)
+        for n in (3, 8)
+        for seed in range(2)
+    ]
+    run_session(configs[0])  # first-use caches fill outside the count
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        for config in configs:
+            run_session(config)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
