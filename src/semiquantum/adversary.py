@@ -13,9 +13,9 @@ Three attacks are modeled:
 
 Eve has no access to the honest parties' secret permutations, so she pairs
 return wire j with the j-th slot still in play, by arrival order.  That
-pairing is all she keeps: one slot list, from which her qubits for a wire
-follow by the lane packing ``slot << 3 | role``, next to the outcomes she
-has measured.  Her hooks run steps of a quantum
+pairing is the session's own list of slots in play, which the session writes
+into her ``slots`` before the return leg; her qubits for a wire follow from
+it by the lane packing ``slot << 3 | role``.  Her hooks run steps of a quantum
 :class:`~semiquantum.parties.PartyContext` on the session's lanes, so her
 work is capability-checked and norm-checked like everything else.
 """
@@ -45,10 +45,6 @@ class AttackStrategy(Record):
     kind: AttackKind = AttackKind.NONE
     legs: frozenset[str] | None = None
     eve_rng_seed: int | None = None
-
-    @staticmethod
-    def none() -> "AttackStrategy":
-        return AttackStrategy(AttackKind.NONE, frozenset())
 
 
 # Channel legs: "forward" is the quantum-to-classical distribution leg,
@@ -94,7 +90,8 @@ class ChannelAttack:
     is attacked.  The hooks act only through Eve's steps, ``FORWARD`` and
     ``WIRE``, checked against her capability when the attack is built;
     ``forward`` logs its step, the session logs ``wire_ops`` once the return
-    leg has run.  ``slots[j]`` is the slot Eve pairs with return wire j.
+    leg has run.  ``slots[j]`` is the slot Eve pairs with return wire j;
+    the session writes its list of slots in play there before the return leg.
     Her observations live on the attack too, and ``finalize`` turns them
     into ``inferred_bits``, one per encoded slot.
     """
@@ -115,7 +112,6 @@ class ChannelAttack:
             self.forward_ops, self.wire_ops = eve.step(*self.FORWARD), eve.step(*self.WIRE)
 
     def forward_leg(self, labels: list) -> list:
-        self.slots = list(range(len(labels)))
         return self.forward(labels) if "forward" in self.legs else labels
 
     def forward(self, labels: list) -> list:
@@ -126,16 +122,6 @@ class ChannelAttack:
 
     def after_wire(self, j: int) -> None:
         pass
-
-    def reindex(self, remaining: list[int]) -> None:
-        """Drop publicly checked positions from Eve's slot list.
-
-        Spot-check positions are announced and never return, so a wire-order
-        adversary pairs return wire j with the j-th slot left: new index j
-        maps to old index ``remaining[j]``.
-        """
-        slots = self.slots
-        self.slots = [slots[p] for p in remaining]
 
     def finalize(self, encoded_wires: list[int]) -> None:
         """Fix Eve's per-slot inferences once the wire roles are public."""

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import tempfile
 
 from . import analysis
 from .adversary import AttackKind, AttackStrategy
@@ -100,6 +99,8 @@ def parse_args(argv: list[str]) -> CliConfig:
 
 
 def _write_atomic(path: str, payload: bytes) -> None:
+    import tempfile  # here, off the imports of a run that writes no file
+
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".semiquantum-")
     try:

@@ -117,14 +117,14 @@ def choose_actions(n_encode: int, m_decoy: int, rng: RandomSource) -> list[Class
 class Permutation(Record):
     """Bijection on sequence positions; element i of the input moves to mapping[i]."""
 
-    size: int
     mapping: tuple[int, ...]
 
     def __post_init__(self):
-        if self.size < 1:
+        size = len(self.mapping)
+        if size < 1:
             raise ValueError("permutation size must be positive")
-        if sorted(self.mapping) != list(range(self.size)):
-            raise ValueError(f"mapping is not a bijection on 0..{self.size - 1}")
+        if sorted(self.mapping) != list(range(size)):
+            raise ValueError(f"mapping is not a bijection on 0..{size - 1}")
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":
@@ -134,14 +134,15 @@ class Permutation(Record):
     def _unchecked(cls, mapping: tuple[int, ...]) -> "Permutation":
         """A mapping that is a bijection by construction, not checked again."""
         perm = object.__new__(cls)
-        perm.__dict__.update(size=len(mapping), mapping=mapping)
-        return perm if mapping else cls(0, mapping)  # size 0 raises, as from a caller
+        perm.__dict__["mapping"] = mapping
+        return perm if mapping else cls(mapping)  # size 0 raises, as from a caller
 
     def apply(self, seq: list) -> list:
-        if len(seq) != self.size:
-            raise ValueError(f"sequence length {len(seq)} != permutation size {self.size}")
-        out = [None] * self.size
-        for i, x in zip(self.mapping, seq):
+        mapping = self.mapping
+        if len(seq) != len(mapping):
+            raise ValueError(f"sequence length {len(seq)} != permutation size {len(mapping)}")
+        out = [None] * len(mapping)
+        for i, x in zip(mapping, seq):
             out[i] = x
         return out
 

@@ -105,7 +105,6 @@ def _run(config: CdssqcConfig) -> SessionOutcome:
             parity = config.switch_bell.parity
         return (alice_z.measure_z(session.travel[p]) ^ bob_z.measure_z(qubit(p, HOME))) != parity
 
-    details["eve_truth"] = tuple(message)
     steps = [alice_z, bob_z, charlie_ab] if ghz else [alice_z, bob_z]
     aborted = session.spot_check(charlie, spot_mismatch, steps)
     if aborted:
@@ -125,9 +124,7 @@ def _run(config: CdssqcConfig) -> SessionOutcome:
         return _branch_state(config, branch[p]) if ghz else config.switch_bell
 
     encoded = sorted(remaining[i] for i in alice.rng.sample(len(remaining), n))
-    r_a = session.exchange(
-        encoded, message, "send_sequence", lambda rx, i, q: rx.measure_z(q), ("measure_z",)
-    )
+    session.exchange(encoded, message, "send_sequence")
     transcript.log("alice", "reveal_split", decoys=session.decoy_wires())
     if ghz:
         outcomes = sorted([p, branch[p]] for p in session.decoys)
@@ -148,7 +145,6 @@ def _run(config: CdssqcConfig) -> SessionOutcome:
     if ghz:
         outcomes = sorted([p, branch[p]] for p in encoded)
         transcript.log("charlie", "announce_branches", outcomes=outcomes)
-        details["branches"] = [branch[p] for p in encoded]
         details["travel_bits"] = list(travel_bits)
         details["partner_bits"] = partner_bits
     else:
@@ -168,5 +164,4 @@ def _run(config: CdssqcConfig) -> SessionOutcome:
     transcript.log("bob", "decode", count=n)
 
     details["match_bits"] = (tuple(message), decoded)
-    details["r_a"] = tuple(r_a)
     return session.finish({"alice_sent": tuple(message), "bob_decoded": decoded})

@@ -37,7 +37,7 @@ class SessionConfig(Record):
     n: int
     m: int | None = None
     seed: int = 0
-    attack: AttackStrategy = AttackStrategy.none()
+    attack: AttackStrategy = AttackStrategy()
     threshold: float = 0.0
     permutation_enabled: bool = True
 
@@ -100,6 +100,11 @@ class SessionOutcome(Record):
     eve_inferences: tuple[int | None, ...] | None = None
     raw: RawKeys | None = None
     details: dict = {}
+
+
+def _read_z(rx: Step, i: int, q: int) -> int:
+    """The receiver's Z readout of an encoded wire, ``exchange``'s default."""
+    return rx.measure_z(q)
 
 
 def expect(config: SessionConfig, protocol: str) -> None:
@@ -213,7 +218,6 @@ class Session:
             return self.abort(chooser.name, AbortReason.CORRELATION_MISMATCH)
         checked = set(positions)
         self.slots = [p for p in range(self.total) if p not in checked]
-        self.attack.reindex(self.slots)
         return None
 
     def exchange(
@@ -221,19 +225,21 @@ class Session:
         encoded: list[int],
         message: Bits,
         send_action: str,
-        receive: Callable[[Step, int, int], object],
-        receive_ops: tuple[str, ...],
+        receive: Callable[[Step, int, int], object] = _read_z,
+        receive_ops: tuple[str, ...] = ("measure_z",),
     ) -> list[int]:
         """The sender's encoding and permuted return, then the per-wire readout.
 
         The sender measures each encoded slot (ascending) in Z and resends
         outcome XOR its message bit on a fresh qubit, reflects the other
         slots in play, and sends the sequence under a secret permutation.
-        On each wire Eve's hook acts, then the receiver either reads encoded
-        slot i into ``received[i]`` by ``receive(step, i, qubit)``, where
-        ``step`` is its step of ``receive_ops``, or Bell-measures a decoy
-        against its home partner.  Records how Eve classified each wire and
-        returns the sender's Z outcomes.
+        On each wire Eve's hook acts, pairing wire j with the j-th slot in
+        play, then the receiver either reads encoded slot i into
+        ``received[i]`` by ``receive(step, i, qubit)``, where ``step`` is its
+        step of ``receive_ops`` (a Z readout unless given), or Bell-measures
+        a decoy against its home partner.  Records the message as Eve's
+        target and how she classified each wire, and returns the sender's Z
+        outcomes.
         """
         sender, receiver, srng = self.sender, self.receiver, self.sender.rng
         encode, reflect = sender.step("measure_z", "prepare_z"), sender.step("reflect")
@@ -271,7 +277,6 @@ class Session:
         permute.log()
         self.transcript.log(sender.name, send_action, count=size)
         self.wire_of = dict(zip(slots, pi.mapping))
-        self.encoded = encoded
         self.encoded_wires = [self.wire_of[p] for p in encoded]
 
         # Per-wire processing: the eavesdropper hook, the receiving measurement
@@ -282,6 +287,7 @@ class Session:
         received: list = [None] * len(encoded)
         bell: dict[int, BellKind] = {}
         measure_bell = check.measure_bell
+        self.attack.slots = slots
         attack = self.attack if "return" in self.attack.legs else None
         for j in range(size):
             q = wire[j]
@@ -303,6 +309,7 @@ class Session:
             check.log()
         self.received, self.bell = received, bell
         self.transcript.log(receiver.name, "ack_receipt")
+        self.details["eve_truth"] = tuple(message)
         self.details["eve_wire_classifications"] = self.attack.wire_classifications
         return outcomes
 
@@ -330,10 +337,7 @@ class Session:
         self.transcript.log(self.receiver.name, "bell_check", mismatches=bad, checked=left)
         self.attack.finalize(self.encoded_wires)
         self.details.update(
-            decoy_checked=left,
-            decoy_mismatches=bad,
-            encoded_origins=list(self.encoded),
-            encoded_wires=list(self.encoded_wires),
+            decoy_checked=left, decoy_mismatches=bad, encoded_wires=list(self.encoded_wires)
         )
         checked = self.details["spot_checked"] + left
         self.error_rate = (self.details["spot_mismatches"] + bad) / max(checked, 1)

@@ -40,7 +40,6 @@ def run_sqd(config: SqdConfig) -> SessionOutcome:
 
     session.psi_pairs()
     transcript.log("bob", "ack_receipt")
-    session.details["eve_truth"] = tuple(m_b)
     alice_z, bob_z = alice.step("measure_z"), bob.step("measure_z")
     # psi+ pairs are Z-correlated
     aborted = session.spot_check(
@@ -74,7 +73,7 @@ def run_sqd(config: SqdConfig) -> SessionOutcome:
 
     ops = ("apply_x",) if any(m_a) else ()
     ops += ("measure_z",) if zz else ("measure_bell",)
-    r_b = session.exchange(encoded, m_b, "return_sequence", receive, ops)
+    session.exchange(encoded, m_b, "return_sequence", receive, ops)
     transcript.log("bob", "reveal_decoy_positions", mapping=session.decoy_wires())
     aborted = session.bell_check(lambda p: BellKind.PSI_PLUS)
     if aborted:
@@ -93,12 +92,10 @@ def run_sqd(config: SqdConfig) -> SessionOutcome:
         alice_decoded = tuple(parities[i] ^ m_a[i] for i in range(n))
     else:
         outcomes = list(session.received)
-        parities = tuple(kind.parity for kind in outcomes)
         transcript.log("alice", "announce_outcomes", outcomes=[k.value for k in outcomes])
         bob_decoded = tuple(decode_dialogue(outcomes[i], m_b[i]) for i in range(n))
         alice_decoded = tuple(decode_dialogue(outcomes[i], m_a[i]) for i in range(n))
         details["final_outcomes"] = outcomes
-    details["final_parities"] = parities
     transcript.log("both", "decode", count=n)
 
     keys = {
@@ -111,5 +108,4 @@ def run_sqd(config: SqdConfig) -> SessionOutcome:
         tuple(m_a) + tuple(m_b),
         bob_decoded + alice_decoded,
     )
-    details["r_b"] = tuple(r_b)
     return session.finish(keys)

@@ -70,11 +70,8 @@ def _run_keyed(config: SqkaConfig) -> SessionOutcome:
     session.psi_pairs()
     actions = choose_actions(n, session.m, bob.rng)
     encoded = [i for i, a in enumerate(actions) if a is ClassicalAction.MEASURE_AND_PREPARE]
-    r_b = session.exchange(
-        encoded, k_b, "return_sequence", lambda rx, i, q: rx.measure_z(q), ("measure_z",)
-    )
+    r_b = session.exchange(encoded, k_b, "return_sequence")
     transcript.log("bob", "reveal_Pi_m", mapping=session.decoy_wires())
-    session.details["eve_truth"] = tuple(k_b)
     aborted = session.bell_check(lambda p: BellKind.PSI_PLUS)
     if aborted:
         return aborted

@@ -79,6 +79,7 @@ def test_cnot_reflected_position_is_trace_free():
         attack, lanes = sqka_attack(AttackKind.CNOT, seed=seed)
         lanes.prepare_bell(BellKind.PSI_PLUS, H0, T0)
         attack.forward_leg([T0])
+        attack.slots = [0]  # as a session writes its slots in play before the return leg
         assert attack.wire(0, T0) == T0
         attack.after_wire(0)
         assert attack.wire_bits == {0: 0}
@@ -95,6 +96,7 @@ def test_cnot_encoded_position_reads_key_bit(k_b):
         bob = PartyContext("bob", Capability.CLASSICAL, RandomSource(seed + 100), lanes)
         lanes.prepare_bell(BellKind.PSI_PLUS, H0, T0)
         attack.forward_leg([T0])
+        attack.slots = [0]
         r = bob.measure_z(T0)
         bob.prepare_z(r ^ k_b, B0)
         attack.wire(0, B0)
@@ -155,6 +157,7 @@ def test_ir_backward_classifies_and_resends():
         bob = PartyContext("bob", Capability.CLASSICAL, RandomSource(seed + 7), lanes)
         lanes.prepare_bell(BellKind.PSI_PLUS, H0, T0)
         fwd = attack.forward_leg([T0])
+        attack.slots = [0]
         r = bob.measure_z(fwd[0])
         k_b = seed % 2
         bob.prepare_z(r ^ k_b, B0)
@@ -263,7 +266,7 @@ def test_eve_rng_seed_override_changes_attack_randomness():
 
 def test_none_attack_passthrough():
     eve, _ = quantum_party()
-    attack = build_attack(AttackStrategy.none(), False, eve)
+    attack = build_attack(AttackStrategy(), False, eve)
     assert attack.forward_leg(["a", "b"]) == ["a", "b"]
     assert attack.wire(0, "a") == "a"
     attack.finalize([0, 1])

@@ -1,6 +1,8 @@
 """Efficiency accounting, detection model, Monte Carlo driver, serialization."""
+import ast
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -295,3 +297,45 @@ def test_sqd_template_runs_through_driver():
     assert stats.key_match_rate == 1.0
     doc = parse_stats(emit_stats(stats, "csv"), "csv")
     assert doc["eta"] == pytest.approx(0.2)
+
+
+# ---------------------------------------------------------------------------
+# outcome details
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _is_details(node) -> bool:
+    """``details`` or ``<expr>.details``."""
+    return (isinstance(node, ast.Name) and node.id == "details") or (
+        isinstance(node, ast.Attribute) and node.attr == "details"
+    )
+
+
+def _details_keys(paths, store: bool) -> set[str]:
+    """The constant keys ``paths`` write into (``store``) or read from a
+    ``details`` dict: ``details[k] = v``, ``details.update(k=v)`` and a dict
+    literal assigned to it, or ``details[k]`` and ``details.get(k)``."""
+    keys = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Subscript) and _is_details(node.value):
+                if isinstance(node.ctx, ast.Store) == store and isinstance(node.slice, ast.Constant):
+                    keys.add(node.slice.value)
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                if _is_details(node.func.value) and node.func.attr == ("update" if store else "get"):
+                    keys.update(k.arg for k in node.keywords)
+                    keys.update(a.value for a in node.args[:1] if isinstance(a, ast.Constant))
+            elif store and isinstance(node, (ast.Assign, ast.AnnAssign)) and isinstance(node.value, ast.Dict):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                if any(map(_is_details, targets)):
+                    keys.update(k.value for k in node.value.keys if isinstance(k, ast.Constant))
+    return keys
+
+
+def test_every_outcome_detail_written_is_read():
+    written = _details_keys((ROOT / "src/semiquantum/protocols").glob("*.py"), store=True)
+    readers = [ROOT / "src/semiquantum/analysis.py", *(ROOT / "scripts").glob("*.py"), *(ROOT / "tests").glob("*.py")]
+    read = _details_keys(readers, store=False)
+    assert {"spot_checked", "decoy_mismatches", "eve_truth", "match_bits"} <= written
+    assert written - read == set()

@@ -13,12 +13,13 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 RUNNER_OF = {"sqka": "sqka", "sqkd": "sqka", "cdssqc-ghz": "cdssqc", "cdssqc-switch": "cdssqc", "sqd": "sqd"}
 WATCHED = ["semiquantum.protocols.sqka", "semiquantum.protocols.cdssqc", "semiquantum.protocols.sqd",
-           "semiquantum.qsim_reference", "fractions", "csv", "dataclasses", "inspect"]
+           "semiquantum.qsim_reference", "fractions", "csv", "dataclasses", "inspect", "tempfile"]
 
 # Runs semiquantum.cli.main on the arguments after the first, which lists
 # modules to watch, and prints as JSON its exit code, the watched modules
-# that the import and the run loaded, and those present at the end (site may
-# have loaded a stdlib one before).
+# that the import and the run loaded, and those present at the end.  The
+# child runs without site (-S), whose .pth files may import a watched stdlib
+# module before the CLI does.
 _RUN_CLI = """
 import contextlib, io, json, sys
 before = set(sys.modules)
@@ -34,7 +35,7 @@ def _run(*argv: str) -> tuple[list[str], list[str]]:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     out = subprocess.run(
-        [sys.executable, "-c", _RUN_CLI, json.dumps(WATCHED), *argv], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-S", "-c", _RUN_CLI, json.dumps(WATCHED), *argv], env=env, capture_output=True, text=True, check=True
     )
     code, loaded, present = json.loads(out.stdout)
     assert code == 0

@@ -108,9 +108,9 @@ def test_identity_permutation_size_one():
 
 def test_permutation_validation():
     with pytest.raises(ValueError):
-        Permutation(3, (0, 0, 2))
+        Permutation((0, 0, 2))
     with pytest.raises(ValueError):
-        Permutation(2, (0, 1, 2))
+        Permutation((0, 1, 3))
 
 
 @pytest.mark.parametrize("size", [0, -1])
@@ -126,8 +126,8 @@ def test_drawn_permutations_equal_the_checked_records_of_their_mappings():
     rng = RandomSource(17)
     for size in range(1, 401):
         for perm in (random_permutation(size, rng), Permutation.identity(size)):
-            assert perm.size == size and sorted(perm.mapping) == list(range(size))
-            checked = Permutation(size, perm.mapping)
+            assert len(perm.mapping) == size and sorted(perm.mapping) == list(range(size))
+            checked = Permutation(perm.mapping)
             assert perm == checked and checked == perm and hash(perm) == hash(checked)
 
 
@@ -142,7 +142,7 @@ def test_permutation_roundtrip(seed, size):
 
 
 def test_permutation_destination_source():
-    perm = Permutation(3, (2, 0, 1))
+    perm = Permutation((2, 0, 1))
     assert perm.apply(["a", "b", "c"]) == ["b", "c", "a"]
     assert perm.destination(0) == 2
     assert perm.apply([0, 1, 2])[2] == 0  # wire 2 carries input 0

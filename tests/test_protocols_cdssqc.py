@@ -210,6 +210,22 @@ def test_measure_resend_eve_decode_is_blind():
     assert acc / total == pytest.approx(0.5, abs=0.05)
 
 
+@pytest.mark.parametrize("spot_check_size", [0, 1, 2, 4, 6])
+@pytest.mark.parametrize("variant", list(CdssqcVariant), ids=lambda v: v.value)
+def test_eve_pairs_wires_with_the_slots_left_after_the_spot_check(variant, spot_check_size):
+    # Without a permutation, return wire j carries the j-th slot the spot
+    # check left, so a measure-resend Eve who pairs by that list reads every
+    # message bit; pairing by all slots would misalign her after a checked one.
+    run = run_cdssqc_ghz if variant is CdssqcVariant.GHZ_LIKE else run_cdssqc_switch
+    for seed in range(20):
+        config = CdssqcConfig(
+            n=4, seed=seed, variant=variant, attack=AttackStrategy(AttackKind.MEASURE_RESEND),
+            permutation_enabled=False, threshold=1.0, spot_check_size=spot_check_size,
+        )
+        out = run(config)
+        assert out.eve_inferences == out.details["eve_truth"], seed
+
+
 def test_switch_measure_resend_detected_at_bob():
     bell = 0
     trials = 150

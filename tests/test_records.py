@@ -23,7 +23,7 @@ from semiquantum.qsim import COMPUTATIONAL, HADAMARD, BellKind, OrthonormalPair
 from semiquantum.records import Record, fields, replace
 
 REQUIRED = object()
-SESSION = [("n", REQUIRED), ("m", None), ("seed", 0), ("attack", AttackStrategy(AttackKind.NONE, frozenset())),
+SESSION = [("n", REQUIRED), ("m", None), ("seed", 0), ("attack", AttackStrategy()),
            ("threshold", 0.0), ("permutation_enabled", True)]
 SPOT = [*SESSION, ("spot_check_size", None)]
 # Each record's fields in constructor order, with their defaults.
@@ -42,7 +42,7 @@ RECORDS = {
                                                      "error_rate_observed")],
                      ("eve_inferences", None), ("raw", None), ("details", {})],
     AttackStrategy: [("kind", AttackKind.NONE), ("legs", None), ("eve_rng_seed", None)],
-    Permutation: [("size", REQUIRED), ("mapping", REQUIRED)],
+    Permutation: [("mapping", REQUIRED)],
     ProtocolCostRow: [(name, REQUIRED) for name in ("protocol", "c", "q_c", "d", "b")],
     TrialStats: [(name, REQUIRED) for name in ("protocol", "attack", "n", "m", "trials", "failures", "abort_rate",
                                                "key_match_rate", "eve_accuracy", "eve_position_id_rate",
@@ -54,7 +54,7 @@ SAMPLE = {
     "n": 2,
     "k_a": (0, 1), "k_b": (1, 1), "r_a": (0, 0), "r_b": (1, 0), "k_f": (1, 0),
     "protocol": "sqka", "aborted": False, "abort_reason": AbortReason.NONE, "keys": {"alice": (1,)},
-    "transcript": Transcript(), "error_rate_observed": 0.25, "size": 3, "mapping": (2, 0, 1),
+    "transcript": Transcript(), "error_rate_observed": 0.25, "mapping": (2, 0, 1),
     "c": 1, "q_c": 2, "d": 3, "b": 5, "attack": "none", "m": 6, "trials": 4, "failures": 0,
     "abort_rate": 0.5, "key_match_rate": 1.0, "eve_accuracy": 0.0, "eve_position_id_rate": 0.0,
     "decoy_detection_rate": 0.0, "halfwidth99": {"abort_rate": 0.1}, "session": SqkaConfig(n=2),
@@ -113,7 +113,7 @@ def test_equal_values_compare_equal_and_hash_alike(cls):
         with pytest.raises(TypeError):
             hash(a)
     name = RECORDS[cls][0][0]
-    other = Permutation(3, (0, 1, 2)) if cls is Permutation else replace(a, **{name: "other"})
+    other = Permutation((0, 1, 2)) if cls is Permutation else replace(a, **{name: "other"})
     assert other != a
 
 
@@ -143,7 +143,7 @@ def test_mutable_defaults_are_not_shared():
     assert second.events == [] and len(first.events) == 1
     required = _required(SessionOutcome)
     assert SessionOutcome(**required).details is not SessionOutcome(**required).details
-    assert SessionConfig(n=1).attack == AttackStrategy.none()
+    assert SessionConfig(n=1).attack == AttackStrategy()
 
 
 def test_replace_validates_anew():
@@ -155,7 +155,7 @@ def test_replace_validates_anew():
     assert replace(config, seed=6) == SqkaConfig(n=2, seed=6)
     assert replace(config) == config and replace(config) is not config
     with pytest.raises(ValueError, match="bijection"):
-        replace(Permutation(3, (2, 0, 1)), mapping=(0, 0, 1))
+        replace(Permutation((2, 0, 1)), mapping=(0, 0, 1))
     with pytest.raises(TypeError, match="bogus"):
         replace(config, bogus=1)
 
@@ -165,8 +165,8 @@ def test_replace_validates_anew():
     [
         (lambda: SqkaConfig(), "got 0 by position and none by keyword"),
         (lambda: SqkaConfig(n=1, bogus=2), "got 0 by position and n, bogus by keyword"),
-        (lambda: Permutation(1, (0,), 3), "got 3 by position"),
-        (lambda: Permutation(1, size=1), "got 1 by position and size by keyword"),
+        (lambda: Permutation((0,), 1, 3), "got 3 by position"),
+        (lambda: Permutation((0,), size=1), "got 1 by position and size by keyword"),
         (lambda: RawKeys((0,), (1,), (0,)), "takes the fields k_a, k_b, r_a, r_b, k_f; got 3 by position"),
     ],
 )
@@ -178,7 +178,7 @@ def test_bad_constructor_calls_raise_type_error(build, word):
 def test_repr_names_every_field_in_order():
     assert repr(RawKeys((0,), (1,), (0,), (1,), (1,))) == "RawKeys(k_a=(0,), k_b=(1,), r_a=(0,), r_b=(1,), k_f=(1,))"
     assert repr(SqkaConfig(n=2)) == (
-        "SqkaConfig(n=2, m=None, seed=0, attack=AttackStrategy(kind=<AttackKind.NONE: 'none'>, legs=frozenset(), "
+        "SqkaConfig(n=2, m=None, seed=0, attack=AttackStrategy(kind=<AttackKind.NONE: 'none'>, legs=None, "
         "eve_rng_seed=None), threshold=0.0, permutation_enabled=True, commitments_enabled=True, protocol='sqka', "
         "fixed_k_a=None, fixed_k_b=None, dishonest_k_a=None, dishonest_pi_n=False)"
     )
