@@ -71,13 +71,14 @@ def default_legs(kind: AttackKind, controlled: bool) -> frozenset[str]:
 # channel hooks used by the protocol session
 
 
-# A session addresses slot i's qubits as i << 3 | role with roles 0-3, the
+# A session addresses slot i's qubits as i << 3 | role with roles 0-2, the
 # travel qubit role 1 (see protocols.common.qubit).  Eve's qubits take roles
-# 4-6 of the same packing: KEPT is the one she keeps for slot i (her CNOT
+# 4 and 5 of the same packing: KEPT is the one she keeps for slot i (her CNOT
 # ancilla or retained Bell half), SENT the one she forwards in slot i's
-# place, and RESENT the one she returns on wire i.
+# place.  A resend takes the address of the qubit it replaces, freed by its
+# measurement, so it stays in that qubit's lane.
 _TRAVEL = 1
-KEPT, SENT, RESENT = 4, 5, 6
+KEPT, SENT = 4, 5
 
 
 class ChannelAttack:
@@ -92,6 +93,9 @@ class ChannelAttack:
     ``forward`` logs its step, the session logs ``wire_ops`` once the return
     leg has run.  ``slots[j]`` is the slot Eve pairs with return wire j;
     the session writes its list of slots in play there before the return leg.
+    Eve's own qubits for slot i are ``i << 3 | KEPT`` and ``SENT``; a hook
+    that resends returns the address it was handed, which the resent qubit
+    takes from the one it replaces.
     Her observations live on the attack too, and ``finalize`` turns them
     into ``inferred_bits``, one per encoded slot.
     """
@@ -186,10 +190,10 @@ class InterceptResendAttack(ChannelAttack):
         # Identified wires are resent mimicking the sender's encoding; the
         # ambiguous psi+ wires are resent as the complement of the collapsed
         # original.
-        new = ops.prepare_z(u ^ (bit if bit is not None else 1), j << 3 | RESENT)
+        ops.prepare_z(u ^ (bit if bit is not None else 1), label)
         self.wire_classifications[j] = cls
         self.wire_bits[j] = bit
-        return new
+        return label
 
 
 class SubstituteSinglesAttack(ChannelAttack):
@@ -208,7 +212,7 @@ class SubstituteSinglesAttack(ChannelAttack):
 
 
 class MeasureResendAttack(ChannelAttack):
-    """Measure each qubit of an attacked leg in Z and forward a fresh copy."""
+    """Measure each qubit of an attacked leg in Z and resend the outcome in its place."""
 
     kind = AttackKind.MEASURE_RESEND
     FORWARD = WIRE = ("measure_z", "prepare_z")
@@ -216,18 +220,17 @@ class MeasureResendAttack(ChannelAttack):
     def forward(self, labels):
         ops, bits = self.forward_ops, self.forward_bits
         measure_z, prepare_z = ops.measure_z, ops.prepare_z
-        out = []
         for i, label in enumerate(labels):
             u = bits[i] = measure_z(label)
-            out.append(prepare_z(u, i << 3 | SENT))
+            prepare_z(u, label)
         ops.log()
-        return out
+        return labels
 
     def wire(self, j, label):
         ops = self.wire_ops
         u = self.wire_bits[j] = ops.measure_z(label)
         self.wire_classifications[j] = "unknown"
-        return ops.prepare_z(u, j << 3 | RESENT)
+        return ops.prepare_z(u, label)
 
     def finalize(self, encoded_wires):
         # Wire-order decode guess: XOR the value seen on the return wire with

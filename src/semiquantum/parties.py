@@ -146,9 +146,6 @@ class Permutation(Record):
             out[i] = x
         return out
 
-    def destination(self, i: int) -> int:
-        return self.mapping[i]
-
 
 def random_permutation(size: int, rng: RandomSource) -> Permutation:
     """Uniform draw from the symmetric group S_size."""

@@ -86,11 +86,11 @@ def _run(config: CdssqcConfig) -> SessionOutcome:
         transcript.log("charlie", "prepare_pairs", count=total, state=config.switch_bell.value)
         step.prepare_bell(config.switch_bell, TRAVEL, HOME, total)
         step.log()
-        pi_c = (
+        bob_wire = (  # the switch: slot p's B half goes to Bob's wire bob_wire[p]
             random_permutation(total, charlie.rng)
             if config.charlie_permutation_enabled
             else Permutation.identity(total)
-        )
+        ).mapping
         transcript.log("charlie", "permute_bob_sequence", size=total)
     transcript.log("charlie", "distribute", to=["alice", "bob"])
     session.send()
@@ -127,10 +127,10 @@ def _run(config: CdssqcConfig) -> SessionOutcome:
     session.exchange(encoded, message, "send_sequence")
     transcript.log("alice", "reveal_split", decoys=session.decoy_wires())
     if ghz:
-        outcomes = sorted([p, branch[p]] for p in session.decoys)
+        outcomes = [[p, branch[p]] for p in session.decoys]
         transcript.log("charlie", "announce_decoy_branches", outcomes=outcomes)
     else:
-        positions = sorted([p, pi_c.destination(p)] for p in session.decoys)
+        positions = [[p, bob_wire[p]] for p in session.decoys]
         transcript.log("charlie", "reveal_decoy_partners", positions=positions)
     aborted = session.bell_check(shared)
     if aborted:
@@ -143,7 +143,7 @@ def _run(config: CdssqcConfig) -> SessionOutcome:
     partner_bits = session.read(bob, encoded, HOME)
     transcript.log("bob", "measure_remaining", count=n)
     if ghz:
-        outcomes = sorted([p, branch[p]] for p in encoded)
+        outcomes = [[p, branch[p]] for p in encoded]
         transcript.log("charlie", "announce_branches", outcomes=outcomes)
         details["travel_bits"] = list(travel_bits)
         details["partner_bits"] = partner_bits
@@ -151,12 +151,12 @@ def _run(config: CdssqcConfig) -> SessionOutcome:
         # decode guess before the controller's disclosure: pair message slot p
         # with Bob's wire slot p (correct only where the switch is an identity)
         parity = config.switch_bell.parity
-        at_bob_wire = {pi_c.destination(p): partner_bits[i] for i, p in enumerate(encoded)}
+        at_bob_wire = {bob_wire[p]: partner_bits[i] for i, p in enumerate(encoded)}
         details["predisclosure_decode"] = tuple(
             None if at_bob_wire.get(p) is None else travel_bits[i] ^ at_bob_wire[p] ^ parity
             for i, p in enumerate(encoded)
         )
-        mapping = sorted([p, pi_c.destination(p)] for p in encoded)
+        mapping = [[p, bob_wire[p]] for p in encoded]
         transcript.log("charlie", "reveal_switch_permutation", mapping=mapping)
     decoded = tuple(
         travel_bits[i] ^ partner_bits[i] ^ shared(p).parity for i, p in enumerate(encoded)

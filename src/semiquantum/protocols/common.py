@@ -17,10 +17,11 @@ Bits = tuple[int, ...]
 
 # A qubit's lane address packs its slot and its role, slot << 3 | role.
 # HOME is the partner the distributing party keeps (H, B), TRAVEL the qubit
-# it sends (T, A), CONTROL the controller's third qubit and FRESH the
-# sender's re-prepared qubit.  Eve's qubits take roles 4-6 (adversary.KEPT,
-# SENT and RESENT).
-HOME, TRAVEL, CONTROL, FRESH = range(4)
+# it sends (T, A) and CONTROL the controller's third qubit.  Eve's qubits
+# take roles 4 and 5 (adversary.KEPT and SENT).  A resend, the sender's or
+# Eve's, takes the address of the qubit it replaces, so it stays in that
+# qubit's lane.
+HOME, TRAVEL, CONTROL = range(3)
 
 
 def qubit(slot: int, role: int) -> int:
@@ -231,8 +232,9 @@ class Session:
         """The sender's encoding and permuted return, then the per-wire readout.
 
         The sender measures each encoded slot (ascending) in Z and resends
-        outcome XOR its message bit on a fresh qubit, reflects the other
-        slots in play, and sends the sequence under a secret permutation.
+        outcome XOR its message bit on a fresh qubit at the measured qubit's
+        address, reflects the other slots in play, and sends the sequence
+        under a secret permutation.
         On each wire Eve's hook acts, pairing wire j with the j-th slot in
         play, then the receiver either reads encoded slot i into
         ``received[i]`` by ``receive(step, i, qubit)``, where ``step`` is its
@@ -249,18 +251,15 @@ class Session:
 
         travel, slots = self.travel, self.slots
         measure_z, prepare_z = encode.measure_z, encode.prepare_z
-        index = {p: i for i, p in enumerate(encoded)}
+        index: list[int | None] = [None] * self.total  # slot -> position in encoded
         outcomes: list[int] = []
-        seq: list[int] = []
-        for p in slots:
-            i = index.get(p)
-            if i is None:
-                seq.append(travel[p])
-            else:
-                bit = measure_z(travel[p])
-                outcomes.append(bit)
-                seq.append(prepare_z(bit ^ message[i], p << 3 | FRESH))
-        self.decoys = [p for p in slots if p not in index]
+        for i, p in enumerate(encoded):
+            index[p], q = i, travel[p]
+            bit = measure_z(q)
+            outcomes.append(bit)
+            prepare_z(bit ^ message[i], q)  # the resend takes the address the measurement freed
+        seq = [travel[p] for p in slots]
+        self.decoys = [p for p in slots if index[p] is None]
         if encoded:
             encode.log()
         if self.decoys:
@@ -276,14 +275,14 @@ class Session:
         wire = permute.permute(pi, seq)
         permute.log()
         self.transcript.log(sender.name, send_action, count=size)
-        self.wire_of = dict(zip(slots, pi.mapping))
-        self.encoded_wires = [self.wire_of[p] for p in encoded]
+        self.wire_of = wire_of = dict(zip(slots, pi.mapping))
+        self.encoded_wires = [wire_of[p] for p in encoded]
 
         # Per-wire processing: the eavesdropper hook, the receiving measurement
         # and the ancilla readout all act on disjoint qubits across wires, so
         # they commute with the later classical stages; sampling them in wire
         # order keeps every register within the qubit cap.
-        origin = {w: p for p, w in self.wire_of.items()}
+        origin = pi.apply(slots)  # wire -> slot
         received: list = [None] * len(encoded)
         bell: dict[int, BellKind] = {}
         measure_bell = check.measure_bell
@@ -294,7 +293,7 @@ class Session:
             if attack is not None:
                 q = attack.wire(j, q)
             p = origin[j]
-            i = index.get(p)
+            i = index[p]
             if i is None:
                 bell[p] = measure_bell(p << 3 | HOME, q)
             else:
@@ -324,7 +323,7 @@ class Session:
 
     def decoy_wires(self) -> list[list[int]]:
         """The disclosed [slot, wire] pairs of the decoys."""
-        return sorted([p, self.wire_of[p]] for p in self.decoys)
+        return [[p, self.wire_of[p]] for p in self.decoys]
 
     def bell_check(self, expected: Callable[[int], BellKind]) -> SessionOutcome | None:
         """The receiver's decoy check; then Eve's inferences are fixed.

@@ -5,7 +5,6 @@ import pytest
 from semiquantum.adversary import (
     KEPT,
     LEGS,
-    RESENT,
     SENT,
     AttackKind,
     AttackStrategy,
@@ -17,8 +16,10 @@ from semiquantum.adversary import (
     build_attack,
     default_legs,
 )
+from semiquantum import qsim
 from semiquantum.parties import Capability, PartyContext
-from semiquantum.protocols.common import FRESH, HOME, TRAVEL, qubit
+from semiquantum.protocols import PROTOCOLS, make_config, run_session
+from semiquantum.protocols.common import HOME, TRAVEL, qubit
 from semiquantum.qsim import (
     BELL_ORDER,
     BellKind,
@@ -34,22 +35,23 @@ from semiquantum.rng import RandomSource
 S = 1 / np.sqrt(2)
 
 
-# slot 0's qubits, Bob's fresh one included
-H0, T0, B0 = qubit(0, HOME), qubit(0, TRAVEL), qubit(0, FRESH)
-# Eve's qubits: the one she keeps and the one she sends for slot 0, and the
-# one she resends on wire 0
-K0, S0, R0 = qubit(0, KEPT), qubit(0, SENT), qubit(0, RESENT)
+# slot 0's qubits; a resend, Bob's or Eve's, takes the address of the qubit
+# it replaces
+H0, T0 = qubit(0, HOME), qubit(0, TRAVEL)
+# Eve's qubits: the one she keeps and the one she sends for slot 0
+K0, S0 = qubit(0, KEPT), qubit(0, SENT)
 
 
-def quantum_party(name="eve", seed=9):
-    lanes = Lanes(1)
+def quantum_party(name="eve", seed=9, size=1):
+    lanes = Lanes(size)
     return PartyContext(name, Capability.QUANTUM, RandomSource(seed), lanes), lanes
 
 
-def sqka_attack(kind, seed=9):
-    """The hooks of ``kind`` against sqka (default legs), and Eve's lanes."""
-    eve, lanes = quantum_party(seed=seed)
-    return build_attack(AttackStrategy(kind), False, eve), lanes
+def sqka_attack(kind, seed=9, size=1, legs=None):
+    """The hooks of ``kind`` against sqka (default legs unless given), and
+    Eve's lanes of ``size`` slots."""
+    eve, lanes = quantum_party(seed=seed, size=size)
+    return build_attack(AttackStrategy(kind, legs), False, eve), lanes
 
 
 # ---------------------------------------------------------------------------
@@ -98,8 +100,8 @@ def test_cnot_encoded_position_reads_key_bit(k_b):
         attack.forward_leg([T0])
         attack.slots = [0]
         r = bob.measure_z(T0)
-        bob.prepare_z(r ^ k_b, B0)
-        attack.wire(0, B0)
+        bob.prepare_z(r ^ k_b, T0)
+        attack.wire(0, T0)
         attack.after_wire(0)
         assert attack.wire_bits == {0: k_b}
 
@@ -156,12 +158,12 @@ def test_ir_backward_classifies_and_resends():
         attack, lanes = sqka_attack(AttackKind.INTERCEPT_RESEND, seed=seed)
         bob = PartyContext("bob", Capability.CLASSICAL, RandomSource(seed + 7), lanes)
         lanes.prepare_bell(BellKind.PSI_PLUS, H0, T0)
-        fwd = attack.forward_leg([T0])
+        assert attack.forward_leg([T0]) == [S0]
         attack.slots = [0]
-        r = bob.measure_z(fwd[0])
+        r = bob.measure_z(S0)
         k_b = seed % 2
-        bob.prepare_z(r ^ k_b, B0)
-        assert attack.wire(0, B0) == R0
+        bob.prepare_z(r ^ k_b, S0)  # Bob's resend takes the address he measured
+        assert attack.wire(0, S0) == S0  # and so does Eve's
         cls = attack.wire_classifications[0]
         if cls == "measured":
             assert attack.wire_bits[0] == k_b  # identified bits are always right
@@ -193,6 +195,47 @@ def test_measure_resend_forwards_outcome_copies():
     probs = dict(zip(BELL_ORDER, bell_probabilities(merged, H0, out[0])))
     assert probs[BellKind.PSI_PLUS] == pytest.approx(0.5, abs=1e-12)
     assert probs[BellKind.PSI_MINUS] == pytest.approx(0.5, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# resends in place
+
+
+@pytest.mark.parametrize("kind", [AttackKind.INTERCEPT_RESEND, AttackKind.MEASURE_RESEND])
+def test_resending_hooks_return_the_address_they_were_handed(kind):
+    # two slots, swapped on the return leg: wire 0 carries slot 1's qubit,
+    # which Bob measured and resent, and wire 1 slot 0's, which he reflected
+    for seed in range(10):
+        attack, lanes = sqka_attack(kind, seed=seed, size=2, legs=LEGS)
+        bob = PartyContext("bob", Capability.CLASSICAL, RandomSource(seed + 7), lanes)
+        lanes.prepare_bell(BellKind.PSI_PLUS, H0, T0, 2)
+        travel = [T0, T0 | 8]
+        sent = attack.forward_leg(travel)
+        if kind is AttackKind.MEASURE_RESEND:
+            assert sent == travel  # the forward-leg resends stay where they were
+            assert all(lanes.state_of(q).labels == (q,) for q in sent)
+        attack.slots = [0, 1]
+        bob.prepare_z(bob.measure_z(sent[1]) ^ 1, sent[1])
+        for j, q in enumerate(reversed(sent)):
+            assert attack.wire(j, q) == q
+            assert lanes.state_of(q).labels == (q,)  # a Z state alone in q's lane
+            attack.after_wire(j)
+
+
+@pytest.mark.parametrize("n", [3, 8])
+@pytest.mark.parametrize("protocol", list(PROTOCOLS))
+def test_measure_resend_on_both_legs_keeps_every_register_in_its_lane(protocol, n, monkeypatch):
+    """Every qubit measure-resend touches stays in its slot's lane, the
+    permutation on: each resend takes the address it measured, so the
+    receiver's check runs on one lane and no register spans lanes."""
+    shared = []
+    init = qsim._Shared.__init__
+    monkeypatch.setattr(qsim._Shared, "__init__", lambda rec, *args: shared.append(args) or init(rec, *args))
+    strategy = AttackStrategy(AttackKind.MEASURE_RESEND, legs=LEGS)
+    for seed in range(5):
+        config = make_config(protocol, n=n, seed=seed, attack=strategy, threshold=1.0)
+        assert run_session(config).details["decoy_checked"] > 0
+    assert shared == []
 
 
 # ---------------------------------------------------------------------------

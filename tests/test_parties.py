@@ -137,14 +137,14 @@ def test_permutation_roundtrip(seed, size):
     perm = random_permutation(size, rng)
     seq = list(range(size))
     moved = perm.apply(seq)
-    assert [moved[perm.destination(i)] for i in range(size)] == seq
+    assert [moved[perm.mapping[i]] for i in range(size)] == seq
     assert sorted(moved) == seq  # pure reordering
 
 
 def test_permutation_destination_source():
     perm = Permutation((2, 0, 1))
     assert perm.apply(["a", "b", "c"]) == ["b", "c", "a"]
-    assert perm.destination(0) == 2
+    assert perm.mapping[0] == 2  # input 0 moves to position 2
     assert perm.apply([0, 1, 2])[2] == 0  # wire 2 carries input 0
 
 

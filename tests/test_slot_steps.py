@@ -226,3 +226,28 @@ def test_a_session_leaves_no_cyclic_garbage(protocol, attack):
     finally:
         if enabled:
             gc.enable()
+
+
+@pytest.mark.parametrize("protocol", list(PROTOCOLS))
+def test_encoded_slots_and_decoys_ascend(protocol, monkeypatch):
+    """The announcements list decoys and encoded slots in the order the
+    session holds them, unsorted, so both must ascend: the runners pick
+    ``encoded`` in slot order, and ``exchange`` keeps the rest of the slots
+    in play, in order, as ``decoys``."""
+    seen = []
+    exchange = common.Session.exchange
+    monkeypatch.setattr(
+        common.Session, "exchange",
+        lambda session, encoded, *args: seen.append((session, encoded)) or exchange(session, encoded, *args),
+    )
+    configs = [make_config(protocol, n=n, seed=seed, threshold=1.0) for n in (3, 8) for seed in range(5)]
+    if hasattr(configs[0], "spot_count"):  # and with no spot check, every decoy in play
+        configs += [replace(c, spot_check_size=0) for c in configs]
+    for config in configs:
+        run_session(config)
+    assert len(seen) == len(configs)
+    for session, encoded in seen:
+        decoys = session.decoys
+        assert encoded == sorted(encoded) and decoys == sorted(decoys)
+        assert sorted(encoded + decoys) == session.slots
+        assert [p for p, _ in session.decoy_wires()] == decoys
