@@ -254,10 +254,10 @@ class Session:
         index: list[int | None] = [None] * self.total  # slot -> position in encoded
         outcomes: list[int] = []
         for i, p in enumerate(encoded):
-            index[p], q = i, travel[p]
-            bit = measure_z(q)
+            index[p] = i
+            bit = measure_z(travel[p])
             outcomes.append(bit)
-            prepare_z(bit ^ message[i], q)  # the resend takes the address the measurement freed
+            prepare_z(bit ^ message[i], travel[p])  # the resend takes the address the measurement freed
         seq = [travel[p] for p in slots]
         self.decoys = [p for p in slots if index[p] is None]
         if encoded:
@@ -275,8 +275,8 @@ class Session:
         wire = permute.permute(pi, seq)
         permute.log()
         self.transcript.log(sender.name, send_action, count=size)
-        self.wire_of = wire_of = dict(zip(slots, pi.mapping))
-        self.encoded_wires = [wire_of[p] for p in encoded]
+        self.wire_of = dict(zip(slots, pi.mapping))
+        self.encoded_wires = [self.wire_of[p] for p in encoded]
 
         # Per-wire processing: the eavesdropper hook, the receiving measurement
         # and the ancilla readout all act on disjoint qubits across wires, so

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from semiquantum import qsim
 from semiquantum.adversary import (
     KEPT,
     LEGS,
@@ -16,7 +17,6 @@ from semiquantum.adversary import (
     build_attack,
     default_legs,
 )
-from semiquantum import qsim
 from semiquantum.parties import Capability, PartyContext
 from semiquantum.protocols import PROTOCOLS, make_config, run_session
 from semiquantum.protocols.common import HOME, TRAVEL, qubit
@@ -209,7 +209,7 @@ def test_resending_hooks_return_the_address_they_were_handed(kind):
         attack, lanes = sqka_attack(kind, seed=seed, size=2, legs=LEGS)
         bob = PartyContext("bob", Capability.CLASSICAL, RandomSource(seed + 7), lanes)
         lanes.prepare_bell(BellKind.PSI_PLUS, H0, T0, 2)
-        travel = [T0, T0 | 8]
+        travel = [T0, qubit(1, TRAVEL)]
         sent = attack.forward_leg(travel)
         if kind is AttackKind.MEASURE_RESEND:
             assert sent == travel  # the forward-leg resends stay where they were
@@ -218,7 +218,7 @@ def test_resending_hooks_return_the_address_they_were_handed(kind):
         bob.prepare_z(bob.measure_z(sent[1]) ^ 1, sent[1])
         for j, q in enumerate(reversed(sent)):
             assert attack.wire(j, q) == q
-            assert lanes.state_of(q).labels == (q,)  # a Z state alone in q's lane
+            assert lanes.state_of(q).labels == (q,)  # the resent qubit, alone in its register
             attack.after_wire(j)
 
 
