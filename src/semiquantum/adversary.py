@@ -129,7 +129,7 @@ class ChannelAttack:
 
     def finalize(self, encoded_wires: list[int]) -> None:
         """Fix Eve's per-slot inferences once the wire roles are public."""
-        self.inferred_bits = tuple(self.wire_bits.get(w) for w in encoded_wires)
+        self.inferred_bits = tuple(map(self.wire_bits.get, encoded_wires))
 
 
 class NoAttack(ChannelAttack):
@@ -205,8 +205,8 @@ class SubstituteSinglesAttack(ChannelAttack):
     FORWARD = ("prepare_z",)
 
     def forward(self, labels):
-        ops, bit = self.forward_ops, self.eve.rng.bit
-        out = [ops.prepare_z(bit(), i << 3 | SENT) for i in range(len(labels))]
+        ops, getrandbits = self.forward_ops, self.eve.rng.getrandbits  # one bit a draw
+        out = [ops.prepare_z(getrandbits(1), i << 3 | SENT) for i in range(len(labels))]
         ops.log()
         return out
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import io
 import json
 import math
+from operator import eq
 
 from .adversary import AttackKind
 from .errors import SemiQuantumError, UnknownAttack
@@ -188,19 +189,19 @@ def trial_record(out: SessionOutcome | None) -> dict[str, float]:
     if match is not None:
         expected, actual = match
         rec["match_total"] = len(expected)
-        rec["match_hits"] = sum(1 for e, a in zip(expected, actual) if e == a)
+        rec["match_hits"] = sum(map(eq, expected, actual))
     if out.eve_inferences is not None:
         truth = out.details.get("eve_truth")
         if truth is not None and len(truth) == len(out.eve_inferences):
             rec["acc_total"] = len(truth)
-            rec["acc_sum"] = sum(
-                0.5 if b is None else float(b == t) for b, t in zip(out.eve_inferences, truth)
-            )
+            # 1 for each inference that matches, 0.5 for each she could not make
+            guesses = out.eve_inferences
+            rec["acc_sum"] = sum(map(eq, guesses, truth)) + 0.5 * guesses.count(None)
     cls = out.details.get("eve_wire_classifications")
     if cls:
         wires = out.details.get("encoded_wires", [])
         rec["id_total"] = len(wires)
-        rec["id_hits"] = sum(1 for w in wires if cls.get(w) == "measured")
+        rec["id_hits"] = list(map(cls.get, wires)).count("measured")
     return rec
 
 

@@ -60,19 +60,21 @@ def _permute(perm: Permutation, seq: list) -> list:
     return perm.apply(seq)
 
 
-# what each op of a step reaches, given the session's lanes and the party's rng
+# what each op of a step reaches, given the session's lanes and the lanes'
+# measurements drawing from the party's rng (None if the step names none)
 _BIND = {
-    "prepare_z": lambda lanes, rng: lanes.prepare_z,
-    "prepare_bell": lambda lanes, rng: lanes.prepare_bell,
-    "prepare_ghz_like": lambda lanes, rng: lanes.prepare_ghz_like,
-    "apply_cnot": lambda lanes, rng: lanes.cnot,
-    "apply_x": lambda lanes, rng: lanes.x,
-    "measure_z": lambda lanes, rng: lanes.measurements(rng)[0],
-    "measure_bell": lambda lanes, rng: lanes.measurements(rng)[1],
-    "measure_ab": lambda lanes, rng: lanes.measurements(rng)[2],
-    "reflect": lambda lanes, rng: _reflect,
-    "permute": lambda lanes, rng: _permute,
+    "prepare_z": lambda lanes, ms: lanes.prepare_z,
+    "prepare_bell": lambda lanes, ms: lanes.prepare_bell,
+    "prepare_ghz_like": lambda lanes, ms: lanes.prepare_ghz_like,
+    "apply_cnot": lambda lanes, ms: lanes.cnot,
+    "apply_x": lambda lanes, ms: lanes.x,
+    "measure_z": lambda lanes, ms: ms[0],
+    "measure_bell": lambda lanes, ms: ms[1],
+    "measure_ab": lambda lanes, ms: ms[2],
+    "reflect": lambda lanes, ms: _reflect,
+    "permute": lambda lanes, ms: _permute,
 }
+_MEASUREMENTS = frozenset({"measure_z", "measure_bell", "measure_ab"})
 
 
 class Step:
@@ -88,11 +90,12 @@ class Step:
 
     def __init__(self, party: PartyContext, names: tuple[str, ...]):
         self.party, self.names = party, names
-        lanes, rng = party.lanes, party.rng
+        lanes = party.lanes
+        ms = lanes.measurements(party.rng) if _MEASUREMENTS.intersection(names) else None
         for op in names:
             bind = _BIND.get(op)
             if bind is not None:
-                setattr(self, op, bind(lanes, rng))
+                setattr(self, op, bind(lanes, ms))
 
     def log(self) -> None:
         self.party.ops_log.update(self.names)

@@ -19,7 +19,7 @@ from enum import Enum
 
 from ..parties import Permutation, random_permutation
 from ..qsim import COMPUTATIONAL, BellKind, OrthonormalPair
-from .common import CONTROL, HOME, TRAVEL, Bits, Session, SessionOutcome, SpotCheckedConfig, expect, qubit
+from .common import CONTROL, HOME, TRAVEL, Bits, Session, SessionOutcome, SpotCheckedConfig, expect
 
 
 class CdssqcVariant(Enum):
@@ -53,10 +53,6 @@ def run_cdssqc_ghz(config: CdssqcConfig) -> SessionOutcome:
 def run_cdssqc_switch(config: CdssqcConfig) -> SessionOutcome:
     expect(config, "cdssqc-switch")
     return _run(config)
-
-
-def _branch_state(config: CdssqcConfig, g: int) -> BellKind:
-    return config.psi1 if g == 0 else config.psi2
 
 
 def _run(config: CdssqcConfig) -> SessionOutcome:
@@ -95,15 +91,16 @@ def _run(config: CdssqcConfig) -> SessionOutcome:
     transcript.log("charlie", "distribute", to=["alice", "bob"])
     session.send()
 
+    # the Bell state of slot p's A and B qubits: states[g] after Charlie's
+    # outcome g on its control qubit, or the switch's pair state
+    states = (config.psi1, config.psi2) if ghz else (config.switch_bell,) * 2
+    parities = (states[0].parity, states[1].parity)
     alice_z, bob_z = alice.step("measure_z"), bob.step("measure_z")
     charlie_ab = charlie.step("measure_ab") if ghz else None
 
     def spot_mismatch(p: int) -> bool:
-        if ghz:
-            parity = _branch_state(config, charlie_ab.measure_ab(qubit(p, CONTROL), basis)).parity
-        else:
-            parity = config.switch_bell.parity
-        return (alice_z.measure_z(session.travel[p]) ^ bob_z.measure_z(qubit(p, HOME))) != parity
+        parity = parities[charlie_ab.measure_ab(p << 3 | CONTROL, basis)] if ghz else parities[0]
+        return (alice_z.measure_z(session.travel[p]) ^ bob_z.measure_z(p << 3 | HOME)) != parity
 
     steps = [alice_z, bob_z, charlie_ab] if ghz else [alice_z, bob_z]
     aborted = session.spot_check(charlie, spot_mismatch, steps)
@@ -113,17 +110,14 @@ def _run(config: CdssqcConfig) -> SessionOutcome:
     # Controller outcomes are sampled now (they commute with everything the
     # other parties do to qubits 1 and 2) and announced at the staged points.
     remaining = session.slots
-    branch = {}
-    if ghz:
+    if ghz:  # Charlie's outcome by slot
         step = charlie.step("measure_ab")
-        branch = {p: step.measure_ab(qubit(p, CONTROL), basis) for p in remaining}
+        branch = {p: step.measure_ab(p << 3 | CONTROL, basis) for p in remaining}
         step.log()
+    else:
+        branch = dict.fromkeys(remaining, 0)
 
-    def shared(p: int) -> BellKind:
-        """The Bell state of slot p's A and B qubits, given Charlie's outcome."""
-        return _branch_state(config, branch[p]) if ghz else config.switch_bell
-
-    encoded = sorted(remaining[i] for i in alice.rng.sample(len(remaining), n))
+    encoded = sorted([remaining[i] for i in alice.rng.sample(len(remaining), n)])
     session.exchange(encoded, message, "send_sequence")
     transcript.log("alice", "reveal_split", decoys=session.decoy_wires())
     if ghz:
@@ -132,7 +126,7 @@ def _run(config: CdssqcConfig) -> SessionOutcome:
     else:
         positions = [[p, bob_wire[p]] for p in session.decoys]
         transcript.log("charlie", "reveal_decoy_partners", positions=positions)
-    aborted = session.bell_check(shared)
+    aborted = session.bell_check([states[branch[p]] for p in session.decoys])
     if aborted:
         return aborted
 
@@ -150,16 +144,16 @@ def _run(config: CdssqcConfig) -> SessionOutcome:
     else:
         # decode guess before the controller's disclosure: pair message slot p
         # with Bob's wire slot p (correct only where the switch is an identity)
-        parity = config.switch_bell.parity
+        parity = parities[0]
         at_bob_wire = {bob_wire[p]: partner_bits[i] for i, p in enumerate(encoded)}
-        details["predisclosure_decode"] = tuple(
+        details["predisclosure_decode"] = tuple([
             None if at_bob_wire.get(p) is None else travel_bits[i] ^ at_bob_wire[p] ^ parity
             for i, p in enumerate(encoded)
-        )
+        ])
         mapping = [[p, bob_wire[p]] for p in encoded]
         transcript.log("charlie", "reveal_switch_permutation", mapping=mapping)
     decoded = tuple(
-        travel_bits[i] ^ partner_bits[i] ^ shared(p).parity for i, p in enumerate(encoded)
+        [t ^ b ^ parities[branch[p]] for t, b, p in zip(travel_bits, partner_bits, encoded)]
     )
     transcript.log("bob", "decode", count=n)
 

@@ -5,8 +5,9 @@ from __future__ import annotations
 import re
 from collections.abc import Callable
 from enum import Enum
+from operator import is_not, xor
 
-from ..adversary import AttackKind, AttackStrategy, build_attack
+from ..adversary import AttackKind, AttackStrategy, ChannelAttack, build_attack
 from ..errors import ZeroCount
 from ..parties import Capability, PartyContext, Permutation, Step, random_permutation
 from ..qsim import BellKind, Lanes
@@ -101,11 +102,6 @@ class SessionOutcome(Record):
     eve_inferences: tuple[int | None, ...] | None = None
     raw: RawKeys | None = None
     details: dict = {}
-
-
-def _read_z(rx: Step, i: int, q: int) -> int:
-    """The receiver's Z readout of an encoded wire, ``exchange``'s default."""
-    return rx.measure_z(q)
 
 
 def expect(config: SessionConfig, protocol: str) -> None:
@@ -205,7 +201,7 @@ class Session:
         """
         s = self.config.spot_count()
         positions = sorted(chooser.rng.sample(self.total, s)) if s else []
-        bad = sum(1 for p in positions if mismatched(p))
+        bad = sum(map(mismatched, positions))
         if positions:
             for step in steps:
                 step.log()
@@ -226,7 +222,7 @@ class Session:
         encoded: list[int],
         message: Bits,
         send_action: str,
-        receive: Callable[[Step, int, int], object] = _read_z,
+        receive: Callable[[Step, int, int], object] | None = None,
         receive_ops: tuple[str, ...] = ("measure_z",),
     ) -> list[int]:
         """The sender's encoding and permuted return, then the per-wire readout.
@@ -237,11 +233,12 @@ class Session:
         under a secret permutation.
         On each wire Eve's hook acts, pairing wire j with the j-th slot in
         play, then the receiver either reads encoded slot i into
-        ``received[i]`` by ``receive(step, i, qubit)``, where ``step`` is its
-        step of ``receive_ops`` (a Z readout unless given), or Bell-measures
-        a decoy against its home partner.  Records the message as Eve's
-        target and how she classified each wire, and returns the sender's Z
-        outcomes.
+        ``received[i]``, or Bell-measures a decoy against its home partner.
+        The readout is ``receive(step, i, qubit)``, where ``step`` is the
+        receiver's step of ``receive_ops``; with no ``receive`` it is that
+        step's ``measure_z(qubit)``, called directly.  Records the message
+        as Eve's target and how she classified each wire, and returns the
+        sender's Z outcomes.
         """
         sender, receiver, srng = self.sender, self.receiver, self.sender.rng
         encode, reflect = sender.step("measure_z", "prepare_z"), sender.step("reflect")
@@ -286,8 +283,12 @@ class Session:
         received: list = [None] * len(encoded)
         bell: dict[int, BellKind] = {}
         measure_bell = check.measure_bell
+        read_z = rx.measure_z if receive is None else None
         self.attack.slots = slots
         attack = self.attack if "return" in self.attack.legs else None
+        after_wire = None  # the base hook does nothing
+        if attack is not None and type(attack).after_wire is not ChannelAttack.after_wire:
+            after_wire = attack.after_wire
         for j in range(size):
             q = wire[j]
             if attack is not None:
@@ -296,10 +297,12 @@ class Session:
             i = index[p]
             if i is None:
                 bell[p] = measure_bell(p << 3 | HOME, q)
+            elif read_z is not None:
+                received[i] = read_z(q)
             else:
                 received[i] = receive(rx, i, q)
-            if attack is not None:
-                attack.after_wire(j)
+            if after_wire is not None:
+                after_wire(j)
         if attack is not None:
             attack.wire_ops.log()
         if encoded:
@@ -325,14 +328,17 @@ class Session:
         """The disclosed [slot, wire] pairs of the decoys."""
         return [[p, self.wire_of[p]] for p in self.decoys]
 
-    def bell_check(self, expected: Callable[[int], BellKind]) -> SessionOutcome | None:
+    def bell_check(self, expected: list[BellKind]) -> SessionOutcome | None:
         """The receiver's decoy check; then Eve's inferences are fixed.
 
-        Returns the abort outcome if the decoy mismatch rate is over the
-        threshold.
+        ``expected`` lists the Bell state each decoy should show, in
+        ``decoys`` order.  Returns the abort outcome if the decoy mismatch
+        rate is over the threshold.
         """
-        bad = sum(1 for p in self.decoys if self.bell[p] is not expected(p))
         left = len(self.decoys)
+        if len(expected) != left:
+            raise ValueError(f"{len(expected)} expected Bell states for {left} decoys")
+        bad = sum(map(is_not, map(self.bell.__getitem__, self.decoys), expected))
         self.transcript.log(self.receiver.name, "bell_check", mismatches=bad, checked=left)
         self.attack.finalize(self.encoded_wires)
         self.details.update(
@@ -361,7 +367,7 @@ class Session:
 def xor_bits(a: Bits, b: Bits) -> Bits:
     if len(a) != len(b):
         raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
-    return tuple(x ^ y for x, y in zip(a, b))
+    return tuple(map(xor, a, b))
 
 
 def bits_to_hex(bits: Bits) -> str:

@@ -10,9 +10,11 @@ pair measurement works identically and is available behind a config flag.
 """
 from __future__ import annotations
 
+from operator import xor
+
 from ..parties import ClassicalAction, choose_actions
 from ..qsim import BellKind
-from .common import HOME, Bits, Session, SessionOutcome, SpotCheckedConfig, expect, qubit
+from .common import HOME, Bits, Session, SessionOutcome, SpotCheckedConfig, expect
 
 
 class SqdConfig(SpotCheckedConfig):
@@ -44,7 +46,7 @@ def run_sqd(config: SqdConfig) -> SessionOutcome:
     # psi+ pairs are Z-correlated
     aborted = session.spot_check(
         alice,
-        lambda p: alice_z.measure_z(qubit(p, HOME)) ^ bob_z.measure_z(session.travel[p]),
+        lambda p: alice_z.measure_z(p << 3 | HOME) ^ bob_z.measure_z(session.travel[p]),
         [alice_z, bob_z],
     )
     if aborted:
@@ -64,7 +66,7 @@ def run_sqd(config: SqdConfig) -> SessionOutcome:
 
     def receive(rx, i: int, q: int):
         """Alice adds her bit with I/X, then measures the pair: parity or Bell state."""
-        home = qubit(encoded[i], HOME)
+        home = encoded[i] << 3 | HOME
         if m_a[i]:
             rx.apply_x(q)
         if zz:
@@ -75,7 +77,7 @@ def run_sqd(config: SqdConfig) -> SessionOutcome:
     ops += ("measure_z",) if zz else ("measure_bell",)
     session.exchange(encoded, m_b, "return_sequence", receive, ops)
     transcript.log("bob", "reveal_decoy_positions", mapping=session.decoy_wires())
-    aborted = session.bell_check(lambda p: BellKind.PSI_PLUS)
+    aborted = session.bell_check([BellKind.PSI_PLUS] * len(session.decoys))
     if aborted:
         return aborted
 
@@ -86,16 +88,15 @@ def run_sqd(config: SqdConfig) -> SessionOutcome:
     )
     details = session.details
     if zz:
-        parities = tuple(session.received)
-        transcript.log("alice", "announce_outcomes", parities=list(parities))
-        bob_decoded = tuple(parities[i] ^ m_b[i] for i in range(n))
-        alice_decoded = tuple(parities[i] ^ m_a[i] for i in range(n))
+        parities = list(session.received)
+        transcript.log("alice", "announce_outcomes", parities=parities)
     else:
         outcomes = list(session.received)
         transcript.log("alice", "announce_outcomes", outcomes=[k.value for k in outcomes])
-        bob_decoded = tuple(decode_dialogue(outcomes[i], m_b[i]) for i in range(n))
-        alice_decoded = tuple(decode_dialogue(outcomes[i], m_a[i]) for i in range(n))
+        parities = [k.parity for k in outcomes]  # decode_dialogue on each slot
         details["final_outcomes"] = outcomes
+    bob_decoded = tuple(map(xor, parities, m_b))
+    alice_decoded = tuple(map(xor, parities, m_a))
     transcript.log("both", "decode", count=n)
 
     keys = {

@@ -12,6 +12,8 @@ correlations.
 """
 from __future__ import annotations
 
+from operator import xor
+
 from ..parties import ClassicalAction, choose_actions, commit, verify
 from ..qsim import BellKind
 from ..records import replace
@@ -72,7 +74,7 @@ def _run_keyed(config: SqkaConfig) -> SessionOutcome:
     encoded = [i for i, a in enumerate(actions) if a is ClassicalAction.MEASURE_AND_PREPARE]
     r_b = session.exchange(encoded, k_b, "return_sequence")
     transcript.log("bob", "reveal_Pi_m", mapping=session.decoy_wires())
-    aborted = session.bell_check(lambda p: BellKind.PSI_PLUS)
+    aborted = session.bell_check([BellKind.PSI_PLUS] * len(session.decoys))
     if aborted:
         return aborted
 
@@ -98,9 +100,8 @@ def _run_keyed(config: SqkaConfig) -> SessionOutcome:
             return session.abort("bob", AbortReason.COMMITMENT_MISMATCH)
 
     r_a = tuple(session.read(alice, encoded, HOME))
-    k_b_decoded = tuple(
-        extract_bob_key_bit(r_a[i], session.received[c]) for i, c in enumerate(claimed)
-    )
+    # extract_bob_key_bit on each slot, r_a XOR the claimed wire's outcome
+    k_b_decoded = tuple(map(xor, r_a, map(session.received.__getitem__, claimed)))
 
     if config.commitments_enabled:
         ok = verify(c_b, k_b_decoded)

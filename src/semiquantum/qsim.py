@@ -76,26 +76,26 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
 class BellKind(Enum):
-    """The four Bell states. psi = equal bits, phi = unequal bits."""
+    """The four Bell states. psi = equal bits, phi = unequal bits.
+
+    ``parity`` is 0 for the equal-bits (psi) class and 1 for the unequal-bits
+    (phi) class, ``sign`` 0 for the + superposition and 1 for the - one:
+    psi+ 0/0, psi- 0/1, phi+ 1/0, phi- 1/1.  Both are plain member
+    attributes, set from the value, so reading one runs no Python code.
+    """
 
     PSI_PLUS = "psi+"
     PSI_MINUS = "psi-"
     PHI_PLUS = "phi+"
     PHI_MINUS = "phi-"
 
+    def __init__(self, value: str):
+        self.parity = int(value.startswith("phi"))
+        self.sign = int(value.endswith("-"))
+
     # members are singletons compared by identity; the C-level hash keeps
     # the per-slot ket lookups off Enum's Python-level one
     __hash__ = object.__hash__
-
-    @property
-    def parity(self) -> int:
-        """0 for the equal-bits (psi) class, 1 for the unequal-bits (phi) class."""
-        return 0 if self in (BellKind.PSI_PLUS, BellKind.PSI_MINUS) else 1
-
-    @property
-    def sign(self) -> int:
-        """0 for the + superposition, 1 for the - superposition."""
-        return 0 if self in (BellKind.PSI_PLUS, BellKind.PHI_PLUS) else 1
 
 
 BELL_ORDER: tuple[BellKind, ...] = (

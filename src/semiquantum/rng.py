@@ -4,13 +4,16 @@ Every random draw in a session flows through a :class:`RandomSource`, so a
 64-bit master seed pins the whole run.  Substreams (one per party, one per
 Monte Carlo trial) are derived with a portable splitmix64 chain.
 
-A source is CPython's C-coded Mersenne Twister (MT19937, Matsumoto and
-Nishimura 1998), the ``_random.Random`` type, seeded with the 64-bit seed.
-``random.Random`` extends that type and hands it an int seed unchanged, so
-both draw the same stream for a seed.  Python promises only that
-``random()`` repeats for a seed across versions, so every other draw is
-written here on ``getrandbits``, bounded integers by rejection, and none
-uses the stdlib's ``shuffle``, ``sample``, ``randrange`` or ``randbytes``.
+A source subclasses CPython's C-coded Mersenne Twister (MT19937, Matsumoto
+and Nishimura 1998), the ``_random.Random`` type, seeded with the 64-bit
+seed, and its ``random`` is the type's C method, so a draw is one C call.
+``random.Random`` extends the same type and hands it an int seed unchanged,
+so both draw the same stream for a seed.  A source's ``seed`` slot holds
+that seed and shadows the type's ``seed()`` method, which nothing calls.
+Python promises only that ``random()`` repeats for a seed across versions,
+so every other draw is written here on ``getrandbits``, bounded integers by
+rejection, and none uses the stdlib's ``shuffle``, ``sample``, ``randrange``
+or ``randbytes``.
 
 Draw contract of seeded output (stream v2), which later changes keep:
 
@@ -57,21 +60,21 @@ def derive_seed(master: int, *path: int) -> int:
     return h
 
 
-class RandomSource:
+class RandomSource(_random.Random):
     """Seeded random stream used for all protocol and simulator sampling."""
 
-    __slots__ = ("seed", "_mt")
+    __slots__ = ("seed",)
+
+    # the simulator's per-measurement draw, a uniform float in [0, 1): the C
+    # method, set in this class so a tracer can wrap it here
+    random = _random.Random.random
 
     def __init__(self, seed: int):
-        self.seed = seed & _MASK64
-        self._mt = _random.Random(self.seed)
-
-    def random(self) -> float:
-        """A uniform float in [0, 1): the simulator's per-measurement draw."""
-        return self._mt.random()
+        self.seed = seed = seed & _MASK64
+        _random.Random.__init__(self, seed)
 
     def bit(self) -> int:
-        return self._mt.getrandbits(1)
+        return self.getrandbits(1)
 
     def bits(self, k: int) -> tuple[int, ...]:
         """k fair bits, the binary digits of one k-bit draw, most significant first."""
@@ -79,21 +82,17 @@ class RandomSource:
             raise ValueError(f"cannot draw {k} bits")
         if not k:
             return ()  # format pads a 0-bit draw to one digit
-        return tuple(format(self._mt.getrandbits(k), f"0{k}b").encode().translate(_BIT_VALUES))
-
-    def _below(self, n: int) -> int:
-        """A uniform integer in [0, n), n >= 1, by rejection on (n-1)-bit draws."""
-        width = (n - 1).bit_length()
-        j = self._mt.getrandbits(width)
-        while j >= n:
-            j = self._mt.getrandbits(width)
-        return j
+        return tuple(format(self.getrandbits(k), f"0{k}b").encode().translate(_BIT_VALUES))
 
     def integer(self, n: int) -> int:
-        """Uniform integer in [0, n), 1 <= n <= 2**63."""
+        """Uniform integer in [0, n), 1 <= n <= 2**63, by rejection on (n-1)-bit draws."""
         if not 1 <= n <= 1 << 63:
             raise ValueError(f"integer bound {n} is outside [1, 2**63]")
-        return self._below(n)
+        width = (n - 1).bit_length()
+        j = self.getrandbits(width)
+        while j >= n:
+            j = self.getrandbits(width)
+        return j
 
     def permutation(self, n: int) -> list[int]:
         items = list(range(n))
@@ -104,29 +103,43 @@ class RandomSource:
         """k distinct indices drawn uniformly from range(n), in random order."""
         if not 0 <= k <= n:
             raise ValueError(f"cannot sample {k} of {n} without replacement")
-        # the first k places of a Fisher-Yates shuffle run front to back
+        # the first k places of a Fisher-Yates shuffle run front to back: place
+        # i takes i + a draw below n - i, by rejection on (n-1-i)-bit draws,
+        # one band of places with the same width at a time
         items = list(range(n))
-        below = self._below
-        for i in range(k):
-            j = i + below(n - i)
-            items[i], items[j] = items[j], items[i]
+        getrandbits = self.getrandbits
+        i = 0
+        while i < k:
+            width = (n - 1 - i).bit_length()
+            start, i = i, min(k, n - (1 << width >> 1))
+            for t in range(start, i):
+                j = getrandbits(width)
+                while j >= n - t:
+                    j = getrandbits(width)
+                j += t
+                items[t], items[j] = items[j], items[t]
         return items[:k]
 
     def shuffle(self, items: list) -> None:
         self._shuffle(items)
 
     def _shuffle(self, items: list) -> None:
-        """Fisher-Yates, back to front; position i takes an index in [0, i]."""
-        getrandbits = self._mt.getrandbits
-        for i in range(len(items) - 1, 0, -1):
+        """Fisher-Yates, back to front; position i takes an index in [0, i],
+        by rejection on i.bit_length()-bit draws, one band of widths at a time."""
+        getrandbits = self.getrandbits
+        i = len(items) - 1
+        while i > 0:
             width = i.bit_length()
-            j = getrandbits(width)
-            while j > i:
+            low = 1 << width >> 1
+            for t in range(i, low - 1, -1):
                 j = getrandbits(width)
-            items[i], items[j] = items[j], items[i]
+                while j > t:
+                    j = getrandbits(width)
+                items[t], items[j] = items[j], items[t]
+            i = low - 1
 
     def token(self, nbytes: int = 16) -> bytes:
         """``nbytes`` random bytes: one 8*nbytes-bit draw, little-endian."""
         if nbytes < 0:
             raise ValueError(f"cannot draw {nbytes} bytes")
-        return self._mt.getrandbits(8 * nbytes).to_bytes(nbytes, "little")
+        return self.getrandbits(8 * nbytes).to_bytes(nbytes, "little")

@@ -6,6 +6,7 @@ the other draws are written in the package on ``getrandbits``.  The first
 draws of two edge seeds are pinned as literals, so a change to CPython's
 ``getrandbits`` or to one of those algorithms fails here first.
 """
+import _random
 import json
 import os
 import random
@@ -287,3 +288,56 @@ def splitmix64_chain(master: int, *path: int) -> int:
 def test_derive_seed_is_the_splitmix64_chain(master, path):
     # path elements inside the table of small scrambles (0-7) and outside it
     assert derive_seed(master, *path) == splitmix64_chain(master, *path)
+
+
+# Fisher-Yates as one loop step per element, each taking the bit length of
+# its own bound: the source draws in bands of equal width and must take the
+# same draws and make the same swaps.
+def reference_shuffle(mt: random.Random, items: list) -> None:
+    for i in range(len(items) - 1, 0, -1):
+        width = i.bit_length()
+        j = mt.getrandbits(width)
+        while j > i:
+            j = mt.getrandbits(width)
+        items[i], items[j] = items[j], items[i]
+
+
+def reference_sample(mt: random.Random, n: int, k: int) -> list[int]:
+    items = list(range(n))
+    for i in range(k):
+        width = (n - i - 1).bit_length()
+        j = mt.getrandbits(width)
+        while j >= n - i:
+            j = mt.getrandbits(width)
+        j += i
+        items[i], items[j] = items[j], items[i]
+    return items[:k]
+
+
+BAND_EDGES = [*range(1, 10), 15, 16, 17, 31, 32, 33, 255, 256, 257, 400]
+
+
+@pytest.mark.parametrize("seed", [0, 3, 11, 1 << 40, MASK64])
+def test_banded_fisher_yates_equals_the_per_element_loop(seed):
+    src, mt = RandomSource(seed), random.Random(seed & MASK64)
+    for size in BAND_EDGES:
+        expected = list(range(size))
+        reference_shuffle(mt, expected)
+        assert src.permutation(size) == expected, size
+        items, expected = [f"x{v}" for v in range(size)], [f"x{v}" for v in range(size)]
+        src.shuffle(items)
+        reference_shuffle(mt, expected)
+        assert items == expected, size
+        for k in sorted({0, 1, size // 2, size - 1, size}):
+            assert src.sample(size, k) == reference_sample(mt, size, k), (size, k)
+        assert src.random() == mt.random()  # the same number of draws taken
+
+
+@pytest.mark.parametrize("seed", EDGE_SEEDS + (-1, (1 << 64) + 5))
+def test_source_is_the_c_generator(seed):
+    src = RandomSource(seed)
+    assert isinstance(src, _random.Random)
+    assert "random" in RandomSource.__dict__ and type(RandomSource.random) is type(_random.Random.random)
+    mt = random.Random(seed & MASK64)
+    assert [src.random() for _ in range(50)] == [mt.random() for _ in range(50)]
+    assert src.seed == seed & MASK64

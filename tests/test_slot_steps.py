@@ -139,7 +139,7 @@ def test_quantum_step_refused_to_classical_party_before_any_register_changes():
     session.psi_pairs()
     lanes = session.lanes
     before = {q: (lanes.state_of(q).labels, dict(lanes.state_of(q)._ket.entries)) for q in lanes.labels()}
-    draws = [p.rng._mt.getstate() for p in session.parties]
+    draws = [p.rng.getstate() for p in session.parties]
     # a classical receiver cannot Bell-check the decoys
     session.receiver = PartyContext("alice", Capability.CLASSICAL, session.alice.rng, lanes)
     with pytest.raises(CapabilityViolation) as err:
@@ -147,7 +147,7 @@ def test_quantum_step_refused_to_classical_party_before_any_register_changes():
     assert err.value.op == "measure_bell"
     after = {q: (lanes.state_of(q).labels, dict(lanes.state_of(q)._ket.entries)) for q in lanes.labels()}
     assert after == before
-    assert [p.rng._mt.getstate() for p in session.parties] == draws
+    assert [p.rng.getstate() for p in session.parties] == draws
     assert session.bob.ops_log == set()
     with pytest.raises(CapabilityViolation):
         session.bob.step("measure_z", "apply_cnot")
