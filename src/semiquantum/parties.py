@@ -60,8 +60,8 @@ def _permute(perm: Permutation, seq: list) -> list:
     return perm.apply(seq)
 
 
-# what each op of a step reaches, given the session's lanes and the lanes'
-# measurements drawing from the party's rng (None if the step names none)
+# what each op of a step reaches, given the session's lanes and the party's
+# measurements on them (``PartyContext.measurements``)
 _BIND = {
     "prepare_z": lambda lanes, ms: lanes.prepare_z,
     "prepare_bell": lambda lanes, ms: lanes.prepare_bell,
@@ -74,7 +74,6 @@ _BIND = {
     "reflect": lambda lanes, ms: _reflect,
     "permute": lambda lanes, ms: _permute,
 }
-_MEASUREMENTS = frozenset({"measure_z", "measure_bell", "measure_ab"})
 
 
 class Step:
@@ -90,8 +89,7 @@ class Step:
 
     def __init__(self, party: PartyContext, names: tuple[str, ...]):
         self.party, self.names = party, names
-        lanes = party.lanes
-        ms = lanes.measurements(party.rng) if _MEASUREMENTS.intersection(names) else None
+        lanes, ms = party.lanes, party.measurements
         for op in names:
             bind = _BIND.get(op)
             if bind is not None:
@@ -193,6 +191,9 @@ class PartyContext:
         self.capability = capability
         self.rng = rng
         self.lanes = lanes
+        # the lanes' measure_z, measure_bell and measure_ab drawing from rng,
+        # built once for every step of the party
+        self.measurements = lanes.measurements(rng)
         self.ops_log: set[str] = set()
 
     def step(self, *ops: str) -> Step:

@@ -110,7 +110,7 @@ def _run(config: CdssqcConfig) -> SessionOutcome:
     # Controller outcomes are sampled now (they commute with everything the
     # other parties do to qubits 1 and 2) and announced at the staged points.
     remaining = session.slots
-    if ghz:  # Charlie's outcome by slot
+    if ghz:  # branch[p]: Charlie's outcome on slot p, the index into states
         step = charlie.step("measure_ab")
         branch = {p: step.measure_ab(p << 3 | CONTROL, basis) for p in remaining}
         step.log()

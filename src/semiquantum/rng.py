@@ -124,19 +124,14 @@ class RandomSource(_random.Random):
         self._shuffle(items)
 
     def _shuffle(self, items: list) -> None:
-        """Fisher-Yates, back to front; position i takes an index in [0, i],
-        by rejection on i.bit_length()-bit draws, one band of widths at a time."""
+        """Fisher-Yates, back to front; position i takes an index in [0, i]."""
         getrandbits = self.getrandbits
-        i = len(items) - 1
-        while i > 0:
+        for i in range(len(items) - 1, 0, -1):
             width = i.bit_length()
-            low = 1 << width >> 1
-            for t in range(i, low - 1, -1):
+            j = getrandbits(width)
+            while j > i:
                 j = getrandbits(width)
-                while j > t:
-                    j = getrandbits(width)
-                items[t], items[j] = items[j], items[t]
-            i = low - 1
+            items[i], items[j] = items[j], items[i]
 
     def token(self, nbytes: int = 16) -> bytes:
         """``nbytes`` random bytes: one 8*nbytes-bit draw, little-endian."""

@@ -23,7 +23,7 @@ ROOT = Path(__file__).resolve().parents[1]
 # CPython 3.11 when the budget was set.  With a Python draw wrapper, Bell
 # parity properties, a lambda per decoy and no-op hooks in the slot stages
 # the same sessions read 7.075, 16.3875 and 24.5775.
-BUDGET = {"sqka-none": 3.565, "cdssqc-ghz-spot-check": 8.135, "sqka-intercept-resend": 16.5425}
+BUDGET = {"sqka-none": 3.56, "cdssqc-ghz-spot-check": 8.1225, "sqka-intercept-resend": 16.5375}
 
 # Prints, as JSON, each case's calls per slot over a second run of the same
 # seeded session, the first run having filled the lane memos.
