@@ -205,8 +205,8 @@ class SubstituteSinglesAttack(ChannelAttack):
     FORWARD = ("prepare_z",)
 
     def forward(self, labels):
-        ops, getrandbits = self.forward_ops, self.eve.rng.getrandbits  # one bit a draw
-        out = [ops.prepare_z(getrandbits(1), i << 3 | SENT) for i in range(len(labels))]
+        ops, bit = self.forward_ops, self.eve.rng.bit
+        out = [ops.prepare_z(bit(), i << 3 | SENT) for i in range(len(labels))]
         ops.log()
         return out
 

@@ -92,9 +92,9 @@ def _run(config: CdssqcConfig) -> SessionOutcome:
     session.send()
 
     # the Bell state of slot p's A and B qubits: states[g] after Charlie's
-    # outcome g on its control qubit, or the switch's pair state
-    states = (config.psi1, config.psi2) if ghz else (config.switch_bell,) * 2
-    parities = (states[0].parity, states[1].parity)
+    # outcome g on its control qubit, or states[0], the switch's pair state
+    states = (config.psi1, config.psi2) if ghz else (config.switch_bell,)
+    parities = [k.parity for k in states]
     alice_z, bob_z = alice.step("measure_z"), bob.step("measure_z")
     charlie_ab = charlie.step("measure_ab") if ghz else None
 
@@ -114,8 +114,6 @@ def _run(config: CdssqcConfig) -> SessionOutcome:
         step = charlie.step("measure_ab")
         branch = {p: step.measure_ab(p << 3 | CONTROL, basis) for p in remaining}
         step.log()
-    else:
-        branch = dict.fromkeys(remaining, 0)
 
     encoded = sorted([remaining[i] for i in alice.rng.sample(len(remaining), n)])
     session.exchange(encoded, message, "send_sequence")
@@ -123,10 +121,12 @@ def _run(config: CdssqcConfig) -> SessionOutcome:
     if ghz:
         outcomes = [[p, branch[p]] for p in session.decoys]
         transcript.log("charlie", "announce_decoy_branches", outcomes=outcomes)
+        expected = [states[branch[p]] for p in session.decoys]
     else:
         positions = [[p, bob_wire[p]] for p in session.decoys]
         transcript.log("charlie", "reveal_decoy_partners", positions=positions)
-    aborted = session.bell_check([states[branch[p]] for p in session.decoys])
+        expected = [states[0]] * len(session.decoys)
+    aborted = session.bell_check(expected)
     if aborted:
         return aborted
 
@@ -141,6 +141,9 @@ def _run(config: CdssqcConfig) -> SessionOutcome:
         transcript.log("charlie", "announce_branches", outcomes=outcomes)
         details["travel_bits"] = list(travel_bits)
         details["partner_bits"] = partner_bits
+        decoded = tuple(
+            [t ^ b ^ parities[branch[p]] for t, b, p in zip(travel_bits, partner_bits, encoded)]
+        )
     else:
         # decode guess before the controller's disclosure: pair message slot p
         # with Bob's wire slot p (correct only where the switch is an identity)
@@ -152,9 +155,7 @@ def _run(config: CdssqcConfig) -> SessionOutcome:
         ])
         mapping = [[p, bob_wire[p]] for p in encoded]
         transcript.log("charlie", "reveal_switch_permutation", mapping=mapping)
-    decoded = tuple(
-        [t ^ b ^ parities[branch[p]] for t, b, p in zip(travel_bits, partner_bits, encoded)]
-    )
+        decoded = tuple([t ^ b ^ parity for t, b in zip(travel_bits, partner_bits)])
     transcript.log("bob", "decode", count=n)
 
     details["match_bits"] = (tuple(message), decoded)

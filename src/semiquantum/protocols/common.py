@@ -7,7 +7,7 @@ from collections.abc import Callable
 from enum import Enum
 from operator import is_not, xor
 
-from ..adversary import AttackKind, AttackStrategy, ChannelAttack, build_attack
+from ..adversary import AttackKind, AttackStrategy, build_attack
 from ..errors import ZeroCount
 from ..parties import Capability, PartyContext, Permutation, Step, random_permutation
 from ..qsim import BellKind, Lanes
@@ -23,11 +23,6 @@ Bits = tuple[int, ...]
 # Eve's, takes the address of the qubit it replaces, so it stays in that
 # qubit's lane.
 HOME, TRAVEL, CONTROL = range(3)
-
-
-def qubit(slot: int, role: int) -> int:
-    """The lane address of slot ``slot``'s ``role`` qubit."""
-    return slot << 3 | role
 
 
 class SessionConfig(Record):
@@ -104,6 +99,11 @@ class SessionOutcome(Record):
     details: dict = {}
 
 
+def _read_z(rx: Step, i: int, q: int) -> int:
+    """The receiver's Z readout of an encoded wire, ``exchange``'s default."""
+    return rx.measure_z(q)
+
+
 def expect(config: SessionConfig, protocol: str) -> None:
     """Refuse a config that names another protocol than the runner's."""
     if config.protocol != protocol:
@@ -126,7 +126,7 @@ class Session:
     while an attack is active.
 
     The registers live in ``lanes``, one lane per slot, with qubits
-    addressed by ``qubit(slot, role)``; a register within a slot is an
+    addressed by ``slot << 3 | role``; a register within a slot is an
     interned state and each op a memoized transition of it (``qsim.Lanes``).
     A preparation stage fills every slot in one op; the other stages loop
     over slots and run one party's step on each slot's registers.  A step
@@ -222,7 +222,7 @@ class Session:
         encoded: list[int],
         message: Bits,
         send_action: str,
-        receive: Callable[[Step, int, int], object] | None = None,
+        receive: Callable[[Step, int, int], object] = _read_z,
         receive_ops: tuple[str, ...] = ("measure_z",),
     ) -> list[int]:
         """The sender's encoding and permuted return, then the per-wire readout.
@@ -233,12 +233,11 @@ class Session:
         under a secret permutation.
         On each wire Eve's hook acts, pairing wire j with the j-th slot in
         play, then the receiver either reads encoded slot i into
-        ``received[i]``, or Bell-measures a decoy against its home partner.
-        The readout is ``receive(step, i, qubit)``, where ``step`` is the
-        receiver's step of ``receive_ops``; with no ``receive`` it is that
-        step's ``measure_z(qubit)``, called directly.  Records the message
-        as Eve's target and how she classified each wire, and returns the
-        sender's Z outcomes.
+        ``received[i]`` by ``receive(step, i, qubit)``, where ``step`` is its
+        step of ``receive_ops`` (a Z readout unless given), or Bell-measures
+        a decoy against its home partner.  Records the message as Eve's
+        target and how she classified each wire, and returns the sender's Z
+        outcomes.
         """
         sender, receiver, srng = self.sender, self.receiver, self.sender.rng
         encode, reflect = sender.step("measure_z", "prepare_z"), sender.step("reflect")
@@ -283,12 +282,8 @@ class Session:
         received: list = [None] * len(encoded)
         bell: dict[int, BellKind] = {}
         measure_bell = check.measure_bell
-        read_z = rx.measure_z if receive is None else None
         self.attack.slots = slots
         attack = self.attack if "return" in self.attack.legs else None
-        after_wire = None  # the base hook does nothing
-        if attack is not None and type(attack).after_wire is not ChannelAttack.after_wire:
-            after_wire = attack.after_wire
         for j in range(size):
             q = wire[j]
             if attack is not None:
@@ -297,12 +292,10 @@ class Session:
             i = index[p]
             if i is None:
                 bell[p] = measure_bell(p << 3 | HOME, q)
-            elif read_z is not None:
-                received[i] = read_z(q)
             else:
                 received[i] = receive(rx, i, q)
-            if after_wire is not None:
-                after_wire(j)
+            if attack is not None:
+                attack.after_wire(j)
         if attack is not None:
             attack.wire_ops.log()
         if encoded:
@@ -335,10 +328,8 @@ class Session:
         ``decoys`` order.  Returns the abort outcome if the decoy mismatch
         rate is over the threshold.
         """
-        left = len(self.decoys)
-        if len(expected) != left:
-            raise ValueError(f"{len(expected)} expected Bell states for {left} decoys")
         bad = sum(map(is_not, map(self.bell.__getitem__, self.decoys), expected))
+        left = len(self.decoys)
         self.transcript.log(self.receiver.name, "bell_check", mismatches=bad, checked=left)
         self.attack.finalize(self.encoded_wires)
         self.details.update(

@@ -90,13 +90,14 @@ def run_sqd(config: SqdConfig) -> SessionOutcome:
     if zz:
         parities = list(session.received)
         transcript.log("alice", "announce_outcomes", parities=parities)
+        bob_decoded = tuple(map(xor, parities, m_b))
+        alice_decoded = tuple(map(xor, parities, m_a))
     else:
         outcomes = list(session.received)
         transcript.log("alice", "announce_outcomes", outcomes=[k.value for k in outcomes])
-        parities = [k.parity for k in outcomes]  # decode_dialogue on each slot
+        bob_decoded = tuple(map(decode_dialogue, outcomes, m_b))
+        alice_decoded = tuple(map(decode_dialogue, outcomes, m_a))
         details["final_outcomes"] = outcomes
-    bob_decoded = tuple(map(xor, parities, m_b))
-    alice_decoded = tuple(map(xor, parities, m_a))
     transcript.log("both", "decode", count=n)
 
     keys = {

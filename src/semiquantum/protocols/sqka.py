@@ -12,8 +12,6 @@ correlations.
 """
 from __future__ import annotations
 
-from operator import xor
-
 from ..parties import ClassicalAction, choose_actions, commit, verify
 from ..qsim import BellKind
 from ..records import replace
@@ -100,8 +98,7 @@ def _run_keyed(config: SqkaConfig) -> SessionOutcome:
             return session.abort("bob", AbortReason.COMMITMENT_MISMATCH)
 
     r_a = tuple(session.read(alice, encoded, HOME))
-    # extract_bob_key_bit on each slot, r_a XOR the claimed wire's outcome
-    k_b_decoded = tuple(map(xor, r_a, map(session.received.__getitem__, claimed)))
+    k_b_decoded = tuple(map(extract_bob_key_bit, r_a, map(session.received.__getitem__, claimed)))
 
     if config.commitments_enabled:
         ok = verify(c_b, k_b_decoded)

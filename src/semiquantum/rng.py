@@ -104,20 +104,16 @@ class RandomSource(_random.Random):
         if not 0 <= k <= n:
             raise ValueError(f"cannot sample {k} of {n} without replacement")
         # the first k places of a Fisher-Yates shuffle run front to back: place
-        # i takes i + a draw below n - i, by rejection on (n-1-i)-bit draws,
-        # one band of places with the same width at a time
+        # i takes i + a draw below n - i, by rejection on (n-1-i)-bit draws
         items = list(range(n))
         getrandbits = self.getrandbits
-        i = 0
-        while i < k:
+        for i in range(k):
             width = (n - 1 - i).bit_length()
-            start, i = i, min(k, n - (1 << width >> 1))
-            for t in range(start, i):
+            j = getrandbits(width)
+            while j >= n - i:
                 j = getrandbits(width)
-                while j >= n - t:
-                    j = getrandbits(width)
-                j += t
-                items[t], items[j] = items[j], items[t]
+            j += i
+            items[i], items[j] = items[j], items[i]
         return items[:k]
 
     def shuffle(self, items: list) -> None:

@@ -19,7 +19,7 @@ from semiquantum.adversary import (
 )
 from semiquantum.parties import Capability, PartyContext
 from semiquantum.protocols import PROTOCOLS, make_config, run_session
-from semiquantum.protocols.common import HOME, TRAVEL, qubit
+from semiquantum.protocols.common import HOME, TRAVEL
 from semiquantum.qsim import (
     BELL_ORDER,
     BellKind,
@@ -35,11 +35,12 @@ from semiquantum.rng import RandomSource
 S = 1 / np.sqrt(2)
 
 
-# slot 0's qubits; a resend, Bob's or Eve's, takes the address of the qubit
+# slot 0's qubits, addressed slot << 3 | role; a resend, Bob's or Eve's,
+# takes the address of the qubit
 # it replaces
-H0, T0 = qubit(0, HOME), qubit(0, TRAVEL)
+H0, T0 = 0 << 3 | HOME, 0 << 3 | TRAVEL
 # Eve's qubits: the one she keeps and the one she sends for slot 0
-K0, S0 = qubit(0, KEPT), qubit(0, SENT)
+K0, S0 = 0 << 3 | KEPT, 0 << 3 | SENT
 
 
 def quantum_party(name="eve", seed=9, size=1):
@@ -209,7 +210,7 @@ def test_resending_hooks_return_the_address_they_were_handed(kind):
         attack, lanes = sqka_attack(kind, seed=seed, size=2, legs=LEGS)
         bob = PartyContext("bob", Capability.CLASSICAL, RandomSource(seed + 7), lanes)
         lanes.prepare_bell(BellKind.PSI_PLUS, H0, T0, 2)
-        travel = [T0, qubit(1, TRAVEL)]
+        travel = [T0, 1 << 3 | TRAVEL]
         sent = attack.forward_leg(travel)
         if kind is AttackKind.MEASURE_RESEND:
             assert sent == travel  # the forward-leg resends stay where they were

@@ -290,9 +290,9 @@ def test_derive_seed_is_the_splitmix64_chain(master, path):
     assert derive_seed(master, *path) == splitmix64_chain(master, *path)
 
 
-# Fisher-Yates as one loop step per element, each taking the bit length of
-# its own bound: the source draws in bands of equal width and must take the
-# same draws and make the same swaps.
+# Fisher-Yates written plainly, one rejection draw per place on the bit
+# length of that place's bound: the source must take the same draws and make
+# the same swaps, so seeded permutations and samples do not move.
 def reference_shuffle(mt: random.Random, items: list) -> None:
     for i in range(len(items) - 1, 0, -1):
         width = i.bit_length()
@@ -314,13 +314,14 @@ def reference_sample(mt: random.Random, n: int, k: int) -> list[int]:
     return items[:k]
 
 
-BAND_EDGES = [*range(1, 10), 15, 16, 17, 31, 32, 33, 255, 256, 257, 400]
+# sizes at and around the edges of the draw widths
+WIDTH_EDGES = [*range(1, 10), 15, 16, 17, 31, 32, 33, 255, 256, 257, 400]
 
 
 @pytest.mark.parametrize("seed", [0, 3, 11, 1 << 40, MASK64])
-def test_banded_fisher_yates_equals_the_per_element_loop(seed):
+def test_fisher_yates_equals_the_reference_loop(seed):
     src, mt = RandomSource(seed), random.Random(seed & MASK64)
-    for size in BAND_EDGES:
+    for size in WIDTH_EDGES:
         expected = list(range(size))
         reference_shuffle(mt, expected)
         assert src.permutation(size) == expected, size
