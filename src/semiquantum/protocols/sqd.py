@@ -10,11 +10,9 @@ pair measurement works identically and is available behind a config flag.
 """
 from __future__ import annotations
 
-from operator import xor
-
 from ..parties import ClassicalAction, choose_actions
 from ..qsim import BellKind
-from .common import HOME, Bits, Session, SessionOutcome, SpotCheckedConfig, expect
+from .common import HOME, Bits, Session, SessionOutcome, SpotCheckedConfig, expect, xor_bits
 
 
 class SqdConfig(SpotCheckedConfig):
@@ -90,8 +88,8 @@ def run_sqd(config: SqdConfig) -> SessionOutcome:
     if zz:
         parities = list(session.received)
         transcript.log("alice", "announce_outcomes", parities=parities)
-        bob_decoded = tuple(map(xor, parities, m_b))
-        alice_decoded = tuple(map(xor, parities, m_a))
+        bob_decoded = xor_bits(parities, m_b)
+        alice_decoded = xor_bits(parities, m_a)
     else:
         outcomes = list(session.received)
         transcript.log("alice", "announce_outcomes", outcomes=[k.value for k in outcomes])
