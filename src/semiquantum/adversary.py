@@ -38,13 +38,20 @@ class AttackKind(Enum):
 class AttackStrategy(Record):
     """Which adversary model is active and which channel legs it touches.
 
-    ``legs=None`` means ``default_legs`` for the kind and protocol family.
-    ``eve_rng_seed=None`` derives Eve's stream from the session seed.
+    ``kind`` is an ``AttackKind`` or its value.  ``legs=None`` means
+    ``default_legs`` for the kind and protocol family; kind none takes no
+    leg.  ``eve_rng_seed=None`` derives Eve's stream from the session seed.
     """
 
     kind: AttackKind = AttackKind.NONE
     legs: frozenset[str] | None = None
     eve_rng_seed: int | None = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "kind", AttackKind(self.kind))
+        allowed = LEGS if self.kind is not AttackKind.NONE else frozenset()
+        if self.legs is not None and not self.legs <= allowed:
+            raise ValueError(f"{self.kind.value!r} takes legs in {sorted(allowed)}, got {sorted(self.legs)}")
 
 
 # Channel legs: "forward" is the quantum-to-classical distribution leg,
@@ -72,11 +79,11 @@ def default_legs(kind: AttackKind, controlled: bool) -> frozenset[str]:
 
 
 # A session addresses slot i's qubits as i << 3 | role with roles 0-2, the
-# travel qubit role 1 (see protocols.common.qubit).  Eve's qubits take roles
-# 4 and 5 of the same packing: KEPT is the one she keeps for slot i (her CNOT
-# ancilla or retained Bell half), SENT the one she forwards in slot i's
-# place.  A resend takes the address of the qubit it replaces, freed by its
-# measurement, so it stays in that qubit's lane.
+# travel qubit role 1 (see the lane packing at the top of protocols.common).
+# Eve's qubits take roles 4 and 5 of the same packing: KEPT is the one she
+# keeps for slot i (her CNOT ancilla or retained Bell half), SENT the one she
+# forwards in slot i's place.  A resend takes the address of the qubit it
+# replaces, freed by its measurement, so it stays in that qubit's lane.
 _TRAVEL = 1
 KEPT, SENT = 4, 5
 
@@ -247,21 +254,13 @@ def build_attack(strategy: AttackStrategy, controlled: bool, eve: PartyContext |
     """Instantiate the channel hooks for a strategy in a protocol with a
     controller (``controlled``) or without; ``eve`` may be None only under
     ``AttackKind.NONE``."""
-    legs = strategy.legs if strategy.legs is not None else default_legs(strategy.kind, controlled)
-    if not legs <= LEGS:
-        raise ValueError(f"legs {sorted(legs)} not available: {sorted(LEGS)}")
-    if strategy.kind is AttackKind.NONE:
+    kind = strategy.kind
+    legs = strategy.legs if strategy.legs is not None else default_legs(kind, controlled)
+    if kind is AttackKind.NONE:
         return NoAttack(eve, legs)
-    if strategy.kind is AttackKind.CNOT:
+    if kind is AttackKind.CNOT:
         # the return-leg CNOT acts on the ancillas of the forward leg
         return CnotAttack(eve, legs if "forward" in legs else frozenset())
-    if strategy.kind is AttackKind.INTERCEPT_RESEND:
-        if controlled:
-            return SubstituteSinglesAttack(eve, legs)
-        if "return" in legs and "forward" not in legs:
-            raise ValueError("intercept-resend classifies return wires against the Bell "
-                             "pairs it swaps in on the forward leg, so it needs both legs")
-        return InterceptResendAttack(eve, legs)
-    if strategy.kind is AttackKind.MEASURE_RESEND:
-        return MeasureResendAttack(eve, legs)
-    raise ValueError(f"unhandled attack kind {strategy.kind}")
+    if kind is AttackKind.INTERCEPT_RESEND:
+        return (SubstituteSinglesAttack if controlled else InterceptResendAttack)(eve, legs)
+    return MeasureResendAttack(eve, legs)

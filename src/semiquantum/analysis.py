@@ -244,9 +244,8 @@ def run_trials(template: SessionConfig, trials: int, master_seed: int) -> TrialS
         raise ValueError("trials must be >= 1")
     total: dict[str, float] = {}
     for t in range(trials):
-        config = replace(template, seed=derive_seed(master_seed, t))
         try:
-            rec = trial_record(run_session(config))
+            rec = trial_record(run_session(template.reseeded(derive_seed(master_seed, t))))
         except SemiQuantumError:
             rec = trial_record(None)
         for key, value in rec.items():

@@ -16,15 +16,9 @@ from .adversary import AttackKind, AttackStrategy
 from .protocols import PROTOCOLS, SessionConfig, hex_to_bits, make_config, run_session
 from .records import Record, replace
 
-ATTACKS = {a.value: a for a in AttackKind}
-
 EXIT_OK = 0
 EXIT_IO = 1
 EXIT_USAGE = 2
-
-
-class ValidationError(ValueError):
-    pass
 
 
 class CliConfig(Record):
@@ -42,7 +36,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--protocol", required=True, choices=tuple(PROTOCOLS))
     p.add_argument("--n", type=int, required=True, help="key/message length in bits")
     p.add_argument("--m", type=int, default=None, help="decoy count (default 3n)")
-    p.add_argument("--attack", choices=sorted(ATTACKS), default="none")
+    p.add_argument("--attack", choices=sorted(a.value for a in AttackKind), default="none")
     p.add_argument("--trials", type=int, default=1)
     p.add_argument("--seed", type=int, default=None, help="64-bit seed (default SEMIQ_SEED or 0)")
     p.add_argument("--threshold", type=float, default=0.0)
@@ -67,34 +61,23 @@ def parse_args(argv: list[str]) -> CliConfig:
         try:
             seed = int(raw)
         except ValueError:
-            raise ValidationError(f"SEMIQ_SEED must be an integer, got {raw!r}") from None
+            raise ValueError(f"SEMIQ_SEED must be an integer, got {raw!r}") from None
     if not 0 <= seed < 2**64:
-        raise ValidationError(f"{source} must lie in [0, 2**64), got {seed}")
-    if ns.n < 1:
-        raise ValidationError("--n must be >= 1")
-    if ns.m is not None and ns.m < 1:
-        raise ValidationError("--m must be >= 1")
+        raise ValueError(f"{source} must lie in [0, 2**64), got {seed}")
     if ns.trials < 1:
-        raise ValidationError("--trials must be >= 1")
-    if not 0.0 <= ns.threshold <= 1.0:
-        raise ValidationError("--threshold must lie in [0, 1]")
+        raise ValueError("--trials must be >= 1")
     config = make_config(ns.protocol, n=ns.n, m=ns.m, seed=seed, threshold=ns.threshold,
-                         attack=AttackStrategy(kind=ATTACKS[ns.attack]),
-                         permutation_enabled=ns.permutation == "on")
+                         attack=AttackStrategy(ns.attack), permutation_enabled=ns.permutation == "on")
     if hasattr(config, "commitments_enabled"):
         config = replace(config, commitments_enabled=ns.commitments == "on")
     if ns.messages is not None:
         messages = [s.strip() for s in ns.messages.split(",")]
         names = config.MESSAGES
         if len(messages) != len(names):
-            raise ValidationError(f"{ns.protocol} takes {len(names)} --messages, got {len(messages)}")
-        try:
-            bits = {name: hex_to_bits(msg, ns.n) for name, msg in zip(names, messages)}
-        except ValueError as exc:
-            raise ValidationError(f"bad message: {exc}") from exc
-        config = replace(config, **bits)
+            raise ValueError(f"{ns.protocol} takes {len(names)} --messages, got {len(messages)}")
+        config = replace(config, **{name: hex_to_bits(msg, ns.n) for name, msg in zip(names, messages)})
     if ns.trials == 1 and ns.format == "csv":
-        raise ValidationError("single-session transcripts are json only")
+        raise ValueError("single-session transcripts are json only")
     return CliConfig(config, ns.trials, ns.format, ns.out)
 
 
@@ -124,7 +107,7 @@ def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
         cfg = parse_args(argv)
-    except ValidationError as exc:
+    except ValueError as exc:  # a flag's value, or one a config record refuses
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except SystemExit as exc:  # argparse usage errors

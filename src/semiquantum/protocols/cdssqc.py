@@ -35,10 +35,14 @@ class CdssqcConfig(SpotCheckedConfig):
     switch_bell: BellKind = BellKind.PSI_PLUS
     charlie_permutation_enabled: bool = True
     message: Bits | None = None
-    MESSAGES = ("message",)
+    MESSAGES = BITS = ("message",)
+    CONTROLLED = True
 
     def __post_init__(self):  # protocols.PROTOCOLS names the variant by its value
         object.__setattr__(self, "variant", CdssqcVariant(self.variant))
+        super().__post_init__()
+        if self.psi1 is self.psi2 and self.variant is CdssqcVariant.GHZ_LIKE:
+            raise ValueError("psi1 and psi2 must differ")
 
     @property
     def protocol(self) -> str:
@@ -57,9 +61,7 @@ def run_cdssqc_switch(config: CdssqcConfig) -> SessionOutcome:
 
 def _run(config: CdssqcConfig) -> SessionOutcome:
     ghz = config.variant is CdssqcVariant.GHZ_LIKE
-    session = Session(config, classical="alice", controller=True)
-    if ghz and config.psi1 is config.psi2:
-        raise ValueError("psi1 and psi2 must differ")
+    session = Session(config, classical="alice")
     alice, bob, charlie = session.alice, session.bob, session.charlie
     transcript, details = session.transcript, session.details
     n, total = session.n, session.total

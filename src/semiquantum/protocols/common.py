@@ -23,14 +23,18 @@ Bits = tuple[int, ...]
 # Eve's, takes the address of the qubit it replaces, so it stays in that
 # qubit's lane.
 HOME, TRAVEL, CONTROL = range(3)
+_BIT_VALUES, _RETURN_ONLY = frozenset((0, 1)), frozenset({"return"})
 
 
 class SessionConfig(Record):
     """The parameters every protocol takes; ``m=None`` defaults to the 3n
     decoy ratio.  Each protocol's config adds its own fields and says which
-    protocol it runs as ``protocol``."""
+    protocol it runs as ``protocol``.  A config refuses, as it is built, any
+    value no session can run; a subclass adds its rules after ``super()``'s."""
 
     MESSAGES = ()  # not a field: the message fields, in ``--messages`` order
+    BITS = ()  # not a field: the fields that hold n bits, or None to draw them
+    CONTROLLED = False  # not a field: whether a controller, charlie, takes part
     n: int
     m: int | None = None
     seed: int = 0
@@ -38,23 +42,43 @@ class SessionConfig(Record):
     threshold: float = 0.0
     permutation_enabled: bool = True
 
+    def __post_init__(self):
+        n, m, attack = self.n, self.m, self.attack
+        if n < 1 or m is not None and m < 1:
+            raise ZeroCount(f"need n >= 1 and m >= 1, got n={n}, m={self.decoy_count()}")
+        if not 0.0 <= self.threshold <= 1.0:  # NaN too
+            raise ValueError(f"threshold must lie in [0, 1], got {self.threshold}")
+        for name in self.BITS:
+            bits = getattr(self, name)
+            if bits is not None and (len(bits) != n or not _BIT_VALUES.issuperset(bits)):
+                raise ValueError(f"{name} must be n={n} bits, each 0 or 1, got {bits!r}")
+        if attack.legs == _RETURN_ONLY and attack.kind is AttackKind.INTERCEPT_RESEND and not self.CONTROLLED:
+            raise ValueError("intercept-resend reads the return leg by the pairs it sends on the forward leg")
+
     def decoy_count(self) -> int:
         return 3 * self.n if self.m is None else self.m
+
+    def reseeded(self, seed: int) -> SessionConfig:
+        """This config with another seed; no rule reads the seed, so it is not checked again."""
+        config = object.__new__(self.__class__)
+        config.__dict__.update(self.__dict__, seed=seed)
+        return config
 
 
 class SpotCheckedConfig(SessionConfig):
     """A protocol that spot-checks ``spot_count()`` slots before the exchange;
-    ``spot_check_size=None`` checks min(m, 2n)."""
+    ``spot_check_size=None`` checks min(m, 2n), and a given size lies in [0, m]."""
 
     spot_check_size: int | None = None
 
+    def __post_init__(self):
+        super().__post_init__()
+        if self.spot_check_size is not None and not 0 <= self.spot_check_size <= self.decoy_count():
+            raise ValueError("spot check size must lie within the decoy budget")
+
     def spot_count(self) -> int:
         s = self.spot_check_size
-        if s is None:
-            s = min(self.decoy_count(), 2 * self.n)
-        if not 0 <= s <= self.decoy_count():
-            raise ValueError("spot check size must lie within the decoy budget")
-        return s
+        return min(self.decoy_count(), 2 * self.n) if s is None else s
 
 
 class AbortReason(Enum):
@@ -135,10 +159,8 @@ class Session:
     the loop has run it.
     """
 
-    def __init__(self, config, classical: str, controller: bool = False):
+    def __init__(self, config, classical: str):
         self.n, self.m = config.n, config.decoy_count()
-        if self.n < 1 or self.m < 1:
-            raise ZeroCount(f"need n >= 1 and m >= 1, got n={self.n}, m={self.m}")
         self.config = config
         self.total = self.n + self.m
         self.transcript = Transcript([])  # by position, the record's fast path
@@ -149,31 +171,23 @@ class Session:
             return PartyContext(name, cap, RandomSource(derive_seed(config.seed, stream)), lanes)
 
         self.alice, self.bob = party("alice", 1), party("bob", 2)
-        self.charlie = party("charlie", 4) if controller else None
+        self.charlie = party("charlie", 4) if config.CONTROLLED else None
         self.parties = [p for p in (self.alice, self.bob, self.charlie) if p is not None]
-        self.sender, self.receiver = (
-            (self.alice, self.bob) if classical == "alice" else (self.bob, self.alice)
-        )
+        self.sender, self.receiver = (self.alice, self.bob) if classical == "alice" else (self.bob, self.alice)
         eve = None
         if config.attack.kind is not AttackKind.NONE:
             eve_seed = config.attack.eve_rng_seed
             eve_rng = RandomSource(derive_seed(config.seed, 3) if eve_seed is None else eve_seed)
             eve = PartyContext("eve", Capability.QUANTUM, eve_rng, lanes)
-        self.attack = build_attack(config.attack, controller, eve)
+        self.attack = build_attack(config.attack, config.CONTROLLED, eve)
         self.slots = list(range(self.total))  # the positions still in play
         self.error_rate = 0.0
-        self.details: dict = {
-            "spot_checked": 0,
-            "spot_mismatches": 0,
-            "decoy_checked": 0,
-            "decoy_mismatches": 0,
-        }
+        self.details: dict = {"spot_checked": 0, "spot_mismatches": 0,
+                              "decoy_checked": 0, "decoy_mismatches": 0}
 
     def given_or_drawn(self, party: PartyContext, name: str) -> Bits:
         """The config's bits ``name``, or ``n`` bits ``party`` draws if it sets none."""
         bits = getattr(self.config, name)
-        if bits is not None and len(bits) != self.n:
-            raise ValueError(f"{name} must have length n={self.n}, got {len(bits)}")
         return party.rng.bits(self.n) if bits is None else bits
 
     def psi_pairs(self) -> None:
@@ -356,8 +370,6 @@ class Session:
 
 
 def xor_bits(a: Bits, b: Bits) -> Bits:
-    if len(a) != len(b):
-        raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
     return tuple(map(xor, a, b))
 
 

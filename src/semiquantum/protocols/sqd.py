@@ -20,7 +20,12 @@ class SqdConfig(SpotCheckedConfig):
     alice_message: Bits | None = None
     bob_message: Bits | None = None
     final_measurement: str = "bell"  # or "zz"
-    MESSAGES = ("alice_message", "bob_message")
+    MESSAGES = BITS = ("alice_message", "bob_message")
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.final_measurement not in ("bell", "zz"):
+            raise ValueError("final_measurement must be 'bell' or 'zz'")
 
 
 def decode_dialogue(outcome: BellKind, own_bit: int) -> int:
@@ -31,8 +36,6 @@ def decode_dialogue(outcome: BellKind, own_bit: int) -> int:
 def run_sqd(config: SqdConfig) -> SessionOutcome:
     expect(config, "sqd")
     session = Session(config, classical="bob")
-    if config.final_measurement not in ("bell", "zz"):
-        raise ValueError("final_measurement must be 'bell' or 'zz'")
     alice, bob, transcript = session.alice, session.bob, session.transcript
     n = session.n
     m_a = session.given_or_drawn(alice, "alice_message")

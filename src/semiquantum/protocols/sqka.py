@@ -23,6 +23,7 @@ from .common import (
 class SqkaConfig(SessionConfig):
     """A key-agreement session: ``protocol`` is "sqka" or its reduction "sqkd"."""
 
+    BITS = ("fixed_k_a", "fixed_k_b", "dishonest_k_a")
     commitments_enabled: bool = True
     protocol: str = "sqka"
     # test hooks
@@ -32,6 +33,7 @@ class SqkaConfig(SessionConfig):
     dishonest_pi_n: bool = False
 
     def __post_init__(self):
+        super().__post_init__()
         if self.protocol not in ("sqka", "sqkd"):
             raise ValueError(f"SqkaConfig runs sqka or sqkd, not {self.protocol!r}")
 

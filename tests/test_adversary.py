@@ -270,18 +270,19 @@ def test_build_attack_picks_the_family_hooks(controlled):
 
 @pytest.mark.parametrize("controlled", [False, True])
 def test_build_attack_rejects_unknown_leg(controlled):
+    # the strategy record refuses the leg as it is built
     eve, _ = quantum_party()
-    strategy = AttackStrategy(AttackKind.CNOT, legs=frozenset({"sideways"}))
     with pytest.raises(ValueError):
-        build_attack(strategy, controlled, eve)
+        build_attack(AttackStrategy(AttackKind.CNOT, legs=frozenset({"sideways"})), controlled, eve)
 
 
 def test_build_attack_rejects_return_only_intercept_resend():
-    # the return leg Bell-measures against pairs only the forward leg makes
+    # the return leg Bell-measures against pairs only the forward leg makes;
+    # the config of a protocol without a controller refuses it as it is built
     eve, _ = quantum_party()
     strategy = AttackStrategy(AttackKind.INTERCEPT_RESEND, legs=frozenset({"return"}))
     with pytest.raises(ValueError):
-        build_attack(strategy, False, eve)
+        build_attack(make_config("sqka", n=2, attack=strategy).attack, False, eve)
 
 
 def test_run_trials_rejects_return_only_intercept_resend():

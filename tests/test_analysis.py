@@ -121,9 +121,21 @@ def test_run_trials_bit_identical():
     assert c != d  # sampled rates move with the master seed
 
 
-def test_run_trials_counts_failures():
-    stats = run_trials(SqkaConfig(n=0, m=1), trials=5, master_seed=1)
-    assert stats.failures == 5
+def test_run_trials_counts_failures(monkeypatch):
+    import semiquantum.protocols as protocols
+    from semiquantum.errors import SemiQuantumError
+    from semiquantum.rng import derive_seed
+
+    failing = {derive_seed(1, t) for t in (0, 2, 3)}  # the seeds of trials 0, 2 and 3
+
+    def runner(config):
+        if config.seed in failing:
+            raise SemiQuantumError("a session that cannot finish")
+        return run_sqka(config)
+
+    monkeypatch.setattr(protocols, "run_sqka", runner)
+    stats = run_trials(SqkaConfig(n=2), trials=5, master_seed=1)
+    assert stats.failures == 3
     assert stats.abort_rate == 0.0
 
 

@@ -113,7 +113,9 @@ def test_equal_values_compare_equal_and_hash_alike(cls):
         with pytest.raises(TypeError):
             hash(a)
     name = RECORDS[cls][0][0]
-    other = Permutation((0, 1, 2)) if cls is Permutation else replace(a, **{name: "other"})
+    # another valid value of the first field, which the config rules accept
+    other_value = {"n": 3, "kind": AttackKind.CNOT}.get(name, "other")
+    other = Permutation((0, 1, 2)) if cls is Permutation else replace(a, **{name: other_value})
     assert other != a
 
 
