@@ -153,11 +153,9 @@ class CnotAttack(ChannelAttack):
     WIRE = ("apply_cnot", "measure_z")
 
     def forward(self, labels):
-        ops = self.forward_ops
-        cnot = ops.apply_cnot
+        ops = self.forward_ops  # labels are the travel qubits of slots 0, 1, ...
         ops.prepare_z(0, KEPT, len(labels))
-        for i, label in enumerate(labels):
-            cnot(label, i << 3 | KEPT)
+        ops.apply_cnot(_TRAVEL, KEPT, len(labels))
         ops.log()
         return labels
 
@@ -225,11 +223,8 @@ class MeasureResendAttack(ChannelAttack):
     FORWARD = WIRE = ("measure_z", "prepare_z")
 
     def forward(self, labels):
-        ops, bits = self.forward_ops, self.forward_bits
-        measure_z, prepare_z = ops.measure_z, ops.prepare_z
-        for i, label in enumerate(labels):
-            u = bits[i] = measure_z(label)
-            prepare_z(u, label)
+        ops = self.forward_ops
+        self.forward_bits = dict(enumerate(ops.resend_zs(labels, [0] * len(labels))))
         ops.log()
         return labels
 

@@ -5,8 +5,8 @@ reflect qubits untouched, reorder sequences, and talk on the classical
 channel.  Anything else raises :class:`CapabilityViolation` instead of
 silently degrading.  Quantum parties get the full simulator surface.
 
-A protocol session runs each stage as a loop of slot steps on its slot
-lanes.  A step names the ops one party applies to a slot and is the only way
+A protocol session runs each stage as slot steps on its slot lanes.  A
+step names the ops one party applies to the slots and is the only way
 the party reaches them: it exposes each named op, bound to the session's
 lanes and, for a measurement, to the party's random source, and no other.
 The names are checked against the party's allowed set when the step is
@@ -19,7 +19,7 @@ import functools
 from enum import Enum
 
 from .errors import CapabilityViolation, EmptyInput, ZeroCount
-from .qsim import BellKind, Lanes, OrthonormalPair
+from .qsim import COMPUTATIONAL, BellKind, Lanes, OrthonormalPair
 from .records import Record
 from .rng import RandomSource
 
@@ -70,7 +70,7 @@ _BIND = {
     "apply_x": lambda lanes, ms: lanes.x,
     "measure_z": lambda lanes, ms: ms[0],
     "measure_bell": lambda lanes, ms: ms[1],
-    "measure_ab": lambda lanes, ms: ms[2],
+    "measure_ab": lambda lanes, ms: functools.partial(ms[2], flips=None),  # over a list of addresses
     "reflect": lambda lanes, ms: _reflect,
     "permute": lambda lanes, ms: _permute,
 }
@@ -81,11 +81,15 @@ class Step:
 
     Each named op that acts is an attribute of the same name (``apply_cnot``
     is the lanes' ``cnot``, ``measure_bell(q1, q2)`` draws from the party's
-    rng); an op the step does not name is not there.  ``log`` records the
-    names in the party's ``ops_log``; a stage calls it once the step has run.
+    rng); an op the step does not name is not there.  A stage runs an op on
+    many slots in one call: ``prepare_*`` and ``apply_cnot`` take a lane
+    count, ``measure_ab`` a list of addresses, and so do ``measure_zs``,
+    bound with ``measure_z``, and ``resend_zs(addresses, flips)``, with
+    ``prepare_z`` too.  ``log`` records the names in the party's
+    ``ops_log``; a stage calls it once the step has run.
     """
 
-    __slots__ = ("party", "names", *_BIND)
+    __slots__ = ("party", "names", "measure_zs", "resend_zs", *_BIND)
 
     def __init__(self, party: PartyContext, names: tuple[str, ...]):
         self.party, self.names = party, names
@@ -94,6 +98,10 @@ class Step:
             bind = _BIND.get(op)
             if bind is not None:
                 setattr(self, op, bind(lanes, ms))
+        if "measure_z" in names:  # the lanes' measure_each in Z
+            self.measure_zs = lambda addresses: ms[2](addresses, COMPUTATIONAL)
+            if "prepare_z" in names:
+                self.resend_zs = lambda addresses, flips: ms[2](addresses, COMPUTATIONAL, flips)
 
     def log(self) -> None:
         self.party.ops_log.update(self.names)
@@ -191,7 +199,7 @@ class PartyContext:
         self.capability = capability
         self.rng = rng
         self.lanes = lanes
-        # the lanes' measure_z, measure_bell and measure_ab drawing from rng,
+        # the lanes' measure_z, measure_bell and measure_each drawing from rng,
         # built once for every step of the party
         self.measurements = lanes.measurements(rng)
         self.ops_log: set[str] = set()
@@ -231,7 +239,7 @@ class PartyContext:
         return self._op("measure_bell")(a1, a2)
 
     def measure_ab(self, a: int, basis: OrthonormalPair) -> int:
-        return self._op("measure_ab")(a, basis)
+        return self._op("measure_ab")((a,), basis)[0]
 
     def cnot(self, control: int, target: int) -> None:
         self._op("apply_cnot")(control, target)

@@ -16,6 +16,7 @@ qubit carrying message XOR outcome, return everything permuted.
 from __future__ import annotations
 
 from enum import Enum
+from operator import ne, xor
 
 from ..parties import Permutation, random_permutation
 from ..qsim import COMPUTATIONAL, BellKind, OrthonormalPair
@@ -100,12 +101,15 @@ def _run(config: CdssqcConfig) -> SessionOutcome:
     alice_z, bob_z = alice.step("measure_z"), bob.step("measure_z")
     charlie_ab = charlie.step("measure_ab") if ghz else None
 
-    def spot_mismatch(p: int) -> bool:
-        parity = parities[charlie_ab.measure_ab(p << 3 | CONTROL, basis)] if ghz else parities[0]
-        return (alice_z.measure_z(session.travel[p]) ^ bob_z.measure_z(p << 3 | HOME)) != parity
+    def spot_mismatches(positions: list[int]) -> int:
+        """Each party measures its column of the checked slots: Charlie, Alice, then Bob."""
+        gs = charlie_ab.measure_ab([p << 3 | CONTROL for p in positions], basis) if ghz else [0] * len(positions)
+        a = alice_z.measure_zs([session.travel[p] for p in positions])
+        b = bob_z.measure_zs([p << 3 | HOME for p in positions])
+        return sum(map(ne, map(xor, a, b), map(parities.__getitem__, gs)))
 
     steps = [alice_z, bob_z, charlie_ab] if ghz else [alice_z, bob_z]
-    aborted = session.spot_check(charlie, spot_mismatch, steps)
+    aborted = session.spot_check(charlie, spot_mismatches, steps)
     if aborted:
         return aborted
 
@@ -114,7 +118,7 @@ def _run(config: CdssqcConfig) -> SessionOutcome:
     remaining = session.slots
     if ghz:  # branch[p]: Charlie's outcome on slot p, the index into states
         step = charlie.step("measure_ab")
-        branch = {p: step.measure_ab(p << 3 | CONTROL, basis) for p in remaining}
+        branch = dict(zip(remaining, step.measure_ab([p << 3 | CONTROL for p in remaining], basis)))
         step.log()
 
     encoded = sorted([remaining[i] for i in alice.rng.sample(len(remaining), n)])

@@ -26,6 +26,11 @@ HOME, TRAVEL, CONTROL = range(3)
 _BIT_VALUES, _RETURN_ONLY = frozenset((0, 1)), frozenset({"return"})
 
 
+def _require_int(name: str, value, optional: bool = False) -> None:  # bools are ints too
+    if not (isinstance(value, int) and not isinstance(value, bool) or optional and value is None):
+        raise TypeError(f"{name} must be an int{' or None' * optional}, got {value!r}")
+
+
 class SessionConfig(Record):
     """The parameters every protocol takes; ``m=None`` defaults to the 3n
     decoy ratio.  Each protocol's config adds its own fields and says which
@@ -44,6 +49,11 @@ class SessionConfig(Record):
 
     def __post_init__(self):
         n, m, attack = self.n, self.m, self.attack
+        _require_int("n", n)
+        _require_int("m", m, optional=True)
+        _require_int("seed", self.seed)
+        if not isinstance(attack, AttackStrategy):
+            raise TypeError(f"attack must be an AttackStrategy, got {attack!r}")
         if n < 1 or m is not None and m < 1:
             raise ZeroCount(f"need n >= 1 and m >= 1, got n={n}, m={self.decoy_count()}")
         if not 0.0 <= self.threshold <= 1.0:  # NaN too
@@ -73,6 +83,7 @@ class SpotCheckedConfig(SessionConfig):
 
     def __post_init__(self):
         super().__post_init__()
+        _require_int("spot_check_size", self.spot_check_size, optional=True)
         if self.spot_check_size is not None and not 0 <= self.spot_check_size <= self.decoy_count():
             raise ValueError("spot check size must lie within the decoy budget")
 
@@ -152,11 +163,11 @@ class Session:
     The registers live in ``lanes``, one lane per slot, with qubits
     addressed by ``slot << 3 | role``; a register within a slot is an
     interned state and each op a memoized transition of it (``qsim.Lanes``).
-    A preparation stage fills every slot in one op; the other stages loop
-    over slots and run one party's step on each slot's registers.  A step
-    is the party's only way to the ops it names; it is built, and so
-    capability-checked, before the loop touches a register, and logged once
-    the loop has run it.
+    A stage of one party's op on many slots (a preparation, a read-out, the
+    encoding, a spot check) is one call of its step; the return wires loop
+    over slots, since Eve's ops join slots in wire order.  A step is the
+    party's only way to the ops it names; it is built, and so capability-
+    checked, before the stage touches a register, and logged once it has run.
     """
 
     def __init__(self, config, classical: str):
@@ -204,18 +215,19 @@ class Session:
         self.travel = self.attack.forward_leg([p << 3 | TRAVEL for p in range(self.total)])
 
     def spot_check(
-        self, chooser: PartyContext, mismatched: Callable[[int], bool], steps: list[Step]
+        self, chooser: PartyContext, mismatches: Callable[[list[int]], int], steps: list[Step]
     ) -> SessionOutcome | None:
         """Measure a random set of slots, drawn by ``chooser``, and compare.
 
-        ``mismatched(p)`` runs ``steps``, built by the runner, on slot p's
-        qubits; the checked copies are consumed.  Returns the abort outcome
-        if the mismatch rate is over the threshold; otherwise the unchecked
-        slots stay in play.
+        ``mismatches(positions)`` runs ``steps``, built by the runner, on the
+        qubits of the slots at ``positions`` (ascending) and counts the slots
+        that disagree; the checked copies are consumed.  Returns the abort
+        outcome if the mismatch rate is over the threshold; otherwise the
+        unchecked slots stay in play.
         """
         s = self.config.spot_count()
         positions = sorted(chooser.rng.sample(self.total, s)) if s else []
-        bad = sum(map(mismatched, positions))
+        bad = mismatches(positions)
         if positions:
             for step in steps:
                 step.log()
@@ -260,14 +272,10 @@ class Session:
         rx = receiver.step(*receive_ops)
 
         travel, slots = self.travel, self.slots
-        measure_z, prepare_z = encode.measure_z, encode.prepare_z
         index: list[int | None] = [None] * self.total  # slot -> position in encoded
-        outcomes: list[int] = []
         for i, p in enumerate(encoded):
             index[p] = i
-            bit = measure_z(travel[p])
-            outcomes.append(bit)
-            prepare_z(bit ^ message[i], travel[p])  # the resend takes the address the measurement freed
+        outcomes = encode.resend_zs([travel[p] for p in encoded], message)  # each at the address it frees
         seq = [travel[p] for p in slots]
         self.decoys = [p for p in slots if index[p] is None]
         if encoded:
@@ -325,8 +333,7 @@ class Session:
     def read(self, party: PartyContext, slots: list[int], role: int) -> list[int]:
         """``party`` measures each slot's ``role`` qubit in Z, in slot order."""
         step = party.step("measure_z")
-        measure_z = step.measure_z
-        bits = [measure_z(p << 3 | role) for p in slots]
+        bits = step.measure_zs([p << 3 | role for p in slots])
         if bits:
             step.log()
         return bits

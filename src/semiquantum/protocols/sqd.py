@@ -10,6 +10,8 @@ pair measurement works identically and is available behind a config flag.
 """
 from __future__ import annotations
 
+from operator import xor
+
 from ..parties import ClassicalAction, choose_actions
 from ..qsim import BellKind
 from .common import HOME, Bits, Session, SessionOutcome, SpotCheckedConfig, expect, xor_bits
@@ -44,12 +46,14 @@ def run_sqd(config: SqdConfig) -> SessionOutcome:
     session.psi_pairs()
     transcript.log("bob", "ack_receipt")
     alice_z, bob_z = alice.step("measure_z"), bob.step("measure_z")
-    # psi+ pairs are Z-correlated
-    aborted = session.spot_check(
-        alice,
-        lambda p: alice_z.measure_z(p << 3 | HOME) ^ bob_z.measure_z(session.travel[p]),
-        [alice_z, bob_z],
-    )
+
+    def spot_mismatches(positions: list[int]) -> int:
+        """psi+ pairs are Z-correlated: Alice reads her halves, then Bob his."""
+        a = alice_z.measure_zs([p << 3 | HOME for p in positions])
+        b = bob_z.measure_zs([session.travel[p] for p in positions])
+        return sum(map(xor, a, b))
+
+    aborted = session.spot_check(alice, spot_mismatches, [alice_z, bob_z])
     if aborted:
         return aborted
 
@@ -57,9 +61,8 @@ def run_sqd(config: SqdConfig) -> SessionOutcome:
     decoys_left = len(remaining) - n
     if decoys_left >= 1:
         actions = choose_actions(n, decoys_left, bob.rng)
-        encoded = [
-            remaining[i] for i, a in enumerate(actions) if a is ClassicalAction.MEASURE_AND_PREPARE
-        ]
+        encode = ClassicalAction.MEASURE_AND_PREPARE  # a local: an Enum member read runs Python code
+        encoded = [remaining[i] for i, a in enumerate(actions) if a is encode]
     else:  # spot check consumed the whole decoy budget
         encoded = list(remaining)
 
@@ -95,7 +98,7 @@ def run_sqd(config: SqdConfig) -> SessionOutcome:
         alice_decoded = xor_bits(parities, m_a)
     else:
         outcomes = list(session.received)
-        transcript.log("alice", "announce_outcomes", outcomes=[k.value for k in outcomes])
+        transcript.log("alice", "announce_outcomes", outcomes=[k.symbol for k in outcomes])
         bob_decoded = tuple(map(decode_dialogue, outcomes, m_b))
         alice_decoded = tuple(map(decode_dialogue, outcomes, m_a))
         details["final_outcomes"] = outcomes

@@ -71,7 +71,8 @@ def _run_keyed(config: SqkaConfig) -> SessionOutcome:
 
     session.psi_pairs()
     actions = choose_actions(n, session.m, bob.rng)
-    encoded = [i for i, a in enumerate(actions) if a is ClassicalAction.MEASURE_AND_PREPARE]
+    encode = ClassicalAction.MEASURE_AND_PREPARE  # a local: an Enum member read runs Python code
+    encoded = [i for i, a in enumerate(actions) if a is encode]
     r_b = session.exchange(encoded, k_b, "return_sequence")
     transcript.log("bob", "reveal_Pi_m", mapping=session.decoy_wires())
     aborted = session.bell_check([BellKind.PSI_PLUS] * len(session.decoys))

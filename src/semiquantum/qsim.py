@@ -27,26 +27,32 @@ A register's content is a ket: the qubit count and the exact amplitude
 entries in insertion order, range- and norm-checked once when built.  The
 label-addressed ``StateVector`` layer over kets, the oracle the lanes are
 tested against, is ``qsim_reference``, which no session imports; its names
-resolve here too, loading it on first use.  Stored kets are interned, and each primitive keeps its result on the
-input ket: a gate or merge its output ket, a measurement its step.  Every
-ket of at most 4 qubits is stored; of the 5- and 6-qubit kets (cross-slot
-registers of permuted attacks) only the first ``MAX_WIDE_KETS``.  A step
-holds its branch probabilities, their running sums and each branch's post
-ket, collapsed when the branch is first taken.
+resolve here too, loading it on first use.  Stored kets are interned, and
+each primitive keeps its result on the input ket: a gate or merge its
+output ket, a measurement its step.  Every ket of at most 4 qubits is
+stored; of the 5- and 6-qubit kets (cross-slot registers of permuted
+attacks) only the first ``MAX_WIDE_KETS``.  A step holds its branch
+probabilities, their running sums and each branch's post ket, collapsed
+when the branch is first taken.
 
 A session's registers live in ``Lanes``, addressed by slot and role.  A
 register within one slot is an interned lane state, a ket plus the role of
 each qubit, and each op is one memoized transition of it: a gate or
 preparation maps it to the next state, a measurement to a ``_LaneStep``
 whose posts are states, so a measurement is one lookup, one ``_sample`` and
-the stores.  Up to ``MAX_LANE_STATES`` states are stored; a register
-spanning slots is a shared record run on its ket's memo.  A stored ket's or
-state's memo refers only to stored ones, later ones take the same code
-unstored, and every result is the value the computation gives the first
-time, so the memo changes no draw.  Every sampled measurement takes
-exactly one ``rng.random()`` draw in ``_sample`` and returns the first
-outcome, in a fixed order (Z: 0, 1; Bell: ``BELL_ORDER``; basis: a, b),
-whose running probability sum exceeds the draw.
+the stores.  A stage of one op on many slots is one call: a preparation or
+a CNOT with a lane count runs its transition once and stores the result
+into every lane by slice (a CNOT only where every lane holds the same
+states, else lane by lane), and ``measure_each`` runs the measurements of a
+list of addresses, each resent on request, in one loop.  Up to
+``MAX_LANE_STATES`` states are stored; a register spanning slots is a
+shared record run on its ket's memo.  A stored ket's or state's memo refers
+only to stored ones, later ones take the same code unstored, and every
+result is the value the computation gives the first time, so the memo
+changes no draw.  Every sampled measurement takes exactly one
+``rng.random()`` draw in ``_sample`` and returns the first outcome, in a
+fixed order (Z: 0, 1; Bell: ``BELL_ORDER``; basis: a, b), whose running
+probability sum exceeds the draw.
 """
 from __future__ import annotations
 
@@ -80,8 +86,8 @@ class BellKind(Enum):
 
     ``parity`` is 0 for the equal-bits (psi) class and 1 for the unequal-bits
     (phi) class, ``sign`` 0 for the + superposition and 1 for the - one:
-    psi+ 0/0, psi- 0/1, phi+ 1/0, phi- 1/1.  Both are plain member
-    attributes, set from the value, so reading one runs no Python code.
+    psi+ 0/0, psi- 0/1, phi+ 1/0, phi- 1/1; ``symbol`` is the value.  All
+    three are plain member attributes, so reading one runs no Python code.
     """
 
     PSI_PLUS = "psi+"
@@ -92,6 +98,7 @@ class BellKind(Enum):
     def __init__(self, value: str):
         self.parity = int(value.startswith("phi"))
         self.sign = int(value.endswith("-"))
+        self.symbol = value
 
     # members are singletons compared by identity; the C-level hash keeps
     # the per-slot ket lookups off Enum's Python-level one
@@ -493,6 +500,7 @@ class _Shared:
 # Op codes of the integer memo keys (see _key).  A preparation of |bit> has
 # the code _PREP_Z + bit.
 _Z, _X, _PREP_Z, _CNOT, _BELL = 1, 2, 3, 5, 6
+_Z_KEYS = tuple(r << 3 | _Z for r in range(8))  # a Z measurement's key, by role
 
 
 def _key(code, roles: tuple):
@@ -519,7 +527,9 @@ class Lanes:
     one lane is an interned ``_State`` under each of its addresses, and an
     op on it is a memoized transition: a gate or preparation stores the next
     state, a measurement samples its ``_LaneStep`` with ``_sample`` and
-    stores the branch's state.  A register spanning lanes (Eve's return-leg
+    stores the branch's state.  ``prepare_*`` and ``cnot`` take a count of
+    lanes, and ``measurements`` gives ``measure_each`` over a list of
+    addresses.  A register spanning lanes (Eve's return-leg
     ops join slots under the permutation) is one ``_Shared`` record under
     each of its addresses, run on its ket's memo until its last qubit is
     measured.  Either way its ket and qubit order are a label-addressed
@@ -529,21 +539,6 @@ class Lanes:
 
     def __init__(self, size: int):
         self.cells: list = [_NONE] * (size << 3)  # one list for good: closures hold it
-
-    def _advance(self, step: _LaneStep, qubits: tuple, rng: RandomSource) -> int:
-        """Sample ``step`` on the lane state holding ``qubits`` and store the
-        branch taken."""
-        outcome = _sample(step, rng)
-        post = step.posts[outcome]
-        if post is None:
-            post = step.post(outcome)
-        cells = self.cells
-        for a in qubits:
-            cells[a] = _NONE
-        base = qubits[0] & -8
-        for r in post.layout:
-            cells[base | r] = post
-        return outcome
 
     def _join(self, a: int, b: int) -> _Shared:
         """The shared record holding ``a`` and ``b``: their registers joined,
@@ -619,12 +614,16 @@ class Lanes:
                 nxt = _LaneStep(layout, _step(state.ket, positions, op))
             if state.stored and (rng is not None or nxt.stored):
                 state.memo[key] = nxt
-        if rng is not None:
-            return self._advance(nxt, qubits, rng)
+        outcome = None
+        if rng is not None:  # sample the step; the branch taken is the next state
+            outcome = _sample(nxt, rng)
+            for q in qubits:
+                cells[q] = _NONE
+            nxt = nxt.posts[outcome] or nxt.post(outcome)
         base = a & -8
         for r in nxt.layout:
             cells[base | r] = nxt
-        return None
+        return outcome
 
     def _prepare(self, code, ket: _Ket, qubits: tuple, count: int = 1) -> None:
         """Prepare ``ket`` on ``qubits`` past the fast paths (memoized under
@@ -681,9 +680,21 @@ class Lanes:
         self._prepare(None, _ghz_like_ket(psi1, psi2, basis), tuple(qubits), count)
         return tuple(qubits)
 
-    def cnot(self, c: int, t: int) -> None:
+    def cnot(self, c: int, t: int, count: int = 1) -> None:
         cells = self.cells
         reg, other = cells[c], cells[t]
+        if count != 1:  # one transition if every lane holds reg and other, else lane by lane
+            stop = count << 3
+            if (c >> 3 == t >> 3 and type(reg) is _State is type(other) and _NONE not in (reg, other)
+                    and cells[c : c + stop : 8].count(reg) == count == cells[t : t + stop : 8].count(other)):
+                self.cnot(c, t)
+                nxt, base = cells[c], c & -8
+                for r in nxt.layout:
+                    cells[base | r : base + stop : 8] = [nxt] * count
+            else:
+                for k in range(0, stop, 8):
+                    self.cnot(c + k, t + k)
+            return
         nxt = None
         if c >> 3 == t >> 3:
             state = reg if other is reg else reg.memo.get(other)  # two registers joined
@@ -705,9 +716,10 @@ class Lanes:
         self._slow(_X, (a,), _x)
 
     def measurements(self, rng: RandomSource) -> tuple:
-        """``measure_z(a)``, ``measure_bell(a1, a2)`` and ``measure_ab(a,
-        basis)`` on these lanes, each sample drawn from ``rng``."""
-        cells, collapse, slow, advance = self.cells, self._collapse, self._slow, self._advance
+        """``measure_z(a)``, ``measure_bell(a1, a2)`` and ``measure_each(addresses,
+        basis, flips=None)``, which measures each address in turn and, given
+        bits ``flips``, resends ``|outcome ^ flips[i]>`` there; draws from ``rng``."""
+        cells, collapse, slow, prepare = self.cells, self._collapse, self._slow, self._prepare
         z_bras = COMPUTATIONAL._bras
 
         def measure_z(a: int) -> int:
@@ -717,7 +729,7 @@ class Lanes:
                 if type(reg) is _Shared:
                     return collapse(reg, (a,), z_bras, rng)
                 return slow(_Z, (a,), z_bras, rng)
-            # advance, spelled out on the most frequent op
+            # the sample and stores of _slow, spelled out on the most frequent op
             outcome = _sample(step, rng)
             post = step.posts[outcome]
             if post is None:
@@ -739,7 +751,7 @@ class Lanes:
                 if other is reg and type(reg) is _Shared:
                     return BELL_ORDER[collapse(reg, (a1, a2), _BELL_BRAS, rng)]
                 return BELL_ORDER[slow(_BELL, (a1, a2), _BELL_BRAS, rng)]
-            outcome = _sample(step, rng)  # advance, spelled out
+            outcome = _sample(step, rng)  # spelled out, as in measure_z
             post = step.posts[outcome]
             if post is None:
                 post = step.post(outcome)
@@ -749,16 +761,35 @@ class Lanes:
                 cells[base | r] = post
             return BELL_ORDER[outcome]
 
-        def measure_ab(a: int, basis: OrthonormalPair) -> int:
-            bras, reg = basis._bras, cells[a]
-            step = reg.memo.get((bras, a & 7))
-            if step is None:
-                if type(reg) is _Shared:
-                    return collapse(reg, (a,), bras, rng)
-                return slow(bras, (a,), bras, rng)
-            return advance(step, (a,), rng)
+        def measure_each(addresses, basis: OrthonormalPair, flips=None) -> list:
+            bras = basis._bras
+            code, keys = (_Z, _Z_KEYS) if bras is z_bras else (bras, [(bras, r) for r in range(8)])  # by role
+            if flips is not None and not {0, 1}.issuperset(flips):
+                raise ValueError(f"flips must be bits, got {flips!r}")
+            outcomes = []
+            for i, a in enumerate(addresses):
+                reg = cells[a]
+                step = reg.memo.get(keys[a & 7])
+                if step is None:
+                    outcome = collapse(reg, (a,), bras, rng) if type(reg) is _Shared else slow(code, (a,), bras, rng)
+                else:  # spelled out, as in measure_z
+                    outcome = _sample(step, rng)
+                    post = step.posts[outcome] or step.post(outcome)
+                    cells[a] = _NONE
+                    base = a & -8
+                    for r in post.layout:
+                        cells[base | r] = post
+                outcomes.append(outcome)
+                if flips is not None:  # prepare_z(outcome ^ flip, a), spelled out
+                    bit = outcome ^ flips[i]
+                    state = _NONE.memo.get((a & 7) << 3 | _PREP_Z + bit)
+                    if state is None:
+                        prepare(_PREP_Z + bit, _Z_KETS[bit], (a,))
+                    else:
+                        cells[a] = state
+            return outcomes
 
-        return measure_z, measure_bell, measure_ab
+        return measure_z, measure_bell, measure_each
 
     def measure_z(self, a: int, rng: RandomSource) -> int:
         return self.measurements(rng)[0](a)
@@ -767,7 +798,7 @@ class Lanes:
         return self.measurements(rng)[1](a1, a2)
 
     def measure_ab(self, a: int, basis: OrthonormalPair, rng: RandomSource) -> int:
-        return self.measurements(rng)[2](a, basis)
+        return self.measurements(rng)[2]((a,), basis)[0]
 
     # snapshots
 

@@ -9,7 +9,8 @@ and Nishimura 1998), the ``_random.Random`` type, seeded with the 64-bit
 seed, and its ``random`` is the type's C method, so a draw is one C call.
 ``random.Random`` extends the same type and hands it an int seed unchanged,
 so both draw the same stream for a seed.  A source's ``seed`` slot holds
-that seed and shadows the type's ``seed()`` method, which nothing calls.
+that seed and shadows the type's ``seed()`` method, which only
+``__init__`` calls.
 Python promises only that ``random()`` repeats for a seed across versions,
 so every other draw is written here on ``getrandbits``, bounded integers by
 rejection, and none uses the stdlib's ``shuffle``, ``sample``, ``randrange``
@@ -71,7 +72,7 @@ class RandomSource(_random.Random):
 
     def __init__(self, seed: int):
         self.seed = seed = seed & _MASK64
-        _random.Random.__init__(self, seed)
+        _random.Random.seed(self, seed)  # not __init__, which before 3.11 is object's
 
     def bit(self) -> int:
         return self.getrandbits(1)

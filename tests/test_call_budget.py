@@ -22,8 +22,10 @@ ROOT = Path(__file__).resolve().parents[1]
 # Python calls per slot (n + m = 400) of one n=100 session, as measured on
 # CPython 3.11 when the budget was set.  With a Python draw wrapper, Bell
 # parity properties and a lambda per decoy in the slot stages the same
-# sessions read 7.075, 16.3875 and 24.5775.
-BUDGET = {"sqka-none": 4.06, "cdssqc-ghz-spot-check": 8.375, "sqka-intercept-resend": 18.0375}
+# sessions read 7.075, 16.3875 and 24.5775; with one call per slot in the
+# single-party stages (the reads, the encoding and the spot check) 4.06,
+# 8.3725 and 18.0375.
+BUDGET = {"sqka-none": 3.3225, "cdssqc-ghz-spot-check": 4.16, "sqka-intercept-resend": 17.3}
 # The count of profile call events depends on the interpreter (3.12 inlines
 # comprehensions; Enum and record internals differ), so the budget holds
 # only on the version it was measured on.

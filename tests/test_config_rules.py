@@ -36,6 +36,9 @@ THRESHOLDS = st.floats(0.0, 1.0) | st.sampled_from(
     [-0.0, -1e-9, 1.0 + 1e-9, 2.0, math.nan, math.inf, -math.inf]
 )
 BELL = st.sampled_from(BellKind)
+# Wrongly typed values for the int fields and ``attack``: integral floats
+# (2.0) and bools (True == 1) among them.
+WRONG = st.none() | st.floats(-2.0, 4.0) | st.sampled_from([2.0, True, False]) | st.text(max_size=2)
 ATTACK_FIELDS = {
     "kind": st.sampled_from(AttackKind),
     "legs": st.none() | st.frozensets(st.sampled_from(["forward", "return", "sideways"])),
@@ -52,14 +55,14 @@ def field_draws(n: int) -> dict:
         | st.lists(st.integers(0, 2), max_size=4).map(tuple)
     )
     session = {
-        "n": st.just(n),
-        "m": st.none() | COUNTS,
-        "seed": SEEDS,
-        "attack": st.fixed_dictionaries(ATTACK_FIELDS),
+        "n": st.just(n) | WRONG,
+        "m": st.none() | COUNTS | WRONG,
+        "seed": SEEDS | WRONG,
+        "attack": st.fixed_dictionaries(ATTACK_FIELDS) | WRONG,
         "threshold": THRESHOLDS,
         "permutation_enabled": BOOLS,
     }
-    spot = {**session, "spot_check_size": st.none() | SEEDS}
+    spot = {**session, "spot_check_size": st.none() | SEEDS | WRONG}
     return {
         SessionConfig: session,
         SpotCheckedConfig: spot,
@@ -112,10 +115,14 @@ def test_a_built_config_runs_to_an_outcome_or_a_session_error(data):
     cls = data.draw(st.sampled_from(RUNNABLE), label="class")
     n = data.draw(COUNTS, label="n")
     values = {name: data.draw(draw, label=name) for name, draw in field_draws(n)[cls].items()}
+    attack = values["attack"]
     try:
-        config = cls(**{**values, "attack": AttackStrategy(**values["attack"])})
+        config = cls(**{**values, "attack": AttackStrategy(**attack) if type(attack) is dict else attack})
     except (ValueError, TypeError):
         return  # refused as it is built
+    for name in ("n", "m", "seed", "spot_check_size"):  # a wrong type is never built
+        assert type(values.get(name)) in (int, type(None)), name
+    assert type(attack) is dict
     try:
         run_session(config)
     except SemiQuantumError:
@@ -150,6 +157,27 @@ RETURN_ONLY_IR = dict(kind=AttackKind.INTERCEPT_RESEND, legs=frozenset({"return"
 )
 def test_refused_as_it_is_built(build):
     with pytest.raises(ValueError):
+        build()
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(lambda: SqkaConfig(n=2, seed=None), id="seed-none"),
+        pytest.param(lambda: SqkaConfig(n=2, seed=1.5), id="seed-float"),
+        pytest.param(lambda: SqkaConfig(n=2.5), id="n-float"),
+        pytest.param(lambda: SqkaConfig(n=2, m=2.0), id="m-integral-float"),
+        pytest.param(lambda: SqkaConfig(n=True), id="n-bool"),
+        pytest.param(lambda: SqkaConfig(n=2, m=False), id="m-bool"),
+        pytest.param(lambda: SqkaConfig(n="2"), id="n-str"),
+        pytest.param(lambda: SqkaConfig(n=2, attack=None), id="attack-none"),
+        pytest.param(lambda: CdssqcConfig(n=2, attack="cnot"), id="attack-str"),
+        pytest.param(lambda: SqdConfig(n=2, spot_check_size=1.5), id="spot-float"),
+        pytest.param(lambda: SqdConfig(n=2, spot_check_size=True), id="spot-bool"),
+    ],
+)
+def test_wrong_types_are_refused_as_type_errors(build):
+    with pytest.raises(TypeError):
         build()
 
 
