@@ -44,10 +44,12 @@ def samples(monkeypatch) -> list:
 def _lanes(layout: str) -> Lanes:
     """psi+ pairs on roles 0 and 1 of every lane, then ``layout``'s changes:
     ``mixed`` flips lane 2's role 1 and measures lane 3's role 0, ``shared``
-    joins lanes 4 and 5 into one register."""
+    joins lanes 4 and 5 into one register, ``ancilla`` flips lane 2's role 4."""
     lanes = Lanes(LANES)
     lanes.prepare_bell(BellKind.PSI_PLUS, 0, 1, LANES)
     lanes.prepare_z(0, 4, LANES)  # an ancilla on role 4 of every lane
+    if layout == "ancilla":
+        lanes.x(2 << 3 | 4)
     if layout in ("mixed", "shared"):
         lanes.x(2 << 3 | 1)
         lanes.measure_z(3 << 3, RandomSource(9))
@@ -89,7 +91,8 @@ def test_measurement_over_addresses_matches_the_per_op_loop(samples, layout, bas
 
 
 @pytest.mark.parametrize("layout, count", [
-    ("uniform", LANES), ("uniform", 1), ("mixed", LANES), ("shared", LANES), ("uniform", 3),
+    ("uniform", LANES), ("uniform", 1), ("mixed", LANES), ("shared", LANES), ("ancilla", LANES),
+    ("uniform", 3),
 ])
 def test_counted_cnot_matches_the_op_lane_by_lane(samples, layout, count):
     by_op, by_stage = _lanes(layout), _lanes(layout)
