@@ -82,8 +82,8 @@ class SpotCheckedConfig(SessionConfig):
     spot_check_size: int | None = None
 
     def __post_init__(self):
+        _require_int("spot_check_size", self.spot_check_size, optional=True)  # types before values
         super().__post_init__()
-        _require_int("spot_check_size", self.spot_check_size, optional=True)
         if self.spot_check_size is not None and not 0 <= self.spot_check_size <= self.decoy_count():
             raise ValueError("spot check size must lie within the decoy budget")
 

@@ -685,7 +685,7 @@ class Lanes:
         reg, other = cells[c], cells[t]
         if count != 1:  # one transition if every lane holds reg and other, else lane by lane
             stop = count << 3
-            if (c >> 3 == t >> 3 and type(reg) is _State is type(other) and _NONE not in (reg, other)
+            if (count > 1 and c >> 3 == t >> 3 and type(reg) is _State is type(other) and _NONE not in (reg, other)
                     and cells[c : c + stop : 8].count(reg) == count == cells[t : t + stop : 8].count(other)):
                 self.cnot(c, t)
                 nxt, base = cells[c], c & -8

@@ -24,7 +24,7 @@ ROOT = Path(__file__).resolve().parents[1]
 # parity properties and a lambda per decoy in the slot stages the same
 # sessions read 7.075, 16.3875 and 24.5775; with one call per slot in the
 # single-party stages (the reads, the encoding and the spot check) 4.06,
-# 8.3725 and 18.0375.
+# 8.375 and 18.0375.
 BUDGET = {"sqka-none": 3.3225, "cdssqc-ghz-spot-check": 4.16, "sqka-intercept-resend": 17.3}
 # The count of profile call events depends on the interpreter (3.12 inlines
 # comprehensions; Enum and record internals differ), so the budget holds

@@ -8,7 +8,7 @@ import math
 import textwrap
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from semiquantum.adversary import AttackKind, AttackStrategy
@@ -36,9 +36,6 @@ THRESHOLDS = st.floats(0.0, 1.0) | st.sampled_from(
     [-0.0, -1e-9, 1.0 + 1e-9, 2.0, math.nan, math.inf, -math.inf]
 )
 BELL = st.sampled_from(BellKind)
-# Wrongly typed values for the int fields and ``attack``: integral floats
-# (2.0) and bools (True == 1) among them.
-WRONG = st.none() | st.floats(-2.0, 4.0) | st.sampled_from([2.0, True, False]) | st.text(max_size=2)
 ATTACK_FIELDS = {
     "kind": st.sampled_from(AttackKind),
     "legs": st.none() | st.frozensets(st.sampled_from(["forward", "return", "sideways"])),
@@ -55,14 +52,14 @@ def field_draws(n: int) -> dict:
         | st.lists(st.integers(0, 2), max_size=4).map(tuple)
     )
     session = {
-        "n": st.just(n) | WRONG,
-        "m": st.none() | COUNTS | WRONG,
-        "seed": SEEDS | WRONG,
-        "attack": st.fixed_dictionaries(ATTACK_FIELDS) | WRONG,
+        "n": st.just(n),
+        "m": st.none() | COUNTS,
+        "seed": SEEDS,
+        "attack": st.fixed_dictionaries(ATTACK_FIELDS),
         "threshold": THRESHOLDS,
         "permutation_enabled": BOOLS,
     }
-    spot = {**session, "spot_check_size": st.none() | SEEDS | WRONG}
+    spot = {**session, "spot_check_size": st.none() | SEEDS}
     return {
         SessionConfig: session,
         SpotCheckedConfig: spot,
@@ -115,14 +112,12 @@ def test_a_built_config_runs_to_an_outcome_or_a_session_error(data):
     cls = data.draw(st.sampled_from(RUNNABLE), label="class")
     n = data.draw(COUNTS, label="n")
     values = {name: data.draw(draw, label=name) for name, draw in field_draws(n)[cls].items()}
-    attack = values["attack"]
     try:
-        config = cls(**{**values, "attack": AttackStrategy(**attack) if type(attack) is dict else attack})
+        config = cls(**{**values, "attack": AttackStrategy(**values["attack"])})
     except (ValueError, TypeError):
-        return  # refused as it is built
-    for name in ("n", "m", "seed", "spot_check_size"):  # a wrong type is never built
-        assert type(values.get(name)) in (int, type(None)), name
-    assert type(attack) is dict
+        event("refused as it is built")
+        return
+    event("built and run")
     try:
         run_session(config)
     except SemiQuantumError:
@@ -131,6 +126,30 @@ def test_a_built_config_runs_to_an_outcome_or_a_session_error(data):
     run_trials(config, 2, seed)
     # run_trials reseeds the built config without checking it again
     assert config.reseeded(seed) == replace(config, seed=seed)
+
+
+# Wrongly typed values for the int fields and ``attack``: integral floats
+# (2.0) and bools (True == 1) among them.  None is wrong where it is not
+# optional.
+NOT_INT = st.floats(-2.0, 4.0) | st.sampled_from([2.0, True, False]) | st.text(max_size=2)
+TYPED = ("n", "m", "seed", "attack", "spot_check_size")
+OPTIONAL = ("m", "spot_check_size")
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_one_wrongly_typed_field_is_refused_as_a_type_error(data):
+    """The type rules run before any value rule, so whatever the other
+    fields hold, a wrong type in one field is the error raised."""
+    cls = data.draw(st.sampled_from(RUNNABLE), label="class")
+    n = data.draw(COUNTS, label="n")
+    draws = field_draws(n)[cls]
+    values = {name: data.draw(draw, label=name) for name, draw in draws.items()}
+    values["attack"] = data.draw(st.builds(AttackStrategy, st.sampled_from(AttackKind)), label="attack")
+    wrong = data.draw(st.sampled_from([name for name in TYPED if name in draws]), label="wrong field")
+    values[wrong] = data.draw(NOT_INT if wrong in OPTIONAL else st.none() | NOT_INT, label=f"wrong {wrong}")
+    with pytest.raises(TypeError):
+        cls(**values)
 
 
 NONE_ON_RETURN = dict(kind=AttackKind.NONE, legs=frozenset({"return"}))

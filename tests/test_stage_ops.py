@@ -92,7 +92,7 @@ def test_measurement_over_addresses_matches_the_per_op_loop(samples, layout, bas
 
 @pytest.mark.parametrize("layout, count", [
     ("uniform", LANES), ("uniform", 1), ("mixed", LANES), ("shared", LANES), ("ancilla", LANES),
-    ("uniform", 3),
+    ("uniform", 3), ("uniform", 0),
 ])
 def test_counted_cnot_matches_the_op_lane_by_lane(samples, layout, count):
     by_op, by_stage = _lanes(layout), _lanes(layout)
