@@ -24,8 +24,8 @@ from __future__ import annotations
 from enum import Enum
 
 from .parties import PartyContext
-from .qsim import BellKind
-from .records import Record
+from .qsim import KEPT, SENT, TRAVEL, BellKind
+from .records import Record, require_int
 
 
 class AttackKind(Enum):
@@ -38,9 +38,12 @@ class AttackKind(Enum):
 class AttackStrategy(Record):
     """Which adversary model is active and which channel legs it touches.
 
-    ``kind`` is an ``AttackKind`` or its value.  ``legs=None`` means
-    ``default_legs`` for the kind and protocol family; kind none takes no
-    leg.  ``eve_rng_seed=None`` derives Eve's stream from the session seed.
+    ``kind`` is an ``AttackKind`` or its value, ``legs`` any collection of
+    leg names, kept as a frozenset.  ``legs=None`` means ``default_legs`` for
+    the kind and protocol family; kind none takes no leg, and entangle-probe
+    and intercept-resend act on the return leg only through what their
+    forward leg sent, so neither takes the return leg alone.
+    ``eve_rng_seed=None`` derives Eve's stream from the session seed.
     """
 
     kind: AttackKind = AttackKind.NONE
@@ -48,10 +51,15 @@ class AttackStrategy(Record):
     eve_rng_seed: int | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "kind", AttackKind(self.kind))
-        allowed = LEGS if self.kind is not AttackKind.NONE else frozenset()
-        if self.legs is not None and not self.legs <= allowed:
-            raise ValueError(f"{self.kind.value!r} takes legs in {sorted(allowed)}, got {sorted(self.legs)}")
+        require_int("eve_rng_seed", self.eve_rng_seed, optional=True)
+        kind = self.__dict__["kind"] = AttackKind(self.kind)
+        if self.legs is not None:
+            legs = self.__dict__["legs"] = frozenset(self.legs)
+            allowed = LEGS if kind is not AttackKind.NONE else frozenset()
+            if not legs <= allowed:
+                raise ValueError(f"{kind.value!r} takes legs in {sorted(allowed)}, got {sorted(legs)}")
+            if legs == {"return"} and kind in (AttackKind.CNOT, AttackKind.INTERCEPT_RESEND):
+                raise ValueError(f"{kind.value!r} acts on the return leg only through its forward leg")
 
 
 # Channel legs: "forward" is the quantum-to-classical distribution leg,
@@ -78,16 +86,6 @@ def default_legs(kind: AttackKind, controlled: bool) -> frozenset[str]:
 # channel hooks used by the protocol session
 
 
-# A session addresses slot i's qubits as i << 3 | role with roles 0-2, the
-# travel qubit role 1 (see the lane packing at the top of protocols.common).
-# Eve's qubits take roles 4 and 5 of the same packing: KEPT is the one she
-# keeps for slot i (her CNOT ancilla or retained Bell half), SENT the one she
-# forwards in slot i's place.  A resend takes the address of the qubit it
-# replaces, freed by its measurement, so it stays in that qubit's lane.
-_TRAVEL = 1
-KEPT, SENT = 4, 5
-
-
 class ChannelAttack:
     """Base hook: pass-through on every leg.
 
@@ -107,7 +105,6 @@ class ChannelAttack:
     into ``inferred_bits``, one per encoded slot.
     """
 
-    kind = AttackKind.NONE
     FORWARD: tuple[str, ...] = ()
     WIRE: tuple[str, ...] = ()
 
@@ -148,14 +145,13 @@ class CnotAttack(ChannelAttack):
     """Entangle a fresh ancilla with each travel qubit, CNOT it again with the
     returning wire of the same index, then read the ancilla."""
 
-    kind = AttackKind.CNOT
     FORWARD = ("prepare_z", "apply_cnot")
     WIRE = ("apply_cnot", "measure_z")
 
     def forward(self, labels):
         ops = self.forward_ops  # labels are the travel qubits of slots 0, 1, ...
         ops.prepare_z(0, KEPT, len(labels))
-        ops.apply_cnot(_TRAVEL, KEPT, len(labels))
+        ops.apply_cnot(TRAVEL, KEPT, len(labels))
         ops.log()
         return labels
 
@@ -172,7 +168,6 @@ class InterceptResendAttack(ChannelAttack):
     """Keep the real travel qubits and forward halves of Eve's own Bell pairs;
     Bell-classify each returning wire against the retained half, then resend."""
 
-    kind = AttackKind.INTERCEPT_RESEND
     FORWARD = ("prepare_bell",)
     WIRE = ("measure_bell", "measure_z", "prepare_z")
 
@@ -191,7 +186,7 @@ class InterceptResendAttack(ChannelAttack):
             cls, bit = "measured", 1
         else:  # psi+ is consistent with a reflection; recorded as unknown
             cls, bit = "unknown", None
-        u = ops.measure_z(base | _TRAVEL)
+        u = ops.measure_z(base | TRAVEL)
         # Identified wires are resent mimicking the sender's encoding; the
         # ambiguous psi+ wires are resent as the complement of the collapsed
         # original.
@@ -206,7 +201,6 @@ class SubstituteSinglesAttack(ChannelAttack):
     random computational-basis singles.  Used against the controlled
     protocols, where the forwarded qubits have no partner in Eve's hands."""
 
-    kind = AttackKind.INTERCEPT_RESEND
     FORWARD = ("prepare_z",)
 
     def forward(self, labels):
@@ -219,7 +213,6 @@ class SubstituteSinglesAttack(ChannelAttack):
 class MeasureResendAttack(ChannelAttack):
     """Measure each qubit of an attacked leg in Z and resend the outcome in its place."""
 
-    kind = AttackKind.MEASURE_RESEND
     FORWARD = WIRE = ("measure_z", "prepare_z")
 
     def forward(self, labels):
@@ -254,8 +247,7 @@ def build_attack(strategy: AttackStrategy, controlled: bool, eve: PartyContext |
     if kind is AttackKind.NONE:
         return NoAttack(eve, legs)
     if kind is AttackKind.CNOT:
-        # the return-leg CNOT acts on the ancillas of the forward leg
-        return CnotAttack(eve, legs if "forward" in legs else frozenset())
+        return CnotAttack(eve, legs)
     if kind is AttackKind.INTERCEPT_RESEND:
         return (SubstituteSinglesAttack if controlled else InterceptResendAttack)(eve, legs)
     return MeasureResendAttack(eve, legs)

@@ -20,7 +20,7 @@ from enum import Enum
 
 from .errors import CapabilityViolation, EmptyInput, ZeroCount
 from .qsim import COMPUTATIONAL, BellKind, Lanes, OrthonormalPair
-from .records import Record
+from .records import Record, ints
 from .rng import RandomSource
 
 
@@ -124,15 +124,17 @@ def choose_actions(n_encode: int, m_decoy: int, rng: RandomSource) -> list[Class
 
 
 class Permutation(Record):
-    """Bijection on sequence positions; element i of the input moves to mapping[i]."""
+    """Bijection on sequence positions; element i of the input moves to
+    mapping[i].  ``mapping`` is any sequence of ints, kept as a tuple."""
 
     mapping: tuple[int, ...]
 
     def __post_init__(self):
-        size = len(self.mapping)
+        mapping = self.__dict__["mapping"] = ints("mapping", self.mapping)
+        size = len(mapping)
         if size < 1:
             raise ValueError("permutation size must be positive")
-        if sorted(self.mapping) != list(range(size)):
+        if sorted(mapping) != list(range(size)):
             raise ValueError(f"mapping is not a bijection on 0..{size - 1}")
 
     @classmethod

@@ -19,8 +19,8 @@ from enum import Enum
 from operator import ne, xor
 
 from ..parties import Permutation, random_permutation
-from ..qsim import COMPUTATIONAL, BellKind, OrthonormalPair
-from .common import CONTROL, HOME, TRAVEL, Bits, Session, SessionOutcome, SpotCheckedConfig, expect
+from ..qsim import COMPUTATIONAL, CONTROL, HOME, TRAVEL, BellKind, OrthonormalPair
+from .common import Bits, Session, SessionOutcome, SpotCheckedConfig, expect
 
 
 class CdssqcVariant(Enum):
@@ -29,6 +29,9 @@ class CdssqcVariant(Enum):
 
 
 class CdssqcConfig(SpotCheckedConfig):
+    """A controlled session; ``variant``, ``psi1``, ``psi2`` and ``switch_bell``
+    take their enum member or its value."""
+
     variant: CdssqcVariant = CdssqcVariant.GHZ_LIKE
     psi1: BellKind = BellKind.PSI_PLUS
     psi2: BellKind = BellKind.PHI_PLUS
@@ -40,7 +43,10 @@ class CdssqcConfig(SpotCheckedConfig):
     CONTROLLED = True
 
     def __post_init__(self):  # protocols.PROTOCOLS names the variant by its value
-        object.__setattr__(self, "variant", CdssqcVariant(self.variant))
+        if not isinstance(self.controller_basis, OrthonormalPair):
+            raise TypeError(f"controller_basis must be an OrthonormalPair, got {self.controller_basis!r}")
+        self.__dict__.update(variant=CdssqcVariant(self.variant), psi1=BellKind(self.psi1),
+                             psi2=BellKind(self.psi2), switch_bell=BellKind(self.switch_bell))
         super().__post_init__()
         if self.psi1 is self.psi2 and self.variant is CdssqcVariant.GHZ_LIKE:
             raise ValueError("psi1 and psi2 must differ")
@@ -117,9 +123,8 @@ def _run(config: CdssqcConfig) -> SessionOutcome:
     # other parties do to qubits 1 and 2) and announced at the staged points.
     remaining = session.slots
     if ghz:  # branch[p]: Charlie's outcome on slot p, the index into states
-        step = charlie.step("measure_ab")
-        branch = dict(zip(remaining, step.measure_ab([p << 3 | CONTROL for p in remaining], basis)))
-        step.log()
+        branch = dict(zip(remaining, charlie_ab.measure_ab([p << 3 | CONTROL for p in remaining], basis)))
+        charlie_ab.log()
 
     encoded = sorted([remaining[i] for i in alice.rng.sample(len(remaining), n)])
     session.exchange(encoded, message, "send_sequence")
@@ -164,5 +169,5 @@ def _run(config: CdssqcConfig) -> SessionOutcome:
         decoded = tuple([t ^ b ^ parity for t, b in zip(travel_bits, partner_bits)])
     transcript.log("bob", "decode", count=n)
 
-    details["match_bits"] = (tuple(message), decoded)
-    return session.finish({"alice_sent": tuple(message), "bob_decoded": decoded})
+    details["match_bits"] = (message, decoded)
+    return session.finish({"alice_sent": message, "bob_decoded": decoded})

@@ -10,32 +10,22 @@ from operator import is_not, xor
 from ..adversary import AttackKind, AttackStrategy, build_attack
 from ..errors import ZeroCount
 from ..parties import Capability, PartyContext, Permutation, Step, random_permutation
-from ..qsim import BellKind, Lanes
-from ..records import Record
+from ..qsim import HOME, TRAVEL, BellKind, Lanes
+from ..records import Record, ints, require_int
 from ..rng import RandomSource, derive_seed
 
 Bits = tuple[int, ...]
-
-# A qubit's lane address packs its slot and its role, slot << 3 | role.
-# HOME is the partner the distributing party keeps (H, B), TRAVEL the qubit
-# it sends (T, A) and CONTROL the controller's third qubit.  Eve's qubits
-# take roles 4 and 5 (adversary.KEPT and SENT).  A resend, the sender's or
-# Eve's, takes the address of the qubit it replaces, so it stays in that
-# qubit's lane.
-HOME, TRAVEL, CONTROL = range(3)
-_BIT_VALUES, _RETURN_ONLY = frozenset((0, 1)), frozenset({"return"})
-
-
-def _require_int(name: str, value, optional: bool = False) -> None:  # bools are ints too
-    if not (isinstance(value, int) and not isinstance(value, bool) or optional and value is None):
-        raise TypeError(f"{name} must be an int{' or None' * optional}, got {value!r}")
+_BIT_VALUES = frozenset((0, 1))
 
 
 class SessionConfig(Record):
     """The parameters every protocol takes; ``m=None`` defaults to the 3n
-    decoy ratio.  Each protocol's config adds its own fields and says which
-    protocol it runs as ``protocol``.  A config refuses, as it is built, any
-    value no session can run; a subclass adds its rules after ``super()``'s."""
+    decoy ratio, a ``BITS`` field takes any sequence of bits, kept as a
+    tuple of ints, and a field whose default is a bool takes only a bool.
+    Each protocol's config adds its own fields and says which protocol it
+    runs as ``protocol``.  A config refuses, as it is built, any value no
+    session can run, a wrong type before a wrong value; a subclass adds its
+    rules after ``super()``'s, and its type rules before."""
 
     MESSAGES = ()  # not a field: the message fields, in ``--messages`` order
     BITS = ()  # not a field: the fields that hold n bits, or None to draw them
@@ -48,22 +38,26 @@ class SessionConfig(Record):
     permutation_enabled: bool = True
 
     def __post_init__(self):
-        n, m, attack = self.n, self.m, self.attack
-        _require_int("n", n)
-        _require_int("m", m, optional=True)
-        _require_int("seed", self.seed)
+        n, m, attack, threshold, cls = self.n, self.m, self.attack, self.threshold, type(self)
+        require_int("n", n)
+        require_int("m", m, optional=True)
+        require_int("seed", self.seed)
         if not isinstance(attack, AttackStrategy):
             raise TypeError(f"attack must be an AttackStrategy, got {attack!r}")
+        if not isinstance(threshold, (int, float)) or isinstance(threshold, bool):
+            raise TypeError(f"threshold must be an int or float, got {threshold!r}")
+        for name in self._names:
+            if type(getattr(cls, name, None)) is bool and type(getattr(self, name)) is not bool:
+                raise TypeError(f"{name} must be a bool, got {getattr(self, name)!r}")
+        bits = {name: ints(name, getattr(self, name)) for name in self.BITS if getattr(self, name) is not None}
+        self.__dict__.update(bits)
         if n < 1 or m is not None and m < 1:
             raise ZeroCount(f"need n >= 1 and m >= 1, got n={n}, m={self.decoy_count()}")
-        if not 0.0 <= self.threshold <= 1.0:  # NaN too
-            raise ValueError(f"threshold must lie in [0, 1], got {self.threshold}")
-        for name in self.BITS:
-            bits = getattr(self, name)
-            if bits is not None and (len(bits) != n or not _BIT_VALUES.issuperset(bits)):
-                raise ValueError(f"{name} must be n={n} bits, each 0 or 1, got {bits!r}")
-        if attack.legs == _RETURN_ONLY and attack.kind is AttackKind.INTERCEPT_RESEND and not self.CONTROLLED:
-            raise ValueError("intercept-resend reads the return leg by the pairs it sends on the forward leg")
+        if not 0.0 <= threshold <= 1.0:  # NaN too
+            raise ValueError(f"threshold must lie in [0, 1], got {threshold}")
+        for name, value in bits.items():
+            if len(value) != n or not _BIT_VALUES.issuperset(value):
+                raise ValueError(f"{name} must be n={n} bits, each 0 or 1, got {value!r}")
 
     def decoy_count(self) -> int:
         return 3 * self.n if self.m is None else self.m
@@ -82,7 +76,7 @@ class SpotCheckedConfig(SessionConfig):
     spot_check_size: int | None = None
 
     def __post_init__(self):
-        _require_int("spot_check_size", self.spot_check_size, optional=True)  # types before values
+        require_int("spot_check_size", self.spot_check_size, optional=True)  # types before values
         super().__post_init__()
         if self.spot_check_size is not None and not 0 <= self.spot_check_size <= self.decoy_count():
             raise ValueError("spot check size must lie within the decoy budget")
@@ -97,7 +91,6 @@ class AbortReason(Enum):
     BELL_MISMATCH = "bell-mismatch"
     CORRELATION_MISMATCH = "correlation-mismatch"
     COMMITMENT_MISMATCH = "commitment-mismatch"
-    THRESHOLD_EXCEEDED = "threshold-exceeded"
 
 
 class Transcript(Record):
@@ -174,7 +167,7 @@ class Session:
         self.n, self.m = config.n, config.decoy_count()
         self.config = config
         self.total = self.n + self.m
-        self.transcript = Transcript([])  # by position, the record's fast path
+        self.transcript = Transcript(events=[])
         self.lanes = lanes = Lanes(self.total)
 
         def party(name: str, stream: int) -> PartyContext:
@@ -192,7 +185,6 @@ class Session:
             eve = PartyContext("eve", Capability.QUANTUM, eve_rng, lanes)
         self.attack = build_attack(config.attack, config.CONTROLLED, eve)
         self.slots = list(range(self.total))  # the positions still in play
-        self.error_rate = 0.0
         self.details: dict = {"spot_checked": 0, "spot_mismatches": 0,
                               "decoy_checked": 0, "decoy_mismatches": 0}
 
@@ -236,7 +228,6 @@ class Session:
         )
         self.details.update(spot_checked=s, spot_mismatches=bad)
         if s and bad / s > self.config.threshold:
-            self.error_rate = bad / s
             self.attack.finalize([])
             return self.abort(chooser.name, AbortReason.CORRELATION_MISMATCH)
         checked = set(positions)
@@ -326,7 +317,7 @@ class Session:
             check.log()
         self.received, self.bell = received, bell
         self.transcript.log(receiver.name, "ack_receipt")
-        self.details["eve_truth"] = tuple(message)
+        self.details["eve_truth"] = message
         self.details["eve_wire_classifications"] = self.attack.wire_classifications
         return outcomes
 
@@ -356,8 +347,6 @@ class Session:
         self.details.update(
             decoy_checked=left, decoy_mismatches=bad, encoded_wires=list(self.encoded_wires)
         )
-        checked = self.details["spot_checked"] + left
-        self.error_rate = (self.details["spot_mismatches"] + bad) / max(checked, 1)
         if left and bad / left > self.config.threshold:
             return self.abort(self.receiver.name, AbortReason.BELL_MISMATCH)
         return None
@@ -369,10 +358,14 @@ class Session:
     def finish(
         self, keys: dict, raw: RawKeys | None = None, reason: AbortReason = AbortReason.NONE
     ) -> SessionOutcome:
-        self.details["party_ops"] = {p.name: sorted(p.ops_log) for p in self.parties}
-        return SessionOutcome(  # every field by position, the record's fast path
-            self.config.protocol, reason is not AbortReason.NONE, reason, keys, self.transcript,
-            self.error_rate, self.attack.inferred_bits, raw, self.details,
+        details = self.details
+        details["party_ops"] = {p.name: sorted(p.ops_log) for p in self.parties}
+        checked = details["spot_checked"] + details["decoy_checked"]
+        return SessionOutcome(
+            protocol=self.config.protocol, aborted=reason is not AbortReason.NONE, abort_reason=reason,
+            keys=keys, transcript=self.transcript,
+            error_rate_observed=(details["spot_mismatches"] + details["decoy_mismatches"]) / max(checked, 1),
+            eve_inferences=self.attack.inferred_bits, raw=raw, details=details,
         )
 
 

@@ -13,8 +13,8 @@ from __future__ import annotations
 from operator import xor
 
 from ..parties import ClassicalAction, choose_actions
-from ..qsim import BellKind
-from .common import HOME, Bits, Session, SessionOutcome, SpotCheckedConfig, expect, xor_bits
+from ..qsim import HOME, BellKind
+from .common import Bits, Session, SessionOutcome, SpotCheckedConfig, expect, xor_bits
 
 
 class SqdConfig(SpotCheckedConfig):
@@ -104,14 +104,6 @@ def run_sqd(config: SqdConfig) -> SessionOutcome:
         details["final_outcomes"] = outcomes
     transcript.log("both", "decode", count=n)
 
-    keys = {
-        "alice_sent": tuple(m_a),
-        "bob_sent": tuple(m_b),
-        "alice_decoded": alice_decoded,
-        "bob_decoded": bob_decoded,
-    }
-    details["match_bits"] = (
-        tuple(m_a) + tuple(m_b),
-        bob_decoded + alice_decoded,
-    )
+    keys = {"alice_sent": m_a, "bob_sent": m_b, "alice_decoded": alice_decoded, "bob_decoded": bob_decoded}
+    details["match_bits"] = (m_a + m_b, bob_decoded + alice_decoded)
     return session.finish(keys)

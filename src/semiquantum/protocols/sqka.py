@@ -13,11 +13,9 @@ correlations.
 from __future__ import annotations
 
 from ..parties import ClassicalAction, choose_actions, commit, verify
-from ..qsim import BellKind
+from ..qsim import HOME, BellKind
 from ..records import replace
-from .common import (
-    HOME, AbortReason, Bits, RawKeys, Session, SessionConfig, SessionOutcome, expect, xor_bits
-)
+from .common import AbortReason, Bits, RawKeys, Session, SessionConfig, SessionOutcome, expect, xor_bits
 
 
 class SqkaConfig(SessionConfig):
@@ -112,9 +110,9 @@ def _run_keyed(config: SqkaConfig) -> SessionOutcome:
     k_f_alice = xor_bits(announced, k_b_decoded) if announce_key else k_b_decoded
     transcript.log("alice", "compute_K_f")
 
-    raw = RawKeys(tuple(k_a), tuple(k_b), r_a, tuple(r_b), tuple(k_f_bob))
-    session.details["match_bits"] = (tuple(k_f_bob), tuple(k_f_alice))
-    return session.finish({"alice": k_f_alice, "bob": tuple(k_f_bob)}, raw)
+    raw = RawKeys(k_a=k_a, k_b=k_b, r_a=r_a, r_b=tuple(r_b), k_f=k_f_bob)
+    session.details["match_bits"] = (k_f_bob, k_f_alice)
+    return session.finish({"alice": k_f_alice, "bob": k_f_bob}, raw)
 
 
 def detection_disabled(config: SqkaConfig) -> SqkaConfig:

@@ -37,14 +37,15 @@ when the branch is first taken.
 
 A session's registers live in ``Lanes``, addressed by slot and role.  A
 register within one slot is an interned lane state, a ket plus the role of
-each qubit, and each op is one memoized transition of it: a gate or
-preparation maps it to the next state, a measurement to a ``_LaneStep``
-whose posts are states, so a measurement is one lookup, one ``_sample`` and
-the stores.  A stage of one op on many slots is one call: a preparation or
-a CNOT with a lane count runs its transition once and stores the result
-into every lane by slice (a CNOT only where every lane holds the same
-states, else lane by lane), and ``measure_each`` runs the measurements of a
-list of addresses, each resent on request, in one loop.  Up to
+each qubit, and each op is one memoized transition of it: a gate maps it
+to the next state, a measurement to a ``_LaneStep`` whose posts are states,
+so a measurement is one lookup, one ``_sample`` and the stores; a fresh |0>
+or |1> is a state of one table, ``_Z_STATES``.  A stage of one op on many
+slots is one call: a preparation or a CNOT with a lane count runs its
+transition once and stores the result into every lane by slice (a CNOT
+only where every lane holds the same states, else lane by lane), and
+``measure_each`` runs the measurements of a list of addresses, each resent
+on request, in one loop.  Up to
 ``MAX_LANE_STATES`` states are stored; a register spanning slots is a
 shared record run on its ket's memo.  A stored ket's or state's memo refers
 only to stored ones, later ones take the same code unstored, and every
@@ -105,12 +106,7 @@ class BellKind(Enum):
     __hash__ = object.__hash__
 
 
-BELL_ORDER: tuple[BellKind, ...] = (
-    BellKind.PSI_PLUS,
-    BellKind.PSI_MINUS,
-    BellKind.PHI_PLUS,
-    BellKind.PHI_MINUS,
-)
+BELL_ORDER: tuple[BellKind, ...] = tuple(BellKind)
 
 # Nonzero amplitudes of each Bell state over |b0 b1>, index 2*b0 + b1.
 _BELL_ENTRIES: dict[BellKind, dict[int, complex]] = {
@@ -427,6 +423,14 @@ def _sample(step: _Step, rng: RandomSource) -> int:
 # ---------------------------------------------------------------------------
 # slot lanes: a session's registers as interned per-slot states
 
+# The roles of a slot's qubits, addressed ``slot << 3 | role``.  HOME is the
+# partner the distributing party keeps (H, B), TRAVEL the qubit it sends
+# (T, A) and CONTROL the controller's third qubit.  Eve's are KEPT, the one
+# she keeps for the slot (her CNOT ancilla or retained Bell half), and SENT,
+# the one she forwards in its place.  A resend, the sender's or Eve's, takes
+# the address of the qubit it replaces, so it stays in that qubit's lane.
+HOME, TRAVEL, CONTROL, KEPT, SENT = 0, 1, 2, 4, 5
+
 # at most this many lane states are stored with their memo (see Lanes)
 MAX_LANE_STATES = 512
 
@@ -435,8 +439,7 @@ class _State:
     """A register within one lane: its ket and ``layout``, the role of each
     qubit in ket order.  ``memo`` maps an op's key (see ``_key``) to the next
     state or a measurement's ``_LaneStep``, and another state of the lane to
-    the two registers joined.  ``_NONE`` marks a free address; its memo maps
-    a preparation's key to the prepared state."""
+    the two registers joined.  ``_NONE`` marks a free address."""
 
     __slots__ = ("ket", "layout", "memo", "stored")
 
@@ -464,6 +467,9 @@ def _state(ket: _Ket, layout: tuple) -> _State:
 
 _NONE = _State(None, ())
 _NONE.stored = True
+# The prepared |bit> on one qubit of role r, _Z_STATES[bit][r]; a Z preparation
+# or resend on a free address stores one.
+_Z_STATES = tuple(tuple(_state(ket, (r,)) for r in range(8)) for ket in _Z_KETS)
 
 
 class _LaneStep:
@@ -497,9 +503,8 @@ class _Shared:
         self.ket, self.qubits = ket, qubits
 
 
-# Op codes of the integer memo keys (see _key).  A preparation of |bit> has
-# the code _PREP_Z + bit.
-_Z, _X, _PREP_Z, _CNOT, _BELL = 1, 2, 3, 5, 6
+# Op codes of the integer memo keys (see _key).
+_Z, _X, _CNOT, _BELL = 1, 2, 5, 6
 _Z_KEYS = tuple(r << 3 | _Z for r in range(8))  # a Z measurement's key, by role
 
 
@@ -625,11 +630,10 @@ class Lanes:
             cells[base | r] = nxt
         return outcome
 
-    def _prepare(self, code, ket: _Ket, qubits: tuple, count: int = 1) -> None:
-        """Prepare ``ket`` on ``qubits`` past the fast paths (memoized under
-        ``code`` unless None), and on their roles in the next ``count - 1``
-        lanes (qubits of one lane), one store per role; raises before
-        anything changes unless all of them are free."""
+    def _prepare(self, ket: _Ket, qubits: tuple, count: int = 1) -> None:
+        """Prepare ``ket`` on ``qubits`` past the fast paths, and on their
+        roles in the next ``count - 1`` lanes (qubits of one lane), one store
+        per role; raises before anything changes unless all of them are free."""
         cells = self.cells
         if len(qubits) != ket.k:
             raise ValueError(f"a {ket.k}-qubit ket cannot carry {len(qubits)} labels")
@@ -646,8 +650,6 @@ class Lanes:
             return
         roles = tuple([a & 7 for a in qubits])
         state = _state(ket, roles)
-        if state.stored and code is not None:
-            _NONE.memo[_key(code, roles)] = state
         fill, stop = [state] * count, base + (count << 3)
         for r in roles:
             cells[base | r : stop : 8] = fill
@@ -659,17 +661,14 @@ class Lanes:
         if bit not in (0, 1):
             raise ValueError(f"bit must be 0 or 1, got {bit!r}")
         cells = self.cells
-        state = None
         if count == 1 and cells[a] is _NONE:
-            state = _NONE.memo.get((a & 7) << 3 | _PREP_Z + bit)
-        if state is None:
-            self._prepare(_PREP_Z + bit, _Z_KETS[bit], (a,), count)
+            cells[a] = _Z_STATES[bit][a & 7]
         else:
-            cells[a] = state
+            self._prepare(_Z_KETS[bit], (a,), count)
         return a
 
     def prepare_bell(self, kind: BellKind, a1: int, a2: int, count: int = 1) -> tuple:
-        self._prepare(None, _BELL_KETS[kind], (a1, a2), count)
+        self._prepare(_BELL_KETS[kind], (a1, a2), count)
         return a1, a2
 
     def prepare_ghz_like(
@@ -677,7 +676,7 @@ class Lanes:
     ) -> tuple:
         if psi1 is psi2:
             raise EqualBellKinds("psi1 and psi2 must be distinct Bell states")
-        self._prepare(None, _ghz_like_ket(psi1, psi2, basis), tuple(qubits), count)
+        self._prepare(_ghz_like_ket(psi1, psi2, basis), tuple(qubits), count)
         return tuple(qubits)
 
     def cnot(self, c: int, t: int, count: int = 1) -> None:
@@ -719,7 +718,7 @@ class Lanes:
         """``measure_z(a)``, ``measure_bell(a1, a2)`` and ``measure_each(addresses,
         basis, flips=None)``, which measures each address in turn and, given
         bits ``flips``, resends ``|outcome ^ flips[i]>`` there; draws from ``rng``."""
-        cells, collapse, slow, prepare = self.cells, self._collapse, self._slow, self._prepare
+        cells, collapse, slow = self.cells, self._collapse, self._slow
         z_bras = COMPUTATIONAL._bras
 
         def measure_z(a: int) -> int:
@@ -780,13 +779,8 @@ class Lanes:
                     for r in post.layout:
                         cells[base | r] = post
                 outcomes.append(outcome)
-                if flips is not None:  # prepare_z(outcome ^ flip, a), spelled out
-                    bit = outcome ^ flips[i]
-                    state = _NONE.memo.get((a & 7) << 3 | _PREP_Z + bit)
-                    if state is None:
-                        prepare(_PREP_Z + bit, _Z_KETS[bit], (a,))
-                    else:
-                        cells[a] = state
+                if flips is not None:  # prepare_z(outcome ^ flip, a) on the address just freed
+                    cells[a] = _Z_STATES[outcome ^ flips[i]][a & 7]
             return outcomes
 
         return measure_z, measure_bell, measure_each

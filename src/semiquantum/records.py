@@ -4,11 +4,12 @@ A :class:`Record` subclass declares its fields as ``name: type = default``
 after its base's; a list, dict or set default is copied for each instance.
 ``__init_subclass__`` gives the class a constructor that closes over its
 field table, so no source is generated.  A record takes its fields by
-position or keyword and runs ``__post_init__`` if it has one; it equals a
-record of its own class with equal fields, hashes by them and refuses
-assignment."""
+position or keyword, fastest with every field by keyword, and runs
+``__post_init__`` if it has one; it equals a record of its own class with
+equal fields, hashes by them and refuses assignment."""
 from __future__ import annotations
 
+from operator import index
 from types import SimpleNamespace
 
 _NO_DEFAULT = object()
@@ -30,9 +31,7 @@ class Record:
         mutable = tuple(k for k, v in defaults.items() if type(v) in (list, dict, set))
 
         def __init__(self, *args, **kwargs):
-            if not kwargs and len(args) == count:  # every field by position: the hot path
-                self.__dict__.update(zip(names, args))
-            elif not args and kwargs.keys() == name_set:  # every field by keyword, as replace() calls
+            if not args and kwargs.keys() == name_set:  # every field by keyword: the hot path
                 _set(self, "__dict__", kwargs)
             else:
                 values = {**defaults, **kwargs}
@@ -74,3 +73,17 @@ def replace(record: Record, /, **changes) -> Record:
 def fields(record) -> tuple:
     """The fields of a record or record class, each with its ``name``, in order."""
     return record._fields
+
+
+def require_int(name: str, value, optional: bool = False) -> None:  # bools are ints too
+    if not (isinstance(value, int) and not isinstance(value, bool) or optional and value is None):
+        raise TypeError(f"{name} must be an int{' or None' * optional}, got {value!r}")
+
+
+def ints(name: str, values) -> tuple:
+    """``values``, any iterable of integers (bools and numpy ints too), as a
+    tuple of ints; anything else raises TypeError."""
+    try:
+        return tuple(map(index, values))
+    except TypeError:
+        raise TypeError(f"{name} must be a sequence of ints, got {values!r}") from None

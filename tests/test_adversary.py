@@ -278,10 +278,10 @@ def test_build_attack_rejects_unknown_leg(controlled):
 
 def test_build_attack_rejects_return_only_intercept_resend():
     # the return leg Bell-measures against pairs only the forward leg makes;
-    # the config of a protocol without a controller refuses it as it is built
+    # the strategy record refuses it as it is built
     eve, _ = quantum_party()
-    strategy = AttackStrategy(AttackKind.INTERCEPT_RESEND, legs=frozenset({"return"}))
     with pytest.raises(ValueError):
+        strategy = AttackStrategy(AttackKind.INTERCEPT_RESEND, legs=frozenset({"return"}))
         build_attack(make_config("sqka", n=2, attack=strategy).attack, False, eve)
 
 
@@ -289,8 +289,8 @@ def test_run_trials_rejects_return_only_intercept_resend():
     from semiquantum.analysis import run_trials
     from semiquantum.protocols import SqkaConfig
 
-    strategy = AttackStrategy(AttackKind.INTERCEPT_RESEND, legs=frozenset({"return"}))
     with pytest.raises(ValueError):
+        strategy = AttackStrategy(AttackKind.INTERCEPT_RESEND, legs=frozenset({"return"}))
         run_trials(SqkaConfig(n=2, attack=strategy), 1, 0)
 
 

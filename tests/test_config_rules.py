@@ -7,12 +7,14 @@ import inspect
 import math
 import textwrap
 
+import numpy as np
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+from semiquantum import adversary
 from semiquantum.adversary import AttackKind, AttackStrategy
-from semiquantum.analysis import run_trials
+from semiquantum.analysis import emit_transcript, run_trials
 from semiquantum.errors import SemiQuantumError, ZeroCount
 from semiquantum.protocols import (
     CdssqcConfig,
@@ -129,14 +131,28 @@ def test_a_built_config_runs_to_an_outcome_or_a_session_error(data):
 
 
 # Wrongly typed values for the int fields and ``attack``: integral floats
-# (2.0) and bools (True == 1) among them.  None is wrong where it is not
-# optional.
+# (2.0) and bools (True == 1) among them; for the bool fields, ints, None
+# and words; for the threshold, bools, None and numbers as text.  None is
+# wrong where it is not optional.
 NOT_INT = st.floats(-2.0, 4.0) | st.sampled_from([2.0, True, False]) | st.text(max_size=2)
-TYPED = ("n", "m", "seed", "attack", "spot_check_size")
-OPTIONAL = ("m", "spot_check_size")
+NOT_BOOL = st.sampled_from([None, 0, 1, 1.0, "off", "on", ""])
+WRONG = {
+    "n": st.none() | NOT_INT,
+    "m": NOT_INT,
+    "seed": st.none() | NOT_INT,
+    "attack": st.none() | NOT_INT,
+    "threshold": st.sampled_from([None, True, False, "0.5", "", 0.5j, (0.5,)]),
+    "permutation_enabled": NOT_BOOL,
+    "spot_check_size": NOT_INT,
+    "commitments_enabled": NOT_BOOL,
+    "dishonest_pi_n": NOT_BOOL,
+    "controller_basis": st.sampled_from([((1, 0), (0, 1)), None, "computational"]),
+    "charlie_permutation_enabled": NOT_BOOL,
+    "eve_rng_seed": NOT_INT,  # a field of the attack
+}
 
 
-@settings(max_examples=200)
+@settings(max_examples=300)
 @given(st.data())
 def test_one_wrongly_typed_field_is_refused_as_a_type_error(data):
     """The type rules run before any value rule, so whatever the other
@@ -145,10 +161,15 @@ def test_one_wrongly_typed_field_is_refused_as_a_type_error(data):
     n = data.draw(COUNTS, label="n")
     draws = field_draws(n)[cls]
     values = {name: data.draw(draw, label=name) for name, draw in draws.items()}
-    values["attack"] = data.draw(st.builds(AttackStrategy, st.sampled_from(AttackKind)), label="attack")
-    wrong = data.draw(st.sampled_from([name for name in TYPED if name in draws]), label="wrong field")
-    values[wrong] = data.draw(NOT_INT if wrong in OPTIONAL else st.none() | NOT_INT, label=f"wrong {wrong}")
+    kind = data.draw(st.sampled_from(AttackKind), label="attack kind")
+    values["attack"] = AttackStrategy(kind)
+    wrong = data.draw(st.sampled_from([name for name in WRONG if name in {*draws, *ATTACK_FIELDS}]), label="field")
+    value = data.draw(WRONG[wrong], label=f"wrong {wrong}")
     with pytest.raises(TypeError):
+        if wrong in ATTACK_FIELDS:
+            values["attack"] = AttackStrategy(kind, **{wrong: value})
+        else:
+            values[wrong] = value
         cls(**values)
 
 
@@ -166,6 +187,10 @@ RETURN_ONLY_IR = dict(kind=AttackKind.INTERCEPT_RESEND, legs=frozenset({"return"
         pytest.param(lambda: SqdConfig(n=2, bob_message=(1, 0, 1)), id="bits-too-long"),
         pytest.param(lambda: SqkaConfig(n=2, dishonest_k_a=(1,)), id="announced-key-too-short"),
         pytest.param(lambda: SqkaConfig(n=2, attack=AttackStrategy(**RETURN_ONLY_IR)), id="return-only-ir"),
+        pytest.param(lambda: CdssqcConfig(n=2, attack=AttackStrategy(**RETURN_ONLY_IR)),
+                     id="controlled-return-only-ir"),
+        pytest.param(lambda: AttackStrategy(AttackKind.CNOT, legs={"return"}), id="return-only-cnot"),
+        pytest.param(lambda: CdssqcConfig(n=2, psi1="psi-", psi2=BellKind.PSI_MINUS), id="ghz-equal-bell-values"),
         pytest.param(lambda: SqdConfig(n=2, m=3, spot_check_size=4), id="spot-check-past-m"),
         pytest.param(lambda: CdssqcConfig(n=2, psi1=BellKind.PHI_MINUS, psi2=BellKind.PHI_MINUS),
                      id="ghz-equal-bell-states"),
@@ -193,6 +218,17 @@ def test_refused_as_it_is_built(build):
         pytest.param(lambda: CdssqcConfig(n=2, attack="cnot"), id="attack-str"),
         pytest.param(lambda: SqdConfig(n=2, spot_check_size=1.5), id="spot-float"),
         pytest.param(lambda: SqdConfig(n=2, spot_check_size=True), id="spot-bool"),
+        pytest.param(lambda: AttackStrategy("cnot", eve_rng_seed="7"), id="eve-seed-str"),
+        pytest.param(lambda: AttackStrategy("cnot", eve_rng_seed=True), id="eve-seed-bool"),
+        pytest.param(lambda: SqkaConfig(n=2, commitments_enabled="off"), id="commitments-str"),
+        pytest.param(lambda: SqkaConfig(n=2, permutation_enabled=None), id="permutation-none"),
+        pytest.param(lambda: SqkaConfig(n=2, dishonest_pi_n=1), id="dishonest-pi-int"),
+        pytest.param(lambda: CdssqcConfig(n=2, charlie_permutation_enabled=0), id="charlie-permutation-int"),
+        pytest.param(lambda: SqkaConfig(n=2, threshold="0.5"), id="threshold-str"),
+        pytest.param(lambda: SqkaConfig(n=2, threshold=True), id="threshold-bool"),
+        pytest.param(lambda: CdssqcConfig(n=2, controller_basis=((1, 0), (0, 1))), id="basis-tuple"),
+        pytest.param(lambda: SqdConfig(n=2, alice_message=(1.0, 0.0)), id="bits-float"),
+        pytest.param(lambda: SqdConfig(n=2, alice_message="10"), id="bits-str"),
     ],
 )
 def test_wrong_types_are_refused_as_type_errors(build):
@@ -207,8 +243,6 @@ def test_zero_counts_are_refused_as_zero_count(fields_):
 
 
 def test_rules_that_depend_on_the_protocol_admit_the_other_protocols():
-    # a controlled protocol's intercept-resend leaves the return leg alone
-    CdssqcConfig(n=2, attack=AttackStrategy(**RETURN_ONLY_IR))
     # only the GHZ-like variant needs two Bell states
     CdssqcConfig(n=2, variant="switch", psi1=BellKind.PHI_MINUS, psi2=BellKind.PHI_MINUS)
     assert AttackStrategy("cnot").kind is AttackKind.CNOT
@@ -222,6 +256,7 @@ GUARDED = (
     cdssqc._run,
     common.Session.__init__,
     common.Session.given_or_drawn,
+    adversary.build_attack,
 )
 
 
@@ -230,3 +265,45 @@ def test_runners_and_session_raise_nothing(function):
     tree = ast.parse(textwrap.dedent(inspect.getsource(function)))
     raises = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Raise)]
     assert not raises, f"{function.__qualname__} raises at its lines {raises}"
+
+
+# Each value a field takes in one form: a bits field as a tuple of ints,
+# ``legs`` as a frozenset.  A config given another form equals, hashes like
+# and runs like its twin given that form.
+BITS_FORMS = ([1, 0], np.array([1, 0]), (True, False), [np.int64(1), np.uint8(0)], range(1, -1, -1))
+LEGS_FORMS = ({"forward", "return"}, ["forward", "return"], ("return", "forward", "return"))
+
+
+def _same_config(given, twin) -> None:
+    assert given == twin and hash(given) == hash(twin)
+    assert emit_transcript(run_session(given)) == emit_transcript(run_session(twin))
+
+
+@pytest.mark.parametrize("form", BITS_FORMS, ids=lambda f: type(f).__name__)
+def test_a_bits_field_is_kept_as_a_tuple_of_ints(form):
+    for cls, name in ((CdssqcConfig, "message"), (SqdConfig, "alice_message"), (SqdConfig, "bob_message"),
+                      (SqkaConfig, "fixed_k_a"), (SqkaConfig, "dishonest_k_a")):
+        config = cls(n=2, seed=3, **{name: form})
+        value = getattr(config, name)
+        assert value == (1, 0) and type(value) is tuple and all(type(b) is int for b in value)
+        _same_config(config, cls(n=2, seed=3, **{name: (1, 0)}))
+
+
+@pytest.mark.parametrize("form", LEGS_FORMS, ids=lambda f: type(f).__name__)
+def test_legs_are_kept_as_a_frozenset(form):
+    strategy = AttackStrategy("cnot", legs=form)
+    assert type(strategy.legs) is frozenset
+    twin = AttackStrategy(AttackKind.CNOT, legs=frozenset({"forward", "return"}))
+    assert strategy == twin and hash(strategy) == hash(twin)
+    _same_config(SqkaConfig(n=2, seed=3, attack=strategy), SqkaConfig(n=2, seed=3, attack=twin))
+
+
+def test_bell_states_are_taken_by_their_values():
+    for variant in ("ghz", "switch"):
+        given = CdssqcConfig(n=2, seed=4, variant=variant, psi1="psi-", psi2="phi-", switch_bell="phi+")
+        assert (given.psi1, given.psi2, given.switch_bell) == (BellKind.PSI_MINUS, BellKind.PHI_MINUS,
+                                                               BellKind.PHI_PLUS)
+        _same_config(given, CdssqcConfig(n=2, seed=4, variant=variant, psi1=BellKind.PSI_MINUS,
+                                         psi2=BellKind.PHI_MINUS, switch_bell=BellKind.PHI_PLUS))
+    with pytest.raises(ValueError):
+        CdssqcConfig(n=2, psi1="psi")

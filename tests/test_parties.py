@@ -113,6 +113,15 @@ def test_permutation_validation():
         Permutation((0, 1, 3))
 
 
+def test_a_mapping_is_kept_as_a_tuple_of_ints():
+    for given in ([1, 0], (True, False), range(1, -1, -1)):
+        perm = Permutation(given)
+        assert perm.mapping == (1, 0) and all(type(i) is int for i in perm.mapping)
+        assert perm == Permutation((1, 0)) and hash(perm) == hash(Permutation((1, 0)))
+    with pytest.raises(TypeError, match="mapping"):
+        Permutation((1.0, 0.0))  # a float mapping used to pass the check and fail in apply
+
+
 @pytest.mark.parametrize("size", [0, -1])
 def test_drawn_permutation_of_no_positions_raises(size):
     with pytest.raises(ValueError):

@@ -116,12 +116,13 @@ def test_lane_states_stay_within_the_cap():
         _entangle_probe_session(seed)
     assert 0 < len(qsim._STATES) <= qsim.MAX_LANE_STATES
     assert all(state.stored for state in qsim._STATES.values())
-    # with the cap lowered, the states past it are not stored and their ops
-    # take the general path each time, giving the same bytes
+    # with the cap lowered (above the 16 prepared |0>/|1> states interned at
+    # import), the states past it are not stored and their ops take the
+    # general path each time, giving the same bytes
     *digests, stored = _capped_sessions(qsim.MAX_LANE_STATES)
-    *capped, stored_capped = _capped_sessions(8)
+    *capped, stored_capped = _capped_sessions(24)
     assert capped == digests
-    assert int(stored_capped) == 8 < int(stored) <= qsim.MAX_LANE_STATES
+    assert int(stored_capped) == 24 < int(stored) <= qsim.MAX_LANE_STATES
 
 
 def test_unnormalized_state_raises_although_its_indices_are_interned():

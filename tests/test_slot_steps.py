@@ -6,7 +6,7 @@ the loop touches a register, and is logged in the party's ``ops_log`` only
 once it has run.  ``PARTY_OPS`` pins the logged ops of every protocol x
 attack cell, and of three cells with the permutation off, at n=4 with the
 default detection; they are the values the per-op party calls gave.
-``EVE_OPS`` pins Eve's log in the same cells, and in two cells that attack
+``EVE_OPS`` pins Eve's log in the same cells, and in a cell that attacks
 only the return leg, at the values her per-wire logging gave.
 """
 import gc
@@ -79,7 +79,6 @@ EVE_OPS.update({
     "cdssqc-ghz.intercept-resend": ("prepare_z",),  # fresh singles on the forward leg only
     "cdssqc-switch.intercept-resend": ("prepare_z",),
     "sqd.intercept-resend": ("prepare_bell",),  # aborted at the spot check, before the return leg
-    "sqka.cnot.return": (),  # no forward-leg ancilla to CNOT the wire with
     "sqka.measure-resend.return": MR_OPS,
 })
 
