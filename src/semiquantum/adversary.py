@@ -90,14 +90,16 @@ class ChannelAttack:
     """Base hook: pass-through on every leg.
 
     ``forward_leg`` sees the distribution leg, the travel qubits of slots
-    0, 1, ... in order, and runs ``forward`` if that leg is attacked.  The
-    session calls ``wire`` and ``after_wire`` on each return wire in arrival
-    order, before and after the receiver's measurement, if the return leg
-    is attacked.  The hooks act only through Eve's steps, ``FORWARD`` and
-    ``WIRE``, checked against her capability when the attack is built;
-    ``forward`` logs its step, the session logs ``wire_ops`` once the return
-    leg has run.  ``slots[j]`` is the slot Eve pairs with return wire j;
-    the session writes its list of slots in play there before the return leg.
+    0, 1, ... in order, and runs ``forward`` if that leg is attacked.  If the
+    return leg is attacked, the session hands ``return_leg`` the wires'
+    qubits before the receiver reads any, then calls the hooks it returns,
+    ``wire`` and ``after_wire``, on each wire in arrival order, before and
+    after the receiver's measurement.  The hooks act only through Eve's
+    steps, ``FORWARD`` and ``WIRE``, checked against her capability when the
+    attack is built; ``forward`` logs its step, the session logs
+    ``wire_ops`` once the return leg has run.  ``slots[j]`` is the slot Eve
+    pairs with return wire j; the session writes its list of slots in play
+    there before the return leg.
     Eve's own qubits for slot i are ``i << 3 | KEPT`` and ``SENT``; a hook
     that resends returns the address it was handed, which the resent qubit
     takes from the one it replaces.
@@ -124,6 +126,10 @@ class ChannelAttack:
 
     def forward(self, labels: list) -> list:
         return labels
+
+    def return_leg(self, wire: list) -> ChannelAttack | None:
+        """Run what of the return leg is one stage over all wires; the per-wire hooks, or None."""
+        return self
 
     def wire(self, j: int, label):
         return label
@@ -204,10 +210,10 @@ class SubstituteSinglesAttack(ChannelAttack):
     FORWARD = ("prepare_z",)
 
     def forward(self, labels):
-        ops, bit = self.forward_ops, self.eve.rng.bit
-        out = [ops.prepare_z(bit(), i << 3 | SENT) for i in range(len(labels))]
-        ops.log()
-        return out
+        bit = self.eve.rng.bit  # one draw per slot, in slot order
+        self.forward_ops.prepare_zs([bit() for _ in labels], SENT)
+        self.forward_ops.log()
+        return [i << 3 | SENT for i in range(len(labels))]
 
 
 class MeasureResendAttack(ChannelAttack):
@@ -221,11 +227,11 @@ class MeasureResendAttack(ChannelAttack):
         ops.log()
         return labels
 
-    def wire(self, j, label):
-        ops = self.wire_ops
-        u = self.wire_bits[j] = ops.measure_z(label)
-        self.wire_classifications[j] = "unknown"
-        return ops.prepare_z(u, label)
+    def return_leg(self, wire):
+        # a measure-resend stays in its wire's lane, so the stage gives what the wire loop gives
+        self.wire_bits = dict(enumerate(self.wire_ops.resend_zs(wire, [0] * len(wire))))
+        self.wire_classifications = dict.fromkeys(range(len(wire)), "unknown")
+        return None
 
     def finalize(self, encoded_wires):
         # Wire-order decode guess: XOR the value seen on the return wire with

@@ -85,11 +85,12 @@ class Step:
     many slots in one call: ``prepare_*`` and ``apply_cnot`` take a lane
     count, ``measure_ab`` a list of addresses, and so do ``measure_zs``,
     bound with ``measure_z``, and ``resend_zs(addresses, flips)``, with
-    ``prepare_z`` too.  ``log`` records the names in the party's
-    ``ops_log``; a stage calls it once the step has run.
+    ``prepare_z`` too; ``prepare_zs(bits, a)``, with ``prepare_z``, prepares
+    one bit in each lane from ``a``'s.  ``log`` records the names in the
+    party's ``ops_log``; a stage calls it once the step has run.
     """
 
-    __slots__ = ("party", "names", "measure_zs", "resend_zs", *_BIND)
+    __slots__ = ("party", "names", "measure_zs", "resend_zs", "prepare_zs", *_BIND)
 
     def __init__(self, party: PartyContext, names: tuple[str, ...]):
         self.party, self.names = party, names
@@ -98,6 +99,8 @@ class Step:
             bind = _BIND.get(op)
             if bind is not None:
                 setattr(self, op, bind(lanes, ms))
+        if "prepare_z" in names:
+            self.prepare_zs = lanes.prepare_zs
         if "measure_z" in names:  # the lanes' measure_each in Z
             self.measure_zs = lambda addresses: ms[2](addresses, COMPUTATIONAL)
             if "prepare_z" in names:

@@ -127,11 +127,6 @@ class SessionOutcome(Record):
     details: dict = {}
 
 
-def _read_z(rx: Step, i: int, q: int) -> int:
-    """The receiver's Z readout of an encoded wire, ``exchange``'s default."""
-    return rx.measure_z(q)
-
-
 def expect(config: SessionConfig, protocol: str) -> None:
     """Refuse a config that names another protocol than the runner's."""
     if config.protocol != protocol:
@@ -239,7 +234,7 @@ class Session:
         encoded: list[int],
         message: Bits,
         send_action: str,
-        receive: Callable[[Step, int, int], object] = _read_z,
+        receive: Callable[[Step, int, int], object] | None = None,
         receive_ops: tuple[str, ...] = ("measure_z",),
     ) -> list[int]:
         """The sender's encoding and permuted return, then the per-wire readout.
@@ -251,8 +246,8 @@ class Session:
         On each wire Eve's hook acts, pairing wire j with the j-th slot in
         play, then the receiver either reads encoded slot i into
         ``received[i]`` by ``receive(step, i, qubit)``, where ``step`` is its
-        step of ``receive_ops`` (a Z readout unless given), or Bell-measures
-        a decoy against its home partner.  Records the message as Eve's
+        step of ``receive_ops`` (by a Z readout if no ``receive`` is given),
+        or Bell-measures a decoy against its home partner.  Records the message as Eve's
         target and how she classified each wire, and returns the sender's Z
         outcomes.
         """
@@ -294,9 +289,10 @@ class Session:
         origin = pi.apply(slots)  # wire -> slot
         received: list = [None] * len(encoded)
         bell: dict[int, BellKind] = {}
-        measure_bell = check.measure_bell
+        measure_bell, read_z = check.measure_bell, rx.measure_z if receive is None else None
         self.attack.slots = slots
-        attack = self.attack if "return" in self.attack.legs else None
+        attacked = "return" in self.attack.legs
+        attack = self.attack.return_leg(wire) if attacked else None
         for j in range(size):
             q = wire[j]
             if attack is not None:
@@ -305,12 +301,14 @@ class Session:
             i = index[p]
             if i is None:
                 bell[p] = measure_bell(p << 3 | HOME, q)
+            elif receive is None:
+                received[i] = read_z(q)
             else:
                 received[i] = receive(rx, i, q)
             if attack is not None:
                 attack.after_wire(j)
-        if attack is not None:
-            attack.wire_ops.log()
+        if attacked:
+            self.attack.wire_ops.log()
         if encoded:
             rx.log()
         if self.decoys:

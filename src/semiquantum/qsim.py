@@ -32,14 +32,14 @@ each primitive keeps its result on the input ket: a gate or merge its
 output ket, a measurement its step.  Every ket of at most 4 qubits is
 stored; of the 5- and 6-qubit kets (cross-slot registers of permuted
 attacks) only the first ``MAX_WIDE_KETS``.  A step holds its branch
-probabilities, their running sums and each branch's post ket, collapsed
-when the branch is first taken.
+probabilities, the running sums of its possible outcomes and each
+branch's post ket, collapsed when the branch is first taken.
 
 A session's registers live in ``Lanes``, addressed by slot and role.  A
 register within one slot is an interned lane state, a ket plus the role of
 each qubit, and each op is one memoized transition of it: a gate maps it
 to the next state, a measurement to a ``_LaneStep`` whose posts are states,
-so a measurement is one lookup, one ``_sample`` and the stores; a fresh |0>
+so a measurement is one lookup, one ``_pick`` and the stores; a fresh |0>
 or |1> is a state of one table, ``_Z_STATES``.  A stage of one op on many
 slots is one call: a preparation or a CNOT with a lane count runs its
 transition once and stores the result into every lane by slice (a CNOT
@@ -47,20 +47,24 @@ only where every lane holds the same states, else lane by lane), and
 ``measure_each`` runs the measurements of a list of addresses, each resent
 on request, in one loop.  Up to
 ``MAX_LANE_STATES`` states are stored; a register spanning slots is a
-shared record run on its ket's memo.  A stored ket's or state's memo refers
+shared record run on its ket's memo, keyed as the lane memo is but by ket
+positions.  A stored ket's or state's memo refers
 only to stored ones, later ones take the same code unstored, and every
 result is the value the computation gives the first time, so the memo
 changes no draw.  Every sampled measurement takes exactly one
-``rng.random()`` draw in ``_sample`` and returns the first outcome, in a
-fixed order (Z: 0, 1; Bell: ``BELL_ORDER``; basis: a, b), whose running
-probability sum exceeds the draw.
+``rng.random()`` draw and one ``_pick`` call, ``bisect_right`` on the
+step's ``sums``, and returns the first possible outcome, in a fixed order
+(Z: 0, 1; Bell: ``BELL_ORDER``; basis: a, b), whose running probability sum
+exceeds the draw.
 """
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
 import operator
+import sys
 from enum import Enum
 from typing import Sequence
 
@@ -193,10 +197,10 @@ HADAMARD = OrthonormalPair((_INV_SQRT2, _INV_SQRT2), (_INV_SQRT2, -_INV_SQRT2))
 class _Ket:
     """A register's content without labels: qubit count and nonzero entries.
 
-    ``memo`` maps a primitive's arguments to its result on this ket:
-    ``("cnot", c, t)`` and ``("x", t)`` to the output ket, the right-hand
-    ket of a merge to the merged ket, and ``(bras, positions)`` to the
-    measurement's ``_Step``.  ``stored`` tells whether the ket is interned.
+    ``memo`` maps a primitive's arguments to its result on this ket: an op's
+    key (see ``_key``, on positions) to the output ket or ``_Step``, the
+    right-hand ket of a merge to the merged ket, and ``(bras, positions)``
+    to a ``_Step``.  ``stored`` tells whether the ket is interned.
     """
 
     __slots__ = ("k", "entries", "memo", "stored")
@@ -291,7 +295,7 @@ def _cnot(ket: _Ket, c: int, t: int) -> _Ket:
     """``ket`` after a CNOT from position ``c`` onto position ``t``."""
     if c == t:
         raise ValueError("control and target must differ")
-    key = ("cnot", c, t)
+    key = (c << 16 | t) << 5 | _CNOT
     out = ket.memo.get(key)
     if out is None:
         cm, tm = _mask(ket.k, c), _mask(ket.k, t)
@@ -303,7 +307,7 @@ def _cnot(ket: _Ket, c: int, t: int) -> _Ket:
 
 def _x(ket: _Ket, t: int) -> _Ket:
     """``ket`` after an X on position ``t``."""
-    key = ("x", t)
+    key = t << 3 | _X
     out = ket.memo.get(key)
     if out is None:
         tm = _mask(ket.k, t)
@@ -348,16 +352,14 @@ class _Step:
 
     The live entries split into one branch per outcome, keyed by the index
     of the unmeasured qubits (``keep``); a branch's Born weight is the sum
-    of its squared magnitudes.  ``cuts`` pairs each possible outcome with
-    the running sum of the weights up to it, the sums ``_sample`` compares
-    the draw with; the last bound is infinite, so a draw above the summed
-    weights takes the last possible outcome.  ``posts[o]`` holds branch
+    of its squared magnitudes.  ``sums`` and ``outs`` are the draw bounds
+    of its possible outcomes and those outcomes (see ``_sums``).  ``posts[o]`` holds branch
     ``o`` as a dict until it is first used, then its renormalized ket if
     that is stored; it is None once no qubit remains.  ``pick(labels)``
     gives the labels at ``keep`` as a tuple.
     """
 
-    __slots__ = ("probs", "keep", "posts", "cuts", "pick")
+    __slots__ = ("probs", "keep", "posts", "sums", "outs", "pick")
 
     def __init__(self, ket: _Ket, positions: tuple[int, ...], bras: _Bras):
         table, keep = _split_plan(ket.k, positions)
@@ -370,7 +372,7 @@ class _Step:
         self.probs = tuple(map(_weight, branches))
         self.keep = keep
         self.posts = [b if keep or p <= 0.0 else None for b, p in zip(branches, self.probs)]
-        self.cuts = _cuts(self.probs)
+        self.sums, self.outs = _sums(self.probs)
         if len(keep) == 1:  # a slice, so that one label stays a tuple
             self.pick = operator.itemgetter(slice(keep[0], keep[0] + 1))
         else:
@@ -390,17 +392,26 @@ class _Step:
         return post
 
 
-def _cuts(probs) -> tuple[tuple[float, int], ...]:
-    """(running sum, outcome) for each outcome of nonzero weight, the last
-    sum replaced by infinity."""
-    cuts, acc = [], 0.0
-    for i, p in enumerate(probs):
-        acc += p
-        if p > 0.0:
-            cuts.append((acc, i))
-    if cuts:
-        cuts[-1] = (math.inf, cuts[-1][1])
-    return tuple(cuts)
+class _Last(float):
+    """The last of a step's ``sums``, infinite, carrying the step's ``probs``
+    and ``outs``: a chooser in place of ``_pick`` reads possible outcome i's
+    weight as ``last.probs[last.outs[i]]``.  (``bisect`` reads a tuple
+    subclass's items through ``__getitem__``, 2.6x slower, so ``sums`` is a
+    plain tuple.)"""
+
+    __slots__ = ("probs", "outs")
+
+
+def _sums(probs: tuple[float, ...]) -> tuple[tuple, tuple]:
+    """The running sums of ``probs`` at each outcome of nonzero weight, the
+    last infinite so that a draw above the summed weights takes the last
+    possible outcome; and those outcomes."""
+    outs, acc = tuple(i for i, p in enumerate(probs) if p > 0.0), tuple(itertools.accumulate(probs))
+    if not outs:
+        raise ZeroProbabilityOutcome("no outcome has nonzero probability")
+    last = _Last(math.inf)
+    last.probs, last.outs = probs, outs
+    return (*[acc[i] for i in outs[:-1]], last), outs
 
 
 def _step(ket: _Ket, positions: tuple[int, ...], bras: _Bras) -> _Step:
@@ -411,13 +422,14 @@ def _step(ket: _Ket, positions: tuple[int, ...], bras: _Bras) -> _Step:
     return step
 
 
+# The index in a step's ``sums`` of the outcome a draw takes: the first sum
+# above the draw.  Every sampled measurement calls it once, so a chooser
+# that replaces it here sees every measurement.
+_pick = bisect.bisect_right
+
+
 def _sample(step: _Step, rng: RandomSource) -> int:
-    """The outcome of one ``rng.random()`` draw against ``step.cuts``."""
-    r = rng.random()
-    for cut, outcome in step.cuts:
-        if r < cut:
-            return outcome
-    raise ZeroProbabilityOutcome("no outcome has nonzero probability")
+    return step.outs[_pick(step.sums, rng.random())]
 
 
 # ---------------------------------------------------------------------------
@@ -473,14 +485,14 @@ _Z_STATES = tuple(tuple(_state(ket, (r,)) for r in range(8)) for ket in _Z_KETS)
 
 
 class _LaneStep:
-    """A measurement on a lane state: the ket step's ``probs`` and ``cuts``,
-    and in ``posts`` each branch's next state once it has been taken
-    (``_NONE`` if no qubit is left)."""
+    """A measurement on a lane state: the ket step's ``probs``, ``sums`` and
+    ``outs``, and in ``posts`` each branch's next state once it has been
+    taken (``_NONE`` if no qubit is left)."""
 
-    __slots__ = ("probs", "cuts", "posts", "step", "layout")
+    __slots__ = ("probs", "sums", "outs", "posts", "step", "layout")
 
     def __init__(self, layout: tuple, step: _Step):
-        self.probs, self.cuts = step.probs, step.cuts
+        self.probs, self.sums, self.outs = step.probs, step.sums, step.outs
         self.posts: list = [None] * len(step.probs)
         self.step, self.layout = step, layout
 
@@ -494,7 +506,7 @@ class _LaneStep:
 
 class _Shared:
     """A register whose qubits lie in several lanes: its ket and its
-    qubits' addresses, rewritten in place."""
+    qubits' addresses, rewritten in place; its ket's memo keys its ops."""
 
     __slots__ = ("ket", "qubits")
     memo: dict = {}  # never written: ops on a shared register take the general path
@@ -509,9 +521,9 @@ _Z_KEYS = tuple(r << 3 | _Z for r in range(8))  # a Z measurement's key, by role
 
 
 def _key(code, roles: tuple):
-    """The memo key of the op ``code`` on ``roles``: ``r << 3 | code`` on one
-    role, ``(r1 << 16 | r2) << 5 | code`` on two; a basis's bras in place of
-    the code key the tuple ``(bras, r)``."""
+    """The memo key of the op ``code`` on ``roles`` (or on ket positions):
+    ``r << 3 | code`` on one role, ``(r1 << 16 | r2) << 5 | code`` on two; a
+    basis's bras in place of the code key the tuple ``(bras, r)``."""
     if type(code) is not int:
         return code, roles[0]
     return roles[0] << 3 | code if len(roles) == 1 else (roles[0] << 16 | roles[1]) << 5 | code
@@ -531,7 +543,7 @@ class Lanes:
     << 3 | role``; ``cells[address]`` holds its register.  A register within
     one lane is an interned ``_State`` under each of its addresses, and an
     op on it is a memoized transition: a gate or preparation stores the next
-    state, a measurement samples its ``_LaneStep`` with ``_sample`` and
+    state, a measurement samples its ``_LaneStep`` with ``_pick`` and
     stores the branch's state.  ``prepare_*`` and ``cnot`` take a count of
     lanes, and ``measurements`` gives ``measure_each`` over a list of
     addresses.  A register spanning lanes (Eve's return-leg
@@ -543,6 +555,8 @@ class Lanes:
     """
 
     def __init__(self, size: int):
+        if size << 3 > sys.maxsize:  # past what a list can index: too large for memory too
+            raise MemoryError(f"{size} lanes do not fit in memory")
         self.cells: list = [_NONE] * (size << 3)  # one list for good: closures hold it
 
     def _join(self, a: int, b: int) -> _Shared:
@@ -554,9 +568,9 @@ class Lanes:
             return rec
         if rec is _NONE or other is _NONE:
             raise UnknownLabel(a if rec is _NONE else b)
-        held = rec.qubits if type(rec) is _Shared else _addresses(rec.layout, a & -8)
-        more = other.qubits if type(other) is _Shared else _addresses(other.layout, b & -8)
-        ket = _merge(rec.ket, other.ket)  # raises before anything changes
+        ket = rec.ket.memo.get(other.ket) or _merge(rec.ket, other.ket)  # raises before anything changes
+        held = rec.qubits if type(rec) is _Shared else (a,) if len(rec.layout) == 1 else _addresses(rec.layout, a & -8)
+        more = other.qubits if type(other) is _Shared else (b,) if len(other.layout) == 1 else _addresses(other.layout, b & -8)
         if type(rec) is _Shared:  # keep a record, and move the other side's qubits to it
             rec.ket, rec.qubits = ket, held + more
         elif type(other) is _Shared:
@@ -568,14 +582,18 @@ class Lanes:
             cells[q] = rec
         return rec
 
-    def _collapse(self, rec: _Shared, qubits: tuple, bras: _Bras, rng: RandomSource) -> int:
-        """Sample the measurement ``bras`` of ``qubits`` in the record ``rec``,
-        which keeps what is left."""
-        held, ket, a = rec.qubits, rec.ket, qubits[0]
-        positions = (held.index(a),) if len(qubits) == 1 else (held.index(a), held.index(qubits[1]))
-        step = ket.memo.get((bras, positions))
+    def _collapse(self, rec: _Shared, qubits: tuple, code, bras: _Bras, rng: RandomSource) -> int:
+        """Sample the measurement ``code`` (see _key), of bras ``bras``, of
+        ``qubits`` in the record ``rec``, which keeps what is left."""
+        held, ket = rec.qubits, rec.ket
+        p = held.index(qubits[0])
+        if len(qubits) == 2:
+            key = (p << 16 | held.index(qubits[1])) << 5 | code
+        else:
+            key = p << 3 | code if type(code) is int else (code, p)
+        step = ket.memo.get(key)
         if step is None:
-            step = _step(ket, positions, bras)
+            step = ket.memo[key] = _Step(ket, tuple(map(held.index, qubits)), bras)
         outcome = _sample(step, rng)
         post = step.posts[outcome]
         if type(post) is dict:  # not yet collapsed; raises if impossible
@@ -597,7 +615,7 @@ class Lanes:
         if type(state) is _Shared or type(other) is _Shared or a >> 3 != b >> 3:
             rec = self._join(a, b)
             if rng is not None:
-                return self._collapse(rec, qubits, op, rng)
+                return self._collapse(rec, qubits, code, op, rng)
             held = rec.qubits
             rec.ket = op(rec.ket, *map(held.index, qubits))
             return None
@@ -667,6 +685,15 @@ class Lanes:
             self._prepare(_Z_KETS[bit], (a,), count)
         return a
 
+    def prepare_zs(self, bits: list, a: int) -> None:
+        """|bits[i]> on ``a``'s role in the i-th lane from ``a``'s, all or none."""
+        cells, stop = self.cells, a + (len(bits) << 3)
+        if not {0, 1}.issuperset(bits):
+            raise ValueError(f"bits must be 0 or 1, got {bits!r}")
+        if cells[a:stop:8].count(_NONE) != len(bits):
+            raise DuplicateLabel(a)
+        cells[a:stop:8] = map((_Z_STATES[0][a & 7], _Z_STATES[1][a & 7]).__getitem__, bits)
+
     def prepare_bell(self, kind: BellKind, a1: int, a2: int, count: int = 1) -> tuple:
         self._prepare(_BELL_KETS[kind], (a1, a2), count)
         return a1, a2
@@ -704,8 +731,9 @@ class Lanes:
                 self._slow(_CNOT, (c, t), _cnot)
             else:  # Eve's return-leg CNOT joins slots: straight to the shared record
                 rec = self._join(c, t)
-                held = rec.qubits
-                rec.ket = _cnot(rec.ket, held.index(c), held.index(t))
+                held, ket = rec.qubits, rec.ket
+                c, t = held.index(c), held.index(t)
+                rec.ket = ket.memo.get((c << 16 | t) << 5 | _CNOT) or _cnot(ket, c, t)
         else:
             base = c & -8
             for r in nxt.layout:
@@ -726,10 +754,10 @@ class Lanes:
             step = reg.memo.get((a & 7) << 3 | _Z)
             if step is None:
                 if type(reg) is _Shared:
-                    return collapse(reg, (a,), z_bras, rng)
+                    return collapse(reg, (a,), _Z, z_bras, rng)
                 return slow(_Z, (a,), z_bras, rng)
             # the sample and stores of _slow, spelled out on the most frequent op
-            outcome = _sample(step, rng)
+            outcome = step.outs[_pick(step.sums, rng.random())]
             post = step.posts[outcome]
             if post is None:
                 post = step.post(outcome)
@@ -748,9 +776,9 @@ class Lanes:
                     step = state.memo.get(((a1 & 7) << 16 | a2 & 7) << 5 | _BELL)
             if step is None:
                 if other is reg and type(reg) is _Shared:
-                    return BELL_ORDER[collapse(reg, (a1, a2), _BELL_BRAS, rng)]
+                    return BELL_ORDER[collapse(reg, (a1, a2), _BELL, _BELL_BRAS, rng)]
                 return BELL_ORDER[slow(_BELL, (a1, a2), _BELL_BRAS, rng)]
-            outcome = _sample(step, rng)  # spelled out, as in measure_z
+            outcome = step.outs[_pick(step.sums, rng.random())]  # spelled out, as in measure_z
             post = step.posts[outcome]
             if post is None:
                 post = step.post(outcome)
@@ -770,9 +798,9 @@ class Lanes:
                 reg = cells[a]
                 step = reg.memo.get(keys[a & 7])
                 if step is None:
-                    outcome = collapse(reg, (a,), bras, rng) if type(reg) is _Shared else slow(code, (a,), bras, rng)
+                    outcome = collapse(reg, (a,), code, bras, rng) if type(reg) is _Shared else slow(code, (a,), bras, rng)
                 else:  # spelled out, as in measure_z
-                    outcome = _sample(step, rng)
+                    outcome = step.outs[_pick(step.sums, rng.random())]
                     post = step.posts[outcome] or step.post(outcome)
                     cells[a] = _NONE
                     base = a & -8

@@ -1,7 +1,7 @@
 """A session's Python-level calls stay within a per-slot budget.
 
-The slot stages call Python code only for lane ops, ``qsim._sample`` and a
-protocol's own per-slot hooks; a helper frame per slot (a draw wrapper, an
+The slot stages call Python code only for lane ops and a protocol's own
+per-slot hooks (a sampled measurement's ``qsim._pick`` is C code); a helper frame per slot (a draw wrapper, an
 address or parity helper, a lambda per decoy) shows here as calls per
 slot over the budget.  The counts come from ``sys.setprofile``
 ``call`` events over one warm session in a fresh interpreter, so lane states
@@ -24,8 +24,10 @@ ROOT = Path(__file__).resolve().parents[1]
 # parity properties and a lambda per decoy in the slot stages the same
 # sessions read 7.075, 16.3875 and 24.5775; with one call per slot in the
 # single-party stages (the reads, the encoding and the spot check) 4.06,
-# 8.375 and 18.0375.
-BUDGET = {"sqka-none": 3.3225, "cdssqc-ghz-spot-check": 4.16, "sqka-intercept-resend": 17.3}
+# 8.375 and 18.0375; with a Python ``_sample`` frame per draw, a ``_read_z``
+# frame per encoded wire and a merge or step frame per cross-slot op 3.3225,
+# 4.16 and 17.3.
+BUDGET = {"sqka-none": 1.5725, "cdssqc-ghz-spot-check": 0.9025, "sqka-intercept-resend": 12.5525}
 # The count of profile call events depends on the interpreter (3.12 inlines
 # comprehensions; Enum and record internals differ), so the budget holds
 # only on the version it was measured on.

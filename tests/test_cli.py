@@ -248,6 +248,20 @@ def test_huge_session_exits_1_without_traceback(monkeypatch, capsys, argv):
     assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["--n", "99999999999999999999"], ["--n", "2", "--m", "9223372036854775807", "--trials", "5"],
+])
+def test_session_past_list_indices_exits_1_without_traceback(argv):
+    # too many lanes to index a list: refused before any allocation
+    proc = subprocess.run(
+        [sys.executable, "-m", "semiquantum.cli", "--protocol", "sqka", *argv],
+        capture_output=True, text=True, env=_src_env(), timeout=120,
+    )
+    assert proc.returncode == EXIT_IO
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error:") and len(proc.stderr.splitlines()) == 1
+
+
 # Blocks numpy, so that importing it raises ImportError; then imports every
 # module of the package, runs one transcript and one batch through ``main``,
 # runs reproduce_figures's ``main`` and prints the SHA-256 of its stdout.

@@ -7,10 +7,16 @@ decoy budget, spot-check aborts, the "zz" dialogue measurement, the
 controller's identity switch and non-default controller states, fixed
 messages and keys, and a separate Eve seed.  Each family runs every attack
 at n <= 3 over a few seeds.  A change to a draw, its order or a transcript
-field breaks them.
+field breaks them.  A last digest pins the cross-slot registers at n=100,
+with the wide-ket memo and without it.
 """
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from semiquantum.adversary import AttackKind, AttackStrategy
@@ -97,3 +103,40 @@ FAMILY_DIGESTS = {
 @pytest.mark.parametrize("family", sorted(FAMILY_DIGESTS))
 def test_family_digest(family):
     assert family_digest(family) == FAMILY_DIGESTS[family]
+
+
+# The permuted entangle-probe and intercept-resend cells of every protocol
+# at n=100 with detection off, as run_trials stats: Eve's return-leg ops
+# join slots into registers of up to six qubits, which the n <= 3 families
+# barely reach.  Sets ``digest``.
+_CROSS_SLOT = """
+import hashlib
+from semiquantum.adversary import AttackKind, AttackStrategy
+from semiquantum.analysis import emit_stats, run_trials
+from semiquantum.protocols import PROTOCOLS, make_config
+
+h = hashlib.sha256()
+for protocol in PROTOCOLS:
+    for kind in (AttackKind.CNOT, AttackKind.INTERCEPT_RESEND):
+        off = {"commitments_enabled": False} if protocol in ("sqka", "sqkd") else {}
+        config = make_config(protocol, n=100, threshold=1.0, attack=AttackStrategy(kind), **off)
+        h.update(emit_stats(run_trials(config, 8, 1)))
+digest = h.hexdigest()
+"""
+CROSS_SLOT_DIGEST = "75768c59f53e32cf942ef53e516ac13c26dfca64c24bbb24e7435c99380b2ae9"
+
+
+def test_cross_slot_digest():
+    namespace: dict = {}
+    exec(_CROSS_SLOT, namespace)
+    assert namespace["digest"] == CROSS_SLOT_DIGEST
+
+
+def test_cross_slot_digest_without_stored_wide_kets():
+    # a process past the wide-ket cap recomputes every 5- and 6-qubit op
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "from semiquantum import qsim\nqsim.MAX_WIDE_KETS = 0\n" + _CROSS_SLOT + "print(digest, qsim._wide_stored)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split() == [CROSS_SLOT_DIGEST, "0"]

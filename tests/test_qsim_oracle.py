@@ -13,8 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semiquantum import analysis, qsim
+from semiquantum.adversary import AttackKind, AttackStrategy
 from semiquantum.errors import DuplicateLabel, SemiQuantumError, ZeroProbabilityOutcome
-from semiquantum.protocols import SqkaConfig
+from semiquantum.protocols import PROTOCOLS, SqkaConfig, make_config, run_session
 from semiquantum.qsim import (
     BELL_ORDER,
     COMPUTATIONAL,
@@ -237,10 +238,10 @@ class StubRng:
 
 class Weights:
     """A measurement step reduced to what ``_sample`` reads: the running sums
-    of outcome weights."""
+    of the possible outcomes' weights and those outcomes."""
 
     def __init__(self, probs):
-        self.cuts = qsim._cuts(probs)
+        self.sums, self.outs = qsim._sums(probs)
 
 
 def test_sample_takes_first_outcome_whose_running_sum_exceeds_draw():
@@ -269,10 +270,39 @@ def test_zero_probability_collapse_is_a_package_error():
 
 def test_run_trials_counts_zero_probability_collapse_as_failure(monkeypatch):
     # force every measurement onto its last outcome, which a definite |0>
-    # qubit cannot take
-    monkeypatch.setattr(qsim, "_sample", lambda step, rng: len(step.probs) - 1)
+    # qubit cannot take: the chooser finds it among no possible outcome
+    def last(sums, draw):
+        weights = sums[-1]
+        outcome = len(weights.probs) - 1
+        if outcome not in weights.outs:
+            raise ZeroProbabilityOutcome(f"outcome {outcome} has probability {weights.probs[outcome]}")
+        return weights.outs.index(outcome)
+
+    monkeypatch.setattr(qsim, "_pick", last)
     stats = analysis.run_trials(SqkaConfig(n=2, m=2), 3, 1)
     assert stats.failures == 3
+
+
+@pytest.mark.parametrize("permutation", [True, False], ids=["pi", "no-pi"])
+@pytest.mark.parametrize("kind", list(AttackKind), ids=lambda kind: kind.value)
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_every_draw_of_a_session_is_picked_once(monkeypatch, protocol, kind, permutation):
+    # _pick is the one seam between a measurement's draw and its outcome: a
+    # chooser patched there sees every draw a session takes
+    draws, picks = [], []
+    random, pick = RandomSource.random, qsim._pick
+    monkeypatch.setattr(RandomSource, "random", lambda rng: draws.append(rng) or random(rng))
+    monkeypatch.setattr(qsim, "_pick", lambda sums, draw: picks.append(draw) or pick(sums, draw))
+    config = make_config(protocol, n=2, m=4, attack=AttackStrategy(kind), permutation_enabled=permutation,
+                         threshold=1.0)
+    run_session(config)
+    assert len(picks) == len(draws) > 0
+
+
+def test_sums_carry_each_possible_outcome_and_every_weight():
+    sums, outs = qsim._sums((0.25, 0.0, 0.75, 0.0))
+    assert type(sums) is tuple and sums == (0.25, math.inf) and outs == (0, 2)
+    assert sums[-1].outs == outs and sums[-1].probs == (0.25, 0.0, 0.75, 0.0)
 
 
 def test_measure_record_uses_one_draw_per_measurement():

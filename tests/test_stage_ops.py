@@ -4,7 +4,7 @@ A stage that applies one op to many slots makes one call: a measurement
 over a list of addresses (``measure_each``, a step's ``measure_zs``,
 ``measure_ab`` and ``resend_zs``) and a CNOT with a lane count.  On equal
 lanes each must give the same outcomes, the same cells and the same number
-of ``qsim._sample`` calls, one per sampled measurement, as the loop of
+of ``qsim._pick`` calls, one per sampled measurement, as the loop of
 single ops it replaces, whether the lanes hold one state or several, and
 with a register spanning lanes among them.
 """
@@ -35,9 +35,9 @@ def _content(lanes: Lanes) -> list:
 
 @pytest.fixture
 def samples(monkeypatch) -> list:
-    """A record of every ``qsim._sample`` call, in order."""
-    calls, sample = [], qsim._sample
-    monkeypatch.setattr(qsim, "_sample", lambda step, rng: calls.append(step) or sample(step, rng))
+    """A record of every ``qsim._pick`` call, in order."""
+    calls, pick = [], qsim._pick
+    monkeypatch.setattr(qsim, "_pick", lambda sums, draw: calls.append(sums) or pick(sums, draw))
     return calls
 
 
