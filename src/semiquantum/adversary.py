@@ -231,7 +231,6 @@ class MeasureResendAttack(ChannelAttack):
         # a measure-resend stays in its wire's lane, so the stage gives what the wire loop gives
         self.wire_bits = dict(enumerate(self.wire_ops.resend_zs(wire, [0] * len(wire))))
         self.wire_classifications = dict.fromkeys(range(len(wire)), "unknown")
-        return None
 
     def finalize(self, encoded_wires):
         # Wire-order decode guess: XOR the value seen on the return wire with

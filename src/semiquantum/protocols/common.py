@@ -291,8 +291,7 @@ class Session:
         bell: dict[int, BellKind] = {}
         measure_bell, read_z = check.measure_bell, rx.measure_z if receive is None else None
         self.attack.slots = slots
-        attacked = "return" in self.attack.legs
-        attack = self.attack.return_leg(wire) if attacked else None
+        attack = self.attack.return_leg(wire) if "return" in self.attack.legs else None
         for j in range(size):
             q = wire[j]
             if attack is not None:
@@ -307,7 +306,7 @@ class Session:
                 received[i] = receive(rx, i, q)
             if attack is not None:
                 attack.after_wire(j)
-        if attacked:
+        if "return" in self.attack.legs:
             self.attack.wire_ops.log()
         if encoded:
             rx.log()

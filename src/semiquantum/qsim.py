@@ -353,10 +353,10 @@ class _Step:
     The live entries split into one branch per outcome, keyed by the index
     of the unmeasured qubits (``keep``); a branch's Born weight is the sum
     of its squared magnitudes.  ``sums`` and ``outs`` are the draw bounds
-    of its possible outcomes and those outcomes (see ``_sums``).  ``posts[o]`` holds branch
-    ``o`` as a dict until it is first used, then its renormalized ket if
-    that is stored; it is None once no qubit remains.  ``pick(labels)``
-    gives the labels at ``keep`` as a tuple.
+    of its possible outcomes and those outcomes (see ``_sums``).  ``posts[o]``
+    holds branch ``o`` as a dict until it is first used, then its
+    renormalized ket if that is stored; it is None once no qubit remains.
+    ``pick(labels)`` gives the labels at ``keep`` as a tuple.
     """
 
     __slots__ = ("probs", "keep", "posts", "sums", "outs", "pick")
@@ -393,19 +393,17 @@ class _Step:
 
 
 class _Last(float):
-    """The last of a step's ``sums``, infinite, carrying the step's ``probs``
-    and ``outs``: a chooser in place of ``_pick`` reads possible outcome i's
-    weight as ``last.probs[last.outs[i]]``.  (``bisect`` reads a tuple
-    subclass's items through ``__getitem__``, 2.6x slower, so ``sums`` is a
-    plain tuple.)"""
+    """The infinite last entry of a step's ``sums``, carrying its ``probs``
+    and ``outs``: a chooser in place of ``_pick`` weighs possible outcome i
+    by ``probs[outs[i]]``.  (A tuple subclass could carry them, but ``bisect``
+    reads its items 2.6x slower on CPython 3.11.)"""
 
     __slots__ = ("probs", "outs")
 
 
 def _sums(probs: tuple[float, ...]) -> tuple[tuple, tuple]:
-    """The running sums of ``probs`` at each outcome of nonzero weight, the
-    last infinite so that a draw above the summed weights takes the last
-    possible outcome; and those outcomes."""
+    """The running sums of ``probs`` at its outcomes of nonzero weight, the
+    last infinite (a draw above them all takes the last), and those outcomes."""
     outs, acc = tuple(i for i, p in enumerate(probs) if p > 0.0), tuple(itertools.accumulate(probs))
     if not outs:
         raise ZeroProbabilityOutcome("no outcome has nonzero probability")
@@ -422,9 +420,8 @@ def _step(ket: _Ket, positions: tuple[int, ...], bras: _Bras) -> _Step:
     return step
 
 
-# The index in a step's ``sums`` of the outcome a draw takes: the first sum
-# above the draw.  Every sampled measurement calls it once, so a chooser
-# that replaces it here sees every measurement.
+# The index in a step's ``sums`` of a draw's outcome, the first sum above the
+# draw; every sampled measurement calls it once, so a chooser put here sees all.
 _pick = bisect.bisect_right
 
 
@@ -569,8 +566,8 @@ class Lanes:
         if rec is _NONE or other is _NONE:
             raise UnknownLabel(a if rec is _NONE else b)
         ket = rec.ket.memo.get(other.ket) or _merge(rec.ket, other.ket)  # raises before anything changes
-        held = rec.qubits if type(rec) is _Shared else (a,) if len(rec.layout) == 1 else _addresses(rec.layout, a & -8)
-        more = other.qubits if type(other) is _Shared else (b,) if len(other.layout) == 1 else _addresses(other.layout, b & -8)
+        held = rec.qubits if type(rec) is _Shared else _addresses(rec.layout, a & -8)
+        more = other.qubits if type(other) is _Shared else _addresses(other.layout, b & -8)
         if type(rec) is _Shared:  # keep a record, and move the other side's qubits to it
             rec.ket, rec.qubits = ket, held + more
         elif type(other) is _Shared:
@@ -594,7 +591,7 @@ class Lanes:
         step = ket.memo.get(key)
         if step is None:
             step = ket.memo[key] = _Step(ket, tuple(map(held.index, qubits)), bras)
-        outcome = _sample(step, rng)
+        outcome = step.outs[_pick(step.sums, rng.random())]  # _sample, spelled out
         post = step.posts[outcome]
         if type(post) is dict:  # not yet collapsed; raises if impossible
             post = step.post(outcome)
@@ -746,7 +743,7 @@ class Lanes:
         """``measure_z(a)``, ``measure_bell(a1, a2)`` and ``measure_each(addresses,
         basis, flips=None)``, which measures each address in turn and, given
         bits ``flips``, resends ``|outcome ^ flips[i]>`` there; draws from ``rng``."""
-        cells, collapse, slow = self.cells, self._collapse, self._slow
+        cells, collapse, slow, join = self.cells, self._collapse, self._slow, self._join
         z_bras = COMPUTATIONAL._bras
 
         def measure_z(a: int) -> int:
@@ -775,8 +772,8 @@ class Lanes:
                 if state is not None:
                     step = state.memo.get(((a1 & 7) << 16 | a2 & 7) << 5 | _BELL)
             if step is None:
-                if other is reg and type(reg) is _Shared:
-                    return BELL_ORDER[collapse(reg, (a1, a2), _BELL, _BELL_BRAS, rng)]
+                if type(reg) is _Shared or type(other) is _Shared or a1 >> 3 != a2 >> 3:  # as in _slow
+                    return BELL_ORDER[collapse(join(a1, a2), (a1, a2), _BELL, _BELL_BRAS, rng)]
                 return BELL_ORDER[slow(_BELL, (a1, a2), _BELL_BRAS, rng)]
             outcome = step.outs[_pick(step.sums, rng.random())]  # spelled out, as in measure_z
             post = step.posts[outcome]

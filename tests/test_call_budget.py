@@ -27,7 +27,7 @@ ROOT = Path(__file__).resolve().parents[1]
 # 8.375 and 18.0375; with a Python ``_sample`` frame per draw, a ``_read_z``
 # frame per encoded wire and a merge or step frame per cross-slot op 3.3225,
 # 4.16 and 17.3.
-BUDGET = {"sqka-none": 1.5725, "cdssqc-ghz-spot-check": 0.9025, "sqka-intercept-resend": 12.5525}
+BUDGET = {"sqka-none": 1.5725, "cdssqc-ghz-spot-check": 0.9025, "sqka-intercept-resend": 11.5525}
 # The count of profile call events depends on the interpreter (3.12 inlines
 # comprehensions; Enum and record internals differ), so the budget holds
 # only on the version it was measured on.
