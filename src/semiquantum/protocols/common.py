@@ -247,9 +247,9 @@ class Session:
         play, then the receiver either reads encoded slot i into
         ``received[i]`` by ``receive(step, i, qubit)``, where ``step`` is its
         step of ``receive_ops`` (by a Z readout if no ``receive`` is given),
-        or Bell-measures a decoy against its home partner.  Records the message as Eve's
-        target and how she classified each wire, and returns the sender's Z
-        outcomes.
+        or Bell-measures a decoy against its home partner.  Records the
+        message as Eve's target and how she classified each wire, and returns
+        the sender's Z outcomes.
         """
         sender, receiver, srng = self.sender, self.receiver, self.sender.rng
         encode, reflect = sender.step("measure_z", "prepare_z"), sender.step("reflect")
