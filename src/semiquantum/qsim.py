@@ -744,7 +744,7 @@ class Lanes:
         basis, flips=None)``, which measures each address in turn and, given
         bits ``flips``, resends ``|outcome ^ flips[i]>`` there; draws from ``rng``."""
         cells, collapse, slow, join = self.cells, self._collapse, self._slow, self._join
-        z_bras = COMPUTATIONAL._bras
+        z_bras, draw = COMPUTATIONAL._bras, rng.random
 
         def measure_z(a: int) -> int:
             reg = cells[a]
@@ -754,7 +754,7 @@ class Lanes:
                     return collapse(reg, (a,), _Z, z_bras, rng)
                 return slow(_Z, (a,), z_bras, rng)
             # the sample and stores of _slow, spelled out on the most frequent op
-            outcome = step.outs[_pick(step.sums, rng.random())]
+            outcome = step.outs[_pick(step.sums, draw())]
             post = step.posts[outcome]
             if post is None:
                 post = step.post(outcome)
@@ -775,7 +775,7 @@ class Lanes:
                 if type(reg) is _Shared or type(other) is _Shared or a1 >> 3 != a2 >> 3:  # as in _slow
                     return BELL_ORDER[collapse(join(a1, a2), (a1, a2), _BELL, _BELL_BRAS, rng)]
                 return BELL_ORDER[slow(_BELL, (a1, a2), _BELL_BRAS, rng)]
-            outcome = step.outs[_pick(step.sums, rng.random())]  # spelled out, as in measure_z
+            outcome = step.outs[_pick(step.sums, draw())]  # spelled out, as in measure_z
             post = step.posts[outcome]
             if post is None:
                 post = step.post(outcome)
@@ -790,20 +790,20 @@ class Lanes:
             code, keys = (_Z, _Z_KEYS) if bras is z_bras else (bras, [(bras, r) for r in range(8)])  # by role
             if flips is not None and not {0, 1}.issuperset(flips):
                 raise ValueError(f"flips must be bits, got {flips!r}")
-            outcomes = []
+            outcomes = [None] * len(addresses)
             for i, a in enumerate(addresses):
                 reg = cells[a]
                 step = reg.memo.get(keys[a & 7])
                 if step is None:
                     outcome = collapse(reg, (a,), code, bras, rng) if type(reg) is _Shared else slow(code, (a,), bras, rng)
                 else:  # spelled out, as in measure_z
-                    outcome = step.outs[_pick(step.sums, rng.random())]
+                    outcome = step.outs[_pick(step.sums, draw())]
                     post = step.posts[outcome] or step.post(outcome)
                     cells[a] = _NONE
                     base = a & -8
                     for r in post.layout:
                         cells[base | r] = post
-                outcomes.append(outcome)
+                outcomes[i] = outcome
                 if flips is not None:  # prepare_z(outcome ^ flip, a) on the address just freed
                     cells[a] = _Z_STATES[outcome ^ flips[i]][a & 7]
             return outcomes
