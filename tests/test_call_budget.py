@@ -1,9 +1,9 @@
 """A session's Python-level calls stay within a per-slot budget.
 
 The slot stages call Python code only for lane ops and a protocol's own
-per-slot hooks (a sampled measurement's ``qsim._pick`` is C code); a helper frame per slot (a draw wrapper, an
-address or parity helper, a lambda per decoy) shows here as calls per
-slot over the budget.  The counts come from ``sys.setprofile``
+per-slot hooks (a sampled measurement's ``qsim._pick`` is C code); a helper
+frame per slot (a draw wrapper, an address or parity helper, a lambda per
+decoy) shows here as calls per slot over the budget.  The counts come from ``sys.setprofile``
 ``call`` events over one warm session in a fresh interpreter, so lane states
 interned by other tests do not change them.
 """

@@ -13,7 +13,7 @@ import sys
 import pytest
 
 from semiquantum import qsim
-from semiquantum.errors import CapabilityViolation, UnknownLabel
+from semiquantum.errors import CapabilityViolation, DuplicateLabel, UnknownLabel
 from semiquantum.parties import Capability, PartyContext
 from semiquantum.qsim import COMPUTATIONAL, HADAMARD, BellKind, Lanes
 from semiquantum.rng import RandomSource
@@ -149,6 +149,21 @@ def test_flips_must_be_bits_and_refused_before_any_measurement(samples):
     with pytest.raises(ValueError):
         lanes.measurements(RandomSource(1))[2](MEASURED, COMPUTATIONAL, [0, 2, 0, 0, 0, 0])
     assert _content(lanes) == before and samples == []
+
+
+def test_bits_prepared_over_lanes_match_the_per_op_loop_all_or_none():
+    bits = [1, 0, 0, 1, 1, 0]
+    by_op, by_stage = _lanes("uniform"), _lanes("uniform")
+    for p, bit in enumerate(bits):
+        by_op.prepare_z(bit, p << 3 | 5)
+    by_stage.prepare_zs(bits, 5)
+    assert _content(by_stage) == _content(by_op)
+    before = _content(by_stage)
+    with pytest.raises(DuplicateLabel):  # role 5 is taken in every lane
+        by_stage.prepare_zs([0, 1], 4 << 3 | 5)
+    with pytest.raises(ValueError, match="bits"):
+        by_stage.prepare_zs([0, 2], 6)
+    assert _content(by_stage) == before
 
 
 def test_stage_forms_follow_the_ops_a_step_names():
