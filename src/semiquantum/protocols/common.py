@@ -292,10 +292,12 @@ class Session:
         measure_bell, read_z = check.measure_bell, rx.measure_z if receive is None else None
         self.attack.slots = slots
         attack = self.attack.return_leg(wire) if "return" in self.attack.legs else None
+        if attack is not None:  # its hooks, bound once for the leg
+            hook, after_wire = attack.wire, attack.after_wire
         for j in range(size):
             q = wire[j]
             if attack is not None:
-                q = attack.wire(j, q)
+                q = hook(j, q)
             p = origin[j]
             i = index[p]
             if i is None:
@@ -305,7 +307,7 @@ class Session:
             else:
                 received[i] = receive(rx, i, q)
             if attack is not None:
-                attack.after_wire(j)
+                after_wire(j)
         if "return" in self.attack.legs:
             self.attack.wire_ops.log()
         if encoded:

@@ -48,7 +48,11 @@ only where every lane holds the same states, else lane by lane), and
 on request, in one loop.  Up to
 ``MAX_LANE_STATES`` states are stored; a register spanning slots is a
 shared record run on its ket's memo, keyed as the lane memo is but by ket
-positions.  A stored ket's or state's memo refers
+positions, one step per measurement by either route.  A lone qubit is
+never a record: a record left with one turns into its lane state, and a
+lone qubit Bell-measured against another lane's register joins its state
+there as role ``_VISITOR`` (8, no address's), in the order a join gives.
+A stored ket's or state's memo refers
 only to stored ones, later ones take the same code unstored, and every
 result is the value the computation gives the first time, so the memo
 changes no draw.  Every sampled measurement takes exactly one
@@ -198,9 +202,9 @@ class _Ket:
     """A register's content without labels: qubit count and nonzero entries.
 
     ``memo`` maps a primitive's arguments to its result on this ket: an op's
-    key (see ``_key``, on positions) to the output ket or ``_Step``, the
-    right-hand ket of a merge to the merged ket, and ``(bras, positions)``
-    to a ``_Step``.  ``stored`` tells whether the ket is interned.
+    key (see ``_key``, on positions) to the output ket or ``_Step``, and the
+    right-hand ket of a merge to the merged ket.  ``stored`` tells whether
+    the ket is interned.
     """
 
     __slots__ = ("k", "entries", "memo", "stored")
@@ -412,8 +416,10 @@ def _sums(probs: tuple[float, ...]) -> tuple[tuple, tuple]:
     return (*[acc[i] for i in outs[:-1]], last), outs
 
 
-def _step(ket: _Ket, positions: tuple[int, ...], bras: _Bras) -> _Step:
-    key = (bras, positions)
+def _step(ket: _Ket, positions: tuple[int, ...], code, bras: _Bras) -> _Step:
+    """The measurement ``code`` (see _key), of bras ``bras``, of ``positions``
+    of ``ket``: one step per measurement, whichever route reaches the ket."""
+    key = _key(code, positions)
     step = ket.memo.get(key)
     if step is None:
         step = ket.memo[key] = _Step(ket, positions, bras)
@@ -439,6 +445,7 @@ def _sample(step: _Step, rng: RandomSource) -> int:
 # the one she forwards in its place.  A resend, the sender's or Eve's, takes
 # the address of the qubit it replaces, so it stays in that qubit's lane.
 HOME, TRAVEL, CONTROL, KEPT, SENT = 0, 1, 2, 4, 5
+_VISITOR = 8  # a lone qubit's role in another lane's state (measure_bell); no address's
 
 # at most this many lane states are stored with their memo (see Lanes)
 MAX_LANE_STATES = 512
@@ -533,6 +540,13 @@ def _addresses(layout: tuple, base: int) -> tuple:
     return tuple([base | r for r in layout])
 
 
+def _past_end(size: int, qubits: tuple) -> UnknownLabel:
+    """The error of an op on ``qubits`` and their roles in later lanes that
+    runs past ``size`` cells: the first address past them, lane by lane."""
+    k = size - max(qubits) + 7 >> 3  # the first lane, counted from qubits', past the end
+    return UnknownLabel(next(a + (k << 3) for a in qubits if a + (k << 3) >= size))
+
+
 class Lanes:
     """A session's registers as slot lanes.
 
@@ -545,8 +559,9 @@ class Lanes:
     lanes, and ``measurements`` gives ``measure_each`` over a list of
     addresses.  A register spanning lanes (Eve's return-leg
     ops join slots under the permutation) is one ``_Shared`` record under
-    each of its addresses, run on its ket's memo until its last qubit is
-    measured.  Either way its ket and qubit order are a label-addressed
+    each of its addresses, run on its ket's memo while it holds two qubits
+    or more; a lone qubit Bell-measured against another lane's register
+    joins that lane's state as ``_VISITOR`` instead.  Either way its ket and qubit order are a label-addressed
     register's: an op across registers joins them, the first operand's in
     the high bits, and a measured qubit leaves.
     """
@@ -581,10 +596,11 @@ class Lanes:
 
     def _collapse(self, rec: _Shared, qubits: tuple, code, bras: _Bras, rng: RandomSource) -> int:
         """Sample the measurement ``code`` (see _key), of bras ``bras``, of
-        ``qubits`` in the record ``rec``, which keeps what is left."""
+        ``qubits`` in the record ``rec``, which keeps what is left; a lone
+        qubit left becomes a lane state, so a record holds two qubits or more."""
         held, ket = rec.qubits, rec.ket
         p = held.index(qubits[0])
-        if len(qubits) == 2:
+        if len(qubits) == 2:  # _step's key, spelled out
             key = (p << 16 | held.index(qubits[1])) << 5 | code
         else:
             key = p << 3 | code if type(code) is int else (code, p)
@@ -599,7 +615,11 @@ class Lanes:
         for a in qubits:
             cells[a] = _NONE
         if post is not None:
-            rec.ket, rec.qubits = post, step.pick(held)
+            left = step.pick(held)
+            if post.k == 1:
+                cells[left[0]] = _state(post, (left[0] & 7,))
+            else:
+                rec.ket, rec.qubits = post, left
         return outcome
 
     def _slow(self, code, qubits: tuple, op, rng: RandomSource | None = None):
@@ -631,7 +651,7 @@ class Lanes:
             if rng is None:
                 nxt = _state(op(state.ket, *positions), layout)
             else:
-                nxt = _LaneStep(layout, _step(state.ket, positions, op))
+                nxt = _LaneStep(layout, _step(state.ket, positions, code, op))
             if state.stored and (rng is not None or nxt.stored):
                 state.memo[key] = nxt
         outcome = None
@@ -654,6 +674,8 @@ class Lanes:
             raise ValueError(f"a {ket.k}-qubit ket cannot carry {len(qubits)} labels")
         if len(set(qubits)) != len(qubits):
             raise DuplicateLabel(f"labels not unique: {qubits}")
+        if max(qubits) + (count - 1 << 3) >= len(cells):
+            raise _past_end(len(cells), qubits)
         for a in qubits:
             if cells[a : a + (count << 3) : 8].count(_NONE) != count:
                 raise DuplicateLabel(a)
@@ -687,6 +709,8 @@ class Lanes:
         cells, stop = self.cells, a + (len(bits) << 3)
         if not {0, 1}.issuperset(bits):
             raise ValueError(f"bits must be 0 or 1, got {bits!r}")
+        if stop - 8 >= len(cells):
+            raise _past_end(len(cells), (a,))
         if cells[a:stop:8].count(_NONE) != len(bits):
             raise DuplicateLabel(a)
         cells[a:stop:8] = map((_Z_STATES[0][a & 7], _Z_STATES[1][a & 7]).__getitem__, bits)
@@ -707,6 +731,8 @@ class Lanes:
         cells = self.cells
         reg, other = cells[c], cells[t]
         if count != 1:  # one transition if every lane holds reg and other, else lane by lane
+            if max(c, t) + (count - 1 << 3) >= len(cells):
+                raise _past_end(len(cells), (c, t))
             stop = count << 3
             if (count > 1 and c >> 3 == t >> 3 and type(reg) is _State is type(other) and _NONE not in (reg, other)
                     and cells[c : c + stop : 8].count(reg) == count == cells[t : t + stop : 8].count(other)):
@@ -766,12 +792,34 @@ class Lanes:
 
         def measure_bell(a1: int, a2: int) -> BellKind:
             reg, other = cells[a1], cells[a2]
-            step = None
+            step, base = None, a1 & -8
             if a1 >> 3 == a2 >> 3:
                 state = reg if other is reg else reg.memo.get(other)  # two registers joined
                 if state is not None:
                     step = state.memo.get(((a1 & 7) << 16 | a2 & 7) << 5 | _BELL)
+            elif (type(reg) is _State is type(other) and reg is not _NONE is not other
+                    and (len(other.layout) == 1 or len(reg.layout) == 1)):
+                # a lone qubit joins the other register's lane as role _VISITOR, in _join's order
+                if len(other.layout) == 1:  # a2 in the low bits, keyed on the host a1 by its ket
+                    host, key, r1, r2 = reg, other.ket, a1 & 7, _VISITOR
+                else:  # a1 in the high bits, keyed on the host a2 by a 1-tuple of its ket
+                    host, key, r1, r2, base = other, (reg.ket,), _VISITOR, a2 & 7, a2 & -8
+                state = host.memo.get(key)
+                if state is None:
+                    layout = reg.layout + (_VISITOR,) if host is reg else (_VISITOR,) + other.layout
+                    state = _state(_merge(reg.ket, other.ket), layout)  # raises before anything changes
+                    if reg.stored and other.stored and state.stored:
+                        host.memo[key] = state
+                key = (r1 << 16 | r2) << 5 | _BELL
+                step = state.memo.get(key)
+                if step is None:
+                    layout = state.layout
+                    step = _LaneStep(layout, _step(state.ket, (layout.index(r1), layout.index(r2)), _BELL, _BELL_BRAS))
+                    if state.stored:
+                        state.memo[key] = step
             if step is None:
+                if type(reg) is _Shared and other is reg:  # two qubits of one record
+                    return BELL_ORDER[collapse(reg, (a1, a2), _BELL, _BELL_BRAS, rng)]
                 if type(reg) is _Shared or type(other) is _Shared or a1 >> 3 != a2 >> 3:  # as in _slow
                     return BELL_ORDER[collapse(join(a1, a2), (a1, a2), _BELL, _BELL_BRAS, rng)]
                 return BELL_ORDER[slow(_BELL, (a1, a2), _BELL_BRAS, rng)]
@@ -780,7 +828,6 @@ class Lanes:
             if post is None:
                 post = step.post(outcome)
             cells[a1] = cells[a2] = _NONE
-            base = a1 & -8
             for r in post.layout:
                 cells[base | r] = post
             return BELL_ORDER[outcome]

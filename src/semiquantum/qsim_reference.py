@@ -16,7 +16,7 @@ from typing import NamedTuple
 from . import qsim
 from .errors import DuplicateLabel, EqualBellKinds, RegisterTooLarge, UnknownLabel
 from .qsim import _BELL_BRAS, _BELL_KETS, _Z_KETS, BELL_ORDER, COMPUTATIONAL, MAX_QUBITS, BellKind, OrthonormalPair
-from .qsim import _cnot, _ghz_like_ket, _intern, _Ket, _mask, _merge, _step, _Step, _weight, _x
+from .qsim import _BELL, _Z, _cnot, _ghz_like_ket, _intern, _Ket, _mask, _merge, _step, _Step, _weight, _x
 from .rng import RandomSource
 
 
@@ -172,11 +172,12 @@ def _measure(state: StateVector, step: _Step, rng: RandomSource) -> tuple[int, f
 
 
 def _qubit_step(state: StateVector, label: str, basis: OrthonormalPair) -> _Step:
-    return _step(state._ket, (state.position(label),), basis._bras)
+    bras = basis._bras
+    return _step(state._ket, (state.position(label),), _Z if bras is COMPUTATIONAL._bras else bras, bras)
 
 
 def _bell_step(state: StateVector, q1: str, q2: str) -> _Step:
-    return _step(state._ket, (state.position(q1), state.position(q2)), _BELL_BRAS)
+    return _step(state._ket, (state.position(q1), state.position(q2)), _BELL, _BELL_BRAS)
 
 
 def z_probabilities(state: StateVector, label: str) -> tuple[float, float]:

@@ -195,3 +195,31 @@ def test_bell_symbol_is_a_plain_attribute(kind):
     sys.setprofile(None)
     assert symbol == kind.value
     assert "call" not in events
+
+
+# Each counted op on lanes 0 and 1 of two, past the last lane: the args and
+# the first address past the end, lane by lane.
+PAST_THE_END = {
+    "cnot": (lambda l: l.cnot(1, 4, 5), 17),
+    "cnot-second-operand-first": (lambda l: l.cnot(1, 12, 3), 20),
+    "prepare_z": (lambda l: l.prepare_z(0, 5, 3), 21),
+    "prepare_zs": (lambda l: l.prepare_zs([0, 1, 1], 6), 22),
+    "prepare_bell": (lambda l: l.prepare_bell(BellKind.PHI_PLUS, 2, 3, 3), 18),
+    "prepare_bell-across-lanes": (lambda l: l.prepare_bell(BellKind.PHI_PLUS, 3, 10, 2), 18),
+    "prepare_ghz_like": (
+        lambda l: l.prepare_ghz_like(BellKind.PSI_PLUS, BellKind.PHI_MINUS, HADAMARD, (6, 2, 3), 4), 22,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(PAST_THE_END))
+def test_a_count_past_the_last_lane_is_an_unknown_address_before_any_change(case):
+    op, first = PAST_THE_END[case]
+    lanes = Lanes(2)
+    lanes.prepare_bell(BellKind.PSI_PLUS, 0, 1, 2)
+    lanes.prepare_z(0, 4, 2)
+    before = _content(lanes)
+    with pytest.raises(UnknownLabel) as err:
+        op(lanes)
+    assert err.value.args == (first,)
+    assert _content(lanes) == before
