@@ -31,8 +31,9 @@ def samples(monkeypatch) -> list:
 
 
 def _snapshot(lanes: Lanes) -> dict:
-    """Each address's register: its ket's content, its qubits in ket order
-    and its kind (a wide ket past the cap is not interned, so not compared by identity)."""
+    """Each address's register: its ket's content (a wide ket past the cap
+    is not interned, so not compared by identity), its qubits in ket order
+    and, for a shared record, its size (None for a lane state)."""
     out = {}
     for a in sorted(lanes.labels()):
         view, cell = lanes.state_of(a), lanes.cells[a]
@@ -42,7 +43,7 @@ def _snapshot(lanes: Lanes) -> dict:
 
 
 def _contents(lanes: Lanes) -> dict:
-    """As ``_snapshot``, without the register kinds, which the routes may differ in."""
+    """As ``_snapshot``, without the register kinds, which the two routes may differ in."""
     return {a: (ket, labels) for a, (ket, labels, _) in _snapshot(lanes).items()}
 
 
@@ -52,7 +53,7 @@ HOSTS = {
     "pair": (lambda l: l.prepare_bell(BellKind.PHI_MINUS, 1, 3), 3),
     "ghz": (lambda l: l.prepare_ghz_like(BellKind.PSI_PLUS, BellKind.PHI_MINUS, HADAMARD, (2, 0, 6)), 0),
     "full": (lambda l: [l.prepare_bell(kind, r, r + 1) for r, kind in zip((0, 2, 4, 6), BELL_ORDER)], 7),
-    "lone": (lambda l: l.prepare_z(1, 5), 5),
+    "lone": (lambda l: l.prepare_z(1, 5), 5),  # both sides lone: nothing is left of either
 }
 
 
@@ -105,22 +106,11 @@ def test_lone_qubit_bell_measured_in_its_partners_lane_matches_the_shared_route(
     assert kind is want
     assert len(samples) == 2 and samples[0] is samples[1]  # one draw each, from one step
     assert _contents(lanes) == _contents(twin)
-    assert all(kind is None for _, _, kind in _snapshot(lanes).values())  # all lane states
+    assert all(size is None for _, _, size in _snapshot(lanes).values())  # all lane states
     if host == "full":  # the host lane's other registers are untouched
         assert {lanes.state_of(r).labels for r in range(6)} == {(0, 1), (2, 3), (4, 5)}
     assert _next_ops(lanes, rng) == _next_ops(twin, twin_rng)
     assert rng.random() == twin_rng.random()
-
-
-def test_both_sides_lone_leave_no_qubit(samples):
-    for lone_first in (False, True):
-        lanes, a, lone = _lanes("lone")
-        twin, _, _ = _lanes("lone")
-        a1, a2 = (lone, a) if lone_first else (a, lone)
-        kind = lanes.measurements(RandomSource(8))[1](a1, a2)
-        want = BELL_ORDER[twin._collapse(twin._join(a1, a2), (a1, a2), qsim._BELL, qsim._BELL_BRAS, RandomSource(8))]
-        assert kind is want
-        assert lanes.labels() == twin.labels() == {16 | 4}
 
 
 @pytest.mark.parametrize("lone_first", [False, True])
@@ -180,7 +170,6 @@ def test_one_step_per_measurement_of_a_ket_whichever_route_reaches_it(samples):
 # ---------------------------------------------------------------------------
 # the invariant over every cell
 
-ATTACKS = (AttackKind.NONE, AttackKind.CNOT, AttackKind.INTERCEPT_RESEND, AttackKind.MEASURE_RESEND)
 OPS = ("prepare_z", "prepare_zs", "prepare_bell", "prepare_ghz_like", "cnot", "x")
 
 
@@ -201,7 +190,7 @@ def _checked(op):
 
 
 @pytest.mark.parametrize("protocol", list(PROTOCOLS))
-@pytest.mark.parametrize("attack", ATTACKS, ids=lambda k: k.value)
+@pytest.mark.parametrize("attack", list(AttackKind), ids=lambda k: k.value)
 @pytest.mark.parametrize("permutation", [True, False], ids=["pi", "nopi"])
 def test_no_shared_record_holds_fewer_than_two_qubits_after_any_op(monkeypatch, protocol, attack, permutation):
     for name in OPS:
