@@ -1,5 +1,7 @@
 """Monte Carlo driver, detection statistics, qubit-efficiency accounting,
-and transcript/stats serialization.
+and stats serialization.  The transcript's serialization, which a single
+session needs, lives beside ``Transcript`` in ``protocols.common``, so that a
+transcript run loads no part of this module; its names are re-exported here.
 
 Efficiency is eta = c / (q + b): message bits over transmitted qubits
 (message-carrying plus decoy) plus non-check classical bits.  The cost
@@ -17,11 +19,12 @@ from operator import eq
 
 from .adversary import AttackKind
 from .errors import SemiQuantumError, UnknownAttack
-from .protocols import SessionConfig, SessionOutcome, run_session
+from .protocols import (  # the transcript's three names, re-exported
+    TRANSCRIPT_SCHEMA, SessionConfig, SessionOutcome, emit_transcript, parse_transcript, run_session,
+)
 from .records import Record, fields, replace
 from .rng import derive_seed
 
-TRANSCRIPT_SCHEMA = "semiquantum.transcript/1"
 STATS_SCHEMA = "semiquantum.stats/1"
 Z99 = 2.5758293035489004  # two-sided 99% normal quantile
 
@@ -255,29 +258,6 @@ def run_trials(template: SessionConfig, trials: int, master_seed: int) -> TrialS
 
 # ---------------------------------------------------------------------------
 # serialization
-
-
-def emit_transcript(outcome: SessionOutcome) -> bytes:
-    """Schema-versioned JSON of a session: summary fields plus the events as
-    the transcript holds them (JSON writes the tuples as arrays)."""
-    doc = {
-        "schema": TRANSCRIPT_SCHEMA,
-        "protocol": outcome.protocol,
-        "aborted": outcome.aborted,
-        "abort_reason": outcome.abort_reason.value,
-        "error_rate_observed": outcome.error_rate_observed,
-        "keys": outcome.keys,
-        "eve_inferences": outcome.eve_inferences,
-        "events": outcome.transcript.events,
-    }
-    return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
-
-
-def parse_transcript(data: bytes) -> dict:
-    doc = json.loads(data.decode())
-    if doc.get("schema") != TRANSCRIPT_SCHEMA:
-        raise ValueError(f"unexpected transcript schema {doc.get('schema')!r}")
-    return doc
 
 
 def emit_stats(stats: TrialStats, fmt: str = "json") -> bytes:

@@ -3,7 +3,9 @@
 Output is a pure function of the arguments: the seed defaults to 0 (or the
 SEMIQ_SEED environment variable), never the clock, so identical invocations
 are byte-identical.  An invocation imports only what it runs: the one
-protocol runner ``--protocol`` names, and no reference simulator.
+protocol runner ``--protocol`` names, and no reference simulator; a
+transcript run loads no stats module either, since ``analysis`` is imported
+only for a batch (``--trials`` above 1).
 """
 from __future__ import annotations
 
@@ -11,10 +13,13 @@ import argparse
 import os
 import sys
 
-from . import analysis
+from . import lazy_exports
 from .adversary import AttackKind, AttackStrategy
-from .protocols import PROTOCOLS, SessionConfig, hex_to_bits, make_config, run_session
+from .protocols import PROTOCOLS, SessionConfig, emit_transcript, hex_to_bits, make_config, run_session
 from .records import Record, replace
+
+# ``cli.analysis`` loads the stats module on first use, as ``run`` does for a batch.
+__getattr__, __dir__ = lazy_exports(globals(), {"analysis": ""})
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -71,6 +76,8 @@ def parse_args(argv: list[str]) -> CliConfig:
     if hasattr(config, "commitments_enabled"):
         config = replace(config, commitments_enabled=ns.commitments == "on")
     if ns.messages is not None:
+        if ns.n << 3 > sys.maxsize:  # no session this long fits in Lanes: build no n-bit message
+            raise MemoryError
         messages = [s.strip() for s in ns.messages.split(",")]
         names = config.MESSAGES
         if len(messages) != len(names):
@@ -98,7 +105,9 @@ def _write_atomic(path: str, payload: bytes) -> None:
 
 def run(cfg: CliConfig) -> bytes:
     if cfg.trials == 1:
-        return analysis.emit_transcript(run_session(cfg.session))
+        return emit_transcript(run_session(cfg.session))
+    from . import analysis  # a global lookup here would not reach the module __getattr__
+
     stats = analysis.run_trials(cfg.session, cfg.trials, cfg.session.seed)
     return analysis.emit_stats(stats, cfg.format)
 
@@ -112,6 +121,8 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     except SystemExit as exc:  # argparse usage errors
         return int(exc.code) if exc.code else EXIT_OK
+    except MemoryError:  # a message of a session too large to run
+        return out_of_memory()
     try:
         payload = run(cfg)
     except MemoryError:

@@ -10,8 +10,9 @@ from .. import lazy_exports
 # The module that defines each exported name.
 _EXPORTS = {
     **dict.fromkeys(
-        ("AbortReason", "Bits", "RawKeys", "SessionConfig", "SessionOutcome",
-         "SpotCheckedConfig", "Transcript", "bits_to_hex", "hex_to_bits", "xor_bits"),
+        ("AbortReason", "Bits", "RawKeys", "SessionConfig", "SessionOutcome", "SpotCheckedConfig",
+         "TRANSCRIPT_SCHEMA", "Transcript", "bits_to_hex", "emit_transcript", "hex_to_bits",
+         "parse_transcript", "xor_bits"),
         "common",
     ),
     **dict.fromkeys(("CdssqcConfig", "CdssqcVariant", "run_cdssqc_ghz", "run_cdssqc_switch"), "cdssqc"),

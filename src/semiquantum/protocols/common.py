@@ -1,7 +1,8 @@
-"""Shared session machinery: transcripts, outcomes, bit helpers, and the
-session pipeline every protocol runs."""
+"""Shared session machinery: transcripts and their serialization, outcomes,
+bit helpers, and the session pipeline every protocol runs."""
 from __future__ import annotations
 
+import json
 import re
 from collections.abc import Callable
 from enum import Enum
@@ -93,6 +94,9 @@ class AbortReason(Enum):
     COMMITMENT_MISMATCH = "commitment-mismatch"
 
 
+TRANSCRIPT_SCHEMA = "semiquantum.transcript/1"
+
+
 class Transcript(Record):
     """Ordered, append-only log of the session's public classical events,
     each held as the JSON object a transcript writes for it."""
@@ -125,6 +129,29 @@ class SessionOutcome(Record):
     eve_inferences: tuple[int | None, ...] | None = None
     raw: RawKeys | None = None
     details: dict = {}
+
+
+def emit_transcript(outcome: SessionOutcome) -> bytes:
+    """Schema-versioned JSON of a session: summary fields plus the events as
+    the transcript holds them (JSON writes the tuples as arrays)."""
+    doc = {
+        "schema": TRANSCRIPT_SCHEMA,
+        "protocol": outcome.protocol,
+        "aborted": outcome.aborted,
+        "abort_reason": outcome.abort_reason.value,
+        "error_rate_observed": outcome.error_rate_observed,
+        "keys": outcome.keys,
+        "eve_inferences": outcome.eve_inferences,
+        "events": outcome.transcript.events,
+    }
+    return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
+
+
+def parse_transcript(data: bytes) -> dict:
+    doc = json.loads(data.decode())
+    if doc.get("schema") != TRANSCRIPT_SCHEMA:
+        raise ValueError(f"unexpected transcript schema {doc.get('schema')!r}")
+    return doc
 
 
 def expect(config: SessionConfig, protocol: str) -> None:
@@ -384,6 +411,6 @@ def hex_to_bits(text: str, n: int) -> Bits:
     if not re.fullmatch(r"[0-9a-fA-F]+", text):
         raise ValueError(f"{text!r} is not a string of hex digits")
     value = int(text, 16)
-    if value >= (1 << n):
+    if value.bit_length() > n:  # no 1 << n, which a huge n overflows
         raise ValueError(f"hex value {text!r} does not fit in {n} bits")
     return tuple((value >> (n - 1 - i)) & 1 for i in range(n))

@@ -69,8 +69,8 @@ import itertools
 import math
 import operator
 import sys
+from collections.abc import Sequence
 from enum import Enum
-from typing import Sequence
 
 from . import lazy_exports
 from .errors import (
@@ -668,7 +668,8 @@ class Lanes:
     def _prepare(self, ket: _Ket, qubits: tuple, count: int = 1) -> None:
         """Prepare ``ket`` on ``qubits`` past the fast paths, and on their
         roles in the next ``count - 1`` lanes (qubits of one lane), one store
-        per role; raises before anything changes unless all of them are free."""
+        per role; raises before anything changes unless all of them are free
+        and, with a count, in one lane."""
         cells = self.cells
         if len(qubits) != ket.k:
             raise ValueError(f"a {ket.k}-qubit ket cannot carry {len(qubits)} labels")
@@ -681,6 +682,8 @@ class Lanes:
                 raise DuplicateLabel(a)
         base = qubits[0] & -8
         if any(a & -8 != base for a in qubits):
+            if count != 1:  # a count repeats one lane's roles, which qubits of two lanes have not
+                raise ValueError(f"a counted preparation takes qubits of one lane, got {qubits}")
             rec = _Shared(ket, qubits)
             for a in qubits:
                 cells[a] = rec

@@ -21,6 +21,13 @@ def test_hex_encoding_roundtrip(bits):
     assert hex_to_bits(bits_to_hex(bits), len(bits)) == bits
 
 
+def test_hex_value_fits_by_bit_length():
+    assert hex_to_bits("10", 5) == (1, 0, 0, 0, 0)
+    assert hex_to_bits("000f", 4) == (1, 1, 1, 1)  # leading zeros take no bits
+    with pytest.raises(ValueError, match="does not fit in 4 bits"):
+        hex_to_bits("10", 4)
+
+
 def test_parse_defaults():
     cfg = parse_args(["--protocol", "sqka", "--n", "8", "--seed", "42"])
     assert cfg == CliConfig(
@@ -243,6 +250,19 @@ def _no_memory(self, size):
 def test_huge_session_exits_1_without_traceback(monkeypatch, capsys, argv):
     monkeypatch.setattr(Lanes, "__init__", _no_memory)
     assert main(["--protocol", "sqka", *argv]) == EXIT_IO
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["--protocol", "sqd", "--n", "9999999999999999999999", "--messages", "0,0"],
+    ["--protocol", "cdssqc-ghz", "--n", "99999999999999999999", "--messages", "1"],
+])
+def test_messages_of_a_session_past_list_indices_exit_1_without_traceback(monkeypatch, capsys, argv):
+    # refused before any n-bit message is built: a hex_to_bits call here would allocate
+    monkeypatch.setattr("semiquantum.cli.hex_to_bits", None)
+    assert main(argv) == EXIT_IO
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error:") and len(err.splitlines()) == 1

@@ -1,6 +1,7 @@
 """A CLI run imports only what it runs: the one runner module its protocol
 names, and neither the reference simulator nor the stats-only modules, nor
-``dataclasses`` and the ``inspect`` it imports."""
+``dataclasses`` and the ``inspect`` it imports; a transcript run loads
+neither ``semiquantum.analysis`` nor ``typing``."""
 import ast
 import json
 import os
@@ -13,7 +14,8 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 RUNNER_OF = {"sqka": "sqka", "sqkd": "sqka", "cdssqc-ghz": "cdssqc", "cdssqc-switch": "cdssqc", "sqd": "sqd"}
 WATCHED = ["semiquantum.protocols.sqka", "semiquantum.protocols.cdssqc", "semiquantum.protocols.sqd",
-           "semiquantum.qsim_reference", "fractions", "csv", "dataclasses", "inspect", "tempfile"]
+           "semiquantum.qsim_reference", "semiquantum.analysis", "fractions", "csv", "dataclasses", "inspect",
+           "tempfile", "typing"]
 
 # Runs semiquantum.cli.main on the arguments after the first, which lists
 # modules to watch, and prints as JSON its exit code, the watched modules

@@ -29,8 +29,9 @@ DEFINED_IN = {
     "semiquantum.rng": ("RandomSource", "derive_seed"),
     "semiquantum.protocols": ("PROTOCOLS", "make_config", "run_session"),
     "semiquantum.protocols.common": (
-        "AbortReason", "Bits", "RawKeys", "SessionConfig", "SessionOutcome",
-        "SpotCheckedConfig", "Transcript", "bits_to_hex", "hex_to_bits", "xor_bits",
+        "AbortReason", "Bits", "RawKeys", "SessionConfig", "SessionOutcome", "SpotCheckedConfig",
+        "TRANSCRIPT_SCHEMA", "Transcript", "bits_to_hex", "emit_transcript", "hex_to_bits",
+        "parse_transcript", "xor_bits",
     ),
     "semiquantum.protocols.cdssqc": ("CdssqcConfig", "CdssqcVariant", "run_cdssqc_ghz", "run_cdssqc_switch"),
     "semiquantum.protocols.sqd": ("SqdConfig", "decode_dialogue", "run_sqd"),

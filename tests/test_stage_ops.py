@@ -223,3 +223,19 @@ def test_a_count_past_the_last_lane_is_an_unknown_address_before_any_change(case
         op(lanes)
     assert err.value.args == (first,)
     assert _content(lanes) == before
+
+
+@pytest.mark.parametrize("op", [
+    lambda l: l.prepare_bell(BellKind.PSI_PLUS, 3, 10, 2),
+    lambda l: l.prepare_ghz_like(BellKind.PSI_PLUS, BellKind.PHI_MINUS, HADAMARD, (5, 6, 9), 2),
+], ids=["prepare_bell", "prepare_ghz_like"])
+def test_a_counted_preparation_across_lanes_is_refused_before_any_change(op):
+    # a count repeats the roles of one lane; it used to prepare the first lane only
+    lanes = Lanes(3)
+    lanes.prepare_z(1, 20)
+    before = _content(lanes)
+    with pytest.raises(ValueError, match="one lane"):
+        op(lanes)
+    assert _content(lanes) == before
+    lanes.prepare_bell(BellKind.PSI_PLUS, 3, 10)  # one preparation across lanes is a shared record
+    assert type(lanes.cells[3]) is qsim._Shared and lanes.cells[3] is lanes.cells[10]
