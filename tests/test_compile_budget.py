@@ -63,5 +63,4 @@ def test_transcript_run_compiles_within_budget():
     )
     code, counts = json.loads(out.stdout)
     assert code == 0
-    assert "semiquantum.analysis" not in counts
     assert sum(counts.values()) <= BUDGET, counts

@@ -101,3 +101,18 @@ def test_figure_script_imports_the_reference_layer_through_qsim():
         [sys.executable, "-c", _LOAD_SCRIPT, str(ROOT / "scripts" / "reproduce_figures.py")],
         env=env, check=True,
     )
+
+
+def test_cli_analysis_is_the_stats_module_and_a_patch_of_it_reaches_a_batch(monkeypatch):
+    # the benchmark's memory mode patches cli.analysis.run_trials, and its
+    # tracer wraps emit_transcript wherever a package module binds it
+    from semiquantum import analysis, cli
+    from semiquantum.protocols import common
+
+    assert cli.analysis is analysis and "analysis" in dir(cli)
+    assert cli.emit_transcript is analysis.emit_transcript is common.emit_transcript
+    calls = []
+    run_trials = analysis.run_trials
+    monkeypatch.setattr(cli.analysis, "run_trials", lambda *args: calls.append(args) or run_trials(*args))
+    cli.run(cli.parse_args(["--protocol", "sqd", "--n", "2", "--trials", "2"]))
+    assert len(calls) == 1
