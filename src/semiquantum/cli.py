@@ -5,7 +5,8 @@ SEMIQ_SEED environment variable), never the clock, so identical invocations
 are byte-identical.  An invocation imports only what it runs: the one
 protocol runner ``--protocol`` names, and no reference simulator; a
 transcript run loads no stats module either, since ``analysis`` is imported
-only for a batch (``--trials`` above 1).
+only for a batch (``--trials`` above 1), and no ``json`` package, since
+``protocols.common`` writes the transcript's JSON itself.
 """
 from __future__ import annotations
 

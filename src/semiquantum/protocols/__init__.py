@@ -11,8 +11,7 @@ from .. import lazy_exports
 _EXPORTS = {
     **dict.fromkeys(
         ("AbortReason", "Bits", "RawKeys", "SessionConfig", "SessionOutcome", "SpotCheckedConfig",
-         "TRANSCRIPT_SCHEMA", "Transcript", "bits_to_hex", "emit_transcript", "hex_to_bits",
-         "parse_transcript", "xor_bits"),
+         "TRANSCRIPT_SCHEMA", "Transcript", "emit_transcript", "hex_to_bits", "xor_bits"),
         "common",
     ),
     **dict.fromkeys(("CdssqcConfig", "CdssqcVariant", "run_cdssqc_ghz", "run_cdssqc_switch"), "cdssqc"),

@@ -1,9 +1,14 @@
 """Shared session machinery: transcripts and their serialization, outcomes,
-bit helpers, and the session pipeline every protocol runs."""
+bit helpers, and the session pipeline every protocol runs.
+
+A transcript is written by a small JSON writer of its own, which gives the
+bytes of ``json.dumps(doc, indent=2, sort_keys=True)``, so a transcript run
+loads no ``json`` package; ``analysis``, which imports ``json`` anyway, reads
+a transcript back."""
 from __future__ import annotations
 
-import json
 import re
+from _json import encode_basestring_ascii as _quote  # the C function json.dumps quotes with
 from collections.abc import Callable
 from enum import Enum
 from operator import is_not, xor
@@ -62,12 +67,6 @@ class SessionConfig(Record):
 
     def decoy_count(self) -> int:
         return 3 * self.n if self.m is None else self.m
-
-    def reseeded(self, seed: int) -> SessionConfig:
-        """This config with another seed; no rule reads the seed, so it is not checked again."""
-        config = object.__new__(self.__class__)
-        config.__dict__.update(self.__dict__, seed=seed)
-        return config
 
 
 class SpotCheckedConfig(SessionConfig):
@@ -144,14 +143,40 @@ def emit_transcript(outcome: SessionOutcome) -> bytes:
         "eve_inferences": outcome.eve_inferences,
         "events": outcome.transcript.events,
     }
-    return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
+    return (_dump(doc, "\n") + "\n").encode()
 
 
-def parse_transcript(data: bytes) -> dict:
-    doc = json.loads(data.decode())
-    if doc.get("schema") != TRANSCRIPT_SCHEMA:
-        raise ValueError(f"unexpected transcript schema {doc.get('schema')!r}")
-    return doc
+_TOKENS = {None: "null", True: "true", False: "false"}
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _dump(value, newline: str) -> str:
+    """``value`` as ``json.dumps(value, indent=2, sort_keys=True)`` writes it,
+    nested at ``newline`` (a newline and the indent of the enclosing level).
+
+    Lists and tuples are arrays, dicts are objects in sorted key order, and
+    a non-finite float is written as json's ``NaN``, ``Infinity`` or
+    ``-Infinity`` token.  A dict key must be a str (a transcript's keys are
+    keyword names; ``json.dumps`` would write an int, float, bool or None key
+    as a string), and any other value json refuses raises ``TypeError`` too.
+    Circular containers are not detected.
+    """
+    if isinstance(value, str):
+        return _quote(value)
+    inner = newline + "  "
+    if isinstance(value, (list, tuple)):  # a list of plain ints is most of a transcript's bytes
+        items = map(repr, value) if {int}.issuperset(map(type, value)) else [_dump(v, inner) for v in value]
+        return f"[{inner}{(',' + inner).join(items)}{newline}]" if value else "[]"
+    if isinstance(value, dict):
+        items = [f"{_quote(k)}: {_dump(v, inner)}" for k, v in sorted(value.items())]
+        return f"{{{inner}{(',' + inner).join(items)}{newline}}}" if value else "{}"
+    if value is None or value is True or value is False:
+        return _TOKENS[value]
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _NON_FINITE.get(text := float.__repr__(value), text)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def expect(config: SessionConfig, protocol: str) -> None:
@@ -397,13 +422,6 @@ class Session:
 
 def xor_bits(a: Bits, b: Bits) -> Bits:
     return tuple(map(xor, a, b))
-
-
-def bits_to_hex(bits: Bits) -> str:
-    if not bits:
-        return ""
-    width = (len(bits) + 3) // 4
-    return format(int("".join(map(str, bits)), 2), f"0{width}x")
 
 
 def hex_to_bits(text: str, n: int) -> Bits:

@@ -337,11 +337,12 @@ def _split_plan(k: int, positions: tuple[int, ...]) -> tuple[tuple[tuple[int, in
     if len(set(positions)) != len(positions):
         raise DuplicateLabel(f"measured positions not distinct: {positions}")
     keep = tuple(p for p in range(k) if p not in positions)
-
-    def pack(i: int, ps: tuple[int, ...]) -> int:
-        return sum(((i >> (k - 1 - p)) & 1) << (len(ps) - 1 - n) for n, p in enumerate(ps))
-
-    return tuple((pack(i, positions), pack(i, keep)) for i in range(1 << k)), keep
+    # Each basis index's bits, reordered to positions + keep: the table of
+    # k bits doubles once per bit of the index, from its lowest.
+    order, packed = positions + keep, [0]
+    for w in [1 << k - 1 - order.index(p) for p in reversed(range(k))]:
+        packed += [c | w for c in packed]
+    return tuple(divmod(c, 1 << len(keep)) for c in packed), keep
 
 
 def _weight(entries: dict) -> float:
@@ -868,24 +869,6 @@ class Lanes:
 
     def measure_ab(self, a: int, basis: OrthonormalPair, rng: RandomSource) -> int:
         return self.measurements(rng)[2]((a,), basis)[0]
-
-    # snapshots
-
-    def state_of(self, a: int) -> StateVector:
-        """The current content of ``a``'s register, over the addresses."""
-        from .qsim_reference import StateVector
-
-        reg = self.cells[a]
-        if reg is _NONE:
-            raise UnknownLabel(a)
-        if type(reg) is _Shared:
-            return StateVector(reg.ket, reg.qubits)
-        return StateVector(reg.ket, _addresses(reg.layout, a & -8))
-
-    def labels(self) -> set:
-        """The addresses of every qubit in the lanes."""
-        cells = self.cells
-        return set(itertools.compress(range(len(cells)), map(operator.is_not, cells, itertools.repeat(_NONE))))
 
 
 # bench/tracer.py wraps the ops of RegisterBank, the label-keyed register

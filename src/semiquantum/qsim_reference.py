@@ -1,12 +1,12 @@
 """The label-addressed reference simulator: immutable ``StateVector``
 registers and the public prepare, merge, gate, measure, project and
-probability functions over them.
+probability functions over them, and snapshots of ``qsim.Lanes`` as
+``StateVector`` registers (``state_of``, ``labels``).
 
 Sessions run on ``qsim.Lanes``; this layer is the oracle the lanes are
-tested against, and what the figure script and ``Lanes.state_of`` use.  It
-runs on ``qsim``'s interned kets and their memo (see ``qsim``), with the same
-conventions, and every sampled measurement takes its one draw in
-``qsim._sample``.
+tested against, and what the figure script uses.  It runs on ``qsim``'s
+interned kets and their memo (see ``qsim``), with the same conventions, and
+every sampled measurement takes its one draw in ``qsim._sample``.
 """
 from __future__ import annotations
 
@@ -224,3 +224,22 @@ def measure_ab(
 ) -> MeasurementRecord:
     """Sample a measurement in an arbitrary orthonormal basis; outcome 0=|a>, 1=|b>."""
     return MeasurementRecord(*_measure(state, _qubit_step(state, label, basis), rng))
+
+
+# ---------------------------------------------------------------------------
+# snapshots of the lanes
+
+
+def state_of(lanes: qsim.Lanes, a: int) -> StateVector:
+    """The current content of ``a``'s register in ``lanes``, over the addresses."""
+    reg = lanes.cells[a]
+    if reg is qsim._NONE:
+        raise UnknownLabel(a)
+    if type(reg) is qsim._Shared:
+        return StateVector(reg.ket, reg.qubits)
+    return StateVector(reg.ket, qsim._addresses(reg.layout, a & -8))
+
+
+def labels(lanes: qsim.Lanes) -> set:
+    """The addresses of every qubit in ``lanes``."""
+    return {a for a, reg in enumerate(lanes.cells) if reg is not qsim._NONE}

@@ -30,6 +30,7 @@ from semiquantum.qsim import (
     project_z,
     z_probabilities,
 )
+from semiquantum.qsim_reference import state_of
 from semiquantum.rng import RandomSource
 
 S = 1 / np.sqrt(2)
@@ -63,7 +64,7 @@ def test_cnot_forward_produces_three_qubit_chain():
     attack, lanes = sqka_attack(AttackKind.CNOT)
     lanes.prepare_bell(BellKind.PSI_PLUS, H0, T0)
     assert attack.forward_leg([T0]) == [T0]
-    merged = lanes.state_of(T0)
+    merged = state_of(lanes, T0)
     # (|000> + |111>)/sqrt(2) over (home, travel, ancilla)
     assert set(merged.labels) == {H0, T0, K0}
     probs = {
@@ -86,7 +87,7 @@ def test_cnot_reflected_position_is_trace_free():
         assert attack.wire(0, T0) == T0
         attack.after_wire(0)
         assert attack.wire_bits == {0: 0}
-        pair = lanes.state_of(H0)
+        pair = state_of(lanes, H0)
         probs = dict(zip(BELL_ORDER, bell_probabilities(pair, H0, T0)))
         assert probs[BellKind.PSI_PLUS] == pytest.approx(1.0, abs=1e-12)
 
@@ -117,10 +118,10 @@ def test_ir_forward_substitutes_uniform_halves():
     out = attack.forward_leg([T0])
     assert out == [S0]
     # forwarded qubit is a maximally mixed Bell half
-    fwd = lanes.state_of(S0)
+    fwd = state_of(lanes, S0)
     assert np.allclose(z_probabilities(fwd, S0), [0.5, 0.5], atol=1e-12)
     # the retained original stays entangled with the home qubit
-    pair = lanes.state_of(H0)
+    pair = state_of(lanes, H0)
     assert set(pair.labels) == {H0, T0}
     probs = dict(zip(BELL_ORDER, bell_probabilities(pair, H0, T0)))
     assert probs[BellKind.PSI_PLUS] == pytest.approx(1.0, abs=1e-12)
@@ -134,7 +135,7 @@ def test_ir_classification_confusion_matrix():
             eve, lanes = quantum_party()
             lanes.prepare_bell(BellKind.PSI_PLUS, K0, S0)
             # force Bob's measurement branch on Eve's forwarded half
-            reg = lanes.state_of(S0)
+            reg = state_of(lanes, S0)
             prob, post = project_z(reg, S0, bob_outcome)
             assert prob == pytest.approx(0.5, abs=1e-12)
             merged = merge_registers(post, prepare_z(bob_outcome ^ bob_bit, "fresh"))
@@ -149,7 +150,7 @@ def test_ir_classification_confusion_matrix():
     # reflected: the pair comes back intact
     eve, lanes = quantum_party()
     lanes.prepare_bell(BellKind.PSI_PLUS, K0, S0)
-    probs = dict(zip(BELL_ORDER, bell_probabilities(lanes.state_of(K0), K0, S0)))
+    probs = dict(zip(BELL_ORDER, bell_probabilities(state_of(lanes, K0), K0, S0)))
     assert probs[BellKind.PSI_PLUS] == pytest.approx(1.0, abs=1e-12)
 
 
@@ -186,13 +187,13 @@ def test_measure_resend_forwards_outcome_copies():
     out = attack.forward_leg([T0])
     u = attack.forward_bits[0]
     # home qubit collapsed to the same value: Z-Z correlation survives
-    home = lanes.state_of(H0)
+    home = state_of(lanes, H0)
     expected = [1.0, 0.0] if u == 0 else [0.0, 1.0]
     assert np.allclose(z_probabilities(home, H0), expected, atol=1e-12)
-    fwd = lanes.state_of(out[0])
+    fwd = state_of(lanes, out[0])
     assert np.allclose(z_probabilities(fwd, out[0]), expected, atol=1e-12)
     # decoy Bell check on (home, copy): psi class only, half mismatch
-    merged = merge_registers(lanes.state_of(H0), lanes.state_of(out[0]))
+    merged = merge_registers(state_of(lanes, H0), state_of(lanes, out[0]))
     probs = dict(zip(BELL_ORDER, bell_probabilities(merged, H0, out[0])))
     assert probs[BellKind.PSI_PLUS] == pytest.approx(0.5, abs=1e-12)
     assert probs[BellKind.PSI_MINUS] == pytest.approx(0.5, abs=1e-12)
@@ -214,12 +215,12 @@ def test_resending_hooks_return_the_address_they_were_handed(kind):
         sent = attack.forward_leg(travel)
         if kind is AttackKind.MEASURE_RESEND:
             assert sent == travel  # the forward-leg resends stay where they were
-            assert all(lanes.state_of(q).labels == (q,) for q in sent)
+            assert all(state_of(lanes, q).labels == (q,) for q in sent)
         attack.slots = [0, 1]
         bob.prepare_z(bob.measure_z(sent[1]) ^ 1, sent[1])
         for j, q in enumerate(reversed(sent)):
             assert attack.wire(j, q) == q
-            assert lanes.state_of(q).labels == (q,)  # the resent qubit, alone in its register
+            assert state_of(lanes, q).labels == (q,)  # the resent qubit, alone in its register
             attack.after_wire(j)
 
 

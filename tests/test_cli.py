@@ -11,14 +11,15 @@ from hypothesis import strategies as st
 
 from semiquantum.adversary import AttackKind, AttackStrategy
 from semiquantum.cli import EXIT_IO, EXIT_USAGE, CliConfig, main, parse_args, run
-from semiquantum.protocols import SqkaConfig, bits_to_hex, hex_to_bits
+from semiquantum.protocols import SqkaConfig, hex_to_bits
 from semiquantum.qsim import Lanes
 
 
 @given(st.lists(st.integers(0, 1), min_size=1, max_size=40))
 def test_hex_encoding_roundtrip(bits):
     bits = tuple(bits)
-    assert hex_to_bits(bits_to_hex(bits), len(bits)) == bits
+    text = format(int("".join(map(str, bits)), 2), f"0{(len(bits) + 3) // 4}x")
+    assert hex_to_bits(text, len(bits)) == bits
 
 
 def test_hex_value_fits_by_bit_length():

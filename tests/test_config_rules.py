@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from semiquantum import adversary
 from semiquantum.adversary import AttackKind, AttackStrategy
-from semiquantum.analysis import emit_transcript, run_trials
+from semiquantum.analysis import emit_transcript, reseeded, run_trials
 from semiquantum.errors import SemiQuantumError, ZeroCount
 from semiquantum.protocols import (
     CdssqcConfig,
@@ -127,7 +127,7 @@ def test_a_built_config_runs_to_an_outcome_or_a_session_error(data):
     seed = data.draw(SEEDS, label="master seed")
     run_trials(config, 2, seed)
     # run_trials reseeds the built config without checking it again
-    assert config.reseeded(seed) == replace(config, seed=seed)
+    assert reseeded(config, seed) == replace(config, seed=seed)
 
 
 # Wrongly typed values for the int fields and ``attack``: integral floats

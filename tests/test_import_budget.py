@@ -1,9 +1,8 @@
 """A CLI run imports only what it runs: the one runner module its protocol
 names, and neither the reference simulator nor the stats-only modules, nor
 ``dataclasses`` and the ``inspect`` it imports; a transcript run loads
-neither ``semiquantum.analysis`` nor ``typing``."""
+neither ``semiquantum.analysis`` nor ``typing`` nor ``json``."""
 import ast
-import json
 import os
 import subprocess
 import sys
@@ -15,21 +14,22 @@ ROOT = Path(__file__).resolve().parents[1]
 RUNNER_OF = {"sqka": "sqka", "sqkd": "sqka", "cdssqc-ghz": "cdssqc", "cdssqc-switch": "cdssqc", "sqd": "sqd"}
 WATCHED = ["semiquantum.protocols.sqka", "semiquantum.protocols.cdssqc", "semiquantum.protocols.sqd",
            "semiquantum.qsim_reference", "semiquantum.analysis", "fractions", "csv", "dataclasses", "inspect",
-           "tempfile", "typing"]
+           "tempfile", "typing", "json"]
 
 # Runs semiquantum.cli.main on the arguments after the first, which lists
-# modules to watch, and prints as JSON its exit code, the watched modules
-# that the import and the run loaded, and those present at the end.  The
-# child runs without site (-S), whose .pth files may import a watched stdlib
-# module before the CLI does.
+# modules to watch (comma-separated), and prints as a Python literal its exit
+# code, the watched modules that the import and the run loaded, and those
+# present at the end; it imports no json, which is watched.  The child runs
+# without site (-S), whose .pth files may import a watched stdlib module
+# before the CLI does.
 _RUN_CLI = """
-import contextlib, io, json, sys
+import contextlib, io, sys
 before = set(sys.modules)
 from semiquantum import cli
 with contextlib.redirect_stdout(io.StringIO()):
     code = cli.main(sys.argv[2:])
-present = sorted(m for m in json.loads(sys.argv[1]) if m in sys.modules)
-print(json.dumps([code, [m for m in present if m not in before], present]))
+present = sorted(m for m in sys.argv[1].split(",") if m in sys.modules)
+print(repr([code, [m for m in present if m not in before], present]))
 """
 
 
@@ -37,9 +37,9 @@ def _run(*argv: str) -> tuple[list[str], list[str]]:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     out = subprocess.run(
-        [sys.executable, "-S", "-c", _RUN_CLI, json.dumps(WATCHED), *argv], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-S", "-c", _RUN_CLI, ",".join(WATCHED), *argv], env=env, capture_output=True, text=True, check=True
     )
-    code, loaded, present = json.loads(out.stdout)
+    code, loaded, present = ast.literal_eval(out.stdout)
     assert code == 0
     return loaded, present
 

@@ -30,8 +30,7 @@ DEFINED_IN = {
     "semiquantum.protocols": ("PROTOCOLS", "make_config", "run_session"),
     "semiquantum.protocols.common": (
         "AbortReason", "Bits", "RawKeys", "SessionConfig", "SessionOutcome", "SpotCheckedConfig",
-        "TRANSCRIPT_SCHEMA", "Transcript", "bits_to_hex", "emit_transcript", "hex_to_bits",
-        "parse_transcript", "xor_bits",
+        "TRANSCRIPT_SCHEMA", "Transcript", "emit_transcript", "hex_to_bits", "xor_bits",
     ),
     "semiquantum.protocols.cdssqc": ("CdssqcConfig", "CdssqcVariant", "run_cdssqc_ghz", "run_cdssqc_switch"),
     "semiquantum.protocols.sqd": ("SqdConfig", "decode_dialogue", "run_sqd"),

@@ -19,6 +19,7 @@ from semiquantum.protocols import PROTOCOLS, make_config, run_session
 from semiquantum.qsim import BELL_ORDER, COMPUTATIONAL, HADAMARD, MAX_QUBITS, BellKind, Lanes, OrthonormalPair
 from semiquantum.qsim import measure_z as reference_measure_z
 from semiquantum.qsim import prepare_ghz_like as reference_ghz_like
+from semiquantum.qsim_reference import labels as lane_labels, state_of
 from semiquantum.rng import RandomSource
 
 
@@ -35,8 +36,8 @@ def _snapshot(lanes: Lanes) -> dict:
     is not interned, so not compared by identity), its qubits in ket order
     and, for a shared record, its size (None for a lane state)."""
     out = {}
-    for a in sorted(lanes.labels()):
-        view, cell = lanes.state_of(a), lanes.cells[a]
+    for a in sorted(lane_labels(lanes)):
+        view, cell = state_of(lanes, a), lanes.cells[a]
         ket = view._ket.k, tuple(view._ket.entries.items())
         out[a] = (ket, view.labels, len(cell.qubits) if type(cell) is qsim._Shared else None)
     return out
@@ -75,12 +76,12 @@ def _next_ops(lanes: Lanes, rng: RandomSource) -> list:
     onto lane 2's qubit in turn, where their registers fit in one, then a Z
     readout of every qubit, in address order."""
     out = []
-    for a in sorted(lanes.labels() - {16 | 4}):
-        if len({*lanes.state_of(a).labels, *lanes.state_of(16 | 4).labels}) <= MAX_QUBITS:
+    for a in sorted(lane_labels(lanes) - {16 | 4}):
+        if len({*state_of(lanes, a).labels, *state_of(lanes, 16 | 4).labels}) <= MAX_QUBITS:
             lanes.cnot(a, 16 | 4)
             out.append(_contents(lanes))
     measure_z = lanes.measurements(rng)[0]
-    for a in sorted(lanes.labels()):
+    for a in sorted(lane_labels(lanes)):
         out.append((measure_z(a), _contents(lanes)))
     return out
 
@@ -108,7 +109,7 @@ def test_lone_qubit_bell_measured_in_its_partners_lane_matches_the_shared_route(
     assert _contents(lanes) == _contents(twin)
     assert all(size is None for _, _, size in _snapshot(lanes).values())  # all lane states
     if host == "full":  # the host lane's other registers are untouched
-        assert {lanes.state_of(r).labels for r in range(6)} == {(0, 1), (2, 3), (4, 5)}
+        assert {state_of(lanes, r).labels for r in range(6)} == {(0, 1), (2, 3), (4, 5)}
     assert _next_ops(lanes, rng) == _next_ops(twin, twin_rng)
     assert rng.random() == twin_rng.random()
 
@@ -138,7 +139,7 @@ def test_a_record_left_with_one_qubit_becomes_its_lane_state():
     outcome = lanes.measure_z(0, RandomSource(4))
     cell = lanes.cells[8 | 1]
     assert cell is qsim._Z_STATES[outcome][1]  # the interned |outcome> on role 1
-    assert lanes.labels() == {8 | 1}
+    assert lane_labels(lanes) == {8 | 1}
 
 
 def test_two_qubits_of_one_record_are_measured_without_a_join(monkeypatch):
@@ -146,7 +147,7 @@ def test_two_qubits_of_one_record_are_measured_without_a_join(monkeypatch):
     lanes.prepare_ghz_like(BellKind.PSI_PLUS, BellKind.PHI_PLUS, COMPUTATIONAL, (0, 8, 9))
     monkeypatch.setattr(Lanes, "_join", lambda *args: pytest.fail("joined"))
     lanes.measure_bell(8, 0, RandomSource(2))
-    assert lanes.labels() == {9}
+    assert lane_labels(lanes) == {9}
 
 
 def test_one_step_per_measurement_of_a_ket_whichever_route_reaches_it(samples):
@@ -157,8 +158,8 @@ def test_one_step_per_measurement_of_a_ket_whichever_route_reaches_it(samples):
     in_lane, shared = Lanes(3), Lanes(3)
     in_lane.prepare_ghz_like(*kinds, basis, (0, 1, 2))
     shared.prepare_ghz_like(*kinds, basis, (0, 8, 16))
-    ket = in_lane.state_of(0)._ket
-    assert shared.state_of(0)._ket is ket and type(shared.cells[0]) is qsim._Shared
+    ket = state_of(in_lane, 0)._ket
+    assert state_of(shared, 0)._ket is ket and type(shared.cells[0]) is qsim._Shared
     samples.clear()
     in_lane.measure_z(0, RandomSource(1))  # the lane path
     shared.measure_z(0, RandomSource(1))  # _collapse

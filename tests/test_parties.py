@@ -16,6 +16,7 @@ from semiquantum.parties import (
     verify,
 )
 from semiquantum.qsim import COMPUTATIONAL, BellKind, Lanes
+from semiquantum.qsim_reference import labels as lane_labels, state_of
 from semiquantum.rng import RandomSource
 
 # lane addresses (lane << 3 | role): a pair in lane 0, free qubits in lanes 1 and 2
@@ -86,12 +87,12 @@ def test_every_quantum_op_refused_to_classical_party(method, args, op):
     alice = PartyContext("alice", Capability.QUANTUM, RandomSource(1), lanes)
     bob = PartyContext("bob", Capability.CLASSICAL, RandomSource(2), lanes)
     alice.prepare_bell(BellKind.PSI_PLUS, H, T)
-    before, pair = lanes.labels(), snapshot(lanes.state_of(H))
+    before, pair = lane_labels(lanes), snapshot(state_of(lanes, H))
     with pytest.raises(CapabilityViolation) as err:
         getattr(bob, method)(*args)
     assert err.value.op == op and repr(op) in str(err.value)
     assert bob.ops_log == set()
-    assert lanes.labels() == before and snapshot(lanes.state_of(T)) == pair
+    assert lane_labels(lanes) == before and snapshot(state_of(lanes, T)) == pair
     # the same call is open to a quantum party
     getattr(alice, method)(*args)
     assert alice.ops_log == {"prepare_bell", op}

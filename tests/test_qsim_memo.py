@@ -179,3 +179,22 @@ def test_improbable_branch_is_collapsed_only_when_used():
         assert rec.outcome == 0 and rec.post_state.labels == ("b",)
     with pytest.raises(ValueError, match="not normalized"):
         project_ab(state, "a", basis, 1)
+
+
+def _pack_plan(k, positions):
+    """``qsim._split_plan`` as first written: each index's bits packed one by one in a generator."""
+    keep = tuple(p for p in range(k) if p not in positions)
+
+    def pack(i, ps):
+        return sum(((i >> (k - 1 - p)) & 1) << (len(ps) - 1 - n) for n, p in enumerate(ps))
+
+    return tuple((pack(i, positions), pack(i, keep)) for i in range(1 << k)), keep
+
+
+def test_split_plans_equal_the_packed_plans():
+    plans = [(k, ps) for k in range(1, qsim.MAX_QUBITS + 1)
+             for ps in [(p,) for p in range(k)] + [(p, q) for p in range(k) for q in range(k) if p != q]]
+    assert len(plans) == 91  # every single qubit and ordered pair a step measures
+    for k, positions in plans:
+        assert qsim._split_plan.__wrapped__(k, positions) == _pack_plan(k, positions), (k, positions)
+        assert qsim._split_plan(k, positions) == _pack_plan(k, positions)

@@ -32,6 +32,7 @@ from semiquantum.qsim import (
     prepare_z,
     project_z,
 )
+from semiquantum.qsim_reference import labels as lane_labels, state_of
 from semiquantum.rng import RandomSource
 
 OPS = ("prepare_z", "prepare_bell", "prepare_ghz_like", "cnot", "x", "measure_z", "measure_bell", "measure_ab")
@@ -122,9 +123,9 @@ def run_program(data, lanes: Lanes, fresh, seed: int) -> None:
                 want = ref.measured(measure_bell(ref.joined(a, b), a, b, ref.rng), (a, b))
 
         assert got == want
-        assert lanes.labels() == set(ref.states)
+        assert lane_labels(lanes) == set(ref.states)
         for l, state in ref.states.items():
-            view = lanes.state_of(l)
+            view = state_of(lanes, l)
             assert view.labels == state.labels
             assert list(view._ket.entries.items()) == list(state._ket.entries.items())
     assert lanes_rng.random() == ref.rng.random()  # both took the same draws
@@ -151,7 +152,7 @@ def test_lanes_match_public_functions(data):
     lanes = Lanes(3)
 
     def fresh(n):
-        free = [a for a in range(3 << 3) if a not in lanes.labels()]
+        free = [a for a in range(3 << 3) if a not in lane_labels(lanes)]
         if len(free) < n:
             return None
         lane = data.draw(st.sampled_from(sorted({a >> 3 for a in free})), label="lane")
@@ -172,14 +173,14 @@ def test_count_prepares_fill_every_lane_alike():
         base = p << 3
         single.prepare_ghz_like(BellKind.PSI_PLUS, BellKind.PHI_PLUS, HADAMARD, (base | 1, base, base | 2))
         single.prepare_z(1, base | 4)
-    assert filled.labels() == single.labels() == {p << 3 | r for p in range(5) for r in (0, 1, 2, 4)}
-    for a in filled.labels():
-        assert snapshot(filled.state_of(a)) == snapshot(single.state_of(a))
+    assert lane_labels(filled) == lane_labels(single) == {p << 3 | r for p in range(5) for r in (0, 1, 2, 4)}
+    for a in lane_labels(filled):
+        assert snapshot(state_of(filled, a)) == snapshot(state_of(single, a))
     taken = Lanes(4)
     taken.prepare_z(0, 2 << 3 | 5)
     with pytest.raises(DuplicateLabel):
         taken.prepare_bell(BellKind.PSI_MINUS, 5, 6, 4)
-    assert taken.labels() == {21}
+    assert lane_labels(taken) == {21}
 
 
 def snapshot(state):
@@ -200,12 +201,12 @@ def test_snapshots_never_change_after_bank_ops():
     given_pair = prepare_bell(BellKind.PSI_MINUS, (h, t))
     lanes.prepare_bell(BellKind.PSI_MINUS, h, t)
     lanes.prepare_z(1, e)
-    pair, ancilla = lanes.state_of(h), lanes.state_of(e)
-    assert snapshot(pair) == snapshot(given_pair) == snapshot(lanes.state_of(t))
+    pair, ancilla = state_of(lanes, h), state_of(lanes, e)
+    assert snapshot(pair) == snapshot(given_pair) == snapshot(state_of(lanes, t))
     held = [(s, snapshot(s)) for s in (given_pair, pair, ancilla)]
     lanes.cnot(t, e)
-    merged = lanes.state_of(e)
-    assert snapshot(merged) == snapshot(lanes.state_of(h)) == snapshot(lanes.state_of(t))
+    merged = state_of(lanes, e)
+    assert snapshot(merged) == snapshot(state_of(lanes, h)) == snapshot(state_of(lanes, t))
     held.append((merged, snapshot(merged)))
     churn(lanes, RandomSource(6))
     for state, before in held:
@@ -216,12 +217,12 @@ def test_replaced_state_never_changes_after_bank_ops():
     lanes = Lanes(2)
     h, t = 0, 1
     lanes.prepare_bell(BellKind.PSI_PLUS, h, t)
-    _, post = project_z(lanes.state_of(t), t, 1)
+    _, post = project_z(state_of(lanes, t), t, 1)
     before = snapshot(post)
     # the collapsed remainder, |1>, takes the place of the measured pair
     lanes = Lanes(2)
     lanes.prepare_z(1, h)
-    assert snapshot(lanes.state_of(h)) == before
+    assert snapshot(state_of(lanes, h)) == before
     lanes.prepare_z(0, t)
     lanes.cnot(h, t)
     churn(lanes, RandomSource(7))
@@ -240,8 +241,8 @@ def test_prepares_check_bits_and_labels_before_binding():
         lanes.prepare_bell(BellKind.PSI_PLUS, b, b)
     with pytest.raises(DuplicateLabel):
         lanes.prepare_bell(BellKind.PSI_PLUS, b, a)
-    assert lanes.labels() == {a}
-    assert snapshot(lanes.state_of(a)) == ((a,), {0: 1 + 0j})
+    assert lane_labels(lanes) == {a}
+    assert snapshot(state_of(lanes, a)) == ((a,), {0: 1 + 0j})
 
 
 @pytest.mark.parametrize("labels", [(0, 1), (0, 1, 2, 3)])
@@ -252,7 +253,7 @@ def test_ghz_like_prepare_needs_three_labels(labels):
         lanes.prepare_ghz_like(BellKind.PSI_PLUS, BellKind.PHI_PLUS, COMPUTATIONAL, labels)
     with pytest.raises(ValueError, match="3-qubit ket cannot carry"):
         party.prepare_ghz_like(BellKind.PSI_PLUS, BellKind.PHI_PLUS, COMPUTATIONAL, labels)
-    assert lanes.labels() == set()
+    assert lane_labels(lanes) == set()
 
 
 def test_prepare_with_a_taken_label_binds_nothing():
@@ -263,4 +264,4 @@ def test_prepare_with_a_taken_label_binds_nothing():
         lanes.prepare_ghz_like(BellKind.PSI_PLUS, BellKind.PHI_PLUS, COMPUTATIONAL, (g1, g2, g3))
     with pytest.raises(DuplicateLabel):
         lanes.prepare_ghz_like(BellKind.PSI_PLUS, BellKind.PHI_PLUS, COMPUTATIONAL, (g1, g2, g1))
-    assert lanes.labels() == {g3}
+    assert lane_labels(lanes) == {g3}

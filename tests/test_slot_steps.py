@@ -28,6 +28,7 @@ from semiquantum.protocols import (
 from semiquantum.protocols import common
 from semiquantum.qsim import BellKind, Lanes
 from semiquantum.records import replace
+from semiquantum.qsim_reference import labels as lane_labels, state_of
 from semiquantum.rng import RandomSource
 
 KEYED = ("measure_bell", "measure_z", "prepare_bell"), ("measure_z", "permute", "prepare_z", "reflect")
@@ -137,14 +138,14 @@ def test_quantum_step_refused_to_classical_party_before_any_register_changes():
     session = common.Session(SqkaConfig(n=2, m=2, seed=4), classical="bob")
     session.psi_pairs()
     lanes = session.lanes
-    before = {q: (lanes.state_of(q).labels, dict(lanes.state_of(q)._ket.entries)) for q in lanes.labels()}
+    before = {q: (state_of(lanes, q).labels, dict(state_of(lanes, q)._ket.entries)) for q in lane_labels(lanes)}
     draws = [p.rng.getstate() for p in session.parties]
     # a classical receiver cannot Bell-check the decoys
     session.receiver = PartyContext("alice", Capability.CLASSICAL, session.alice.rng, lanes)
     with pytest.raises(CapabilityViolation) as err:
         session.exchange([0, 1], (1, 0), "return_sequence", lambda rx, i, q: None, ("measure_z",))
     assert err.value.op == "measure_bell"
-    after = {q: (lanes.state_of(q).labels, dict(lanes.state_of(q)._ket.entries)) for q in lanes.labels()}
+    after = {q: (state_of(lanes, q).labels, dict(state_of(lanes, q)._ket.entries)) for q in lane_labels(lanes)}
     assert after == before
     assert [p.rng.getstate() for p in session.parties] == draws
     assert session.bob.ops_log == set()

@@ -16,6 +16,7 @@ from semiquantum import qsim
 from semiquantum.errors import CapabilityViolation, DuplicateLabel, UnknownLabel
 from semiquantum.parties import Capability, PartyContext
 from semiquantum.qsim import COMPUTATIONAL, HADAMARD, BellKind, Lanes
+from semiquantum.qsim_reference import state_of
 from semiquantum.rng import RandomSource
 
 LANES = 6
@@ -179,7 +180,7 @@ def test_stage_forms_follow_the_ops_a_step_names():
     assert read.measure_zs([1, 1 << 3 | 1]) in ([0, 0], [0, 1], [1, 0], [1, 1])
     resend = bob.step("measure_z", "prepare_z")
     bits = resend.resend_zs([2 << 3 | 1], [1])
-    assert dict(lanes.state_of(2 << 3 | 1)._ket.entries) == {bits[0] ^ 1: 1}  # |outcome ^ 1>
+    assert dict(state_of(lanes, 2 << 3 | 1)._ket.entries) == {bits[0] ^ 1: 1}  # |outcome ^ 1>
     assert bob.ops_log == set()  # run, not yet logged
     charlie = PartyContext("charlie", Capability.QUANTUM, RandomSource(4), lanes)
     step = charlie.step("measure_ab")
