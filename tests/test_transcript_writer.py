@@ -5,6 +5,8 @@ import enum
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semiquantum.adversary import AttackKind, AttackStrategy
 from semiquantum.protocols import PROTOCOLS, TRANSCRIPT_SCHEMA, emit_transcript, make_config, run_session
@@ -50,6 +52,19 @@ EDGE_VALUES = [
 
 @pytest.mark.parametrize("value", EDGE_VALUES, ids=repr)
 def test_edge_value_is_written_as_json_dumps_writes_it(value):
+    assert _dump(value, "\n") == _json(value)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner) | st.tuples(inner, inner) | st.dictionaries(st.text(), inner),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_VALUES)
+def test_any_json_value_is_written_as_json_dumps_writes_it(value):
     assert _dump(value, "\n") == _json(value)
 
 
