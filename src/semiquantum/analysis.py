@@ -1,7 +1,7 @@
 """Monte Carlo driver, detection statistics, qubit-efficiency accounting,
-stats serialization, and the transcript's parser.  A transcript is written
-beside ``Transcript`` in ``protocols.common``, which a single session needs,
-so that a transcript run loads no part of this module and no ``json``;
+stats serialization, and the one reader of transcripts and stats.  Stats
+JSON goes through the transcript's writer, ``protocols.common.json_text``,
+and stats CSV is a plain join, so no CLI run loads ``json`` or ``csv``;
 ``emit_transcript`` and ``TRANSCRIPT_SCHEMA`` are re-exported here.
 
 Efficiency is eta = c / (q + b): message bits over transmitted qubits
@@ -13,8 +13,6 @@ papering over it.
 """
 from __future__ import annotations
 
-import io
-import json
 import math
 from operator import eq
 
@@ -23,6 +21,7 @@ from .errors import SemiQuantumError, UnknownAttack
 from .protocols import (  # the transcript's writer and schema, re-exported
     TRANSCRIPT_SCHEMA, SessionConfig, SessionOutcome, emit_transcript, run_session,
 )
+from .protocols.common import json_text
 from .records import Record, fields, replace
 from .rng import derive_seed
 
@@ -268,49 +267,46 @@ def run_trials(template: SessionConfig, trials: int, master_seed: int) -> TrialS
 # serialization
 
 
-def parse_transcript(data: bytes) -> dict:
+def _read_json(data: bytes, schema: str) -> dict:
+    """The JSON object in ``data``; ``ValueError`` unless it carries ``schema``."""
+    import json  # here, off the imports of a CLI run, which writes JSON but reads none
+
     doc = json.loads(data.decode())
-    if doc.get("schema") != TRANSCRIPT_SCHEMA:
-        raise ValueError(f"unexpected transcript schema {doc.get('schema')!r}")
+    if type(doc) is not dict:
+        raise ValueError(f"expected a JSON object, got {type(doc).__name__}")
+    if doc.get("schema") != schema:
+        raise ValueError(f"unexpected schema {doc.get('schema')!r}, expected {schema!r}")
     return doc
 
 
+def parse_transcript(data: bytes) -> dict:
+    return _read_json(data, TRANSCRIPT_SCHEMA)
+
+
 def emit_stats(stats: TrialStats, fmt: str = "json") -> bytes:
-    """CSV has the fixed documented columns; JSON carries the full record."""
+    """CSV has the fixed documented columns, none of which needs quoting (ids,
+    ints and ``%.6f`` floats); JSON carries the full record."""
+    row = stats.to_dict()
     if fmt == "json":
-        doc = {"schema": STATS_SCHEMA, **stats.to_dict()}
+        doc = {"schema": STATS_SCHEMA, **row}
         if stats.protocol == "cdssqc-switch":
             doc["eta_quoted"] = SWITCH_ETA_QUOTED
             doc["eta_note"] = SWITCH_ETA_NOTE
-        return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
+        return (json_text(doc) + "\n").encode()
     if fmt == "csv":
-        import csv
-
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        row = stats.to_dict()
-        writer.writerow(CSV_COLUMNS)
-        writer.writerow(
-            [row[c] for c in CSV_COLUMNS[:5]] + [f"{row[c]:.6f}" for c in CSV_COLUMNS[5:]]
-        )
-        return buf.getvalue().encode()
+        cells = [str(row[c]) for c in CSV_COLUMNS[:5]] + [f"{row[c]:.6f}" for c in CSV_COLUMNS[5:]]
+        return f"{','.join(CSV_COLUMNS)}\n{','.join(cells)}\n".encode()
     raise ValueError(f"unknown stats format {fmt!r}")
 
 
 def parse_stats(data: bytes, fmt: str = "json") -> dict:
     if fmt == "json":
-        doc = json.loads(data.decode())
-        if doc.get("schema") != STATS_SCHEMA:
-            raise ValueError(f"unexpected stats schema {doc.get('schema')!r}")
-        return doc
+        return _read_json(data, STATS_SCHEMA)
     if fmt == "csv":
-        import csv
-
-        rows = list(csv.reader(io.StringIO(data.decode())))
-        if not rows or tuple(rows[0]) != CSV_COLUMNS:
-            raise ValueError("unexpected csv header")
-        row = rows[1]
-        out: dict = dict(zip(CSV_COLUMNS, row))
+        rows = [line.split(",") for line in data.decode().splitlines()]
+        if len(rows) != 2 or tuple(rows[0]) != CSV_COLUMNS or len(rows[1]) != len(CSV_COLUMNS):
+            raise ValueError("a stats csv is its header and one row of as many cells")
+        out: dict = dict(zip(CSV_COLUMNS, rows[1]))
         for key in CSV_COLUMNS[2:5]:
             out[key] = int(out[key])
         for key in CSV_COLUMNS[5:]:

@@ -16,7 +16,7 @@ _EXPORTS = {
     ),
     **dict.fromkeys(("CdssqcConfig", "CdssqcVariant", "run_cdssqc_ghz", "run_cdssqc_switch"), "cdssqc"),
     **dict.fromkeys(("SqdConfig", "decode_dialogue", "run_sqd"), "sqd"),
-    **dict.fromkeys(("SqkaConfig", "detection_disabled", "extract_bob_key_bit", "run_sqka", "run_sqkd"), "sqka"),
+    **dict.fromkeys(("SqkaConfig", "extract_bob_key_bit", "run_sqka", "run_sqkd"), "sqka"),
 }
 
 # Each protocol id's config class, the fields that select the protocol in

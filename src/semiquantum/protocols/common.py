@@ -1,10 +1,10 @@
 """Shared session machinery: transcripts and their serialization, outcomes,
 bit helpers, and the session pipeline every protocol runs.
 
-A transcript is written by a small JSON writer of its own, which gives the
-bytes of ``json.dumps(doc, indent=2, sort_keys=True)``, so a transcript run
-loads no ``json`` package; ``analysis``, which imports ``json`` anyway, reads
-a transcript back."""
+A transcript is written by a small JSON writer of its own, ``json_text``,
+which gives the text of ``json.dumps(doc, indent=2, sort_keys=True)``, so a
+transcript run loads no ``json`` package; ``analysis`` writes its stats
+documents with the same writer and reads both kinds back."""
 from __future__ import annotations
 
 import re
@@ -143,14 +143,14 @@ def emit_transcript(outcome: SessionOutcome) -> bytes:
         "eve_inferences": outcome.eve_inferences,
         "events": outcome.transcript.events,
     }
-    return (_dump(doc, "\n") + "\n").encode()
+    return (json_text(doc) + "\n").encode()
 
 
 _TOKENS = {None: "null", True: "true", False: "false"}
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _dump(value, newline: str) -> str:
+def json_text(value, newline: str = "\n") -> str:
     """``value`` as ``json.dumps(value, indent=2, sort_keys=True)`` writes it,
     nested at ``newline`` (a newline and the indent of the enclosing level).
 
@@ -165,10 +165,10 @@ def _dump(value, newline: str) -> str:
         return _quote(value)
     inner = newline + "  "
     if isinstance(value, (list, tuple)):  # a list of plain ints is most of a transcript's bytes
-        items = map(repr, value) if {int}.issuperset(map(type, value)) else [_dump(v, inner) for v in value]
+        items = map(repr, value) if {int}.issuperset(map(type, value)) else [json_text(v, inner) for v in value]
         return f"[{inner}{(',' + inner).join(items)}{newline}]" if value else "[]"
     if isinstance(value, dict):
-        items = [f"{_quote(k)}: {_dump(v, inner)}" for k, v in sorted(value.items())]
+        items = [f"{_quote(k)}: {json_text(v, inner)}" for k, v in sorted(value.items())]
         return f"{{{inner}{(',' + inner).join(items)}{newline}}}" if value else "{}"
     if value is None or value is True or value is False:
         return _TOKENS[value]

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from ..parties import ClassicalAction, choose_actions, commit, verify
 from ..qsim import HOME, BellKind
-from ..records import replace
 from .common import AbortReason, Bits, RawKeys, Session, SessionConfig, SessionOutcome, expect, xor_bits
 
 
@@ -113,8 +112,3 @@ def _run_keyed(config: SqkaConfig) -> SessionOutcome:
     raw = RawKeys(k_a=k_a, k_b=k_b, r_a=r_a, r_b=tuple(r_b), k_f=k_f_bob)
     session.details["match_bits"] = (k_f_bob, k_f_alice)
     return session.finish({"alice": k_f_alice, "bob": k_f_bob}, raw)
-
-
-def detection_disabled(config: SqkaConfig) -> SqkaConfig:
-    """Variant that never aborts: full threshold, no commitments."""
-    return replace(config, threshold=1.0, commitments_enabled=False)

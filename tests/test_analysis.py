@@ -9,6 +9,8 @@ import pytest
 from semiquantum.adversary import AttackKind, AttackStrategy
 from semiquantum.analysis import (
     CSV_COLUMNS,
+    STATS_SCHEMA,
+    SWITCH_ETA_NOTE,
     SWITCH_ETA_QUOTED,
     TABLE3,
     ProtocolCostRow,
@@ -301,6 +303,41 @@ def test_stats_unknown_format():
     stats = run_trials(SqkaConfig(n=2), trials=5, master_seed=9)
     with pytest.raises(ValueError):
         emit_stats(stats, "xml")
+
+
+@pytest.mark.parametrize("attack", list(AttackKind), ids=lambda kind: kind.value)
+@pytest.mark.parametrize("protocol", list(PROTOCOLS))
+def test_stats_round_trip_in_both_formats(protocol, attack):
+    stats = run_trials(make_config(protocol, n=2, attack=AttackStrategy(attack)), trials=3, master_seed=5)
+    row = stats.to_dict()
+    doc = parse_stats(emit_stats(stats, "json"), "json")
+    extra = {"eta_quoted": SWITCH_ETA_QUOTED, "eta_note": SWITCH_ETA_NOTE} if protocol == "cdssqc-switch" else {}
+    assert doc == {"schema": STATS_SCHEMA, **row, **extra}
+    exact, rounded = CSV_COLUMNS[:5], CSV_COLUMNS[5:]
+    expected = {**{c: row[c] for c in exact}, **{c: float(f"{row[c]:.6f}") for c in rounded}}
+    assert parse_stats(emit_stats(stats, "csv"), "csv") == expected
+
+
+@pytest.mark.parametrize("blob", [
+    ",".join(CSV_COLUMNS) + "\n",  # the header only
+    ",".join(CSV_COLUMNS) + "\nsqka,none,2,6,3\n",  # a short row
+    ",".join(CSV_COLUMNS) + "\nsqka,none,2,6,3,0,1,0,0,0.1,7\n",  # a long row
+    ",".join(CSV_COLUMNS) + "\nsqka,none,2,6,3,0,1,0,0,0.1\n" * 2,  # two rows
+    "",
+    "protocol,attack\nsqka,none\n",
+], ids=["header-only", "short-row", "long-row", "two-rows", "empty", "other-header"])
+def test_malformed_stats_csv_is_a_value_error(blob):
+    with pytest.raises(ValueError):
+        parse_stats(blob.encode(), "csv")
+
+
+@pytest.mark.parametrize("blob", [b"[]", b'["semiquantum.stats/1"]', b"null", b"3", b'"schema"', b"{", b"\xff"],
+                         ids=repr)
+@pytest.mark.parametrize("parse", [parse_transcript, lambda data: parse_stats(data, "json")],
+                         ids=["transcript", "stats"])
+def test_json_that_is_not_a_document_is_a_value_error(parse, blob):
+    with pytest.raises(ValueError):
+        parse(blob)
 
 
 def test_sqd_template_runs_through_driver():

@@ -1,7 +1,8 @@
 """A CLI run imports only what it runs: the one runner module its protocol
 names, and neither the reference simulator nor the stats-only modules, nor
 ``dataclasses`` and the ``inspect`` it imports; a transcript run loads
-neither ``semiquantum.analysis`` nor ``typing`` nor ``json``."""
+neither ``semiquantum.analysis`` nor ``typing`` nor ``json``, and a stats
+run neither ``json`` nor ``csv``."""
 import ast
 import os
 import subprocess
@@ -50,11 +51,11 @@ def test_transcript_run_loads_only_its_runner(protocol):
     assert loaded == [f"semiquantum.protocols.{RUNNER_OF[protocol]}"]
 
 
-def test_csv_stats_run_loads_csv():
-    loaded, present = _run("--protocol", "sqd", "--n", "2", "--trials", "2", "--format", "csv")
-    assert "csv" in present
-    assert "semiquantum.protocols.sqd" in loaded and "semiquantum.qsim_reference" not in loaded
-    assert "dataclasses" not in loaded and "inspect" not in loaded
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_stats_run_loads_no_json_or_csv(fmt):
+    loaded, present = _run("--protocol", "sqd", "--n", "2", "--trials", "2", "--format", fmt)
+    assert "semiquantum.protocols.sqd" in loaded and "semiquantum.analysis" in loaded
+    assert not {"json", "csv", "semiquantum.qsim_reference", "dataclasses", "inspect"} & set(present), present
 
 
 def test_no_package_module_imports_dataclasses_or_inspect():

@@ -34,7 +34,7 @@ DEFINED_IN = {
     ),
     "semiquantum.protocols.cdssqc": ("CdssqcConfig", "CdssqcVariant", "run_cdssqc_ghz", "run_cdssqc_switch"),
     "semiquantum.protocols.sqd": ("SqdConfig", "decode_dialogue", "run_sqd"),
-    "semiquantum.protocols.sqka": ("SqkaConfig", "detection_disabled", "extract_bob_key_bit", "run_sqka", "run_sqkd"),
+    "semiquantum.protocols.sqka": ("SqkaConfig", "extract_bob_key_bit", "run_sqka", "run_sqkd"),
 }
 DEFINER = {name: module for module, names in DEFINED_IN.items() for name in names}
 

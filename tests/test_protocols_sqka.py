@@ -8,12 +8,12 @@ from semiquantum.errors import ZeroCount
 from semiquantum.protocols import (
     AbortReason,
     SqkaConfig,
-    detection_disabled,
     extract_bob_key_bit,
     run_sqka,
     run_sqkd,
     xor_bits,
 )
+from semiquantum.records import replace
 
 
 def ir(seed=None):
@@ -205,8 +205,9 @@ def test_intercept_resend_small_case_abort_rate():
 def test_intercept_resend_identification_and_damage():
     id_hits = id_total = mismatches = bits = 0
     for seed in range(40):
-        cfg = detection_disabled(
-            SqkaConfig(n=40, m=4, seed=seed, attack=ir(), permutation_enabled=False)
+        cfg = replace(
+            SqkaConfig(n=40, m=4, seed=seed, attack=ir(), permutation_enabled=False),
+            threshold=1.0, commitments_enabled=False,
         )
         out = run_sqka(cfg)
         assert not out.aborted

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from semiquantum.adversary import AttackKind, AttackStrategy
 from semiquantum.protocols import PROTOCOLS, TRANSCRIPT_SCHEMA, emit_transcript, make_config, run_session
-from semiquantum.protocols.common import _dump
+from semiquantum.protocols.common import json_text
 from semiquantum.qsim import BellKind
 
 
@@ -52,7 +52,7 @@ EDGE_VALUES = [
 
 @pytest.mark.parametrize("value", EDGE_VALUES, ids=repr)
 def test_edge_value_is_written_as_json_dumps_writes_it(value):
-    assert _dump(value, "\n") == _json(value)
+    assert json_text(value) == _json(value)
 
 
 JSON_VALUES = st.recursive(
@@ -65,12 +65,12 @@ JSON_VALUES = st.recursive(
 @settings(max_examples=300, deadline=None)
 @given(JSON_VALUES)
 def test_any_json_value_is_written_as_json_dumps_writes_it(value):
-    assert _dump(value, "\n") == _json(value)
+    assert json_text(value) == _json(value)
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), [1.0, float("nan")]], ids=repr)
 def test_non_finite_float_is_written_as_the_json_token(value):
-    assert _dump(value, "\n") == _json(value)
+    assert json_text(value) == _json(value)
 
 
 @pytest.mark.parametrize("value", [{1, 2}, frozenset(), BellKind.PSI_PLUS, [BellKind.PHI_PLUS], {"k": object()},
@@ -79,11 +79,11 @@ def test_value_json_dumps_refuses_raises_type_error(value):
     with pytest.raises(TypeError):
         _json(value)
     with pytest.raises(TypeError):
-        _dump(value, "\n")
+        json_text(value)
 
 
 @pytest.mark.parametrize("value", [{1: "a"}, {None: 0}, {"a": {2.5: 0}}], ids=repr)
 def test_non_str_key_raises_type_error(value):
     # json.dumps would write such a key as a string; a transcript's keys are keyword names
     with pytest.raises(TypeError):
-        _dump(value, "\n")
+        json_text(value)
