@@ -27,11 +27,9 @@ A register's content is a ket: the qubit count and the exact amplitude
 entries in insertion order, range- and norm-checked once when built.  The
 label-addressed ``StateVector`` layer over kets, the oracle the lanes are
 tested against, is ``qsim_reference``, which no session imports; its names
-resolve here too, loading it on first use.  Stored kets are interned, and
+resolve here too, loading it on first use.  Every ket is interned, and
 each primitive keeps its result on the input ket: a gate or merge its
-output ket, a measurement its step.  Every ket of at most 4 qubits is
-stored; of the 5- and 6-qubit kets (cross-slot registers of permuted
-attacks) only the first ``MAX_WIDE_KETS``.  A step holds its branch
+output ket, a measurement its step.  A step holds its branch
 probabilities, the running sums of its possible outcomes and each
 branch's post ket, collapsed when the branch is first taken.
 
@@ -45,17 +43,19 @@ slots is one call: a preparation or a CNOT with a lane count runs its
 transition once and stores the result into every lane by slice (a CNOT
 only where every lane holds the same states, else lane by lane), and
 ``measure_each`` runs the measurements of a list of addresses, each resent
-on request, in one loop.  Up to
-``MAX_LANE_STATES`` states are stored; a register spanning slots is a
-shared record run on its ket's memo, keyed as the lane memo is but by ket
-positions, one step per measurement by either route.  A lone qubit is
-never a record: a record left with one turns into its lane state, and a
-lone qubit Bell-measured against another lane's register joins its state
-there as role ``_VISITOR`` (8, no address's), in the order a join gives.
-A stored ket's or state's memo refers
-only to stored ones, later ones take the same code unstored, and every
-result is the value the computation gives the first time, so the memo
-changes no draw.  Every sampled measurement takes exactly one
+on request, in one loop.  Every lane state is interned too.  A register
+spanning slots is a shared record run on its ket's memo, keyed as the lane
+memo is but by ket positions, one step per measurement by either route.  A
+lone qubit is never a record: a record left with one turns into its lane
+state, and a lone qubit Bell-measured against another lane's register
+joins its state there as role ``_VISITOR`` (8, no address's), in the order
+a join gives.  Neither table is capped, since sessions reach few
+contents: after 1,000 rounds of either Monte Carlo workload of the
+benchmark one process holds 1,450-1,510 kets (1,020-1,080 of 5 or 6
+qubits) and 85-92 lane states, and 1,000 more rounds of ``sweep-n8`` add
+40 kets.
+Every memo entry is the value the computation gives the first time, so the
+memo changes no draw.  Every sampled measurement takes exactly one
 ``rng.random()`` draw and one ``_pick`` call, ``bisect_right`` on the
 step's ``sums``, and returns the first possible outcome, in a fixed order
 (Z: 0, 1; Bell: ``BELL_ORDER``; basis: a, b), whose running probability sum
@@ -85,8 +85,6 @@ from .rng import RandomSource
 
 NORM_TOL = 1e-12
 MAX_QUBITS = 6
-# at most this many kets of 5-6 qubits are stored with their memo (see Memo)
-MAX_WIDE_KETS = 512
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
@@ -203,33 +201,28 @@ class _Ket:
 
     ``memo`` maps a primitive's arguments to its result on this ket: an op's
     key (see ``_key``, on positions) to the output ket or ``_Step``, and the
-    right-hand ket of a merge to the merged ket.  ``stored`` tells whether
-    the ket is interned.
+    right-hand ket of a merge to the merged ket.  Every ket is interned, so
+    each content is one object and its memo is filled once.
     """
 
-    __slots__ = ("k", "entries", "memo", "stored")
+    __slots__ = ("k", "entries", "memo")
 
     def __init__(self, k: int, entries: dict[int, complex]):
         self.k = k
         self.entries = entries
         self.memo: dict = {}
-        self.stored = False
 
 
-# Interned kets, keyed by content; at most MAX_WIDE_KETS of them are wide.
+# Interned kets, keyed by content.
 _KETS: dict[tuple, _Ket] = {}
-_NARROW_QUBITS = 4
-_wide_stored = 0
 
 
 def _intern(k: int, amplitudes) -> _Ket:
     """The ket of ``amplitudes``, pairs of basis index and amplitude.
 
     Exact zeros are dropped.  A content seen before returns its interned
-    ket; a new one is norm-checked and stored if it is narrow or the wide
-    kets are still under their cap.
+    ket; a new one is norm-checked and interned.
     """
-    global _wide_stored
     size = 1 << k
     entries = {}
     for i, amp in amplitudes:
@@ -245,12 +238,7 @@ def _intern(k: int, amplitudes) -> _Ket:
             norm2 += amp.real * amp.real + amp.imag * amp.imag
         if abs(norm2 - 1.0) > NORM_TOL:
             raise ValueError(f"state not normalized: sum |amp|^2 = {norm2!r}")
-        ket = _Ket(k, entries)
-        if k <= _NARROW_QUBITS or _wide_stored < MAX_WIDE_KETS:
-            if k > _NARROW_QUBITS:
-                _wide_stored += 1
-            ket.stored = True
-            _KETS[key] = ket
+        ket = _KETS[key] = _Ket(k, entries)
     return ket
 
 
@@ -279,11 +267,9 @@ def _merge(left: _Ket, right: _Ket) -> _Ket:
         raise RegisterTooLarge(f"merged register would hold {k} > {MAX_QUBITS} qubits")
     ket = left.memo.get(right)
     if ket is None:
-        shift = right.k
-        pairs = right.entries.items()
+        shift, pairs = right.k, right.entries.items()
         ket = _intern(k, [((i << shift) | j, a * b) for i, a in left.entries.items() for j, b in pairs])
-        if ket.stored and right.stored:
-            left.memo[right] = ket
+        left.memo[right] = ket
     return ket
 
 
@@ -303,9 +289,7 @@ def _cnot(ket: _Ket, c: int, t: int) -> _Ket:
     out = ket.memo.get(key)
     if out is None:
         cm, tm = _mask(ket.k, c), _mask(ket.k, t)
-        out = _intern(ket.k, [(i ^ tm if i & cm else i, a) for i, a in ket.entries.items()])
-        if out.stored:
-            ket.memo[key] = out
+        out = ket.memo[key] = _intern(ket.k, [(i ^ tm if i & cm else i, a) for i, a in ket.entries.items()])
     return out
 
 
@@ -315,9 +299,7 @@ def _x(ket: _Ket, t: int) -> _Ket:
     out = ket.memo.get(key)
     if out is None:
         tm = _mask(ket.k, t)
-        out = _intern(ket.k, [(i ^ tm, a) for i, a in ket.entries.items()])
-        if out.stored:
-            ket.memo[key] = out
+        out = ket.memo[key] = _intern(ket.k, [(i ^ tm, a) for i, a in ket.entries.items()])
     return out
 
 
@@ -360,7 +342,7 @@ class _Step:
     of its squared magnitudes.  ``sums`` and ``outs`` are the draw bounds
     of its possible outcomes and those outcomes (see ``_sums``).  ``posts[o]``
     holds branch ``o`` as a dict until it is first used, then its
-    renormalized ket if that is stored; it is None once no qubit remains.
+    renormalized ket; it is None once no qubit remains.
     ``pick(labels)`` gives the labels at ``keep`` as a tuple.
     """
 
@@ -391,9 +373,7 @@ class _Step:
         post = self.posts[outcome]
         if type(post) is dict:
             scale = 1.0 / math.sqrt(prob)
-            post = _intern(len(self.keep), [(j, a * scale) for j, a in post.items()])
-            if post.stored:
-                self.posts[outcome] = post
+            post = self.posts[outcome] = _intern(len(self.keep), [(j, a * scale) for j, a in post.items()])
         return post
 
 
@@ -448,9 +428,6 @@ def _sample(step: _Step, rng: RandomSource) -> int:
 HOME, TRAVEL, CONTROL, KEPT, SENT = 0, 1, 2, 4, 5
 _VISITOR = 8  # a lone qubit's role in another lane's state (measure_bell); no address's
 
-# at most this many lane states are stored with their memo (see Lanes)
-MAX_LANE_STATES = 512
-
 
 class _State:
     """A register within one lane: its ket and ``layout``, the role of each
@@ -458,32 +435,26 @@ class _State:
     state or a measurement's ``_LaneStep``, and another state of the lane to
     the two registers joined.  ``_NONE`` marks a free address."""
 
-    __slots__ = ("ket", "layout", "memo", "stored")
+    __slots__ = ("ket", "layout", "memo")
 
     def __init__(self, ket: _Ket | None, layout: tuple):
         self.ket, self.layout = ket, layout
         self.memo: dict = {}
-        self.stored = False
 
 
-# Interned lane states, keyed by ket and layout; at most MAX_LANE_STATES.
+# Interned lane states, keyed by ket and layout.
 _STATES: dict[tuple, _State] = {}
 
 
 def _state(ket: _Ket, layout: tuple) -> _State:
-    """The lane state of ``ket`` over the roles ``layout``, interned if the
-    ket is stored and the table is under its cap."""
+    """The interned lane state of ``ket`` over the roles ``layout``."""
     state = _STATES.get((ket, layout))
     if state is None:
-        state = _State(ket, layout)
-        if ket.stored and len(_STATES) < MAX_LANE_STATES:
-            state.stored = True
-            _STATES[ket, layout] = state
+        state = _STATES[ket, layout] = _State(ket, layout)
     return state
 
 
 _NONE = _State(None, ())
-_NONE.stored = True
 # The prepared |bit> on one qubit of role r, _Z_STATES[bit][r]; a Z preparation
 # or resend on a free address stores one.
 _Z_STATES = tuple(tuple(_state(ket, (r,)) for r in range(8)) for ket in _Z_KETS)
@@ -503,9 +474,7 @@ class _LaneStep:
 
     def post(self, outcome: int) -> _State:
         ket = self.step.post(outcome)  # raises on a zero-probability branch
-        state = _NONE if ket is None else _state(ket, self.step.pick(self.layout))
-        if state.stored:
-            self.posts[outcome] = state
+        state = self.posts[outcome] = _NONE if ket is None else _state(ket, self.step.pick(self.layout))
         return state
 
 
@@ -544,7 +513,7 @@ def _addresses(layout: tuple, base: int) -> tuple:
 def _past_end(size: int, qubits: tuple) -> UnknownLabel:
     """The error of an op on ``qubits`` and their roles in later lanes that
     runs past ``size`` cells: the first address past them, lane by lane."""
-    k = size - max(qubits) + 7 >> 3  # the first lane, counted from qubits', past the end
+    k = max(0, size - max(qubits) + 7 >> 3)  # the first lane, counted from qubits', past the end (0: theirs)
     return UnknownLabel(next(a + (k << 3) for a in qubits if a + (k << 3) >= size))
 
 
@@ -564,7 +533,10 @@ class Lanes:
     or more; a lone qubit Bell-measured against another lane's register
     joins that lane's state as ``_VISITOR`` instead.  Either way its ket and qubit order are a label-addressed
     register's: an op across registers joins them, the first operand's in
-    the high bits, and a measured qubit leaves.
+    the high bits, and a measured qubit leaves.  An op on a free address or
+    on one past the last lane raises ``UnknownLabel``, and a count below 1
+    ``ValueError``, before it changes a cell (``measure_each`` keeps the
+    outcomes of the addresses listed before it).
     """
 
     def __init__(self, size: int):
@@ -627,7 +599,10 @@ class Lanes:
         """The op ``code`` (see _key) past the fast paths: ``op`` is the gate
         (``_x`` or ``_cnot``) or, with ``rng``, the measurement's bras."""
         cells, a, b = self.cells, qubits[0], qubits[-1]
-        state, other = cells[a], cells[b]
+        try:
+            state, other = cells[a], cells[b]
+        except IndexError:
+            raise _past_end(len(cells), qubits) from None
         if state is _NONE or other is _NONE:
             raise UnknownLabel(a if state is _NONE else b)
         if type(state) is _Shared or type(other) is _Shared or a >> 3 != b >> 3:
@@ -640,9 +615,7 @@ class Lanes:
         if other is not state:  # two registers of one lane, joined
             joined = state.memo.get(other)
             if joined is None:
-                joined = _state(_merge(state.ket, other.ket), state.layout + other.layout)
-                if state.stored and other.stored and joined.stored:
-                    state.memo[other] = joined
+                joined = state.memo[other] = _state(_merge(state.ket, other.ket), state.layout + other.layout)
             state = joined
         key = _key(code, tuple([q & 7 for q in qubits]))
         nxt = state.memo.get(key)
@@ -650,11 +623,9 @@ class Lanes:
             layout = state.layout
             positions = tuple([layout.index(q & 7) for q in qubits])
             if rng is None:
-                nxt = _state(op(state.ket, *positions), layout)
+                nxt = state.memo[key] = _state(op(state.ket, *positions), layout)
             else:
-                nxt = _LaneStep(layout, _step(state.ket, positions, code, op))
-            if state.stored and (rng is not None or nxt.stored):
-                state.memo[key] = nxt
+                nxt = state.memo[key] = _LaneStep(layout, _step(state.ket, positions, code, op))
         outcome = None
         if rng is not None:  # sample the step; the branch taken is the next state
             outcome = _sample(nxt, rng)
@@ -672,6 +643,8 @@ class Lanes:
         per role; raises before anything changes unless all of them are free
         and, with a count, in one lane."""
         cells = self.cells
+        if count < 1:
+            raise ValueError(f"count must be at least 1, got {count!r}")
         if len(qubits) != ket.k:
             raise ValueError(f"a {ket.k}-qubit ket cannot carry {len(qubits)} labels")
         if len(set(qubits)) != len(qubits):
@@ -702,7 +675,11 @@ class Lanes:
         if bit not in (0, 1):
             raise ValueError(f"bit must be 0 or 1, got {bit!r}")
         cells = self.cells
-        if count == 1 and cells[a] is _NONE:
+        try:
+            free = count == 1 and cells[a] is _NONE
+        except IndexError:
+            raise _past_end(len(cells), (a,)) from None
+        if free:
             cells[a] = _Z_STATES[bit][a & 7]
         else:
             self._prepare(_Z_KETS[bit], (a,), count)
@@ -733,12 +710,17 @@ class Lanes:
 
     def cnot(self, c: int, t: int, count: int = 1) -> None:
         cells = self.cells
-        reg, other = cells[c], cells[t]
+        try:
+            reg, other = cells[c], cells[t]
+        except IndexError:
+            raise _past_end(len(cells), (c, t)) from None
         if count != 1:  # one transition if every lane holds reg and other, else lane by lane
+            if count < 1:
+                raise ValueError(f"count must be at least 1, got {count!r}")
             if max(c, t) + (count - 1 << 3) >= len(cells):
                 raise _past_end(len(cells), (c, t))
             stop = count << 3
-            if (count > 1 and c >> 3 == t >> 3 and type(reg) is _State is type(other) and _NONE not in (reg, other)
+            if (c >> 3 == t >> 3 and type(reg) is _State is type(other) and _NONE not in (reg, other)
                     and cells[c : c + stop : 8].count(reg) == count == cells[t : t + stop : 8].count(other)):
                 self.cnot(c, t)
                 nxt, base = cells[c], c & -8
@@ -777,7 +759,10 @@ class Lanes:
         z_bras, draw = COMPUTATIONAL._bras, rng.random
 
         def measure_z(a: int) -> int:
-            reg = cells[a]
+            try:
+                reg = cells[a]
+            except IndexError:
+                raise _past_end(len(cells), (a,)) from None
             step = reg.memo.get((a & 7) << 3 | _Z)
             if step is None:
                 if type(reg) is _Shared:
@@ -795,7 +780,10 @@ class Lanes:
             return outcome
 
         def measure_bell(a1: int, a2: int) -> BellKind:
-            reg, other = cells[a1], cells[a2]
+            try:
+                reg, other = cells[a1], cells[a2]
+            except IndexError:
+                raise _past_end(len(cells), (a1, a2)) from None
             step, base = None, a1 & -8
             if a1 >> 3 == a2 >> 3:
                 state = reg if other is reg else reg.memo.get(other)  # two registers joined
@@ -812,15 +800,13 @@ class Lanes:
                 if state is None:
                     layout = reg.layout + (_VISITOR,) if host is reg else (_VISITOR,) + other.layout
                     state = _state(_merge(reg.ket, other.ket), layout)  # raises before anything changes
-                    if reg.stored and other.stored and state.stored:
-                        host.memo[key] = state
+                    host.memo[key] = state
                 key = (r1 << 16 | r2) << 5 | _BELL
                 step = state.memo.get(key)
                 if step is None:
                     layout = state.layout
                     step = _LaneStep(layout, _step(state.ket, (layout.index(r1), layout.index(r2)), _BELL, _BELL_BRAS))
-                    if state.stored:
-                        state.memo[key] = step
+                    state.memo[key] = step
             if step is None:
                 if type(reg) is _Shared and other is reg:  # two qubits of one record
                     return BELL_ORDER[collapse(reg, (a1, a2), _BELL, _BELL_BRAS, rng)]
@@ -843,7 +829,10 @@ class Lanes:
                 raise ValueError(f"flips must be bits, got {flips!r}")
             outcomes = [None] * len(addresses)
             for i, a in enumerate(addresses):
-                reg = cells[a]
+                try:
+                    reg = cells[a]
+                except IndexError:
+                    raise _past_end(len(cells), (a,)) from None
                 step = reg.memo.get(keys[a & 7])
                 if step is None:
                     outcome = collapse(reg, (a,), code, bras, rng) if type(reg) is _Shared else slow(code, (a,), bras, rng)

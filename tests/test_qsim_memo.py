@@ -2,15 +2,12 @@
 
 Seeded outputs through the memo are pinned byte for byte by
 ``test_golden_outputs.py`` and ``test_scripts.py``; these tests check the
-memo's own rules: it stops growing, stores at most ``MAX_WIDE_KETS`` wide
-kets and ``MAX_LANE_STATES`` lane states, never skips a check and never
-caches a failure into a success.
+memo's own rules: every ket and lane state is interned, so one content is
+one object and every memo entry refers to interned objects, a repeated
+session adds nothing, and the memo never skips a check and never caches a
+failure into a success.
 """
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,8 +15,8 @@ import pytest
 from semiquantum import qsim
 from semiquantum.adversary import AttackKind, AttackStrategy
 from semiquantum.analysis import emit_transcript
-from semiquantum.errors import ZeroProbabilityOutcome
-from semiquantum.protocols import SqkaConfig, run_sqka
+from semiquantum.errors import RegisterTooLarge, ZeroProbabilityOutcome
+from semiquantum.protocols import SqdConfig, SqkaConfig, run_session, run_sqka
 from semiquantum.qsim import (
     HADAMARD,
     BellKind,
@@ -49,6 +46,7 @@ def _entangle_probe_session(seed: int = 5) -> bytes:
 
 
 def test_repeated_session_is_identical_and_adds_no_ket():
+    # the session is permuted, so its 5- and 6-qubit kets are built again
     first = _entangle_probe_session()
     interned = len(qsim._KETS)
     assert _entangle_probe_session() == first
@@ -59,70 +57,73 @@ def _wide_kets() -> int:
     return sum(ket.k > 4 for ket in qsim._KETS.values())
 
 
-def test_stored_wide_kets_stay_within_the_cap(monkeypatch):
+def test_a_wide_ket_built_twice_is_one_object():
+    kets = [StateVector({0: math.cos(0.125), 63: math.sin(0.125)}, "abcdef")._ket for _ in range(2)]
+    bell = qsim._BELL_KETS[BellKind.PSI_PLUS]
+    merged = [qsim._merge(qsim._merge(bell, bell), bell) for _ in range(2)]
+    assert kets[0] is kets[1] and merged[0] is merged[1]
+    assert any(ket is kets[0] for ket in qsim._KETS.values())
+    assert any(ket is merged[0] for ket in qsim._KETS.values())
+
+
+def test_no_interned_ket_exceeds_the_qubit_cap():
     # the permuted attack joins slots into 5- and 6-qubit registers
     for seed in range(3):
         _entangle_probe_session(seed)
-    assert 0 < _wide_kets() <= qsim.MAX_WIDE_KETS
+    assert _wide_kets() > 0
     assert all(ket.k <= qsim.MAX_QUBITS for ket in qsim._KETS.values())
-    first = _entangle_probe_session(11)
-    # once the cap is reached a new wide ket is not stored, and the
-    # sessions give the same bytes as before
-    monkeypatch.setattr(qsim, "MAX_WIDE_KETS", _wide_kets() + 2)
-    kets = [
-        StateVector({0: math.cos(t), 63: math.sin(t)}, "abcdef")._ket for t in (0.125, 0.25, 0.375)
-    ]
-    assert [ket.stored for ket in kets] == [True, True, False]
-    assert _wide_kets() == qsim.MAX_WIDE_KETS
-    assert _entangle_probe_session(11) == first
-    assert _wide_kets() == qsim.MAX_WIDE_KETS
+    # a merge past the cap raises before it interns anything
+    bell = qsim._BELL_KETS[BellKind.PSI_PLUS]
+    interned = len(qsim._KETS)
+    with pytest.raises(RegisterTooLarge):
+        qsim._merge(qsim._merge(qsim._merge(bell, bell), bell), qsim._Z_KETS[0])
+    assert len(qsim._KETS) == interned
 
 
-# Runs a permuted entangle-probe session of each keyed protocol and a
-# permuted intercept-resend dialogue with the lane-state cap set to argv[1],
-# and prints their transcripts' digests.
-_CAPPED_SESSIONS = """
-import hashlib, sys
-from semiquantum import qsim
-from semiquantum.adversary import AttackKind, AttackStrategy
-from semiquantum.analysis import emit_transcript
-from semiquantum.protocols import SqdConfig, SqkaConfig, run_session
-qsim.MAX_LANE_STATES = int(sys.argv[1])
-for config in (
+def _parts(obj) -> list:
+    """What a ket, lane state, step or memo key refers to."""
+    if type(obj) in (qsim._Ket, qsim._State):
+        return [*obj.memo, *obj.memo.values(), *([obj.ket] if type(obj) is qsim._State and obj.ket else [])]
+    if type(obj) is qsim._Step:
+        return [post for post in obj.posts if type(post) is qsim._Ket]
+    if type(obj) is qsim._LaneStep:
+        return [obj.step, *[post for post in obj.posts if post is not None]]
+    return list(obj) if type(obj) is tuple else []  # a memo key (not a bra table), or an op code
+
+
+def test_every_ket_and_lane_state_a_memo_leads_to_is_interned():
+    _entangle_probe_session(11)
+    kets = {id(ket) for ket in qsim._KETS.values()}
+    states = {id(state) for state in qsim._STATES.values()} | {id(qsim._NONE)}
+    todo, seen = [*qsim._KETS.values(), *qsim._STATES.values(), *qsim._Z_STATES[0], *qsim._Z_STATES[1]], set()
+    while todo:
+        obj = todo.pop()
+        if id(obj) not in seen:
+            seen.add(id(obj))
+            if type(obj) is qsim._Ket:
+                assert id(obj) in kets
+            elif type(obj) is qsim._State:
+                assert id(obj) in states
+            todo += _parts(obj)
+
+
+# A permuted entangle-probe session of each keyed protocol and a permuted
+# intercept-resend dialogue.
+_PERMUTED = (
     SqkaConfig(n=100, seed=11, attack=AttackStrategy(AttackKind.CNOT), threshold=1.0),
     SqkaConfig(n=100, seed=12, attack=AttackStrategy(AttackKind.CNOT), protocol="sqkd"),
     SqdConfig(n=100, seed=13, attack=AttackStrategy(AttackKind.INTERCEPT_RESEND), threshold=1.0),
-):
-    print(hashlib.sha256(emit_transcript(run_session(config))).hexdigest())
-print(len(qsim._STATES))
-"""
+)
 
 
-def _capped_sessions(cap: int) -> list[str]:
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    out = subprocess.run(
-        [sys.executable, "-c", _CAPPED_SESSIONS, str(cap)],
-        env=env, capture_output=True, text=True, check=True, timeout=300,
-    )
-    return out.stdout.split()
-
-
-def test_lane_states_stay_within_the_cap():
-    # the permuted attack joins slots, so registers move between lane states
+def test_repeated_permuted_sessions_are_identical_and_add_no_lane_state():
+    # the permuted attacks join slots, so registers move between lane states
     # and shared records
-    for seed in range(3):
-        _entangle_probe_session(seed)
-    assert 0 < len(qsim._STATES) <= qsim.MAX_LANE_STATES
-    assert all(state.stored for state in qsim._STATES.values())
-    # with the cap lowered (above the 16 prepared |0>/|1> states interned at
-    # import), the states past it are not stored and their ops take the
-    # general path each time, giving the same bytes
-    *digests, stored = _capped_sessions(qsim.MAX_LANE_STATES)
-    *capped, stored_capped = _capped_sessions(24)
-    assert capped == digests
-    assert int(stored_capped) == 24 < int(stored) <= qsim.MAX_LANE_STATES
+    first = [emit_transcript(run_session(config)) for config in _PERMUTED]
+    states = len(qsim._STATES)
+    assert states > 16  # more than the prepared |0> and |1> states interned at import
+    assert [emit_transcript(run_session(config)) for config in _PERMUTED] == first
+    assert len(qsim._STATES) == states
 
 
 def test_unnormalized_state_raises_although_its_indices_are_interned():

@@ -93,7 +93,7 @@ def test_measurement_over_addresses_matches_the_per_op_loop(samples, layout, bas
 
 @pytest.mark.parametrize("layout, count", [
     ("uniform", LANES), ("uniform", 1), ("mixed", LANES), ("shared", LANES), ("ancilla", LANES),
-    ("uniform", 3), ("uniform", 0),
+    ("uniform", 3),
 ])
 def test_counted_cnot_matches_the_op_lane_by_lane(samples, layout, count):
     by_op, by_stage = _lanes(layout), _lanes(layout)
@@ -210,6 +210,7 @@ PAST_THE_END = {
     "prepare_ghz_like": (
         lambda l: l.prepare_ghz_like(BellKind.PSI_PLUS, BellKind.PHI_MINUS, HADAMARD, (6, 2, 3), 4), 22,
     ),
+    "prepare_z-past-the-end-in-its-first-lane": (lambda l: l.prepare_z(0, 99, 2), 99),
 }
 
 
@@ -223,6 +224,55 @@ def test_a_count_past_the_last_lane_is_an_unknown_address_before_any_change(case
     with pytest.raises(UnknownLabel) as err:
         op(lanes)
     assert err.value.args == (first,)
+    assert _content(lanes) == before
+
+
+# Each uncounted op on an address past the last lane of two.
+PAST_THE_END_UNCOUNTED = {
+    "prepare_z": lambda l: l.prepare_z(0, 99),
+    "prepare_bell": lambda l: l.prepare_bell(BellKind.PSI_PLUS, 2, 99),
+    "cnot": lambda l: l.cnot(0, 99),
+    "cnot-control": lambda l: l.cnot(99, 0),
+    "x": lambda l: l.x(99),
+    "measure_z": lambda l: l.measure_z(99, RandomSource(1)),
+    "measure_bell": lambda l: l.measure_bell(0, 99, RandomSource(1)),
+    "measure_ab": lambda l: l.measure_ab(99, HADAMARD, RandomSource(1)),
+    "measure_each": lambda l: l.measurements(RandomSource(1))[2]([99], COMPUTATIONAL),
+}
+
+
+@pytest.mark.parametrize("case", list(PAST_THE_END_UNCOUNTED))
+def test_an_op_past_the_last_lane_is_an_unknown_address_before_any_change(case):
+    # these raised a bare IndexError, and prepare_bell UnknownLabel(19)
+    lanes = Lanes(2)
+    lanes.prepare_bell(BellKind.PSI_PLUS, 0, 1, 2)
+    before = _content(lanes)
+    with pytest.raises(UnknownLabel) as err:
+        PAST_THE_END_UNCOUNTED[case](lanes)
+    assert err.value.args == (99,)
+    assert _content(lanes) == before
+
+
+# Each counted op with a count below 1, on free addresses or on registers.
+COUNT_BELOW_ONE = {
+    "prepare_z-0": lambda l: l.prepare_z(0, 2, 0),
+    "prepare_bell-0": lambda l: l.prepare_bell(BellKind.PSI_PLUS, 2, 3, 0),
+    "prepare_bell-minus-1": lambda l: l.prepare_bell(BellKind.PSI_PLUS, 2, 3, -1),
+    "prepare_ghz_like-0": lambda l: l.prepare_ghz_like(BellKind.PSI_PLUS, BellKind.PHI_MINUS, HADAMARD, (2, 3, 6), 0),
+    "cnot-0": lambda l: l.cnot(0, 1, 0),
+    "cnot-minus-3": lambda l: l.cnot(1, 4, -3),
+}
+
+
+@pytest.mark.parametrize("case", list(COUNT_BELOW_ONE))
+def test_a_count_below_one_is_refused_before_any_change(case):
+    # these returned having done nothing, and prepare_bell with -1 raised DuplicateLabel
+    lanes = Lanes(2)
+    lanes.prepare_bell(BellKind.PSI_PLUS, 0, 1, 2)
+    lanes.prepare_z(0, 4, 2)
+    before = _content(lanes)
+    with pytest.raises(ValueError, match="count must be at least 1"):
+        COUNT_BELOW_ONE[case](lanes)
     assert _content(lanes) == before
 
 
